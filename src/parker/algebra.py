@@ -256,7 +256,6 @@ class CenterPairIndex:
 
     target: int
     pairs: tuple[tuple[int, int], ...]
-    rule: str = "none"
 
     def __len__(self):
         return len(self.pairs)
@@ -588,8 +587,7 @@ def center_pairs(carrier: Carrier, e: int, rule: str = "none") -> CenterPairInde
     A magic square has four such pairs, one per line through the center, so
     fewer than four pairs rules the center value out.  The default counts
     every distinct pair, which is the count that argument needs; the
-    stricter rules ("nonzero" drops pairs containing 0, "not-target" drops
-    pairs containing the target value) are kept for experimentation.
+    "nonzero" rule drops pairs containing 0.
     """
     sq = carrier.square_set()
     e2 = carrier.mul(e, e)
@@ -602,11 +600,9 @@ def center_pairs(carrier: Carrier, e: int, rule: str = "none") -> CenterPairInde
             pairs.append((u, v))
     if rule == "nonzero":
         pairs = [p for p in pairs if 0 not in p]
-    elif rule == "not-target":
-        pairs = [p for p in pairs if target not in p]
     elif rule != "none":
         raise ValueError(f"unknown exclusion rule {rule!r}")
-    return CenterPairIndex(target, tuple(pairs), rule)
+    return CenterPairIndex(target, tuple(pairs))
 
 
 def consecutive_square_triples(carrier: Carrier) -> list[tuple[int, int, int]]:

@@ -17,8 +17,7 @@ from . import survey
 from .algebra import make_carrier
 from .core import validate_square
 from .gaussian import GaussianInt, chi, congruum_triple, search_hourglass
-from .search import (ASSIGNMENT_POLICIES, DEFAULT_POLICY, msos_field,
-                     msos_ring)
+from .search import msos_field, msos_ring
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,10 +35,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_jobs() -> int:
     env = os.environ.get("PARKER_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    if not env:
         return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"PARKER_JOBS must be an integer, got {env!r}") \
+            from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("order", type=int)
         p.add_argument("--list", action="store_true",
                        help="include the tuples themselves")
-        p.add_argument("--policy", choices=ASSIGNMENT_POLICIES,
-                       default=DEFAULT_POLICY)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("scan-fields", help="classify a range of field orders")
@@ -104,10 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_scan_common(p):
-    p.add_argument("--policy", choices=ASSIGNMENT_POLICIES,
-                   default=DEFAULT_POLICY)
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default $PARKER_JOBS or 1)")
+                   help="worker processes, at least 1 (default $PARKER_JOBS "
+                        "or 1); capped by the CPU and order counts")
     p.add_argument("--checkpoint", default=None,
                    help="JSONL checkpoint file for resume")
     p.add_argument("--out", default=None, help="report file")
@@ -123,13 +122,12 @@ def _tuple_json(carrier, t):
 
 
 def _cmd_single(args, kind):
-    result = msos_field(args.order, args.policy) if kind == "field" \
-        else msos_ring(args.order, args.policy)
+    result = msos_field(args.order) if kind == "field" \
+        else msos_ring(args.order)
     carrier = result.carrier
     payload = {
         "kind": kind,
         "order": args.order,
-        "policy": result.policy,
         "square_count": len(carrier.square_set()),
         "tuple_count": result.tuple_count,
         "dihedral_class_count": result.dihedral_class_count,
@@ -144,8 +142,7 @@ def _cmd_single(args, kind):
         return EXIT_OK
     print(f"{carrier}: {result.tuple_count} magic squares of squares "
           f"({result.dihedral_class_count} dihedral classes), "
-          f"{'Parker' if result.parker else 'not Parker'} "
-          f"[policy {result.policy}]")
+          f"{'Parker' if result.parker else 'not Parker'}")
     if args.list:
         for t in result.tuples:
             rows = [" ".join(carrier.element_repr(x) for x in t[i:i + 3])
@@ -162,14 +159,14 @@ def _cmd_scan(args, kind):
                         else "all")
         records, table = survey.scan_fields(
             args.lo, args.hi, order_filter, jobs=jobs,
-            checkpoint=args.checkpoint, policy=args.policy)
+            checkpoint=args.checkpoint)
     else:
         order_filter = ("odd" if args.odd
                         else (args.mod, args.res) if args.mod
                         else "all")
         records, table = survey.scan_rings(
             args.lo, args.hi, order_filter, jobs=jobs,
-            checkpoint=args.checkpoint, policy=args.policy)
+            checkpoint=args.checkpoint)
     if args.out:
         survey.write_report(records, args.format, args.out)
         print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)

@@ -18,14 +18,6 @@ from .algebra import (Carrier, ModularRing, center_pairs,
                       make_carrier, squares)
 from .core import dihedral_canonical, dihedral_orbit
 
-# The subset enumeration leaves open which member of an unordered center pair
-# lands in the a^2 (resp. c^2) cell.  "canonical" assigns the smaller
-# encoding, producing one tuple per qualifying pair combination; "both" emits
-# every assignment (each a dihedral image).  "canonical" reproduces the
-# reference counts and is the calibrated default.
-ASSIGNMENT_POLICIES = ("canonical", "both")
-DEFAULT_POLICY = "canonical"
-
 PrefilterReason = str  # "even-order" | "too-few-squares" | "pair-deficit" |
 #                        "no-consecutive-squares"
 
@@ -39,18 +31,11 @@ class SearchResult:
     tuple_count: int
     dihedral_class_count: int
     parker: bool
-    policy: str
-    prefilter_verdict: str | None = None
     elapsed: float = 0.0
 
     def __post_init__(self):
         if self.parker != (self.tuple_count == 0):  # pragma: no cover
             raise AssertionError("parker flag disagrees with tuple count")
-
-
-def _check_policy(policy):
-    if policy not in ASSIGNMENT_POLICIES:
-        raise ValueError(f"unknown assignment policy {policy!r}")
 
 
 def _emit(out, add, sub, sq, t3, e2, a2, i2, c2, g2):
@@ -75,14 +60,7 @@ def _emit(out, add, sub, sq, t3, e2, a2, i2, c2, g2):
         out.add(t)
 
 
-def _orientations(pair, policy):
-    if policy == "canonical":
-        return (pair,)
-    u, v = pair
-    return ((u, v), (v, u))
-
-
-def _sequences_case(carrier, e, policy, out):
+def _sequences_case(carrier, e, out):
     # Shared center-pair double loop: for each pair in ascending order the
     # earlier pairs supply the anti-diagonal, so every unordered combination
     # of two distinct pairs is tested exactly once.
@@ -91,25 +69,22 @@ def _sequences_case(carrier, e, policy, out):
     e2 = carrier.mul(e, e)
     t3 = add(add(e2, e2), e2)
     pairs = center_pairs(carrier, e).pairs
-    for j in range(len(pairs)):
-        for a2, i2 in _orientations(pairs[j], policy):
-            for i in range(j):
-                for c2, g2 in _orientations(pairs[i], policy):
-                    _emit(out, add, sub, sq, t3, e2, a2, i2, c2, g2)
+    for j, (a2, i2) in enumerate(pairs):
+        for c2, g2 in pairs[:j]:
+            _emit(out, add, sub, sq, t3, e2, a2, i2, c2, g2)
 
 
-def _fixed_corner_case(carrier, policy, out):
+def _fixed_corner_case(carrier, out):
     # center 0 with the remaining corner pair normalized to (1, -1)
     add, sub = carrier.add, carrier.sub
     sq = carrier.square_set()
     one = carrier.encode_int(1)
     minus_one = carrier.neg(one)
-    for pair in center_pairs(carrier, 0).pairs:
-        for a2, i2 in _orientations(pair, policy):
-            _emit(out, add, sub, sq, 0, 0, a2, i2, one, minus_one)
+    for a2, i2 in center_pairs(carrier, 0).pairs:
+        _emit(out, add, sub, sq, 0, 0, a2, i2, one, minus_one)
 
 
-def msos_field(q, policy: str = DEFAULT_POLICY) -> SearchResult:
+def msos_field(q) -> SearchResult:
     """All magic squares of squares over F_q, up to scaling.
 
     Two cases by center entry: center 0 fixes the anti-diagonal corners to
@@ -117,42 +92,58 @@ def msos_field(q, policy: str = DEFAULT_POLICY) -> SearchResult:
     combinations of two distinct pairs summing to 2.  Iteration is in
     ascending encoding order, so the output is deterministic.
     """
-    _check_policy(policy)
     carrier = q if isinstance(q, Carrier) else make_carrier("field", q)
     if carrier.kind not in ("prime-field", "extension-field"):
         raise ValueError(f"msos_field needs a field carrier, got {carrier}")
     start = time.perf_counter()
     out: set[tuple[int, ...]] = set()
-    _fixed_corner_case(carrier, policy, out)
-    _sequences_case(carrier, carrier.encode_int(1), policy, out)
-    return _result(carrier, out, policy, start)
+    _fixed_corner_case(carrier, out)
+    _sequences_case(carrier, carrier.encode_int(1), out)
+    return _result(carrier, out, start)
 
 
-def msos_ring(n, policy: str = DEFAULT_POLICY) -> SearchResult:
+def msos_ring(n) -> SearchResult:
     """All magic squares of squares over Z/nZ, up to unit scaling.
 
     The center is normalized to a divisor residue of n (one unit orbit per
     divisor); each divisor runs the same pair-combination scan as the
     nonzero-center field case, including the divisors giving center 0.
     """
-    _check_policy(policy)
     carrier = n if isinstance(n, Carrier) else make_carrier("ring", n)
     if carrier.kind != "modular-ring":
         raise ValueError(f"msos_ring needs a ring carrier, got {carrier}")
     start = time.perf_counter()
     out: set[tuple[int, ...]] = set()
     for e in divisor_representatives(carrier.order):
-        _sequences_case(carrier, e, policy, out)
-    return _result(carrier, out, policy, start)
+        _sequences_case(carrier, e, out)
+    return _result(carrier, out, start)
 
 
-def _result(carrier, out, policy, start, verdict=None):
+def _result(carrier, out, start):
+    """Package the tuple set; each tuple is its own dihedral class.
+
+    Cells are (a, b, c, d, e, f, g, h, i) in row order, and the edge cells
+    follow from the corners and the center, so an image of a magic tuple is
+    fixed by where its corners go.  The dihedral group D4 fixes the center
+    and permutes the corners, keeping the diagonal pair {a, i} and the
+    anti-diagonal pair {c, g} as pairs.  The two diagonal reflections and
+    the half-turn reverse one pair or both in place; the quarter-turns and
+    the two axis reflections exchange the pairs.  The eight images thus
+    realize each choice of which pair lies on the diagonal and of each
+    pair's orientation once.  The kernel emits only the image with the later
+    of its two center pairs on the diagonal and both pairs in ascending
+    order, so no two emitted tuples with the same center share a class.
+    In the center-0 field case the kernel emits the diagonal pair ascending
+    beside the fixed anti-diagonal (1, -1), and an image exchanging the
+    pairs would need {a, i} = {1, -1}, which repeats a cell.  Distinct centers are distinct classes, and ring divisors with
+    equal e^2 give identical tuples, which the set merges.  oracle_agreement
+    checks this count against dihedral_canonical.
+    """
     tuples = tuple(sorted(out))
-    classes = len({dihedral_canonical(t) for t in tuples})
     return SearchResult(
         carrier=carrier, tuples=tuples, tuple_count=len(tuples),
-        dihedral_class_count=classes, parker=not tuples, policy=policy,
-        prefilter_verdict=verdict, elapsed=time.perf_counter() - start)
+        dihedral_class_count=len(tuples), parker=not tuples,
+        elapsed=time.perf_counter() - start)
 
 
 def prefilter_field(q) -> str | None:
@@ -248,18 +239,22 @@ def scaling_closure(carrier: Carrier,
     return closure
 
 
-def oracle_agreement(carrier: Carrier, policy: str = DEFAULT_POLICY,
-                     cap: int = 100) -> bool:
+def oracle_agreement(carrier: Carrier, cap: int = 100) -> bool:
     """True when the normalized search and the oracle describe the same set.
 
-    Checks that every normalized tuple is itself magic (membership in the
-    oracle set) and that the oracle set equals the closure of the normalized
-    set under dihedral symmetry and unit-square scaling.
+    Checks that the reported class count is the number of distinct
+    dihedral classes among the normalized tuples, that every normalized
+    tuple is itself magic (membership in the oracle set) and that the
+    oracle set equals the closure of the normalized set under dihedral
+    symmetry and unit-square scaling.
     """
     if isinstance(carrier, ModularRing):
-        result = msos_ring(carrier, policy)
+        result = msos_ring(carrier)
     else:
-        result = msos_field(carrier, policy)
+        result = msos_field(carrier)
+    classes = {dihedral_canonical(t) for t in result.tuples}
+    if len(classes) != result.dihedral_class_count:
+        return False
     oracle = brute_force_oracle(carrier, cap)
     normalized = set(result.tuples)
     if not normalized <= oracle:

@@ -14,18 +14,19 @@ import csv
 import io
 import json
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .algebra import is_prime, prime_power_base, squares, make_carrier
-from .search import DEFAULT_POLICY, msos_field, msos_ring, prefilter_field
+from .search import msos_field, msos_ring, prefilter_field
 
 log = logging.getLogger("parker.survey")
 
 CSV_COLUMNS = ("order", "kind", "square_count", "msos_count",
                "dihedral_class_count", "parker", "prefilter_reason",
-               "elapsed_ms", "policy")
+               "elapsed_ms")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class ScanRecord:
     parker: bool
     prefilter_reason: str | None
     elapsed_ms: int
-    policy: str
 
     def __post_init__(self):
         if self.parker != (self.msos_count == 0):  # pragma: no cover
@@ -85,7 +85,7 @@ def _now_ms() -> float:
     return time.perf_counter() * 1000.0
 
 
-def scan_field_order(order: int, policy: str = DEFAULT_POLICY) -> ScanRecord:
+def scan_field_order(order: int) -> ScanRecord:
     """Classify one field order: prefilter first, full search if inconclusive."""
     t0 = _now_ms()
     carrier = make_carrier("field", order)
@@ -93,31 +93,22 @@ def scan_field_order(order: int, policy: str = DEFAULT_POLICY) -> ScanRecord:
     reason = prefilter_field(carrier)
     if reason is not None:
         return ScanRecord(order, "field", square_count, 0, 0, True, reason,
-                          int(_now_ms() - t0), policy)
-    result = msos_field(carrier, policy)
+                          int(_now_ms() - t0))
+    result = msos_field(carrier)
     return ScanRecord(order, "field", square_count, result.tuple_count,
                       result.dihedral_class_count, result.parker, None,
-                      int(_now_ms() - t0), policy)
+                      int(_now_ms() - t0))
 
 
-def scan_ring_order(order: int, policy: str = DEFAULT_POLICY) -> ScanRecord:
+def scan_ring_order(order: int) -> ScanRecord:
     """Classify one ring modulus with the divisor-orbit search."""
     t0 = _now_ms()
     carrier = make_carrier("ring", order)
     square_count = len(carrier.square_set())
-    result = msos_ring(carrier, policy)
+    result = msos_ring(carrier)
     return ScanRecord(order, "ring", square_count, result.tuple_count,
                       result.dihedral_class_count, result.parker, None,
-                      int(_now_ms() - t0), policy)
-
-
-def _field_worker(args):
-    return scan_field_order(*args)
-
-
-def _ring_worker(args):
-    return scan_ring_order(*args)
-
+                      int(_now_ms() - t0))
 
 # ---------------------------------------------------------------------------
 # Order selection.
@@ -155,48 +146,47 @@ def ring_orders(lo: int, hi: int, order_filter="all") -> list[int]:
 # Scan driver.
 
 
-def _run_scan(kind, orders, worker, jobs, checkpoint, policy):
+def _run_scan(kind, orders, worker, jobs, checkpoint):
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     done = load_checkpoint(checkpoint) if checkpoint else {}
     pending = [n for n in orders if (kind, n) not in done]
     computed = {}
-    if pending:
-        args = [(n, policy) for n in pending]
-        if jobs and jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = pool.map(worker, args)
-                for rec in results:
-                    computed[rec.order] = rec
-                    if checkpoint:
-                        append_checkpoint(checkpoint, rec)
-        else:
-            for a in args:
-                rec = worker(a)
+    workers = min(jobs, len(pending), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for rec in pool.map(worker, pending):
                 computed[rec.order] = rec
                 if checkpoint:
                     append_checkpoint(checkpoint, rec)
+    else:
+        for n in pending:
+            rec = worker(n)
+            computed[rec.order] = rec
+            if checkpoint:
+                append_checkpoint(checkpoint, rec)
     records = [done.get((kind, n)) or computed[n] for n in orders]
     return records, record_breakers(records)
 
 
 def scan_fields(lo: int, hi: int, order_filter: str = "all", jobs: int = 1,
-                checkpoint: str | None = None,
-                policy: str = DEFAULT_POLICY):
+                checkpoint: str | None = None):
     """Classify every qualifying field order in [lo, hi].
 
     Returns (records ascending by order, record-breaker table).  With jobs > 1
-    the orders are distributed over a process pool; output order and content
-    do not depend on jobs.
+    the orders are distributed over a process pool of at most jobs workers,
+    capped by the pending order count and the CPU count; output order and
+    content do not depend on jobs.  jobs below 1 raises ValueError.
     """
     orders = field_orders(lo, hi, order_filter)
-    return _run_scan("field", orders, _field_worker, jobs, checkpoint, policy)
+    return _run_scan("field", orders, scan_field_order, jobs, checkpoint)
 
 
 def scan_rings(lo: int, hi: int, order_filter="all", jobs: int = 1,
-               checkpoint: str | None = None,
-               policy: str = DEFAULT_POLICY):
+               checkpoint: str | None = None):
     """Classify every qualifying ring modulus in [lo, hi]; see scan_fields."""
     orders = ring_orders(lo, hi, order_filter)
-    return _run_scan("ring", orders, _ring_worker, jobs, checkpoint, policy)
+    return _run_scan("ring", orders, scan_ring_order, jobs, checkpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +199,13 @@ def record_to_json(rec: ScanRecord) -> str:
 
 def record_from_json(line: str) -> ScanRecord:
     obj = json.loads(line)
+    # records from before the assignment policy was retired carry it; only
+    # the canonical policy counted what the search counts now
+    if obj.get("policy", "canonical") != "canonical":
+        raise ValueError(f"record from policy {obj['policy']!r}")
     return ScanRecord(**{k: obj[k] for k in (
         "order", "kind", "square_count", "msos_count", "dihedral_class_count",
-        "parker", "prefilter_reason", "elapsed_ms", "policy")})
+        "parker", "prefilter_reason", "elapsed_ms")})
 
 
 def write_report(records, fmt: str, path) -> None:
@@ -230,7 +224,7 @@ def render_report(records, fmt: str) -> str:
             writer.writerow([
                 rec.order, rec.kind, rec.square_count, rec.msos_count,
                 rec.dihedral_class_count, "true" if rec.parker else "false",
-                rec.prefilter_reason or "", rec.elapsed_ms, rec.policy])
+                rec.prefilter_reason or "", rec.elapsed_ms])
         return buf.getvalue()
     if fmt == "jsonl":
         return "".join(record_to_json(rec) + "\n" for rec in records)
@@ -249,7 +243,7 @@ def parse_report(text: str, fmt: str) -> list[ScanRecord]:
                 order=int(row[0]), kind=row[1], square_count=int(row[2]),
                 msos_count=int(row[3]), dihedral_class_count=int(row[4]),
                 parker=row[5] == "true", prefilter_reason=row[6] or None,
-                elapsed_ms=int(row[7]), policy=row[8]))
+                elapsed_ms=int(row[7])))
         return out
     raise ValueError(f"unknown report format {fmt!r}")
 

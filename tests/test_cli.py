@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from parker.cli import main
 
 
@@ -82,6 +84,23 @@ class TestScans:
                                "20")
         assert code == 0
         assert "field 17: Parker" in out
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_1(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "scan-rings", "--from", "2", "--to",
+                                 "10", "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "at least 1" in err
+
+    @pytest.mark.parametrize("env", ["0", "-3", "two"])
+    def test_bad_jobs_env_exits_1(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("PARKER_JOBS", env)
+        code, out, err = run_cli(capsys, "scan-fields", "--from", "2", "--to",
+                                 "20")
+        assert code == 1
+        assert out == ""
+        assert "error" in err
 
 
 class TestHourglassCommand:

@@ -1,7 +1,7 @@
 import pytest
 
 from parker.algebra import make_carrier
-from parker.core import dihedral_orbit, validate_square
+from parker.core import dihedral_canonical, dihedral_orbit, validate_square
 from parker.search import (brute_force_oracle, msos_field, msos_ring,
                            oracle_agreement, prefilter_field, scaling_closure)
 from parker.survey import field_orders
@@ -72,26 +72,14 @@ class TestMsosRing:
             assert validate_square(t, carrier).is_magic
 
 
-class TestAssignmentPolicies:
-    def test_both_policy_emits_dihedral_images(self):
-        canonical = msos_field(29, "canonical")
-        both = msos_field(29, "both")
-        assert canonical.tuple_count == 2
-        assert both.tuple_count == 4
-        assert set(canonical.tuples) <= set(both.tuples)
-        assert canonical.dihedral_class_count == both.dihedral_class_count == 2
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            msos_field(29, "sideways")
-
-    def test_parker_flag_is_policy_independent_to_500(self):
-        for q in field_orders(2, 500):
-            assert msos_field(q, "canonical").parker == \
-                msos_field(q, "both").parker, q
-        for n in range(2, 501):
-            assert msos_ring(n, "canonical").parker == \
-                msos_ring(n, "both").parker, n
+class TestClassInvariant:
+    def test_one_tuple_per_class_to_500(self):
+        results = [msos_field(q) for q in field_orders(2, 500)]
+        results += [msos_ring(n) for n in range(2, 501)]
+        for r in results:
+            classes = {dihedral_canonical(t) for t in r.tuples}
+            assert len(classes) == r.tuple_count == r.dihedral_class_count, \
+                r.carrier
 
 
 class TestPrefilter:

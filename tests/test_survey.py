@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -57,6 +58,59 @@ class TestScanFields:
         assert table1 == table2
 
 
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor that records its size, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        monkeypatch.setattr(survey, "ProcessPoolExecutor", _InlinePool)
+        return _InlinePool
+
+    @pytest.mark.parametrize("cpus,jobs,expected", [
+        (64, 10**9, [16]),  # capped by the 16 pending orders
+        (4, 10**9, [4]),    # capped by the CPU count
+        (4, 3, [3]),
+        (None, 10**9, []),  # unknown CPU count: serial, no pool
+        (64, 1, []),
+    ], ids=["by-orders", "by-cpus", "by-jobs", "no-cpu-count", "serial"])
+    def test_workers_capped(self, pool, monkeypatch, cpus, jobs, expected):
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: cpus)
+        records, _ = scan_fields(2, 29, jobs=jobs)
+        assert pool.sizes == expected
+        assert [r.order for r in records if not r.parker] == [29]
+
+    def test_resumed_scan_sizes_pool_by_pending(self, pool, monkeypatch,
+                                                tmp_path):
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 64)
+        ckpt = str(tmp_path / "ckpt.jsonl")
+        scan_fields(2, 23, checkpoint=ckpt)
+        scan_fields(2, 29, jobs=10**9, checkpoint=ckpt)
+        assert pool.sizes == [3]  # 25, 27 and 29
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, pool, jobs):
+        with pytest.raises(ValueError):
+            scan_rings(2, 10, jobs=jobs)
+        assert pool.sizes == []
+
+
 class TestScanRings:
     def test_first_non_parker_ring(self):
         records, _ = scan_rings(2, 30)
@@ -106,7 +160,7 @@ class TestReports:
         lines = text.splitlines()
         assert lines[0] == ("order,kind,square_count,msos_count,"
                             "dihedral_class_count,parker,prefilter_reason,"
-                            "elapsed_ms,policy")
+                            "elapsed_ms")
         row2 = lines[1].split(",")
         assert row2[0] == "2" and row2[1] == "field" and row2[5] == "true"
         assert parse_report(text, "csv") == records
@@ -116,7 +170,7 @@ class TestReports:
         write_report([], "csv", path)
         assert path.read_text() == ("order,kind,square_count,msos_count,"
                                     "dihedral_class_count,parker,"
-                                    "prefilter_reason,elapsed_ms,policy\n")
+                                    "prefilter_reason,elapsed_ms\n")
 
     def test_jsonl_round_trip(self, tmp_path):
         records, _ = scan_rings(2, 20)
@@ -145,8 +199,7 @@ class TestCheckpoint:
 
     def test_corrupt_lines_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "ckpt.jsonl"
-        rec = ScanRecord(2, "field", 2, 0, 0, True, "even-order", 1,
-                         "canonical")
+        rec = ScanRecord(2, "field", 2, 0, 0, True, "even-order", 1)
         path.write_text(survey.record_to_json(rec) + "\n"
                         + "{not json}\n"
                         + '{"order": 3}\n')
@@ -154,6 +207,19 @@ class TestCheckpoint:
             done = load_checkpoint(str(path))
         assert set(done) == {("field", 2)}
         assert sum("corrupt" in m for m in caplog.messages) == 2
+
+    def test_retired_policy_lines_skipped(self, tmp_path, caplog):
+        path = tmp_path / "old.jsonl"
+        line = survey.record_to_json(
+            ScanRecord(29, "field", 15, 2, 2, False, None, 1))
+        obj = json.loads(line)
+        path.write_text(json.dumps({**obj, "policy": "canonical"}) + "\n"
+                        + json.dumps({**obj, "order": 37, "msos_count": 6,
+                                      "policy": "both"}) + "\n")
+        with caplog.at_level("WARNING", logger="parker.survey"):
+            done = load_checkpoint(str(path))
+        assert done == {("field", 29): survey.record_from_json(line)}
+        assert sum("corrupt" in m for m in caplog.messages) == 1
 
     def test_missing_checkpoint_is_empty(self, tmp_path):
         assert load_checkpoint(str(tmp_path / "nope.jsonl")) == {}
