@@ -16,7 +16,8 @@ import sys
 from . import survey
 from .algebra import make_carrier
 from .core import validate_square
-from .gaussian import GaussianInt, chi, congruum_triple, search_hourglass
+from .gaussian import (MAX_BOUND, GaussianInt, chi, congruum_triple,
+                       search_hourglass)
 from .search import msos_field, msos_ring
 
 EXIT_OK = 0
@@ -82,11 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_common(p)
 
     p = sub.add_parser("hourglass", help="search for magic hourglass triples")
-    p.add_argument("--mode", choices=("exhaustive", "product-first"),
-                   required=True)
-    p.add_argument("--max-norm", type=int, required=True)
+    p.add_argument("--mode", choices=tuple(MAX_BOUND), required=True)
+    p.add_argument("--max-norm", type=int, required=True,
+                   help="norm bound, at most "
+                        + " / ".join(f"{n} ({m})" for m, n
+                                     in MAX_BOUND.items()))
     p.add_argument("--report-every", type=int, default=None,
-                   help="progress line on stderr every K units")
+                   help="progress line on stderr every K units, K >= 1")
 
     p = sub.add_parser("verify", help="validate a square file")
     p.add_argument("file")
@@ -181,8 +184,8 @@ def _cmd_scan(args, kind):
 
 
 def _cmd_hourglass(args):
-    progress = (lambda msg: print(msg, file=sys.stderr)) if args.report_every \
-        else None
+    progress = (lambda msg: print(msg, file=sys.stderr)) \
+        if args.report_every is not None else None
     result = search_hourglass(args.mode, args.max_norm,
                               report_every=args.report_every,
                               progress=progress)

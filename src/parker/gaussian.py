@@ -12,7 +12,9 @@ for such triples.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop, heapreplace
 from itertools import product
 
 from .algebra import Integers, factorize
@@ -116,8 +118,7 @@ def chi(w: GaussianInt) -> tuple[int, int, int]:
 
 def pow4_parts(w: GaussianInt) -> tuple[int, int]:
     """(Re[w^4], Im[w^4]); with (r, s, t) = chi(w) these equal (r*t, r^2 - s^2)."""
-    w4 = (w * w) ** 2
-    return (w4.re, w4.im)
+    return _pow4(w.re, w.im)
 
 
 @dataclass(frozen=True)
@@ -404,17 +405,43 @@ def _verify_hit(x, y, z) -> tuple[int, ...]:
     return cells
 
 
-def _candidate_points(bound: int) -> list[GaussianInt]:
-    pts = []
-    re = 1
-    while re * re <= bound:
-        im = 0
-        while re * re + im * im <= bound:
-            pts.append(GaussianInt(re, im))
-            im += 1
-        re += 1
-    pts.sort(key=lambda w: (w.norm(), w.re, w.im))
-    return pts
+def _pow4(re: int, im: int) -> tuple[int, int]:
+    """(Re, Im) of (re + im*i)^4; Im is 4*re*im*(re^2 - im^2)."""
+    d = re * re - im * im
+    p = re * im
+    return (d * d - 4 * p * p, 4 * p * d)
+
+
+def _candidate_points(bound: int):
+    """First-quadrant (re, im) with re >= 1, im >= 0 and norm <= bound.
+
+    One point per associate class, yielded in (norm, re, im) order.  A heap
+    holds the next point of each row re, so memory is O(sqrt(bound)).
+    """
+    heap = [(re * re, re, 0) for re in range(1, math.isqrt(bound) + 1)]
+    while heap:
+        _, re, im = heap[0]
+        yield re, im
+        im += 1
+        norm = re * re + im * im
+        if norm <= bound:
+            heapreplace(heap, (norm, re, im))
+        else:
+            heappop(heap)
+
+
+def _count_points(bound: int) -> int:
+    """How many points _candidate_points(bound) yields."""
+    return sum(math.isqrt(bound - re * re) + 1
+               for re in range(1, math.isqrt(bound) + 1))
+
+
+# Largest accepted bound per mode: about two minutes of search each on a
+# 2-CPU x86 VM (exhaustive 114 s, product-first 142 s, both under 25 MB peak
+# RSS).  Exhaustive time grows with the square of its (pi/4)*bound points,
+# product-first a little faster than linearly; product-first streams its
+# points and the exhaustive point list holds about 15k entries at the limit.
+MAX_BOUND = {"exhaustive": 20_000, "product-first": 10_000_000}
 
 
 def search_hourglass(mode: str, bound: int, report_every: int | None = None,
@@ -428,94 +455,172 @@ def search_hourglass(mode: str, bound: int, report_every: int | None = None,
     prime multiset into three parts.  Every hit is re-verified by building
     the hourglass and validating all 5 sums; an empty result is the
     expected outcome.
+
+    triples_tested counts the triples the search decided: in exhaustive
+    mode every index triple i <= j <= k of its n points, n(n+1)(n+2)/6,
+    each decided exactly by the line lookup of _line_bucket_triples; in
+    product-first mode every unordered split.  candidates_enumerated counts
+    the exhaustive points (those with a nonreal fourth power) or the sieved
+    products.
+
+    bound must lie in 1..MAX_BOUND[mode] and report_every, when given, must
+    be at least 1; both raise ValueError before any point is enumerated.
     """
+    if mode not in MAX_BOUND:
+        raise ValueError(f"unknown search mode {mode!r}")
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    if bound > MAX_BOUND[mode]:
+        raise ValueError(f"{mode} bound {bound} exceeds the limit "
+                         f"{MAX_BOUND[mode]}")
+    if report_every is not None and report_every < 1:
+        raise ValueError("report_every must be at least 1")
     if mode == "exhaustive":
         return _search_exhaustive(bound, report_every, progress)
-    if mode == "product-first":
-        return _search_product_first(bound, report_every, progress)
-    raise ValueError(f"unknown search mode {mode!r}")
+    return _search_product_first(bound, report_every, progress)
+
+
+def _direction(re: int, im: int) -> tuple[int, int]:
+    """The primitive vector along (re, im), signed so that its im is > 0."""
+    g = math.gcd(re, im)
+    if im < 0:
+        g = -g
+    return (re // g, im // g)
+
+
+def _line_bucket_triples(p4, report_every=None, progress=None):
+    """Index triples i <= j <= k of p4 that satisfy the hourglass identity.
+
+    p4 holds fourth powers as (re, im) pairs, every im nonzero.  With
+    X, Y, Z = p4[i], p4[j], p4[k] and P = X*Y the identity
+    Im[P*Z] == -4*Im X*Im Y*Im Z reads
+
+        Im P * Re Z == (-4*Im X*Im Y - Re P) * Im Z,
+
+    so for a fixed pair (i, j) it holds exactly for the Z on one line
+    through the origin.  The fourth powers are bucketed once by direction,
+    and each pair looks its line up; every triple i <= j <= k is decided,
+    the ones off the line by the lookup.  Triples with two proportional
+    fourth powers are dropped.  The triples come in ascending order.
+    """
+    lines: dict[tuple[int, int], list[int]] = {}
+    for k, (re, im) in enumerate(p4):
+        lines.setdefault(_direction(re, im), []).append(k)
+    out = []
+    n = len(p4)
+    tested = 0
+    for i, (xr, xi) in enumerate(p4):
+        if progress and i % report_every == 0:
+            progress(f"outer point {i + 1}/{n}, {tested} triples tested")
+        tested += (n - i) * (n - i + 1) // 2
+        for j in range(i, n):
+            yr, yi = p4[j]
+            a = xr * yi + xi * yr  # Im P
+            b = -3 * xi * yi - xr * yr  # -4*Im X*Im Y - Re P
+            if a == 0:
+                # a = b = 0 would need xr*yi = -xi*yr and xr*yr = -3*xi*yi,
+                # hence yr^2 = 3*yi^2, impossible for a nonzero integer yi;
+                # so no Z, whose im is nonzero, satisfies b*Im Z == 0
+                assert b, "Im P and -4*Im X*Im Y - Re P are both 0"
+                continue
+            ks = lines.get(_direction(b, a))
+            if ks is None:
+                continue
+            for k in ks[bisect_left(ks, j):]:
+                zr, zi = p4[k]
+                if xr * yi == xi * yr or xr * zi == xi * zr \
+                        or yr * zi == yi * zr:
+                    continue
+                out.append((i, j, k))
+    return out
 
 
 def _search_exhaustive(bound, report_every, progress):
     # points with a real fourth power (im == 0 or re == im) can never appear
     # in a qualifying triple, so they are skipped up front
-    pts = [w for w in _candidate_points(bound) if ((w * w) ** 2).im != 0]
-    p4 = [(w * w) ** 2 for w in pts]
-    im4 = [v.im for v in p4]
+    pts = [w for w in _candidate_points(bound) if _pow4(*w)[1] != 0]
     hits = []
-    tested = 0
+    for idx in _line_bucket_triples([_pow4(*w) for w in pts], report_every,
+                                    progress):
+        x, y, z = (GaussianInt(*pts[t]) for t in idx)
+        hits.append(HourglassHit(x, y, z, _verify_hit(x, y, z)))
     n = len(pts)
-    for i in range(n):
-        if progress and report_every and i % report_every == 0:
-            progress(f"outer point {i + 1}/{n}, {tested} triples tested")
-        xi = p4[i]
-        for j in range(i, n):
-            xy = xi * p4[j]
-            prop_ij = xi.re * p4[j].im == xi.im * p4[j].re
-            rhs_ij = -4 * im4[i] * im4[j]
-            for k in range(j, n):
-                tested += 1
-                zk = p4[k]
-                if xy.re * zk.im + xy.im * zk.re != rhs_ij * im4[k]:
-                    continue
-                if prop_ij \
-                        or xi.re * zk.im == xi.im * zk.re \
-                        or p4[j].re * zk.im == p4[j].im * zk.re:
-                    continue
-                x, y, z = pts[i], pts[j], pts[k]
-                cells = _verify_hit(x, y, z)
-                hits.append(HourglassHit(x, y, z, cells))
-    return HourglassSearchResult("exhaustive", bound, tuple(hits), tested, n)
+    return HourglassSearchResult("exhaustive", bound, tuple(hits),
+                                 n * (n + 1) * (n + 2) // 6, n)
 
 
-def _splits_of(factors):
-    """All ways to split a prime multiset into three factors, up to order."""
-    parts = [(ONE, ONE, ONE)]
+def _divisors(factors) -> dict[tuple[int, ...], tuple[int, int, int]]:
+    """Every divisor of prod(prime^e), keyed by its exponent vector.
+
+    Values are (re, im, Im[d^4]) of the product of prime powers, which may
+    be any associate; Im[d^4] is the same for all four.
+    """
+    divs = {(): (1, 0)}
     for prime, e in factors:
-        new = []
-        for e1 in range(e + 1):
-            for e2 in range(e + 1 - e1):
-                e3 = e - e1 - e2
-                piece = (prime**e1, prime**e2, prime**e3)
-                new.extend((a * piece[0], b * piece[1], c * piece[2])
-                           for a, b, c in parts)
-        parts = new
-    seen = set()
-    out = []
-    for a, b, c in parts:
-        trip = tuple(sorted((a.first_quadrant(), b.first_quadrant(),
-                             c.first_quadrant()),
-                            key=lambda w: (w.norm(), w.re, w.im)))
-        key = tuple((w.re, w.im) for w in trip)
-        if key not in seen:
-            seen.add(key)
-            out.append(trip)
-    return out
+        powers = [prime**k for k in range(e + 1)]
+        divs = {v + (k,): (re * pk.re - im * pk.im, re * pk.im + im * pk.re)
+                for v, (re, im) in divs.items()
+                for k, pk in enumerate(powers)}
+    return {v: (re, im, _pow4(re, im)[1]) for v, (re, im) in divs.items()}
+
+
+def _splits(exponents: tuple[int, ...]):
+    """Exponent vectors e1 <= e2 <= e3 (lexicographic) summing to exponents.
+
+    Each unordered split of the prime multiset into three factors comes
+    exactly once.  e2 runs over the divisors of the complement of e1 in
+    ascending order, so e3 descends and the loop stops once e3 < e2.
+    """
+    for e1 in product(*(range(e + 1) for e in exponents)):
+        rest = tuple(e - a for e, a in zip(exponents, e1))
+        for e2 in product(*(range(c + 1) for c in rest)):
+            if e2 < e1:
+                continue
+            e3 = tuple(c - b for c, b in zip(rest, e2))
+            if e3 < e2:
+                break
+            yield e1, e2, e3
+
+
+def _product_splits(w: GaussianInt, im4: int):
+    """(splits tested, splits passing the identity) for the product w.
+
+    x*y*z is w up to a unit and a unit's fourth power is 1, so
+    x^4*y^4*z^4 == w^4 and the identity reduces to
+    -4*Im[x^4]*Im[y^4]*Im[z^4] == Im[w^4] == im4.  Survivors are
+    first-quadrant triples sorted by (norm, re, im).
+    """
+    factors = gaussian_factor(w).factors
+    divs = _divisors(factors)
+    tested = 0
+    survivors = []
+    for split in _splits(tuple(e for _, e in factors)):
+        tested += 1
+        d1, d2, d3 = (divs[e] for e in split)
+        if -4 * d1[2] * d2[2] * d3[2] == im4:
+            survivors.append(tuple(sorted(
+                (GaussianInt(d[0], d[1]).first_quadrant()
+                 for d in (d1, d2, d3)),
+                key=lambda v: (v.norm(), v.re, v.im))))
+    return tested, survivors
 
 
 def _search_product_first(bound, report_every, progress):
     hits = []
     tested = 0
     candidates = 0
-    pts = _candidate_points(bound)
-    seen_hits = set()
-    for idx, w in enumerate(pts):
-        if progress and report_every and idx % report_every == 0:
-            progress(f"product {idx + 1}/{len(pts)}, {tested} triples tested")
-        im4 = ((w * w) ** 2).im
+    total = _count_points(bound)
+    for idx, (re, im) in enumerate(_candidate_points(bound)):
+        if progress and idx % report_every == 0:
+            progress(f"product {idx + 1}/{total}, {tested} triples tested")
+        im4 = _pow4(re, im)[1]
         if im4 == 0 or im4 % _PRODUCT_SIEVE:
             continue
         candidates += 1
-        for x, y, z in _splits_of(gaussian_factor(w).factors):
-            tested += 1
+        count, survivors = _product_splits(GaussianInt(re, im), im4)
+        tested += count
+        for x, y, z in survivors:
             if hourglass_condition(x, y, z).holds:
-                key = tuple((v.re, v.im) for v in (x, y, z))
-                if key in seen_hits:
-                    continue
-                seen_hits.add(key)
-                cells = _verify_hit(x, y, z)
-                hits.append(HourglassHit(x, y, z, cells))
+                hits.append(HourglassHit(x, y, z, _verify_hit(x, y, z)))
     return HourglassSearchResult("product-first", bound, tuple(hits),
                                  tested, candidates)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from parker.cli import main
+from parker.gaussian import MAX_BOUND
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +117,20 @@ class TestHourglassCommand:
                                "--max-norm", "500", "--report-every", "100")
         assert code == 0
         assert "triples tested" in err
+
+    @pytest.mark.parametrize("args", [
+        ("--mode", "exhaustive", "--max-norm",
+         str(MAX_BOUND["exhaustive"] + 1)),
+        ("--mode", "product-first", "--max-norm", str(10**30)),
+        ("--mode", "exhaustive", "--max-norm", "40", "--report-every", "0"),
+        ("--mode", "product-first", "--max-norm", "40",
+         "--report-every", "-1"),
+    ])
+    def test_absurd_input_exits_1(self, capsys, args):
+        code, out, err = run_cli(capsys, "hourglass", *args)
+        assert code == 1
+        assert out == ""
+        assert "error" in err
 
     def test_hit_wire_format(self, capsys, monkeypatch):
         # no qualifying triple is known, so pin the output format on a stub

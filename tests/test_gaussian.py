@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parker.gaussian import (GaussianInt, chi, congruum_triple,
+from parker import gaussian
+from parker.gaussian import (MAX_BOUND, GaussianInt, chi, congruum_triple,
                              gaussian_divmod, gaussian_factor,
                              hourglass_condition, hourglass_generators,
                              hourglass_guess, pow4_parts, search_hourglass,
@@ -278,3 +281,138 @@ class TestSearchHourglass:
         search_hourglass("exhaustive", 30, report_every=5,
                          progress=lines.append)
         assert lines
+
+    @pytest.mark.parametrize("mode", sorted(MAX_BOUND))
+    def test_bound_above_limit_fails_before_enumeration(self, mode,
+                                                        monkeypatch):
+        def no_points(bound):
+            raise AssertionError("points enumerated")
+
+        monkeypatch.setattr(gaussian, "_candidate_points", no_points)
+        for bound in (MAX_BOUND[mode] + 1, 10**30):
+            with pytest.raises(ValueError, match="limit"):
+                search_hourglass(mode, bound)
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_report_every_below_one(self, every):
+        with pytest.raises(ValueError, match="report_every"):
+            search_hourglass("exhaustive", 10, report_every=every)
+
+    def test_counters_at_benchmark_bounds(self):
+        result = search_hourglass("exhaustive", 800)
+        assert result.hits == ()
+        assert result.triples_tested == 33025784 == 582 * 583 * 584 // 6
+        assert result.candidates_enumerated == 582
+        result = search_hourglass("product-first", 10**5)
+        assert result.hits == ()
+        assert result.triples_tested == 52658
+        assert result.candidates_enumerated == 1202
+
+
+def _cubic_triples(p4):
+    """Every i <= j <= k whose fourth powers pass the identity, pairwise
+    non-proportional; the reference for the line-bucket kernel."""
+    pts = [GaussianInt(re, im) for re, im in p4]
+    out = []
+    for i, x in enumerate(pts):
+        for j in range(i, len(pts)):
+            y = pts[j]
+            for k in range(j, len(pts)):
+                z = pts[k]
+                if (x * y * z).im != -4 * x.im * y.im * z.im:
+                    continue
+                if any(a.re * b.im == a.im * b.re
+                       for a, b in ((x, y), (x, z), (y, z))):
+                    continue
+                out.append((i, j, k))
+    return out
+
+
+@st.composite
+def fourth_power_lists(draw):
+    """Integer pairs with im != 0, some planted on the identity's line."""
+    pairs = draw(st.lists(st.tuples(st.integers(-40, 40),
+                                    st.integers(-40, 40).filter(bool)),
+                          min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 4))):
+        x = GaussianInt(*draw(st.sampled_from(pairs)))
+        y = GaussianInt(*draw(st.sampled_from(pairs)))
+        p = x * y
+        a, b = p.im, -4 * x.im * y.im - p.re
+        if a:
+            t, g = draw(st.integers(-3, 3).filter(bool)), math.gcd(a, b)
+            pairs.insert(draw(st.integers(0, len(pairs))),
+                         (t * b // g, t * a // g))
+    return pairs
+
+
+def _canonical(triple):
+    return tuple(sorted((v.first_quadrant() for v in triple),
+                        key=lambda v: (v.norm(), v.re, v.im)))
+
+
+def _ordered_splits(factors):
+    """Every prime's exponent dealt over three ordered parts; the reference
+    for the unordered split enumeration."""
+    one = GaussianInt(1, 0)
+    parts = [(one, one, one)]
+    for prime, e in factors:
+        parts = [(a * prime**e1, b * prime**e2, c * prime**(e - e1 - e2))
+                 for a, b, c in parts
+                 for e1 in range(e + 1) for e2 in range(e + 1 - e1)]
+    return parts
+
+
+def _split_triples(factors):
+    divs = gaussian._divisors(factors)
+    return [tuple(GaussianInt(*divs[e][:2]) for e in split)
+            for split in gaussian._splits(tuple(e for _, e in factors))]
+
+
+class TestLineBucketKernel:
+    def test_planted_hit(self):
+        # X = 1+2i, Y = 3+i: P = 1+7i, so Z lies on the line through -9+7i
+        assert gaussian._line_bucket_triples([(1, 2), (3, 1), (-9, 7)]) \
+            == [(0, 1, 2)]
+        assert gaussian._line_bucket_triples([(1, 2), (3, 1), (-9, 8)]) \
+            == []
+
+    @given(fourth_power_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cubic_reference(self, p4):
+        assert gaussian._line_bucket_triples(p4) == _cubic_triples(p4)
+
+
+class TestProductSplits:
+    @pytest.mark.parametrize("w", [
+        # (1+i)^3 * 3 * (2+i)^2 * (2-i): ramified, inert, and a split
+        # prime repeated beside its conjugate
+        GaussianInt(1, 1)**3 * 3 * GaussianInt(2, 1)**2 * GaussianInt(2, -1),
+        GaussianInt(1, 1)**2 * 7 * GaussianInt(3, 2)**3 * GaussianInt(3, -2),
+        GaussianInt(5, 0),
+        GaussianInt(1, 0),
+    ])
+    def test_unordered_splits_match_reference(self, w):
+        factors = gaussian_factor(w).factors
+        got = [_canonical(t) for t in _split_triples(factors)]
+        assert len(got) == len(set(got))
+        assert set(got) == {_canonical(t) for t in _ordered_splits(factors)}
+        unit = gaussian_factor(w).unit
+        for x, y, z in _split_triples(factors):
+            assert x * y * z * unit == w
+
+    def test_integer_identity_matches_condition(self):
+        candidates = 0
+        for re, im in gaussian._candidate_points(20_000):
+            w = GaussianInt(re, im)
+            im4 = pow4_parts(w)[1]
+            if im4 == 0 or im4 % gaussian._PRODUCT_SIEVE:
+                continue
+            candidates += 1
+            triples = _split_triples(gaussian_factor(w).factors)
+            tested, survivors = gaussian._product_splits(w, im4)
+            assert tested == len(triples)
+            assert set(survivors) == {
+                _canonical(t) for t in triples
+                if hourglass_condition(*t).identity_holds}
+        assert candidates > 100
