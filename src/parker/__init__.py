@@ -1,8 +1,8 @@
 """Magic squares of squares over finite carriers, and hourglass search in Z[i]."""
 
-from .algebra import (Carrier, CenterPairIndex, ExtensionField, Integers,
-                      ModularRing, NonInvertibleError, PrimeField, SquareSet,
-                      center_pairs, consecutive_square_triples,
+from .algebra import (MAX_ORDER, Carrier, CenterPairIndex, ExtensionField,
+                      Integers, ModularRing, NonInvertibleError, PrimeField,
+                      SquareSet, center_pairs, consecutive_square_triples,
                       divisor_representatives, make_carrier, squares)
 from .core import (Grid3, ParamTriple, SquareTuple, ValidationReport,
                    dihedral_orbit, magic_from_params, validate_hourglass,

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import survey
-from .algebra import make_carrier
+from .algebra import MAX_ORDER, make_carrier
 from .core import validate_square
 from .gaussian import (MAX_BOUND, GaussianInt, chi, congruum_triple,
                        search_hourglass)
@@ -57,14 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("field", "search one finite field F_q"),
                             ("ring", "search one ring Z/nZ")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("order", type=int)
+        p.add_argument("order", type=int, help=f"at most {MAX_ORDER}")
         p.add_argument("--list", action="store_true",
                        help="include the tuples themselves")
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("scan-fields", help="classify a range of field orders")
     p.add_argument("--from", dest="lo", type=int, required=True)
-    p.add_argument("--to", dest="hi", type=int, required=True)
+    p.add_argument("--to", dest="hi", type=int, required=True,
+                   help=f"at most {MAX_ORDER}")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--primes", action="store_true",
                    help="prime orders only")
@@ -74,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-rings", help="classify a range of ring moduli")
     p.add_argument("--from", dest="lo", type=int, required=True)
-    p.add_argument("--to", dest="hi", type=int, required=True)
+    p.add_argument("--to", dest="hi", type=int, required=True,
+                   help=f"at most {MAX_ORDER}")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--odd", action="store_true", help="odd moduli only")
     g.add_argument("--mod", type=int, help="restrict to n = RES (mod MOD)")

@@ -569,11 +569,19 @@ def _splits(exponents: tuple[int, ...]):
 
     Each unordered split of the prime multiset into three factors comes
     exactly once.  e2 runs over the divisors of the complement of e1 in
-    ascending order, so e3 descends and the loop stops once e3 < e2.
+    ascending order, so e3 descends and the loop stops once e3 < e2.  The
+    order forces e1[0] <= e2[0] <= e3[0] on the first coordinates, so e1[0]
+    stops at a third of its exponent and e2[0] runs from e1[0] to half of
+    what e1 leaves.
     """
-    for e1 in product(*(range(e + 1) for e in exponents)):
+    if not exponents:  # a unit: the one split 1 * 1 * 1
+        yield (), (), ()
+        return
+    head, tail = exponents[0], exponents[1:]
+    for e1 in product(range(head // 3 + 1), *(range(e + 1) for e in tail)):
         rest = tuple(e - a for e, a in zip(exponents, e1))
-        for e2 in product(*(range(c + 1) for c in rest)):
+        for e2 in product(range(e1[0], rest[0] // 2 + 1),
+                          *(range(c + 1) for c in rest[1:])):
             if e2 < e1:
                 continue
             e3 = tuple(c - b for c, b in zip(rest, e2))

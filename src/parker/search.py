@@ -38,7 +38,7 @@ class SearchResult:
             raise AssertionError("parker flag disagrees with tuple count")
 
 
-def _emit(out, add, sub, sq, t3, e2, a2, i2, c2, g2):
+def _emit(out, sub, sq, t3, e2, a2, i2, c2, g2):
     # rows and columns through the middle follow from the two center pairs,
     # so only the four derived cells need membership checks
     ta = sub(t3, a2)
@@ -61,27 +61,70 @@ def _emit(out, add, sub, sq, t3, e2, a2, i2, c2, g2):
 
 
 def _sequences_case(carrier, e, out):
-    # Shared center-pair double loop: for each pair in ascending order the
-    # earlier pairs supply the anti-diagonal, so every unordered combination
-    # of two distinct pairs is tested exactly once.
-    add, sub = carrier.add, carrier.sub
-    sq = carrier.square_set()
+    """Every magic tuple with center e^2, by bitset over the center pairs.
+
+    Write each center pair (u, v), u < v, as (e^2 - delta, e^2 + delta).
+    With the diagonal pair (a, i) at offset alpha and the anti-diagonal pair
+    (c, g) at offset gamma, the lines through the center sum to 3e^2, and
+    the four derived cells are
+
+        b = e^2 + (alpha + gamma)    h = e^2 - (alpha + gamma)
+        d = e^2 + (alpha - gamma)    f = e^2 - (alpha - gamma).
+
+    So the tuple is magic exactly when alpha + gamma and alpha - gamma both
+    lie in D_e = {delta : e^2 + delta and e^2 - delta both squares}.  An
+    offset with 2*delta == 0, 0 included, makes the two cells equal, and the
+    tuple fails distinctness anyway.  Every other offset in D_e is that of a
+    center-pair member, so D_e is built from the pairs alone, and every
+    derived cell of a survivor is a pair member: the dict `member` maps
+    delta to (e^2 + delta, e^2 - delta).  D_e is symmetric, so the
+    condition reads gamma in (D_e - alpha) & (D_e + alpha), two
+    translations of one bitmask.
+
+    Pairs run in ascending order and each is tested against the running
+    mask of the offsets of all earlier pairs, so every unordered
+    combination of two distinct pairs is tested once, with the later pair
+    on the diagonal.  Only surviving gammas cost carrier operations.
+    """
+    add, sub, translate = carrier.add, carrier.sub, carrier.translate
     e2 = carrier.mul(e, e)
-    t3 = add(add(e2, e2), e2)
     pairs = center_pairs(carrier, e).pairs
-    for j, (a2, i2) in enumerate(pairs):
-        for c2, g2 in pairs[:j]:
-            _emit(out, add, sub, sq, t3, e2, a2, i2, c2, g2)
+    member = {}
+    offsets = []
+    d_mask = 0
+    for u, v in pairs:
+        up, down = sub(v, e2), sub(u, e2)
+        member[up] = (v, u)
+        member[down] = (u, v)
+        d_mask |= (1 << up) | (1 << down)
+        offsets.append((up, down))
+    earlier = 0
+    for (a2, i2), (alpha, minus_alpha) in zip(pairs, offsets):
+        hits = translate(d_mask, minus_alpha) & earlier
+        if hits:
+            hits &= translate(d_mask, alpha)
+        earlier |= 1 << alpha
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            gamma = low.bit_length() - 1
+            b, h = member[add(alpha, gamma)]
+            d, f = member[sub(alpha, gamma)]
+            g2, c2 = member[gamma]
+            t = (a2, b, c2, d, e2, f, g2, h, i2)
+            if len(set(t)) == 9:
+                out.add(t)
 
 
 def _fixed_corner_case(carrier, out):
-    # center 0 with the remaining corner pair normalized to (1, -1)
-    add, sub = carrier.add, carrier.sub
+    # center 0 with the remaining corner pair normalized to (1, -1): one
+    # check per corner pair, so this case needs no bitset
+    sub = carrier.sub
     sq = carrier.square_set()
     one = carrier.encode_int(1)
     minus_one = carrier.neg(one)
     for a2, i2 in center_pairs(carrier, 0).pairs:
-        _emit(out, add, sub, sq, 0, 0, a2, i2, one, minus_one)
+        _emit(out, sub, sq, 0, 0, a2, i2, one, minus_one)
 
 
 def msos_field(q) -> SearchResult:
@@ -135,9 +178,10 @@ def _result(carrier, out, start):
     order, so no two emitted tuples with the same center share a class.
     In the center-0 field case the kernel emits the diagonal pair ascending
     beside the fixed anti-diagonal (1, -1), and an image exchanging the
-    pairs would need {a, i} = {1, -1}, which repeats a cell.  Distinct centers are distinct classes, and ring divisors with
-    equal e^2 give identical tuples, which the set merges.  oracle_agreement
-    checks this count against dihedral_canonical.
+    pairs would need {a, i} = {1, -1}, which repeats a cell.  Distinct
+    centers are distinct classes, and ring divisors with equal e^2 give
+    identical tuples, which the set merges.  oracle_agreement checks this
+    count against dihedral_canonical.
     """
     tuples = tuple(sorted(out))
     return SearchResult(

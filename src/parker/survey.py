@@ -19,7 +19,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
-from .algebra import is_prime, prime_power_base, squares, make_carrier
+from .algebra import (check_order, is_prime, make_carrier, prime_power_base,
+                      squares)
 from .search import msos_field, msos_ring, prefilter_field
 
 log = logging.getLogger("parker.survey")
@@ -86,8 +87,18 @@ def _now_ms() -> float:
 
 
 def scan_field_order(order: int) -> ScanRecord:
-    """Classify one field order: prefilter first, full search if inconclusive."""
+    """Classify one field order: prefilter first, full search if inconclusive.
+
+    An even field order is a power of 2.  In characteristic 2 squaring is
+    the Frobenius automorphism, a bijection, so all `order` elements are
+    squares; the even-order verdict is settled before any carrier or square
+    set is built.
+    """
     t0 = _now_ms()
+    check_order(order)
+    if order > 1 and order & (order - 1) == 0:
+        return ScanRecord(order, "field", order, 0, 0, True,
+                          prefilter_field(order), int(_now_ms() - t0))
     carrier = make_carrier("field", order)
     square_count = len(squares(carrier))
     reason = prefilter_field(carrier)
@@ -176,8 +187,10 @@ def scan_fields(lo: int, hi: int, order_filter: str = "all", jobs: int = 1,
     Returns (records ascending by order, record-breaker table).  With jobs > 1
     the orders are distributed over a process pool of at most jobs workers,
     capped by the pending order count and the CPU count; output order and
-    content do not depend on jobs.  jobs below 1 raises ValueError.
+    content do not depend on jobs.  jobs below 1, or hi above MAX_ORDER,
+    raises ValueError before any order is scanned.
     """
+    check_order(hi)
     orders = field_orders(lo, hi, order_filter)
     return _run_scan("field", orders, scan_field_order, jobs, checkpoint)
 
@@ -185,6 +198,7 @@ def scan_fields(lo: int, hi: int, order_filter: str = "all", jobs: int = 1,
 def scan_rings(lo: int, hi: int, order_filter="all", jobs: int = 1,
                checkpoint: str | None = None):
     """Classify every qualifying ring modulus in [lo, hi]; see scan_fields."""
+    check_order(hi)
     orders = ring_orders(lo, hi, order_filter)
     return _run_scan("ring", orders, scan_ring_order, jobs, checkpoint)
 

@@ -1,8 +1,12 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parker.algebra import (ExtensionField, NonInvertibleError, PrimeField,
-                            center_pairs, consecutive_square_triples,
+import parker.algebra as algebra
+from parker.algebra import (MAX_ORDER, ExtensionField, NonInvertibleError,
+                            PrimeField, center_pairs,
+                            consecutive_square_triples,
                             divisor_representatives, divisors, factorize,
                             find_irreducible, is_prime, make_carrier,
                             prime_power_base, squares)
@@ -123,6 +127,72 @@ class TestCarrierOps:
         c = make_carrier("field", 9)
         assert c.element_repr(0) == "0"
         assert c.element_repr(5) == "2 + x"
+
+
+# prime fields; F_{p^r} with r = 2, 3, 5, 7 and characteristic 2; rings of
+# odd, even and power-of-two modulus
+TRANSLATE_CARRIERS = (("field", 29), ("field", 101), ("field", 25),
+                      ("field", 1331), ("field", 3125), ("field", 2187),
+                      ("field", 16), ("ring", 45), ("ring", 54),
+                      ("ring", 64))
+
+
+@functools.cache
+def _carrier(kind, order):
+    return make_carrier(kind, order)
+
+
+class TestTranslate:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_elementwise_add(self, data):
+        c = _carrier(*data.draw(st.sampled_from(TRANSLATE_CARRIERS)))
+        elements = data.draw(st.sets(st.integers(0, c.order - 1),
+                                     max_size=40))
+        t = data.draw(st.integers(0, c.order - 1))
+        mask = sum(1 << x for x in elements)
+        assert c.translate(mask, t) == \
+            sum(1 << c.add(x, t) for x in elements)
+
+    def test_layouts(self):
+        assert _carrier("field", 29).additive_layout == (29, 1)
+        assert _carrier("ring", 54).additive_layout == (54, 1)
+        assert _carrier("field", 3125).additive_layout == (5, 5)
+
+    def test_full_mask_is_fixed(self):
+        for kind, order in TRANSLATE_CARRIERS:
+            c = _carrier(kind, order)
+            full = (1 << c.order) - 1
+            assert all(c.translate(full, t) == full for t in range(c.order))
+
+    def test_integers_have_no_layout(self):
+        with pytest.raises(ValueError):
+            make_carrier("int").translate(1, 1)
+
+
+class TestOrderGuard:
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        # the guard must fire before the factorization, the irreducible
+        # search and the digit table
+        def refuse(*args, **kwargs):
+            raise AssertionError("built past the order guard")
+        for name in ("prime_power_base", "find_irreducible", "_digits_of"):
+            monkeypatch.setattr(algebra, name, refuse)
+
+    @pytest.mark.parametrize("kind", ["field", "ring"])
+    def test_make_carrier_just_above_limit(self, nothing_built, kind):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            make_carrier(kind, MAX_ORDER + 1)
+
+    def test_constructors(self, nothing_built):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            ExtensionField(2, MAX_ORDER.bit_length())
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            algebra.ModularRing(MAX_ORDER + 1)
+
+    def test_limit_itself_accepted(self):
+        assert algebra.check_order(MAX_ORDER) == MAX_ORDER
 
 
 class TestSquares:

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from parker import survey
+from parker.algebra import MAX_ORDER
 from parker.cli import main
 from parker.gaussian import MAX_BOUND
 
@@ -28,6 +30,21 @@ class TestFieldAndRing:
         code, out, _ = run_cli(capsys, "ring", "27", "--json")
         assert code == 0
         assert json.loads(out)["tuple_count"] == 3
+
+    @pytest.mark.parametrize("args", [
+        ("field", str(MAX_ORDER + 1)),
+        ("ring", str(MAX_ORDER + 1)),
+        ("scan-fields", "--from", "2", "--to", str(MAX_ORDER + 1)),
+        ("scan-rings", "--from", "2", "--to", str(MAX_ORDER + 1)),
+    ])
+    def test_order_above_limit_exits_1(self, capsys, monkeypatch, args):
+        def refuse(*_, **__):
+            raise AssertionError("scanned past the order guard")
+        monkeypatch.setattr(survey, "_run_scan", refuse)
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert "exceeds the limit" in err
 
     def test_extension_field_lists_coefficient_arrays(self, capsys):
         code, out, _ = run_cli(capsys, "field", "81", "--list", "--json")

@@ -1,6 +1,7 @@
 import pytest
 
-from parker.algebra import make_carrier
+from parker.algebra import (MAX_ORDER, center_pairs, divisor_representatives,
+                            make_carrier)
 from parker.core import dihedral_canonical, dihedral_orbit, validate_square
 from parker.search import (brute_force_oracle, msos_field, msos_ring,
                            oracle_agreement, prefilter_field, scaling_closure)
@@ -80,6 +81,58 @@ class TestClassInvariant:
             classes = {dihedral_canonical(t) for t in r.tuples}
             assert len(classes) == r.tuple_count == r.dihedral_class_count, \
                 r.carrier
+
+
+def _reference_emit(out, sub, sq, t3, e2, a2, i2, c2, g2):
+    ta, ti = sub(t3, a2), sub(t3, i2)
+    b, d, f, h = sub(ta, c2), sub(ta, g2), sub(ti, c2), sub(ti, g2)
+    t = (a2, b, c2, d, e2, f, g2, h, i2)
+    if {b, d, f, h} <= sq and len(set(t)) == 9:
+        out.add(t)
+
+
+def _reference_msos(carrier):
+    """The pair-combination double loop the bitset kernel replaced: every
+    later center pair on the diagonal against every earlier one."""
+    add, sub = carrier.add, carrier.sub
+    sq = set(carrier.square_set())
+    out = set()
+    if carrier.kind == "modular-ring":
+        centers = divisor_representatives(carrier.order)
+    else:
+        one = carrier.encode_int(1)
+        for a2, i2 in center_pairs(carrier, 0).pairs:
+            _reference_emit(out, sub, sq, 0, 0, a2, i2, one, carrier.neg(one))
+        centers = [one]
+    for e in centers:
+        e2 = carrier.mul(e, e)
+        t3 = add(add(e2, e2), e2)
+        pairs = center_pairs(carrier, e).pairs
+        for j, (a2, i2) in enumerate(pairs):
+            for c2, g2 in pairs[:j]:
+                _reference_emit(out, sub, sq, t3, e2, a2, i2, c2, g2)
+    return tuple(sorted(out))
+
+
+class TestPairKernel:
+    def test_matches_double_loop(self):
+        carriers = [make_carrier("field", q) for q in field_orders(2, 500)]
+        carriers += [make_carrier("ring", n) for n in range(2, 301)]
+        carriers += [make_carrier("field", 2187), make_carrier("field", 4913),
+                     make_carrier("ring", 1032), make_carrier("ring", 2048)]
+        nonempty = 0
+        for c in carriers:
+            result = msos_ring(c) if c.kind == "modular-ring" \
+                else msos_field(c)
+            assert result.tuples == _reference_msos(c), c
+            nonempty += bool(result.tuples)
+        assert nonempty > 250
+
+    @pytest.mark.parametrize("kind", ["field", "ring"])
+    def test_order_above_limit(self, kind):
+        search = msos_field if kind == "field" else msos_ring
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            search(MAX_ORDER + 1)
 
 
 class TestPrefilter:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from parker import survey
+from parker.algebra import MAX_ORDER, make_carrier, squares
 from parker.survey import (RecordBreakerTable, ScanRecord, load_checkpoint,
                            non_standard_record_breakers, parse_report,
                            record_breakers, render_report, scan_fields,
@@ -56,6 +57,40 @@ class TestScanFields:
         parallel, table2 = scan_fields(2, 60, jobs=2)
         assert _zero_elapsed(serial) == _zero_elapsed(parallel)
         assert table1 == table2
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called past the guard")
+
+
+class TestEvenFieldOrders:
+    def test_settled_without_carrier(self, monkeypatch):
+        monkeypatch.setattr(survey, "make_carrier", _refuse)
+        monkeypatch.setattr(survey, "squares", _refuse)
+        for order in (2, 4, 8, 1024, 2048, 4096):
+            rec = survey.scan_field_order(order)
+            assert (rec.square_count, rec.msos_count,
+                    rec.dihedral_class_count, rec.parker,
+                    rec.prefilter_reason) == (order, 0, 0, True, "even-order")
+
+    @pytest.mark.parametrize("order", [2, 4, 8, 16, 32])
+    def test_every_element_is_a_square(self, order):
+        assert survey.scan_field_order(order).square_count == \
+            len(squares(make_carrier("field", order)))
+
+    def test_other_even_orders_still_rejected(self):
+        for order in (6, 12, 2 * MAX_ORDER):
+            with pytest.raises(ValueError):
+                survey.scan_field_order(order)
+
+
+class TestOrderGuard:
+    @pytest.mark.parametrize("scan", [scan_fields, scan_rings])
+    def test_fails_before_any_order(self, monkeypatch, scan):
+        for name in ("field_orders", "ring_orders", "_run_scan"):
+            monkeypatch.setattr(survey, name, _refuse)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            scan(MAX_ORDER - 5, MAX_ORDER + 1)
 
 
 class _InlinePool:
