@@ -1,12 +1,11 @@
 """Magic squares of squares over finite carriers, and hourglass search in Z[i]."""
 
-from .algebra import (MAX_ORDER, Carrier, CenterPairIndex, ExtensionField,
-                      Integers, ModularRing, NonInvertibleError, PrimeField,
-                      SquareSet, center_pairs, consecutive_square_triples,
+from .algebra import (MAX_ORDER, Carrier, ExtensionField, Integers,
+                      ModularRing, NonInvertibleError, PrimeField,
+                      center_pairs, consecutive_square_triples,
                       divisor_representatives, make_carrier, squares)
-from .core import (Grid3, ParamTriple, SquareTuple, ValidationReport,
-                   dihedral_orbit, magic_from_params, validate_hourglass,
-                   validate_square)
+from .core import (ValidationReport, dihedral_orbit, magic_from_params,
+                   validate_hourglass, validate_square)
 from .gaussian import (CongruumTriple, GaussianFactorization, GaussianInt,
                        HourglassCandidate, HourglassConditionReport,
                        chi, congruum_triple, gaussian_factor,

@@ -10,7 +10,7 @@ everything above works with encodings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
 
 
 class NonInvertibleError(ArithmeticError):
@@ -245,41 +245,6 @@ def _digits_of(n, p, width):
 
 
 # ---------------------------------------------------------------------------
-# Square sets and center pairs.
-
-
-@dataclass(frozen=True)
-class SquareSet:
-    """The set {x^2 : x in carrier}, as sorted canonical encodings."""
-
-    elements: tuple[int, ...]
-    _index: frozenset = field(repr=False)
-
-    def __contains__(self, x):
-        return x in self._index
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
-class CenterPairIndex:
-    """Unordered pairs {u, v} of distinct squares with u + v = target."""
-
-    target: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
-# ---------------------------------------------------------------------------
 # Carriers.
 
 
@@ -336,12 +301,17 @@ class Carrier:
             raise ValueError(f"encoding {a} out of range for {self}")
         return a
 
-    def square_set(self) -> SquareSet:
+    def square_set(self) -> MappingProxyType:
+        """The squares {x^2}, as a read-only dict keyed by encoding.
+
+        Its keys iterate in ascending order, and `in` and `len` run at C
+        level; the values are all None.
+        """
         try:
             return self._square_set
         except AttributeError:
             seen = sorted({self.mul(x, x) for x in self.elements()})
-            self._square_set = SquareSet(tuple(seen), frozenset(seen))
+            self._square_set = MappingProxyType(dict.fromkeys(seen))
             return self._square_set
 
     def is_square(self, a: int) -> bool:
@@ -639,7 +609,7 @@ def make_carrier(kind: str, order: int | None = None,
 # Structure queries used by the search and its prefilters.
 
 
-def squares(carrier: Carrier) -> SquareSet:
+def squares(carrier: Carrier) -> MappingProxyType:
     """The carrier's square set; the (q+1)/2 size law holds for odd fields."""
     sq = carrier.square_set()
     if carrier.kind in ("prime-field", "extension-field"):
@@ -650,28 +620,23 @@ def squares(carrier: Carrier) -> SquareSet:
     return sq
 
 
-def center_pairs(carrier: Carrier, e: int, rule: str = "none") -> CenterPairIndex:
-    """All unordered pairs of distinct squares summing to 2*e^2.
+def center_pairs(carrier: Carrier, e: int) -> tuple[tuple[int, int], ...]:
+    """All unordered pairs (u, v), u < v, of squares summing to 2*e^2.
 
     A magic square has four such pairs, one per line through the center, so
-    fewer than four pairs rules the center value out.  The default counts
-    every distinct pair, which is the count that argument needs; the
-    "nonzero" rule drops pairs containing 0.
+    fewer than four pairs rules the center value out.  The pairs come in
+    ascending order of u.
     """
     sq = carrier.square_set()
     e2 = carrier.mul(e, e)
     target = carrier.add(e2, e2)
     sub = carrier.sub
     pairs = []
-    for u in sq.elements:
+    for u in sq:
         v = sub(target, u)
         if u < v and v in sq:
             pairs.append((u, v))
-    if rule == "nonzero":
-        pairs = [p for p in pairs if 0 not in p]
-    elif rule != "none":
-        raise ValueError(f"unknown exclusion rule {rule!r}")
-    return CenterPairIndex(target, tuple(pairs))
+    return tuple(pairs)
 
 
 def consecutive_square_triples(carrier: Carrier) -> list[tuple[int, int, int]]:
@@ -689,7 +654,7 @@ def consecutive_square_triples(carrier: Carrier) -> list[tuple[int, int, int]]:
     one = carrier.encode_int(1)
     excluded = {0, one, carrier.neg(one)}
     out = []
-    for s in sq.elements:
+    for s in sq:
         lo, hi = carrier.sub(s, one), carrier.add(s, one)
         if lo in sq and hi in sq and len({lo, s, hi}) == 3 \
                 and not {lo, s, hi} & excluded:

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--odd", action="store_true", help="odd moduli only")
     g.add_argument("--mod", type=int, help="restrict to n = RES (mod MOD)")
-    p.add_argument("--res", type=int, default=0,
+    p.add_argument("--res", type=int, default=None,
                    help="residue for --mod (default 0)")
     _add_scan_common(p)
 
@@ -166,8 +166,10 @@ def _cmd_scan(args, kind):
             args.lo, args.hi, order_filter, jobs=jobs,
             checkpoint=args.checkpoint)
     else:
+        if args.res is not None and args.mod is None:
+            raise ValueError("--res needs --mod")
         order_filter = ("odd" if args.odd
-                        else (args.mod, args.res) if args.mod
+                        else (args.mod, args.res or 0) if args.mod is not None
                         else "all")
         records, table = survey.scan_rings(
             args.lo, args.hi, order_filter, jobs=jobs,

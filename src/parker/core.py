@@ -46,47 +46,6 @@ DIHEDRAL_PERMS = _build_dihedral_perms()
 
 
 @dataclass(frozen=True)
-class Grid3:
-    """A full 3x3 grid of carrier elements, row-major."""
-
-    cells: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.cells) != 9:
-            raise ValueError(f"grid needs 9 cells, got {len(self.cells)}")
-
-    @classmethod
-    def from_rows(cls, rows) -> "Grid3":
-        cells = tuple(x for row in rows for x in row)
-        return cls(cells)
-
-    def rows(self):
-        c = self.cells
-        return (c[0:3], c[3:6], c[6:9])
-
-
-@dataclass(frozen=True)
-class SquareTuple:
-    """The nine squared entries of a magic-square candidate, row-major."""
-
-    entries: tuple[int, ...]
-    carrier: Carrier
-
-    def __post_init__(self):
-        if len(self.entries) != 9:
-            raise ValueError(f"need 9 entries, got {len(self.entries)}")
-
-
-@dataclass(frozen=True)
-class ParamTriple:
-    """The three parameters of the classical magic-square construction."""
-
-    A: int
-    B: int
-    C: int
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Line sums and the derived verdict for a square or hourglass candidate."""
 
@@ -129,8 +88,8 @@ def _validate(cells, carrier, lines, labels, need_distinct):
 def validate_square(grid, carrier: Carrier) -> ValidationReport:
     """Check the 8 line sums, distinctness, and squareness of a 3x3 grid.
 
-    Pure function; accepts a Grid3, SquareTuple, or a plain 9-sequence of
-    carrier encodings (the squared values, not their roots).
+    Pure function; takes any 9-sequence of carrier encodings (the squared
+    values, not their roots), row-major.
     """
     cells = _cells_of(grid, 9)
     return _validate(cells, carrier, _SQUARE_LINES, SQUARE_LINE_LABELS, 9)
@@ -143,42 +102,29 @@ def validate_hourglass(cells, carrier: Carrier) -> ValidationReport:
 
 
 def _cells_of(obj, n):
-    if isinstance(obj, Grid3):
-        cells = obj.cells
-    elif isinstance(obj, SquareTuple):
-        cells = obj.entries
-    else:
-        cells = tuple(obj)
+    cells = tuple(obj)
     if len(cells) != n:
         raise ValueError(f"expected {n} cells, got {len(cells)}")
     return cells
 
 
-def magic_from_params(params, carrier: Carrier) -> Grid3:
+def magic_from_params(params, carrier: Carrier) -> tuple[int, ...]:
     """The magic (not necessarily square-entried) grid for parameters A, B, C.
 
-    Every row, column, and diagonal of the result sums to 3*C.  Accepts a
-    ParamTriple or any 3-sequence of encodings.
+    params is any 3-sequence (A, B, C) of encodings; the result is the
+    row-major 9-tuple, and every row, column, and diagonal sums to 3*C.
     """
-    if isinstance(params, ParamTriple):
-        A, B, C = params.A, params.B, params.C
-    else:
-        A, B, C = params
+    A, B, C = params
     add, sub = carrier.add, carrier.sub
-    cells = (
+    return (
         add(C, A), sub(sub(C, A), B), add(C, B),
         add(sub(C, A), B), C, sub(add(C, A), B),
         sub(C, B), add(add(C, A), B), sub(C, A),
     )
-    return Grid3(cells)
 
 
-def dihedral_orbit(t):
-    """The orbit of a 9-tuple under the 8 symmetries of the square grid."""
-    if isinstance(t, SquareTuple):
-        entries = t.entries
-        return {SquareTuple(tuple(entries[i] for i in perm), t.carrier)
-                for perm in DIHEDRAL_PERMS}
+def dihedral_orbit(t) -> set[tuple[int, ...]]:
+    """The orbit of a 9-sequence under the 8 symmetries of the square grid."""
     entries = tuple(t)
     return {tuple(entries[i] for i in perm) for perm in DIHEDRAL_PERMS}
 

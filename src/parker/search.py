@@ -10,7 +10,6 @@ check that the normalized searches lose nothing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .algebra import (Carrier, ModularRing, center_pairs,
@@ -24,18 +23,43 @@ PrefilterReason = str  # "even-order" | "too-few-squares" | "pair-deficit" |
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one enumeration: the magic tuples plus summary counts."""
+    """Outcome of one enumeration: the magic tuples, sorted."""
 
     carrier: Carrier
     tuples: tuple[tuple[int, ...], ...]
-    tuple_count: int
-    dihedral_class_count: int
-    parker: bool
-    elapsed: float = 0.0
 
-    def __post_init__(self):
-        if self.parker != (self.tuple_count == 0):  # pragma: no cover
-            raise AssertionError("parker flag disagrees with tuple count")
+    @property
+    def tuple_count(self) -> int:
+        return len(self.tuples)
+
+    @property
+    def dihedral_class_count(self) -> int:
+        """The number of dihedral classes, which is the tuple count.
+
+        Cells are (a, b, c, d, e, f, g, h, i) in row order, and the edge
+        cells follow from the corners and the center, so an image of a
+        magic tuple is fixed by where its corners go.  The dihedral group
+        D4 fixes the center and permutes the corners, keeping the diagonal
+        pair {a, i} and the anti-diagonal pair {c, g} as pairs.  The two
+        diagonal reflections and the half-turn reverse one pair or both in
+        place; the quarter-turns and the two axis reflections exchange the
+        pairs.  The eight images thus realize each choice of which pair
+        lies on the diagonal and of each pair's orientation once.  The
+        kernel emits only the image with the later of its two center pairs
+        on the diagonal and both pairs in ascending order, so no two
+        emitted tuples with the same center share a class.  In the
+        center-0 field case the kernel emits the diagonal pair ascending
+        beside the fixed anti-diagonal (1, -1), and an image exchanging the
+        pairs would need {a, i} = {1, -1}, which repeats a cell.  Distinct
+        centers are distinct classes, and msos_ring scans each distinct
+        center square once.  oracle_agreement checks this count against
+        dihedral_canonical.
+        """
+        return len(self.tuples)
+
+    @property
+    def parker(self) -> bool:
+        return not self.tuples
 
 
 def _emit(out, sub, sq, t3, e2, a2, i2, c2, g2):
@@ -88,7 +112,7 @@ def _sequences_case(carrier, e, out):
     """
     add, sub, translate = carrier.add, carrier.sub, carrier.translate
     e2 = carrier.mul(e, e)
-    pairs = center_pairs(carrier, e).pairs
+    pairs = center_pairs(carrier, e)
     member = {}
     offsets = []
     d_mask = 0
@@ -123,7 +147,7 @@ def _fixed_corner_case(carrier, out):
     sq = carrier.square_set()
     one = carrier.encode_int(1)
     minus_one = carrier.neg(one)
-    for a2, i2 in center_pairs(carrier, 0).pairs:
+    for a2, i2 in center_pairs(carrier, 0):
         _emit(out, sub, sq, 0, 0, a2, i2, one, minus_one)
 
 
@@ -138,56 +162,31 @@ def msos_field(q) -> SearchResult:
     carrier = q if isinstance(q, Carrier) else make_carrier("field", q)
     if carrier.kind not in ("prime-field", "extension-field"):
         raise ValueError(f"msos_field needs a field carrier, got {carrier}")
-    start = time.perf_counter()
     out: set[tuple[int, ...]] = set()
     _fixed_corner_case(carrier, out)
     _sequences_case(carrier, carrier.encode_int(1), out)
-    return _result(carrier, out, start)
+    return SearchResult(carrier, tuple(sorted(out)))
 
 
 def msos_ring(n) -> SearchResult:
     """All magic squares of squares over Z/nZ, up to unit scaling.
 
     The center is normalized to a divisor residue of n (one unit orbit per
-    divisor); each divisor runs the same pair-combination scan as the
-    nonzero-center field case, including the divisors giving center 0.
+    divisor).  The scan depends on the center only through its square, so
+    each distinct divisor square, 0 included, runs the same
+    pair-combination scan as the nonzero-center field case once, with the
+    first divisor that gives it.
     """
     carrier = n if isinstance(n, Carrier) else make_carrier("ring", n)
     if carrier.kind != "modular-ring":
         raise ValueError(f"msos_ring needs a ring carrier, got {carrier}")
-    start = time.perf_counter()
-    out: set[tuple[int, ...]] = set()
+    centers: dict[int, int] = {}
     for e in divisor_representatives(carrier.order):
+        centers.setdefault(carrier.mul(e, e), e)
+    out: set[tuple[int, ...]] = set()
+    for e in centers.values():
         _sequences_case(carrier, e, out)
-    return _result(carrier, out, start)
-
-
-def _result(carrier, out, start):
-    """Package the tuple set; each tuple is its own dihedral class.
-
-    Cells are (a, b, c, d, e, f, g, h, i) in row order, and the edge cells
-    follow from the corners and the center, so an image of a magic tuple is
-    fixed by where its corners go.  The dihedral group D4 fixes the center
-    and permutes the corners, keeping the diagonal pair {a, i} and the
-    anti-diagonal pair {c, g} as pairs.  The two diagonal reflections and
-    the half-turn reverse one pair or both in place; the quarter-turns and
-    the two axis reflections exchange the pairs.  The eight images thus
-    realize each choice of which pair lies on the diagonal and of each
-    pair's orientation once.  The kernel emits only the image with the later
-    of its two center pairs on the diagonal and both pairs in ascending
-    order, so no two emitted tuples with the same center share a class.
-    In the center-0 field case the kernel emits the diagonal pair ascending
-    beside the fixed anti-diagonal (1, -1), and an image exchanging the
-    pairs would need {a, i} = {1, -1}, which repeats a cell.  Distinct
-    centers are distinct classes, and ring divisors with equal e^2 give
-    identical tuples, which the set merges.  oracle_agreement checks this
-    count against dihedral_canonical.
-    """
-    tuples = tuple(sorted(out))
-    return SearchResult(
-        carrier=carrier, tuples=tuples, tuple_count=len(tuples),
-        dihedral_class_count=len(tuples), parker=not tuples,
-        elapsed=time.perf_counter() - start)
+    return SearchResult(carrier, tuple(sorted(out)))
 
 
 def prefilter_field(q) -> str | None:
@@ -209,7 +208,7 @@ def prefilter_field(q) -> str | None:
     sq = squares(carrier)
     if len(sq) < 9:
         return "too-few-squares"
-    e0_pairs = len(center_pairs(carrier, 0, rule="nonzero"))
+    e0_pairs = len(center_pairs(carrier, 0))
     e1_pairs = len(center_pairs(carrier, carrier.encode_int(1)))
     if e0_pairs < 4 and e1_pairs < 4:
         return "pair-deficit"

@@ -87,12 +87,14 @@ def _now_ms() -> float:
 
 
 def scan_field_order(order: int) -> ScanRecord:
-    """Classify one field order: prefilter first, full search if inconclusive.
+    """Classify one field order by the full search.
 
-    An even field order is a power of 2.  In characteristic 2 squaring is
-    the Frobenius automorphism, a bijection, so all `order` elements are
-    squares; the even-order verdict is settled before any carrier or square
-    set is built.
+    A Parker order then gets the prefilter's reason, if any, as its label.
+    Every prefilter verdict implies an empty search, so the prefilter never
+    decides an order on its own.  An even field order is a power of 2.  In
+    characteristic 2 squaring is the Frobenius automorphism, a bijection,
+    so all `order` elements are squares; the even-order verdict is settled
+    before any carrier or square set is built.
     """
     t0 = _now_ms()
     check_order(order)
@@ -101,13 +103,10 @@ def scan_field_order(order: int) -> ScanRecord:
                           prefilter_field(order), int(_now_ms() - t0))
     carrier = make_carrier("field", order)
     square_count = len(squares(carrier))
-    reason = prefilter_field(carrier)
-    if reason is not None:
-        return ScanRecord(order, "field", square_count, 0, 0, True, reason,
-                          int(_now_ms() - t0))
     result = msos_field(carrier)
+    reason = prefilter_field(carrier) if result.parker else None
     return ScanRecord(order, "field", square_count, result.tuple_count,
-                      result.dihedral_class_count, result.parker, None,
+                      result.dihedral_class_count, result.parker, reason,
                       int(_now_ms() - t0))
 
 
@@ -141,7 +140,10 @@ def field_orders(lo: int, hi: int, order_filter: str = "all") -> list[int]:
 
 
 def ring_orders(lo: int, hi: int, order_filter="all") -> list[int]:
-    """Ring moduli in [lo, hi]: all, odd only, or a congruence (mod M, res R)."""
+    """Ring moduli in [lo, hi]: all, odd only, or a congruence (mod M, res R).
+
+    A modulus M below 1 raises ValueError.
+    """
     ns = range(max(lo, 2), hi + 1)
     if order_filter == "all":
         return list(ns)
@@ -149,6 +151,9 @@ def ring_orders(lo: int, hi: int, order_filter="all") -> list[int]:
         return [n for n in ns if n % 2]
     if isinstance(order_filter, tuple) and len(order_filter) == 2:
         mod, res = order_filter
+        if mod < 1:
+            raise ValueError(f"congruence modulus must be at least 1, "
+                             f"got {mod}")
         return [n for n in ns if n % mod == res % mod]
     raise ValueError(f"unknown ring filter {order_filter!r}")
 

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 
 from parker.algebra import make_carrier
-from parker.core import ParamTriple, magic_from_params, validate_square
+from parker.core import magic_from_params, validate_square
 from parker.gaussian import (GaussianInt, chi, congruum_triple,
                              hourglass_condition, hourglass_generators,
                              hourglass_guess, pow4_parts, search_hourglass)
@@ -170,14 +170,14 @@ def test_11_hourglass_search_sanity():
 def test_12_f2_parametrization():
     with criterion(12, "two-element field parametrization", 60):
         f2 = make_carrier("field", 2)
-        from_params = {magic_from_params(ParamTriple(a, b, c), f2).cells
+        from_params = {magic_from_params((a, b, c), f2)
                        for a in (0, 1) for b in (0, 1) for c in (0, 1)}
         assert len(from_params) == 8
         assert from_params == all_magic_grids(f2)
         for order in (2, 4):
             carrier = make_carrier("field", order)
             magic = all_magic_grids(carrier)
-            params = {magic_from_params(ParamTriple(a, b, c), carrier).cells
+            params = {magic_from_params((a, b, c), carrier)
                       for a in carrier.elements() for b in carrier.elements()
                       for c in carrier.elements()}
             assert magic == params

@@ -96,6 +96,29 @@ class TestScans:
             == ["ring 4: Parker", "ring 8: Parker", "ring 12: Parker",
                 "ring 16: Parker"]
 
+    @pytest.mark.parametrize("mod", ["0", "-4"])
+    def test_congruence_modulus_below_one_exits_1(self, capsys, mod):
+        code, out, err = run_cli(capsys, "scan-rings", "--from", "4", "--to",
+                                 "16", "--mod", mod)
+        assert code == 1
+        assert out == ""
+        assert "at least 1" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--odd"]])
+    def test_res_without_mod_exits_1(self, capsys, extra):
+        code, out, err = run_cli(capsys, "scan-rings", "--from", "4", "--to",
+                                 "16", "--res", "1", *extra)
+        assert code == 1
+        assert out == ""
+        assert "--res needs --mod" in err
+
+    def test_mod_without_res_means_residue_0(self, capsys):
+        _, out, _ = run_cli(capsys, "scan-rings", "--from", "4", "--to",
+                            "16", "--mod", "4")
+        assert [line for line in out.splitlines() if line.startswith("ring")] \
+            == ["ring 4: Parker", "ring 8: Parker", "ring 12: Parker",
+                "ring 16: Parker"]
+
     def test_jobs_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("PARKER_JOBS", "2")
         code, out, _ = run_cli(capsys, "scan-fields", "--from", "2", "--to",

@@ -63,6 +63,39 @@ def _refuse(*args, **kwargs):
     raise AssertionError("called past the guard")
 
 
+# prefilter reasons of scan_fields(2, 400); every other order has none
+PREFILTER_REASONS_TO_400 = {
+    2: "even-order", 3: "too-few-squares", 4: "even-order",
+    5: "too-few-squares", 7: "too-few-squares", 8: "even-order",
+    9: "too-few-squares", 11: "too-few-squares", 13: "too-few-squares",
+    16: "even-order", 17: "no-consecutive-squares", 19: "pair-deficit",
+    23: "pair-deficit", 25: "no-consecutive-squares", 27: "pair-deficit",
+    32: "even-order", 64: "even-order", 128: "even-order",
+    256: "even-order"}
+UNLABELLED_TO_400 = (
+    29, 31, 37, 41, 43, 47, 49, 53, 59, 61, 67, 71, 73, 79, 81, 83, 89,
+    97, 101, 103, 107, 109, 113, 121, 125, 127, 131, 137, 139, 149, 151,
+    157, 163, 167, 169, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227,
+    229, 233, 239, 241, 243, 251, 257, 263, 269, 271, 277, 281, 283, 289,
+    293, 307, 311, 313, 317, 331, 337, 343, 347, 349, 353, 359, 361, 367,
+    373, 379, 383, 389, 397)
+
+
+class TestPrefilterLabels:
+    def test_reasons_to_400(self):
+        records, _ = scan_fields(2, 400)
+        expected = sorted([*PREFILTER_REASONS_TO_400.items(),
+                           *((q, None) for q in UNLABELLED_TO_400)])
+        assert [(r.order, r.prefilter_reason) for r in records] == expected
+
+    @pytest.mark.parametrize("order", [29, 841, 2187])
+    def test_not_called_for_non_parker_orders(self, monkeypatch, order):
+        monkeypatch.setattr(survey, "prefilter_field", _refuse)
+        rec = survey.scan_field_order(order)
+        assert not rec.parker
+        assert rec.prefilter_reason is None
+
+
 class TestEvenFieldOrders:
     def test_settled_without_carrier(self, monkeypatch):
         monkeypatch.setattr(survey, "make_carrier", _refuse)
@@ -82,6 +115,19 @@ class TestEvenFieldOrders:
         for order in (6, 12, 2 * MAX_ORDER):
             with pytest.raises(ValueError):
                 survey.scan_field_order(order)
+
+
+class TestRingOrders:
+    @pytest.mark.parametrize("mod", [0, -4])
+    def test_congruence_modulus_below_one(self, mod):
+        with pytest.raises(ValueError, match="at least 1"):
+            survey.ring_orders(2, 20, (mod, 0))
+        with pytest.raises(ValueError, match="at least 1"):
+            scan_rings(2, 20, (mod, 0))
+
+    def test_congruence(self):
+        assert survey.ring_orders(2, 20, (1, 0)) == list(range(2, 21))
+        assert survey.ring_orders(2, 20, (4, 3)) == [3, 7, 11, 15, 19]
 
 
 class TestOrderGuard:
