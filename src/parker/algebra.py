@@ -5,6 +5,9 @@ modular rings encode a residue in [0, order).  An extension field element with
 coefficient vector (c0, ..., c_{r-1}) over F_p encodes as sum(c_i * p**i),
 a bijection onto [0, p**r).  Only this module knows about coefficient vectors;
 everything above works with encodings.
+
+Extension-field arithmetic runs on log, antilog and Zech tables to a
+primitive element; polynomials over F_p are used only to build them.
 """
 
 from __future__ import annotations
@@ -178,46 +181,13 @@ def _poly_mod(a, m, p):
     return _poly_trim(tuple(x % p for x in a[:dm]))
 
 
-def _poly_divmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, -1, p)
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            f = c * inv_lb % p
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-    return _poly_trim(tuple(q)), _poly_trim(tuple(x % p for x in a[:db]))
-
-
-def _poly_inv(a, m, p):
-    # extended Euclid in F_p[x]; a must be nonzero mod m
-    r0, r1 = m, _poly_trim(tuple(x % p for x in a))
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        qs1 = _poly_mul(q, s1, p)
-        ln = max(len(s0), len(qs1))
-        s0, s1 = s1, _poly_trim(tuple(
-            ((s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p
-            for i in range(ln)))
-    if len(r0) != 1:
-        return None
-    c = pow(r0[0], -1, p)
-    return _poly_trim(tuple(x * c % p for x in s0))
-
-
 def _is_irreducible(poly, p):
     # trial division against every monic polynomial of degree <= deg/2
     deg = len(poly) - 1
     for d in range(1, deg // 2 + 1):
         for enc in range(p**d):
             div = _digits_of(enc, p, d) + (1,)
-            if not _poly_divmod(poly, div, p)[1]:
+            if not _poly_mod(poly, div, p):
                 return False
     return True
 
@@ -433,8 +403,54 @@ class ModularRing(_ResidueCarrier):
         return f"Z/{self.order}Z"
 
 
+def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list, list]:
+    """(exp, log, zech) of F_{p^r} = F_p[x] / modulus_poly, q = p**r.
+
+    g is the smallest encoding >= p with g^((q-1)/l) != 1 for every prime
+    l | q - 1, so g has order q - 1.  exp[k] = g^k and zech[k] = log(1 + g^k),
+    -1 where g^k = -1, are stored twice over so that sums and differences
+    of two logs index them directly; log inverts exp and holds -1 at 0.
+    """
+    q = p**r
+    n = q - 1
+    one = (1,)
+
+    def power(a, k):
+        out = one
+        while k:
+            if k & 1:
+                out = _poly_mod(_poly_mul(out, a, p), modulus_poly, p)
+            a = _poly_mod(_poly_mul(a, a, p), modulus_poly, p)
+            k >>= 1
+        return out
+
+    cofactors = [n // l for l in factorize(n)]
+    for enc in range(p, q):
+        g = _poly_trim(_digits_of(enc, p, r))
+        if all(power(g, c) != one for c in cofactors):
+            break
+    weights = [p**i for i in range(r)]
+    exp = []
+    x = one
+    for _ in range(n):
+        exp.append(sum(w * c for w, c in zip(weights, x)))
+        x = _poly_mod(_poly_mul(x, g, p), modulus_poly, p)
+    log = [-1] * q
+    for k, x in enumerate(exp):
+        log[x] = k
+    zech = [log[x - x % p + (x + 1) % p] for x in exp]  # 1 adds to digit 0
+    return exp * 2, log, zech * 2
+
+
 class ExtensionField(Carrier):
-    """F_{p^r} as F_p[x] modulo a monic irreducible of degree r."""
+    """F_{p^r} as F_p[x] modulo a monic irreducible of degree r.
+
+    Every operation is a lookup in the tables of _log_tables, with an
+    explicit branch for 0.  With a = g^i and b = g^j, a + b = g^i (1 + g^(j-i))
+    = g^(i + zech[j - i]), and a - b = a + g^(j + log(-1)) with -1 encoded
+    as p - 1.  A negative zech index wraps to the same residue mod q - 1,
+    because the table holds two periods.
+    """
 
     kind = "extension-field"
 
@@ -455,51 +471,53 @@ class ExtensionField(Carrier):
             if not _is_irreducible(modulus_poly, p):
                 raise ValueError(f"modulus {modulus_poly} is reducible over F_{p}")
         self.modulus_poly = modulus_poly
-        self._weights = tuple(p**i for i in range(r))
-        self._digits = [_digits_of(n, p, r) for n in range(self.order)]
+        self._exp, self._log, self._zech = _log_tables(p, r, modulus_poly)
+        self._log_minus_one = self._log[p - 1]  # 0 in characteristic 2
 
     @property
     def additive_layout(self):
         return self.characteristic, self.degree
 
     def coeffs(self, a: int) -> tuple[int, ...]:
-        return self._digits[a]
+        return _digits_of(a, self.characteristic, self.degree)
 
     def encode_coeffs(self, coeffs) -> int:
-        if len(coeffs) > self.degree:
-            coeffs = _poly_mod(tuple(coeffs), self.modulus_poly, self.characteristic)
-        return sum(w * (c % self.characteristic)
-                   for w, c in zip(self._weights, coeffs))
+        p = self.characteristic
+        return sum(c % p * p**i for i, c in enumerate(coeffs))
 
     def add(self, a, b):
-        p = self.characteristic
-        if p == 2:
-            return a ^ b
-        return sum(w * ((x + y) % p) for w, x, y in
-                   zip(self._weights, self._digits[a], self._digits[b]))
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def sub(self, a, b):
-        p = self.characteristic
-        if p == 2:
-            return a ^ b
-        return sum(w * ((x - y) % p) for w, x, y in
-                   zip(self._weights, self._digits[a], self._digits[b]))
+        if not b:
+            return a
+        lb = self._log[b] + self._log_minus_one
+        if not a:
+            return self._exp[lb]
+        la = self._log[a]
+        z = self._zech[lb - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a):
-        p = self.characteristic
-        if p == 2:
-            return a
-        return sum(w * (-x % p) for w, x in zip(self._weights, self._digits[a]))
+        if not a:
+            return 0
+        return self._exp[self._log[a] + self._log_minus_one]
 
     def mul(self, a, b):
-        prod = _poly_mul(self._digits[a], self._digits[b], self.characteristic)
-        return self.encode_coeffs(_poly_mod(prod, self.modulus_poly, self.characteristic))
+        if not a or not b:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
-        res = _poly_inv(self._digits[a], self.modulus_poly, self.characteristic)
-        if res is None:
+        if not a:
             raise NonInvertibleError(a, str(self))
-        return self.encode_coeffs(res)
+        return self._exp[self.order - 1 - self._log[a]]
 
     def encode_int(self, n):
         return n % self.characteristic
@@ -509,7 +527,7 @@ class ExtensionField(Carrier):
 
     def element_repr(self, a):
         terms = []
-        for i, c in enumerate(self._digits[a]):
+        for i, c in enumerate(self.coeffs(a)):
             if not c:
                 continue
             if i == 0:
@@ -520,7 +538,7 @@ class ExtensionField(Carrier):
         return " + ".join(terms) if terms else "0"
 
     def element_to_json(self, a):
-        return list(self._digits[a])
+        return list(self.coeffs(a))
 
     def element_from_json(self, obj):
         if isinstance(obj, int):

@@ -436,8 +436,8 @@ def _count_points(bound: int) -> int:
                for re in range(1, math.isqrt(bound) + 1))
 
 
-# Largest accepted bound per mode: about two minutes of search each on a
-# 2-CPU x86 VM (exhaustive 114 s, product-first 142 s, both under 25 MB peak
+# Largest accepted bound per mode: at most about two minutes of search on a
+# 2-CPU x86 VM (exhaustive 38 s, product-first 142 s, both under 25 MB peak
 # RSS).  Exhaustive time grows with the square of its (pi/4)*bound points,
 # product-first a little faster than linearly; product-first streams its
 # points and the exhaustive point list holds about 15k entries at the limit.
@@ -480,14 +480,6 @@ def search_hourglass(mode: str, bound: int, report_every: int | None = None,
     return _search_product_first(bound, report_every, progress)
 
 
-def _direction(re: int, im: int) -> tuple[int, int]:
-    """The primitive vector along (re, im), signed so that its im is > 0."""
-    g = math.gcd(re, im)
-    if im < 0:
-        g = -g
-    return (re // g, im // g)
-
-
 def _line_bucket_triples(p4, report_every=None, progress=None):
     """Index triples i <= j <= k of p4 that satisfy the hourglass identity.
 
@@ -497,15 +489,20 @@ def _line_bucket_triples(p4, report_every=None, progress=None):
 
         Im P * Re Z == (-4*Im X*Im Y - Re P) * Im Z,
 
-    so for a fixed pair (i, j) it holds exactly for the Z on one line
-    through the origin.  The fourth powers are bucketed once by direction,
-    and each pair looks its line up; every triple i <= j <= k is decided,
-    the ones off the line by the lookup.  Triples with two proportional
-    fourth powers are dropped.  The triples come in ascending order.
+    so for a fixed pair (i, j) it holds exactly for the Z with
+    Re Z / Im Z == b / a, where a = Im P and b = -4*Im X*Im Y - Re P.  The
+    fourth powers are bucketed once by the float re / im, and each pair
+    looks its slope up as b / a.  Division of two Python ints is correctly
+    rounded, so equal rationals give equal floats and no Z on the line is
+    missed; distinct rationals can still round to the same float, so each
+    bucket member is checked exactly with b * Im Z == a * Re Z.  Every
+    triple i <= j <= k is decided, the ones off the line by the lookup.
+    Triples with two proportional fourth powers are dropped.  The triples
+    come in ascending order.
     """
-    lines: dict[tuple[int, int], list[int]] = {}
+    lines: dict[float, list[int]] = {}
     for k, (re, im) in enumerate(p4):
-        lines.setdefault(_direction(re, im), []).append(k)
+        lines.setdefault(re / im, []).append(k)
     out = []
     n = len(p4)
     tested = 0
@@ -523,13 +520,13 @@ def _line_bucket_triples(p4, report_every=None, progress=None):
                 # so no Z, whose im is nonzero, satisfies b*Im Z == 0
                 assert b, "Im P and -4*Im X*Im Y - Re P are both 0"
                 continue
-            ks = lines.get(_direction(b, a))
+            ks = lines.get(b / a)
             if ks is None:
                 continue
             for k in ks[bisect_left(ks, j):]:
                 zr, zi = p4[k]
-                if xr * yi == xi * yr or xr * zi == xi * zr \
-                        or yr * zi == yi * zr:
+                if b * zi != a * zr or xr * yi == xi * yr \
+                        or xr * zi == xi * zr or yr * zi == yi * zr:
                     continue
                 out.append((i, j, k))
     return out

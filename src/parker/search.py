@@ -62,29 +62,7 @@ class SearchResult:
         return not self.tuples
 
 
-def _emit(out, sub, sq, t3, e2, a2, i2, c2, g2):
-    # rows and columns through the middle follow from the two center pairs,
-    # so only the four derived cells need membership checks
-    ta = sub(t3, a2)
-    b = sub(ta, c2)
-    if b not in sq:
-        return
-    d = sub(ta, g2)
-    if d not in sq:
-        return
-    ti = sub(t3, i2)
-    f = sub(ti, c2)
-    if f not in sq:
-        return
-    h = sub(ti, g2)
-    if h not in sq:
-        return
-    t = (a2, b, c2, d, e2, f, g2, h, i2)
-    if len(set(t)) == 9:
-        out.add(t)
-
-
-def _sequences_case(carrier, e, out):
+def _sequences_case(carrier, e, out, anti_diagonal=None):
     """Every magic tuple with center e^2, by bitset over the center pairs.
 
     Write each center pair (u, v), u < v, as (e^2 - delta, e^2 + delta).
@@ -109,6 +87,14 @@ def _sequences_case(carrier, e, out):
     mask of the offsets of all earlier pairs, so every unordered
     combination of two distinct pairs is tested once, with the later pair
     on the diagonal.  Only surviving gammas cost carrier operations.
+
+    anti_diagonal, when given, is a fixed mask of anti-diagonal offsets
+    used for every pair in place of the running mask.  The center-0 field
+    case passes the single bit of gamma = -1, which puts (c, g) = (1, -1).
+    Its member entry exists whenever a hit does: a pair (u, -u) of nonzero
+    squares makes -1 = -u/u a square, so (1, -1) is itself a pair and
+    +-1 lie in D_0; in characteristic 2, u + v = 0 forces u = v, so D_0 has
+    no pair and no hit.
     """
     add, sub, translate = carrier.add, carrier.sub, carrier.translate
     e2 = carrier.mul(e, e)
@@ -122,12 +108,13 @@ def _sequences_case(carrier, e, out):
         member[down] = (u, v)
         d_mask |= (1 << up) | (1 << down)
         offsets.append((up, down))
-    earlier = 0
+    earlier = 0 if anti_diagonal is None else anti_diagonal
     for (a2, i2), (alpha, minus_alpha) in zip(pairs, offsets):
         hits = translate(d_mask, minus_alpha) & earlier
         if hits:
             hits &= translate(d_mask, alpha)
-        earlier |= 1 << alpha
+        if anti_diagonal is None:
+            earlier |= 1 << alpha
         while hits:
             low = hits & -hits
             hits ^= low
@@ -140,31 +127,22 @@ def _sequences_case(carrier, e, out):
                 out.add(t)
 
 
-def _fixed_corner_case(carrier, out):
-    # center 0 with the remaining corner pair normalized to (1, -1): one
-    # check per corner pair, so this case needs no bitset
-    sub = carrier.sub
-    sq = carrier.square_set()
-    one = carrier.encode_int(1)
-    minus_one = carrier.neg(one)
-    for a2, i2 in center_pairs(carrier, 0):
-        _emit(out, sub, sq, 0, 0, a2, i2, one, minus_one)
-
-
 def msos_field(q) -> SearchResult:
     """All magic squares of squares over F_q, up to scaling.
 
-    Two cases by center entry: center 0 fixes the anti-diagonal corners to
-    1 and -1 and scans corner pairs summing to 0; center 1 scans unordered
-    combinations of two distinct pairs summing to 2.  Iteration is in
-    ascending encoding order, so the output is deterministic.
+    Two cases by center entry, both run by the same pair kernel: center 0
+    fixes the anti-diagonal corners to 1 and -1 and scans corner pairs
+    summing to 0; center 1 scans unordered combinations of two distinct
+    pairs summing to 2.  Iteration is in ascending encoding order, so the
+    output is deterministic.
     """
     carrier = q if isinstance(q, Carrier) else make_carrier("field", q)
     if carrier.kind not in ("prime-field", "extension-field"):
         raise ValueError(f"msos_field needs a field carrier, got {carrier}")
     out: set[tuple[int, ...]] = set()
-    _fixed_corner_case(carrier, out)
-    _sequences_case(carrier, carrier.encode_int(1), out)
+    one = carrier.encode_int(1)
+    _sequences_case(carrier, 0, out, 1 << carrier.neg(one))
+    _sequences_case(carrier, one, out)
     return SearchResult(carrier, tuple(sorted(out)))
 
 

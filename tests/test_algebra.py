@@ -170,14 +170,94 @@ class TestTranslate:
             make_carrier("int").translate(1, 1)
 
 
+class TestExtensionArithmetic:
+    """The log-table operations against the field's definition: digit-wise
+    addition mod p, and polynomial multiplication modulo the modulus."""
+
+    @staticmethod
+    def reference(c):
+        p, r, m = c.characteristic, c.degree, c.modulus_poly
+
+        def digits(a):
+            return algebra._digits_of(a, p, r)
+
+        def encode(ds):
+            return sum(d % p * p**i for i, d in enumerate(ds))
+
+        def add(a, b):
+            return encode(x + y for x, y in zip(digits(a), digits(b)))
+
+        def neg(a):
+            return encode(-x for x in digits(a))
+
+        def mul(a, b):
+            return encode(algebra._poly_mod(
+                algebra._poly_mul(digits(a), digits(b), p), m, p))
+
+        return add, neg, mul
+
+    def check_pair(self, c, a, b):
+        add, neg, mul = self.reference(c)
+        assert c.add(a, b) == add(a, b)
+        assert c.sub(a, b) == add(a, neg(b))
+        assert c.mul(a, b) == mul(a, b)
+
+    def check_element(self, c, a):
+        _, neg, mul = self.reference(c)
+        assert c.neg(a) == neg(a)
+        if a:
+            assert mul(a, c.inv(a)) == 1
+        else:
+            with pytest.raises(NonInvertibleError):
+                c.inv(a)
+
+    @pytest.mark.parametrize("order,modulus", [
+        (4, None), (8, None), (9, None), (16, None), (25, None), (27, None),
+        (49, None), (64, None), (81, None), (121, None), (125, None),
+        (9, (2, 1, 1)), (8, (1, 0, 1, 1))])
+    def test_exhaustive(self, order, modulus):
+        c = make_carrier("field", order, modulus)
+        if modulus is not None:
+            assert c.modulus_poly == modulus
+        for a in c.elements():
+            self.check_element(c, a)
+            for b in c.elements():
+                self.check_pair(c, a, b)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sampled_large_fields(self, data):
+        c = _carrier("field", data.draw(st.sampled_from(
+            (2187, 4913, 19683, MAX_ORDER))))
+        a, b = (data.draw(st.integers(0, c.order - 1)) for _ in range(2))
+        self.check_pair(c, a, b)
+        self.check_element(c, a)
+
+    @pytest.mark.parametrize("order", [4, 9, 64, 125, 2187, MAX_ORDER])
+    def test_log_tables(self, order):
+        c = _carrier("field", order)
+        _, _, mul = self.reference(c)
+        n = order - 1
+        powers = c._exp[:n]
+        # exp walks the powers of g = exp[1], which returns to 1 after
+        # exactly q - 1 distinct steps, and log inverts it
+        g = powers[1]
+        assert all(mul(x, g) == y for x, y in zip(powers, c._exp[1:n + 1]))
+        assert c._exp[n] == 1 and c._exp[n:] == powers
+        assert sorted(powers) == list(range(1, order))
+        assert all(c._log[x] == k for k, x in enumerate(powers))
+
+
 class TestOrderGuard:
     @pytest.fixture
     def nothing_built(self, monkeypatch):
         # the guard must fire before the factorization, the irreducible
-        # search and the digit table
+        # search and the search for the primitive element with its log
+        # tables
         def refuse(*args, **kwargs):
             raise AssertionError("built past the order guard")
-        for name in ("prime_power_base", "find_irreducible", "_digits_of"):
+        for name in ("prime_power_base", "find_irreducible", "_digits_of",
+                     "_log_tables"):
             monkeypatch.setattr(algebra, name, refuse)
 
     @pytest.mark.parametrize("kind", ["field", "ring"])
