@@ -602,9 +602,12 @@ def make_carrier(kind: str, order: int | None = None,
     """Build a carrier from a kind tag ("field", "ring", or "int") and order.
 
     Field orders must be prime powers; the extension-field modulus defaults to
-    the canonical irreducible from find_irreducible.  Orders above MAX_ORDER
-    raise ValueError before anything is built.
+    the canonical irreducible from find_irreducible.  A modulus given for any
+    other carrier, or given empty, raises ValueError, as do orders above
+    MAX_ORDER, before anything is built.
     """
+    if modulus_poly is not None and kind != "field":
+        raise ValueError(f"a modulus polynomial needs a field, not kind {kind!r}")
     if kind == "int":
         return Integers()
     if order is None or order < 2:
@@ -616,8 +619,12 @@ def make_carrier(kind: str, order: int | None = None,
             raise ValueError(f"{order} is not a prime power, no field of that order")
         p, r = pr
         if r == 1:
+            if modulus_poly is not None:
+                raise ValueError(f"a modulus polynomial needs an extension "
+                                 f"field, not the prime field F_{p}")
             return PrimeField(p)
-        return ExtensionField(p, r, tuple(modulus_poly) if modulus_poly else None)
+        return ExtensionField(
+            p, r, None if modulus_poly is None else tuple(modulus_poly))
     if kind == "ring":
         return ModularRing(order)
     raise ValueError(f"unknown carrier kind {kind!r}")

@@ -86,30 +86,6 @@ class GaussianInt:
 ONE = GaussianInt(1, 0)
 
 
-def gaussian_divmod(a: GaussianInt, b: GaussianInt):
-    """Euclidean division in Z[i]: a = q*b + r with norm(r) < norm(b)."""
-    if not b:
-        raise ZeroDivisionError("division by zero in Z[i]")
-    n = b.norm()
-    t = a * b.conj()
-    # round each component of t/n to the nearest integer
-    q = GaussianInt((2 * t.re + n) // (2 * n), (2 * t.im + n) // (2 * n))
-    return q, a - q * b
-
-
-def gaussian_gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
-    while b:
-        _, r = gaussian_divmod(a, b)
-        a, b = b, r
-    return a.first_quadrant()
-
-
-def exact_div(a: GaussianInt, b: GaussianInt) -> GaussianInt | None:
-    """a / b when b divides a exactly, else None."""
-    q, r = gaussian_divmod(a, b)
-    return q if not r else None
-
-
 def chi(w: GaussianInt) -> tuple[int, int, int]:
     """Map w to the square progression (r, s, t) with r^2 + t^2 = 2*s^2."""
     w2 = w * w
@@ -176,67 +152,92 @@ class GaussianFactorization:
 
 
 def _split_prime(p: int) -> GaussianInt:
-    # p == 1 (mod 4): find z with z^2 == -1 (mod p), then gcd(p, z + i);
-    # of the two conjugate prime classes, the one with re > im is canonical
-    for a in range(2, p):
-        if pow(a, (p - 1) // 2, p) == p - 1:
-            z = pow(a, (p - 1) // 4, p)
+    """The Gaussian prime a + bi with a > b > 0 and norm p, p == 1 (mod 4).
+
+    Hermite-Serret: take z with z^2 == -1 (mod p); the first remainder below
+    sqrt(p) in Euclid's algorithm on (p, z) in Z is one part of p = a^2 + b^2.
+    """
+    for g in range(2, p):
+        if pow(g, (p - 1) // 2, p) == p - 1:
+            z = pow(g, (p - 1) // 4, p)
             break
     else:  # pragma: no cover
         raise ArithmeticError(f"no square root of -1 mod {p}")
-    pi = gaussian_gcd(GaussianInt(p, 0), GaussianInt(z, 1))
-    if pi.norm() != p:  # pragma: no cover
+    root = math.isqrt(p)
+    a, b = p, z
+    while b > root:
+        a, b = b, a % b
+    c = math.isqrt(p - b * b)
+    if b * b + c * c != p:  # pragma: no cover
         raise ArithmeticError(f"splitting {p} failed")
-    if pi.im > pi.re:
-        pi = pi.conj().first_quadrant()
-    return pi
+    return GaussianInt(max(b, c), min(b, c))
+
+
+def _norm_primes(n: int):
+    """The Gaussian primes over the rational factorization of n >= 1.
+
+    Returns (fixed, split), or None when an inert prime has an odd exponent
+    (no Gaussian integer has norm n).  2 ramifies as (1+i)^2 and an inert
+    q == 3 (mod 4) has norm q^2, so in every w of norm n their exponents are
+    forced: fixed lists (1+i, e) and (q, e/2).  A p == 1 (mod 4) splits into
+    pi = _split_prime(p) and its conjugate, and split lists (pi, e) with e
+    the exponent of p, shared between the two.
+    """
+    fixed, split = [], []
+    for p, e in factorize(n).items():
+        if p == 2:
+            fixed.append((GaussianInt(1, 1), e))
+        elif p % 4 == 3:
+            if e % 2:
+                return None
+            fixed.append((GaussianInt(p, 0), e // 2))
+        else:
+            split.append((_split_prime(p), e))
+    return fixed, split
+
+
+def _exact_quotient(w: tuple[int, int], d: GaussianInt) -> tuple[int, int] | None:
+    """(re, im) of w / d when d divides w = (re, im) in Z[i], else None.
+
+    w / d = w * conj(d) / norm(d), so d divides w exactly when norm(d)
+    divides both parts of w * conj(d).
+    """
+    re, im = w
+    n = d.norm()
+    qr, rr = divmod(re * d.re + im * d.im, n)
+    qi, ri = divmod(im * d.re - re * d.im, n)
+    return None if rr or ri else (qr, qi)
 
 
 def gaussian_factor(w: GaussianInt) -> GaussianFactorization:
     """Factor a nonzero Gaussian integer into first-quadrant primes and a unit.
 
     The rational norm is factored first (trial division plus Pollard rho) and
-    each rational prime is matched against w: 2 ramifies as (1+i)^2, primes
-    p == 3 (mod 4) stay prime, and primes p == 1 (mod 4) split into a
-    conjugate pair whose multiplicities are separated by exact division.
+    _norm_primes maps it to Gaussian primes.  The ramified and inert
+    exponents are forced; each split prime's exponent is found by trial
+    division, and its conjugate (in first-quadrant form) takes the rest.
+    The unit is w over the product of the prime powers.
     """
     if not w:
         raise ValueError("cannot factor 0")
-    rest = w
-    factors: list[tuple[GaussianInt, int]] = []
-    for p, e in factorize(w.norm()).items():
-        if p == 2:
-            pi = GaussianInt(1, 1)
-            for _ in range(e):
-                rest = exact_div(rest, pi)
-            factors.append((pi, e))
-        elif p % 4 == 3:
-            if e % 2:  # pragma: no cover
-                raise ArithmeticError(f"odd exponent of inert prime {p}")
-            pi = GaussianInt(p, 0)
-            for _ in range(e // 2):
-                rest = exact_div(rest, pi)
-            factors.append((pi, e // 2))
-        else:
-            pi = _split_prime(p)
-            count = 0
-            while count < e:
-                nxt = exact_div(rest, pi)
-                if nxt is None:
-                    break
-                rest = nxt
-                count += 1
-            if count:
-                factors.append((pi, count))
-            if count < e:
-                pj = pi.conj().first_quadrant()
-                for _ in range(e - count):
-                    rest = exact_div(rest, pj)
-                factors.append((pj, e - count))
-    if rest is None or rest.norm() != 1:  # pragma: no cover
-        raise ArithmeticError(f"factorization of {w} left non-unit {rest}")
+    primes = _norm_primes(w.norm())
+    if primes is None:  # pragma: no cover
+        raise ArithmeticError(f"norm of {w} has an inert prime to an odd power")
+    fixed, split = primes
+    factors = list(fixed)
+    rest = (w.re, w.im)
+    for pi, e in split:
+        count = 0
+        while count < e and (nxt := _exact_quotient(rest, pi)) is not None:
+            rest, count = nxt, count + 1
+        pj = GaussianInt(pi.im, pi.re)  # conj(pi) in first-quadrant form
+        factors += [(q, k) for q, k in ((pi, count), (pj, e - count)) if k]
     factors.sort(key=lambda fe: (fe[0].norm(), fe[0].re, fe[0].im))
-    result = GaussianFactorization(rest, tuple(factors))
+    unit = _exact_quotient((w.re, w.im),
+                           GaussianFactorization(ONE, tuple(factors)).product())
+    if unit is None or unit[0] ** 2 + unit[1] ** 2 != 1:  # pragma: no cover
+        raise ArithmeticError(f"factorization of {w} left non-unit {unit}")
+    result = GaussianFactorization(GaussianInt(*unit), tuple(factors))
     if result.product() != w:  # pragma: no cover
         raise ArithmeticError(f"factorization of {w} does not multiply back")
     return result
@@ -312,25 +313,18 @@ def square_sum_generators(s: int) -> list[GaussianInt]:
     order the factorization-based guess method explores.  Each generator is
     normalized so that re >= im >= 0.
     """
-    if s < 1:
+    primes = _norm_primes(s) if s >= 1 else None
+    if primes is None:
         return []
+    fixed, split = primes
     base = ONE
-    split: list[tuple[GaussianInt, GaussianInt, int]] = []
-    for p, e in factorize(s).items():
-        if p == 2:
-            base = base * GaussianInt(1, 1) ** e
-        elif p % 4 == 3:
-            if e % 2:
-                return []
-            base = base * GaussianInt(p, 0) ** (e // 2)
-        else:
-            pi = _split_prime(p)
-            split.append((pi, pi.conj(), e))
+    for pi, e in fixed:
+        base = base * pi**e
     out, seen = [], set()
-    for choice in product(*(range(e + 1) for _, _, e in split)):
+    for choice in product(*(range(e + 1) for _, e in split)):
         w = base
-        for c, (pi, pj, e) in zip(choice, split):
-            w = w * pi**c * pj ** (e - c)
+        for c, (pi, e) in zip(choice, split):
+            w = w * pi**c * pi.conj() ** (e - c)
         u, v = abs(w.re), abs(w.im)
         rep = (max(u, v), min(u, v))
         if rep not in seen:

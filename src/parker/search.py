@@ -17,9 +17,6 @@ from .algebra import (Carrier, ModularRing, center_pairs,
                       make_carrier, squares)
 from .core import dihedral_canonical, dihedral_orbit
 
-PrefilterReason = str  # "even-order" | "too-few-squares" | "pair-deficit" |
-#                        "no-consecutive-squares"
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -175,7 +172,9 @@ def prefilter_field(q) -> str | None:
     (target 2); and, when only the center-0 route stays open, no qualifying
     consecutive-square triple.  A magic square needs four disjoint center
     pairs and a center-0 square scales to a consecutive-square triple, so
-    each verdict implies the full search comes back empty.
+    each verdict implies the full search comes back empty.  The verdict is
+    the reason string "even-order", "too-few-squares", "pair-deficit" or
+    "no-consecutive-squares".
     """
     carrier = q if isinstance(q, Carrier) else None
     order = carrier.order if carrier is not None else q

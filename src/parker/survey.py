@@ -217,11 +217,22 @@ def record_to_json(rec: ScanRecord) -> str:
 
 
 def record_from_json(line: str) -> ScanRecord:
+    """Parse one JSONL record; ValueError, KeyError or TypeError if malformed.
+
+    A record must be a JSON object whose Parker flag and dihedral class count
+    agree with its msos count, as every computed record's do.
+    """
     obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
     # records from before the assignment policy was retired carry it; only
     # the canonical policy counted what the search counts now
     if obj.get("policy", "canonical") != "canonical":
         raise ValueError(f"record from policy {obj['policy']!r}")
+    if obj["parker"] != (obj["msos_count"] == 0):
+        raise ValueError("parker flag disagrees with msos_count")
+    if obj["dihedral_class_count"] != obj["msos_count"]:
+        raise ValueError("dihedral_class_count differs from msos_count")
     return ScanRecord(**{k: obj[k] for k in (
         "order", "kind", "square_count", "msos_count", "dihedral_class_count",
         "parker", "prefilter_reason", "elapsed_ms")})

@@ -72,6 +72,13 @@ class TestMakeCarrier:
         with pytest.raises(ValueError):
             make_carrier("field", 9, modulus_poly=(2, 0, 1))  # x^2+2=(x+1)(x+2)
 
+    @pytest.mark.parametrize("kind, order, modulus", [
+        ("field", 29, [1, 1, 1]), ("ring", 29, [1, 1, 1]), ("int", None, [1]),
+        ("field", 9, []), ("ring", 9, [])])
+    def test_misplaced_or_empty_modulus_rejected(self, kind, order, modulus):
+        with pytest.raises(ValueError):
+            make_carrier(kind, order, modulus_poly=modulus)
+
 
 class TestCarrierOps:
     def test_f29_inverse(self):

@@ -119,6 +119,22 @@ class TestScans:
             == ["ring 4: Parker", "ring 8: Parker", "ring 12: Parker",
                 "ring 16: Parker"]
 
+    def test_resume_over_malformed_checkpoint(self, capsys, tmp_path):
+        args = ("scan-rings", "--from", "2", "--to", "30")
+        _, fresh, _ = run_cli(capsys, *args)
+        ckpt = tmp_path / "ckpt.jsonl"
+        assert run_cli(capsys, *args, "--checkpoint", str(ckpt))[0] == 0
+        lines = ckpt.read_text().splitlines()
+        obj = json.loads(lines[-1])
+        ckpt.write_text("\n".join(lines[:5] + [
+            "[1, 2]", '"x"',
+            json.dumps({**obj, "parker": not obj["parker"]}),
+            json.dumps({**obj, "dihedral_class_count":
+                        obj["msos_count"] + 1})]) + "\n")
+        code, out, _ = run_cli(capsys, *args, "--checkpoint", str(ckpt))
+        assert code == 0
+        assert out == fresh
+
     def test_jobs_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("PARKER_JOBS", "2")
         code, out, _ = run_cli(capsys, "scan-fields", "--from", "2", "--to",
@@ -232,6 +248,18 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", path)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("carrier", [
+        {"kind": "field", "order": 29, "modulus_poly": [1, 1, 1]},
+        {"kind": "ring", "order": 29, "modulus_poly": [1, 1, 1]},
+        {"kind": "field", "order": 9, "modulus_poly": []}])
+    def test_misplaced_or_empty_modulus_exits_1(self, capsys, tmp_path,
+                                                 carrier):
+        path = self.write(tmp_path, {"carrier": carrier, "cells": [0] * 9})
+        code, out, err = run_cli(capsys, "verify", path)
+        assert code == 1
+        assert out == ""
+        assert "modulus" in err
 
     def test_wrong_cell_count_exits_1(self, capsys, tmp_path):
         path = self.write(tmp_path, {"carrier": {"kind": "int"},

@@ -281,13 +281,18 @@ class TestCheckpoint:
     def test_corrupt_lines_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "ckpt.jsonl"
         rec = ScanRecord(2, "field", 2, 0, 0, True, "even-order", 1)
+        good = json.loads(survey.record_to_json(
+            ScanRecord(29, "field", 15, 2, 2, False, None, 1)))
+        bad = ["{not json}", '{"order": 3}', "[1, 2]", '"x"', "7", "null",
+               json.dumps({**good, "parker": True}),
+               json.dumps({**good, "msos_count": 0}),
+               json.dumps({**good, "dihedral_class_count": 1})]
         path.write_text(survey.record_to_json(rec) + "\n"
-                        + "{not json}\n"
-                        + '{"order": 3}\n')
+                        + "".join(line + "\n" for line in bad))
         with caplog.at_level("WARNING", logger="parker.survey"):
             done = load_checkpoint(str(path))
         assert set(done) == {("field", 2)}
-        assert sum("corrupt" in m for m in caplog.messages) == 2
+        assert sum("corrupt" in m for m in caplog.messages) == len(bad)
 
     def test_retired_policy_lines_skipped(self, tmp_path, caplog):
         path = tmp_path / "old.jsonl"
