@@ -12,8 +12,8 @@ from .gaussian import (CongruumTriple, GaussianFactorization, GaussianInt,
                        hourglass_condition, hourglass_generators,
                        hourglass_guess, pow4_parts, search_hourglass,
                        two_square_reps)
-from .search import (SearchResult, brute_force_oracle, msos_field, msos_ring,
-                     oracle_agreement, prefilter_field)
+from .search import (SearchResult, brute_force_oracle, count_field, count_ring,
+                     msos_field, msos_ring, oracle_agreement, prefilter_field)
 from .survey import (RecordBreakerTable, ScanRecord, record_breakers,
                      scan_fields, scan_rings)
 

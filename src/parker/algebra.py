@@ -13,6 +13,7 @@ primitive element; polynomials over F_p are used only to build them.
 from __future__ import annotations
 
 import math
+import operator
 from types import MappingProxyType
 
 
@@ -132,11 +133,14 @@ def divisor_representatives(n: int) -> list[int]:
     return [d % n for d in divisors(n)]
 
 
-# Largest field order or ring modulus a carrier may have.  A search keeps
+# Largest field order or ring modulus a carrier may have.  Scans only count
+# (search.count_field and count_ring, Z/32768Z in 0.2 s and 18 MB), but
+# msos_field and msos_ring, and with them `parker field/ring --list`, keep
 # every tuple, and their count grows about as the square of the order.  At
-# the limit F_32749 gives 524866 tuples in 4 s and 101 MB, and the largest
-# case, Z/32768Z, 2228796 tuples in 22 s and 365 MB; twice the limit would
-# need about four times that.
+# the limit F_32749 gives 524866 tuples in 2.9 s and 86 MB, and the largest
+# case, Z/32768Z, 2228796 tuples in 10 s and 293 MB; twice the limit would
+# need about four times that.  A separate, higher limit for counting needs
+# its own time and memory measurements.
 MAX_ORDER = 2**15
 
 
@@ -429,12 +433,30 @@ def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list, list]:
         g = _poly_trim(_digits_of(enc, p, r))
         if all(power(g, c) != one for c in cofactors):
             break
+    # the walk steps a digit list by g: one shift and reduction by the
+    # modulus per coefficient of g below its top, which is one when g = x;
+    # x^r = -(m_0 + m_1 x + ... + m_{r-1} x^{r-1}), over the nonzero m_j
+    taps = [(j, m) for j, m in enumerate(modulus_poly[:r]) if m]
+
+    def times_x(c):
+        top = c.pop()
+        c.insert(0, 0)
+        if top:
+            for j, m in taps:
+                c[j] = (c[j] - top * m) % p
+
     weights = [p**i for i in range(r)]
     exp = []
-    x = one
+    x = [1] + [0] * (r - 1)
     for _ in range(n):
-        exp.append(sum(w * c for w, c in zip(weights, x)))
-        x = _poly_mod(_poly_mul(x, g, p), modulus_poly, p)
+        exp.append(sum(map(operator.mul, weights, x)))
+        # x * g by Horner over the coefficients of g, highest first
+        y = [g[-1] * c % p for c in x]
+        for coeff in g[-2::-1]:
+            times_x(y)
+            if coeff:
+                y = [(a + coeff * b) % p for a, b in zip(y, x)]
+        x = y
     log = [-1] * q
     for k, x in enumerate(exp):
         log[x] = k

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -18,7 +19,7 @@ from .algebra import MAX_ORDER, make_carrier
 from .core import validate_square
 from .gaussian import (MAX_BOUND, GaussianInt, chi, congruum_triple,
                        search_hourglass)
-from .search import msos_field, msos_ring
+from .search import count_field, count_ring, msos_field, msos_ring
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "and rings, and magic-hourglass search over "
                                  "the Gaussian integers.")
     parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="more progress chatter on stderr")
+                        help="log each completed scan order on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (("field", "search one finite field F_q"),
@@ -127,29 +128,33 @@ def _tuple_json(carrier, t):
 
 
 def _cmd_single(args, kind):
-    result = msos_field(args.order) if kind == "field" \
-        else msos_ring(args.order)
-    carrier = result.carrier
+    # only a listing needs the tuples; a count is the popcount of the hits
+    carrier = make_carrier(kind, args.order)
+    if args.list:
+        tuples = (msos_field if kind == "field" else msos_ring)(carrier).tuples
+        count = len(tuples)
+    else:
+        count = (count_field if kind == "field" else count_ring)(carrier)
     payload = {
         "kind": kind,
         "order": args.order,
         "square_count": len(carrier.square_set()),
-        "tuple_count": result.tuple_count,
-        "dihedral_class_count": result.dihedral_class_count,
-        "parker": result.parker,
+        "tuple_count": count,
+        "dihedral_class_count": count,
+        "parker": not count,
     }
     if carrier.kind == "extension-field":
         payload["modulus_poly"] = list(carrier.modulus_poly)
     if args.list:
-        payload["tuples"] = [_tuple_json(carrier, t) for t in result.tuples]
+        payload["tuples"] = [_tuple_json(carrier, t) for t in tuples]
     if args.json:
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
-    print(f"{carrier}: {result.tuple_count} magic squares of squares "
-          f"({result.dihedral_class_count} dihedral classes), "
-          f"{'Parker' if result.parker else 'not Parker'}")
+    print(f"{carrier}: {count} magic squares of squares "
+          f"({count} dihedral classes), "
+          f"{'not Parker' if count else 'Parker'}")
     if args.list:
-        for t in result.tuples:
+        for t in tuples:
             rows = [" ".join(carrier.element_repr(x) for x in t[i:i + 3])
                     for i in (0, 3, 6)]
             print("  [" + " | ".join(rows) + "]")
@@ -205,6 +210,10 @@ def _cmd_hourglass(args):
     return EXIT_OK
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_square_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -216,6 +225,13 @@ def _load_square_file(path):
         cells = doc["cells"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed square file {path}: {exc}") from None
+    if not (order is None or _is_int(order)):
+        raise ValueError(f"malformed square file {path}: order {order!r} "
+                         f"is not an integer")
+    if not (modulus is None or isinstance(modulus, list)
+            and all(map(_is_int, modulus))):
+        raise ValueError(f"malformed square file {path}: modulus_poly "
+                         f"{modulus!r} is not a list of integers")
     carrier = make_carrier(kind, order, modulus)
     if not isinstance(cells, list) or len(cells) != 9:
         raise ValueError("square file needs exactly 9 cells")
@@ -268,6 +284,15 @@ def _cmd_chi(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logger = logging.getLogger("parker")
+    handler = None
+    if args.verbose:
+        # scans log one line per completed order
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("parker: %(message)s"))
+        logger.addHandler(handler)
+        level = logger.level
+        logger.setLevel(logging.INFO)
     try:
         if args.command == "field":
             code = _cmd_single(args, "field")
@@ -293,6 +318,10 @@ def main(argv=None) -> int:
     except AssertionError as exc:  # pragma: no cover
         print(f"parker: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if handler is not None:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
     return code
 
 

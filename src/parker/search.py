@@ -4,6 +4,9 @@ A carrier is Parker when it admits no 3x3 magic square of nine distinct
 squared elements.  msos_field and msos_ring enumerate the full set of magic
 tuples up to scaling: fields normalize the center to 0 (with the corner pair
 fixed to 1 and -1) or to 1, rings normalize the center to a divisor residue.
+count_field and count_ring give the same count from the same pair kernel by
+popcounting its hit masks, with no tuple built; range scans use them, and
+only msos_* (and `parker field`/`ring` with --list or --json) keep tuples.
 brute_force_oracle enumerates with no normalization at all and is used to
 check that the normalized searches lose nothing.
 """
@@ -59,10 +62,11 @@ class SearchResult:
         return not self.tuples
 
 
-def _sequences_case(carrier, e, out, anti_diagonal=None):
-    """Every magic tuple with center e^2, by bitset over the center pairs.
+def _pair_hits(carrier, e2, pairs, anti_diagonal=None):
+    """Every magic tuple with center e2 = e^2, as one bitmask per center pair.
 
-    Write each center pair (u, v), u < v, as (e^2 - delta, e^2 + delta).
+    pairs is center_pairs(carrier, e).  Write each center pair (u, v),
+    u < v, as (e^2 - delta, e^2 + delta).
     With the diagonal pair (a, i) at offset alpha and the anti-diagonal pair
     (c, g) at offset gamma, the lines through the center sum to 3e^2, and
     the four derived cells are
@@ -71,97 +75,189 @@ def _sequences_case(carrier, e, out, anti_diagonal=None):
         d = e^2 + (alpha - gamma)    f = e^2 - (alpha - gamma).
 
     So the tuple is magic exactly when alpha + gamma and alpha - gamma both
-    lie in D_e = {delta : e^2 + delta and e^2 - delta both squares}.  An
-    offset with 2*delta == 0, 0 included, makes the two cells equal, and the
-    tuple fails distinctness anyway.  Every other offset in D_e is that of a
-    center-pair member, so D_e is built from the pairs alone, and every
-    derived cell of a survivor is a pair member: the dict `member` maps
-    delta to (e^2 + delta, e^2 - delta).  D_e is symmetric, so the
+    lie in D_e, the set of center-pair offsets.  D_e is symmetric, so the
     condition reads gamma in (D_e - alpha) & (D_e + alpha), two
-    translations of one bitmask.
+    translations of one bitmask.  Pairs run in ascending order and each is
+    tested against the running mask of the offsets of all earlier pairs,
+    so every unordered combination of two distinct pairs is tested once,
+    with the later pair on the diagonal.
 
-    Pairs run in ascending order and each is tested against the running
-    mask of the offsets of all earlier pairs, so every unordered
-    combination of two distinct pairs is tested once, with the later pair
-    on the diagonal.  Only surviving gammas cost carrier operations.
+    Yields ((u, v), alpha, hits) for each pair (u, v) = (e^2 - alpha,
+    e^2 + alpha) with a hit, where bit gamma of hits marks the magic tuple
+    with (c, g) = (e^2 - gamma, e^2 + gamma).  The offsets whose tuple
+    repeats a cell are already cleared, and these are exactly gamma = +-2*alpha
+    and the solutions of 2*gamma = +-alpha.  Proof: the nine cells lie at
+    the offsets 0, +-x from e^2 for x in alpha, gamma, alpha + gamma and
+    alpha - gamma, and a hit puts all four x in D_e.  Every offset in D_e
+    has 2*delta != 0, since u != v, so no x is 0 or its own negation.  Two
+    of the x, say x and y, give a repeated cell when x = +-y:
+
+        alpha = +-gamma              puts 0 = alpha -+ gamma in D_e
+        alpha + gamma = +-(alpha - gamma)   needs 2*gamma = 0 or 2*alpha = 0
+        alpha = alpha +- gamma       needs gamma = 0
+        gamma = +-(alpha + gamma)    needs alpha = 0 or 2*gamma = -alpha
+        gamma = +-(alpha - gamma)    needs 2*gamma = alpha or alpha = 0
+        alpha = -(alpha +- gamma)    is gamma = -+2*alpha.
+
+    Of these, only 2*gamma = +-alpha and gamma = +-2*alpha can hold, and
+    they are the offsets cleared.  A field of characteristic 2 has no pair at all, since
+    u + v = 2e^2 = 0 forces u = v, so the halves of alpha are only ever
+    taken in odd characteristic and in Z/nZ.
 
     anti_diagonal, when given, is a fixed mask of anti-diagonal offsets
     used for every pair in place of the running mask.  The center-0 field
     case passes the single bit of gamma = -1, which puts (c, g) = (1, -1).
-    Its member entry exists whenever a hit does: a pair (u, -u) of nonzero
-    squares makes -1 = -u/u a square, so (1, -1) is itself a pair and
-    +-1 lie in D_0; in characteristic 2, u + v = 0 forces u = v, so D_0 has
-    no pair and no hit.
+    Any pair (u, -u) of nonzero squares makes -1 = -u/u a square, so
+    (1, -1) is itself a pair and gamma = -1 lies in D_0, as the argument
+    above needs.
     """
-    add, sub, translate = carrier.add, carrier.sub, carrier.translate
-    e2 = carrier.mul(e, e)
-    pairs = center_pairs(carrier, e)
-    member = {}
-    offsets = []
+    if not pairs:
+        return
+    sub, translate = carrier.sub, carrier.translate
+    offsets = [(sub(v, e2), sub(u, e2)) for u, v in pairs]
     d_mask = 0
-    for u, v in pairs:
-        up, down = sub(v, e2), sub(u, e2)
-        member[up] = (v, u)
-        member[down] = (u, v)
+    for up, down in offsets:
         d_mask |= (1 << up) | (1 << down)
-        offsets.append((up, down))
+    repeats = _repeat_mask(carrier)
     earlier = 0 if anti_diagonal is None else anti_diagonal
-    for (a2, i2), (alpha, minus_alpha) in zip(pairs, offsets):
+    for pair, (alpha, minus_alpha) in zip(pairs, offsets):
         hits = translate(d_mask, minus_alpha) & earlier
-        if hits:
-            hits &= translate(d_mask, alpha)
         if anti_diagonal is None:
             earlier |= 1 << alpha
-        while hits:
-            low = hits & -hits
-            hits ^= low
-            gamma = low.bit_length() - 1
-            b, h = member[add(alpha, gamma)]
-            d, f = member[sub(alpha, gamma)]
-            g2, c2 = member[gamma]
-            t = (a2, b, c2, d, e2, f, g2, h, i2)
-            if len(set(t)) == 9:
-                out.add(t)
+        if hits:
+            hits &= translate(d_mask, alpha)
+        if hits:
+            hits &= ~repeats(alpha)
+        if hits:
+            yield pair, alpha, hits
+
+
+def _repeat_mask(carrier):
+    """alpha -> the mask of the gammas that repeat a cell with alpha.
+
+    Those are +-2*alpha and the solutions of 2*gamma = +-alpha.  With an odd
+    additive period p, 2 has the inverse (p + 1)/2 and each sign has the
+    one solution +-alpha * (p + 1)/2.  In Z/nZ with n even, 2*gamma = alpha
+    has the two solutions alpha/2 and alpha/2 + n/2 when alpha is even and
+    none when it is odd, and so has 2*gamma = -alpha.
+    """
+    add, neg, mul = carrier.add, carrier.neg, carrier.mul
+    p = carrier.additive_layout[0]
+    if p % 2:
+        half = carrier.encode_int((p + 1) // 2)
+
+        def repeats(alpha):
+            two, h = add(alpha, alpha), mul(alpha, half)
+            return (1 << two) | (1 << neg(two)) | (1 << h) | (1 << neg(h))
+        return repeats
+    n = carrier.order
+    m = n // 2
+
+    def repeats(alpha):
+        two = add(alpha, alpha)
+        out = (1 << two) | (1 << neg(two))
+        if alpha % 2 == 0:
+            h = alpha // 2
+            out |= (1 << h) | (1 << (h + m)) | (1 << (m - h)) | (1 << (n - h))
+        return out
+    return repeats
+
+
+def _field_centers(q):
+    """(carrier, centers) of the field search: a list of (e, anti_diagonal).
+
+    Center 0 fixes the anti-diagonal corners to 1 and -1 and scans corner
+    pairs summing to 0; center 1 scans unordered combinations of two
+    distinct pairs summing to 2.
+    """
+    carrier = q if isinstance(q, Carrier) else make_carrier("field", q)
+    if carrier.kind not in ("prime-field", "extension-field"):
+        raise ValueError(f"the field search needs a field carrier, "
+                         f"got {carrier}")
+    one = carrier.encode_int(1)
+    return carrier, [(0, 1 << carrier.neg(one)), (one, None)]
+
+
+def _ring_centers(n):
+    """(carrier, centers) of the ring search: a list of (e, None).
+
+    The center is normalized to a divisor residue of n (one unit orbit per
+    divisor).  The scan depends on the center only through its square, so
+    each distinct divisor square, 0 included, is scanned once, with the
+    first divisor that gives it.
+    """
+    carrier = n if isinstance(n, Carrier) else make_carrier("ring", n)
+    if carrier.kind != "modular-ring":
+        raise ValueError(f"the ring search needs a ring carrier, "
+                         f"got {carrier}")
+    centers: dict[int, int] = {}
+    for e in divisor_representatives(carrier.order):
+        centers.setdefault(carrier.mul(e, e), e)
+    return carrier, [(e, None) for e in centers.values()]
+
+
+def _search(carrier, centers) -> SearchResult:
+    # decode every hit into its tuple; the cells are the pair members,
+    # shared by every tuple that uses them
+    add, sub = carrier.add, carrier.sub
+    out = []
+    for e, anti_diagonal in centers:
+        e2 = carrier.mul(e, e)
+        pairs = center_pairs(carrier, e)
+        member = {}
+        for u, v in pairs:
+            member[sub(v, e2)] = (v, u)
+            member[sub(u, e2)] = (u, v)
+        for (a2, i2), alpha, hits in _pair_hits(carrier, e2, pairs,
+                                                anti_diagonal):
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                gamma = low.bit_length() - 1
+                b, h = member[add(alpha, gamma)]
+                d, f = member[sub(alpha, gamma)]
+                g2, c2 = member[gamma]
+                t = (a2, b, c2, d, e2, f, g2, h, i2)
+                if len(set(t)) != 9:
+                    raise AssertionError(f"kernel hit {t} repeats a cell")
+                out.append(t)
+    out.sort()
+    return SearchResult(carrier, tuple(out))
+
+
+def _count(carrier, centers) -> int:
+    return sum(hits.bit_count() for e, anti_diagonal in centers
+               for _, _, hits in _pair_hits(carrier, carrier.mul(e, e),
+                                            center_pairs(carrier, e),
+                                            anti_diagonal))
 
 
 def msos_field(q) -> SearchResult:
     """All magic squares of squares over F_q, up to scaling.
 
-    Two cases by center entry, both run by the same pair kernel: center 0
-    fixes the anti-diagonal corners to 1 and -1 and scans corner pairs
-    summing to 0; center 1 scans unordered combinations of two distinct
-    pairs summing to 2.  Iteration is in ascending encoding order, so the
-    output is deterministic.
+    Two cases by center entry, 0 and 1, both run by the same pair kernel
+    (see _field_centers).  The tuples come back sorted.
     """
-    carrier = q if isinstance(q, Carrier) else make_carrier("field", q)
-    if carrier.kind not in ("prime-field", "extension-field"):
-        raise ValueError(f"msos_field needs a field carrier, got {carrier}")
-    out: set[tuple[int, ...]] = set()
-    one = carrier.encode_int(1)
-    _sequences_case(carrier, 0, out, 1 << carrier.neg(one))
-    _sequences_case(carrier, one, out)
-    return SearchResult(carrier, tuple(sorted(out)))
+    return _search(*_field_centers(q))
 
 
 def msos_ring(n) -> SearchResult:
     """All magic squares of squares over Z/nZ, up to unit scaling.
 
-    The center is normalized to a divisor residue of n (one unit orbit per
-    divisor).  The scan depends on the center only through its square, so
-    each distinct divisor square, 0 included, runs the same
-    pair-combination scan as the nonzero-center field case once, with the
-    first divisor that gives it.
+    One pair-kernel scan per distinct divisor square (see _ring_centers).
+    The tuples come back sorted.
     """
-    carrier = n if isinstance(n, Carrier) else make_carrier("ring", n)
-    if carrier.kind != "modular-ring":
-        raise ValueError(f"msos_ring needs a ring carrier, got {carrier}")
-    centers: dict[int, int] = {}
-    for e in divisor_representatives(carrier.order):
-        centers.setdefault(carrier.mul(e, e), e)
-    out: set[tuple[int, ...]] = set()
-    for e in centers.values():
-        _sequences_case(carrier, e, out)
-    return SearchResult(carrier, tuple(sorted(out)))
+    return _search(*_ring_centers(n))
+
+
+def count_field(q) -> int:
+    """msos_field(q).tuple_count, from popcounts, with no tuple built."""
+    return _count(*_field_centers(q))
+
+
+def count_ring(n) -> int:
+    """msos_ring(n).tuple_count, from popcounts, with no tuple built."""
+    return _count(*_ring_centers(n))
 
 
 def prefilter_field(q) -> str | None:
@@ -262,18 +358,19 @@ def scaling_closure(carrier: Carrier,
 def oracle_agreement(carrier: Carrier, cap: int = 100) -> bool:
     """True when the normalized search and the oracle describe the same set.
 
-    Checks that the reported class count is the number of distinct
-    dihedral classes among the normalized tuples, that every normalized
-    tuple is itself magic (membership in the oracle set) and that the
-    oracle set equals the closure of the normalized set under dihedral
-    symmetry and unit-square scaling.
+    Checks that the reported class count and the popcount of count_field
+    or count_ring are the number of distinct dihedral classes among the
+    normalized tuples, that every normalized tuple is itself magic
+    (membership in the oracle set) and that the oracle set equals the
+    closure of the normalized set under dihedral symmetry and unit-square
+    scaling.
     """
     if isinstance(carrier, ModularRing):
-        result = msos_ring(carrier)
+        result, count = msos_ring(carrier), count_ring(carrier)
     else:
-        result = msos_field(carrier)
+        result, count = msos_field(carrier), count_field(carrier)
     classes = {dihedral_canonical(t) for t in result.tuples}
-    if len(classes) != result.dihedral_class_count:
+    if not len(classes) == result.dihedral_class_count == count:
         return False
     oracle = brute_force_oracle(carrier, cap)
     normalized = set(result.tuples)

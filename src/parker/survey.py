@@ -3,6 +3,9 @@
 Scans classify each qualifying order as Parker or not, collect per-order
 counts into ScanRecords, and maintain the running record-breaker table
 (orders whose magic-square count exceeds every smaller scanned order).
+The counts come from search.count_field and count_ring, so a scan never
+builds a tuple.  Each completed order is logged at INFO on the
+"parker.survey" logger.
 Scans are deterministic: records come back ascending by order no matter how
 many worker processes run, and a checkpoint file replays completed orders so
 an interrupted scan resumes to identical output.
@@ -21,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 from .algebra import (check_order, is_prime, make_carrier, prime_power_base,
                       squares)
-from .search import msos_field, msos_ring, prefilter_field
+from .search import count_field, count_ring, prefilter_field
 
 log = logging.getLogger("parker.survey")
 
@@ -87,7 +90,7 @@ def _now_ms() -> float:
 
 
 def scan_field_order(order: int) -> ScanRecord:
-    """Classify one field order by the full search.
+    """Classify one field order by the counting search.
 
     A Parker order then gets the prefilter's reason, if any, as its label.
     Every prefilter verdict implies an empty search, so the prefilter never
@@ -103,22 +106,20 @@ def scan_field_order(order: int) -> ScanRecord:
                           prefilter_field(order), int(_now_ms() - t0))
     carrier = make_carrier("field", order)
     square_count = len(squares(carrier))
-    result = msos_field(carrier)
-    reason = prefilter_field(carrier) if result.parker else None
-    return ScanRecord(order, "field", square_count, result.tuple_count,
-                      result.dihedral_class_count, result.parker, reason,
-                      int(_now_ms() - t0))
+    count = count_field(carrier)
+    reason = None if count else prefilter_field(carrier)
+    return ScanRecord(order, "field", square_count, count, count, not count,
+                      reason, int(_now_ms() - t0))
 
 
 def scan_ring_order(order: int) -> ScanRecord:
-    """Classify one ring modulus with the divisor-orbit search."""
+    """Classify one ring modulus by the counting divisor-orbit search."""
     t0 = _now_ms()
     carrier = make_carrier("ring", order)
     square_count = len(carrier.square_set())
-    result = msos_ring(carrier)
-    return ScanRecord(order, "ring", square_count, result.tuple_count,
-                      result.dihedral_class_count, result.parker, None,
-                      int(_now_ms() - t0))
+    count = count_ring(carrier)
+    return ScanRecord(order, "ring", square_count, count, count, not count,
+                      None, int(_now_ms() - t0))
 
 # ---------------------------------------------------------------------------
 # Order selection.
@@ -168,19 +169,28 @@ def _run_scan(kind, orders, worker, jobs, checkpoint):
     done = load_checkpoint(checkpoint) if checkpoint else {}
     pending = [n for n in orders if (kind, n) not in done]
     computed = {}
+    non_parker = sum(not done[kind, n].parker for n in orders
+                     if (kind, n) in done)
+
+    def complete(rec):
+        nonlocal non_parker
+        computed[rec.order] = rec
+        if checkpoint:
+            append_checkpoint(checkpoint, rec)
+        non_parker += not rec.parker
+        log.info("%s %d: %d magic squares in %d ms; %d/%d done, %d not Parker",
+                 kind, rec.order, rec.msos_count, rec.elapsed_ms,
+                 len(orders) - len(pending) + len(computed), len(orders),
+                 non_parker)
+
     workers = min(jobs, len(pending), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for rec in pool.map(worker, pending):
-                computed[rec.order] = rec
-                if checkpoint:
-                    append_checkpoint(checkpoint, rec)
+                complete(rec)
     else:
         for n in pending:
-            rec = worker(n)
-            computed[rec.order] = rec
-            if checkpoint:
-                append_checkpoint(checkpoint, rec)
+            complete(worker(n))
     records = [done.get((kind, n)) or computed[n] for n in orders]
     return records, record_breakers(records)
 

@@ -10,6 +10,7 @@ from parker.algebra import (MAX_ORDER, ExtensionField, NonInvertibleError,
                             divisor_representatives, divisors, factorize,
                             find_irreducible, is_prime, make_carrier,
                             prime_power_base, squares)
+from parker.survey import field_orders
 
 
 class TestIntegerUtilities:
@@ -253,6 +254,36 @@ class TestExtensionArithmetic:
         assert c._exp[n] == 1 and c._exp[n:] == powers
         assert sorted(powers) == list(range(1, order))
         assert all(c._log[x] == k for k, x in enumerate(powers))
+
+
+def _polynomial_log_tables(c):
+    """exp, log and zech of an extension field by the polynomial walk the
+    digit-list walk replaced: powers of the smallest encoding >= p that
+    returns to 1 only after q - 1 steps, multiplied by _poly_mul and
+    reduced by _poly_mod."""
+    p, r, m = c.characteristic, c.degree, c.modulus_poly
+    n = c.order - 1
+    for enc in range(p, c.order):
+        g = algebra._poly_trim(algebra._digits_of(enc, p, r))
+        x, exp = (1,), []
+        while not exp or x != (1,):
+            exp.append(sum(d * p**i for i, d in enumerate(x)))
+            x = algebra._poly_mod(algebra._poly_mul(x, g, p), m, p)
+        if len(exp) == n:
+            break
+    log = [-1] * c.order
+    for k, x in enumerate(exp):
+        log[x] = k
+    digits = [algebra._digits_of(x, p, r) for x in exp]
+    zech = [log[sum((d + (i == 0)) % p * p**i for i, d in enumerate(ds))]
+            for ds in digits]
+    return exp * 2, log, zech * 2
+
+
+@pytest.mark.parametrize("order", field_orders(4, 3000, "prime-powers-only"))
+def test_log_tables_match_polynomial_walk(order):
+    c = make_carrier("field", order)
+    assert (c._exp, c._log, c._zech) == _polynomial_log_tables(c)
 
 
 class TestOrderGuard:

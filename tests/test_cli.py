@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -95,6 +96,20 @@ class TestScans:
         assert [line for line in out.splitlines() if line.startswith("ring")] \
             == ["ring 4: Parker", "ring 8: Parker", "ring 12: Parker",
                 "ring 16: Parker"]
+
+    def test_verbose_logs_each_order_on_stderr(self, capsys):
+        args = ("scan-rings", "--from", "25", "--to", "29")
+        code, quiet, err = run_cli(capsys, *args)
+        assert code == 0 and err == ""
+        code, out, err = run_cli(capsys, "-v", *args)
+        assert code == 0 and out == quiet
+        lines = err.splitlines()
+        assert len(lines) == 5
+        assert re.fullmatch(r"parker: ring 27: 3 magic squares in \d+ ms; "
+                            r"3/5 done, 1 not Parker", lines[2])
+        assert lines[4].endswith("; 5/5 done, 2 not Parker")
+        # the handler goes with the command
+        assert run_cli(capsys, *args)[1:] == (quiet, "")
 
     @pytest.mark.parametrize("mod", ["0", "-4"])
     def test_congruence_modulus_below_one_exits_1(self, capsys, mod):
@@ -260,6 +275,19 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "modulus" in err
+
+    @pytest.mark.parametrize("carrier,field", [
+        ({"kind": "field", "order": 9, "modulus_poly": 5}, "modulus_poly"),
+        ({"kind": "field", "order": "29"}, "order"),
+        ({"kind": "ring", "order": True}, "order")])
+    def test_wrongly_typed_carrier_field_exits_1(self, capsys, tmp_path,
+                                                 carrier, field):
+        path = self.write(tmp_path, {"carrier": carrier, "cells": [0] * 9})
+        code, out, err = run_cli(capsys, "verify", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("parker: error: malformed square file")
+        assert field in err and len(err.splitlines()) == 1
 
     def test_wrong_cell_count_exits_1(self, capsys, tmp_path):
         path = self.write(tmp_path, {"carrier": {"kind": "int"},

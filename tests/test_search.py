@@ -4,8 +4,9 @@ from parker import search
 from parker.algebra import (MAX_ORDER, center_pairs, divisor_representatives,
                             make_carrier)
 from parker.core import dihedral_canonical, dihedral_orbit, validate_square
-from parker.search import (brute_force_oracle, msos_field, msos_ring,
-                           oracle_agreement, prefilter_field, scaling_closure)
+from parker.search import (brute_force_oracle, count_field, count_ring,
+                           msos_field, msos_ring, oracle_agreement,
+                           prefilter_field, scaling_closure)
 from parker.survey import field_orders
 
 MOD29_SQUARE = tuple(x * x % 29 for x in (9, 11, 1, 6, 0, 14, 12, 16, 8))
@@ -65,17 +66,21 @@ class TestMsosRing:
     def test_one_scan_per_divisor_square(self, n, monkeypatch):
         # divisors with equal squares would scan the same center twice
         scanned = []
-        kernel = search._sequences_case
+        kernel = search._pair_hits
 
-        def counting(carrier, e, out):
-            scanned.append(carrier.mul(e, e))
-            kernel(carrier, e, out)
+        def counting(carrier, e2, pairs, anti_diagonal=None):
+            scanned.append(e2)
+            return kernel(carrier, e2, pairs, anti_diagonal)
 
-        monkeypatch.setattr(search, "_sequences_case", counting)
+        monkeypatch.setattr(search, "_pair_hits", counting)
         result = msos_ring(n)
         divisor_squares = {e * e % n for e in divisor_representatives(n)}
         assert sorted(scanned) == sorted(divisor_squares)
         assert result.tuples == _reference_msos(make_carrier("ring", n))
+        # the count scans the same centers
+        scanned.clear()
+        assert count_ring(n) == result.tuple_count
+        assert sorted(scanned) == sorted(divisor_squares)
 
     def test_bad_input(self):
         with pytest.raises(ValueError):
@@ -150,6 +155,34 @@ class TestPairKernel:
         search = msos_field if kind == "field" else msos_ring
         with pytest.raises(ValueError, match="exceeds the limit"):
             search(MAX_ORDER + 1)
+
+
+class TestCount:
+    def test_count_equals_tuple_count_to_1000(self):
+        # msos_* decodes every hit and raises AssertionError on a repeated
+        # cell, so this also shows the kernel clears every repeating offset
+        for n in range(2, 1001):
+            assert count_ring(n) == msos_ring(n).tuple_count, n
+        for q in field_orders(2, 1000):
+            assert count_field(q) == msos_field(q).tuple_count, q
+
+    @pytest.mark.parametrize("kind,order", [("ring", 25), ("field", 25)])
+    def test_decode_catches_an_uncleared_repeat(self, monkeypatch, kind,
+                                                order):
+        # with no offset cleared the kernel hands repeated cells on
+        monkeypatch.setattr(search, "_repeat_mask",
+                            lambda carrier: lambda alpha: 0)
+        search_fn = msos_field if kind == "field" else msos_ring
+        with pytest.raises(AssertionError, match="repeats a cell"):
+            search_fn(order)
+
+    def test_bad_input(self):
+        with pytest.raises(ValueError):
+            count_field(12)
+        with pytest.raises(ValueError):
+            count_ring(make_carrier("field", 29))
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            count_ring(MAX_ORDER + 1)
 
 
 class TestPrefilter:
