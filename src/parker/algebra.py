@@ -134,7 +134,8 @@ def divisor_representatives(n: int) -> list[int]:
 
 
 # Largest field order or ring modulus a carrier may have.  Scans only count
-# (search.count_field and count_ring, Z/32768Z in 0.2 s and 18 MB), but
+# (search.count_field and count_ring: Z/32768Z in 0.05 s and 18 MB, and
+# under 0.6 s and 22 MB for Z/32749Z, Z/32765Z and F_28561), but
 # msos_field and msos_ring, and with them `parker field/ring --list`, keep
 # every tuple, and their count grows about as the square of the order.  At
 # the limit F_32749 gives 524866 tuples in 2.9 s and 86 MB, and the largest
@@ -219,6 +220,28 @@ def _digits_of(n, p, width):
 
 
 # ---------------------------------------------------------------------------
+# Element bitmasks: bit x stands for the element encoded as x.
+
+def _bitmask(elements, order: int) -> int:
+    """The mask with bit x set for each x in elements, all below order."""
+    digits = bytearray(b"0") * order
+    for x in elements:
+        digits[x] = 49  # "1"
+    return int(digits[::-1], 2)
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask, ascending."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Carriers.
 
 
@@ -279,14 +302,27 @@ class Carrier:
         """The squares {x^2}, as a read-only dict keyed by encoding.
 
         Its keys iterate in ascending order, and `in` and `len` run at C
-        level; the values are all None.
+        level; the values are all None.  Building it also builds the
+        masks of square_masks.
         """
         try:
             return self._square_set
         except AttributeError:
-            seen = sorted({self.mul(x, x) for x in self.elements()})
+            seen, negated = self._squares()
+            self._square_masks = (_bitmask(seen, self.order),
+                                  _bitmask(negated, self.order))
             self._square_set = MappingProxyType(dict.fromkeys(seen))
             return self._square_set
+
+    def square_masks(self) -> tuple[int, int]:
+        """(S, N): bit s of S is set for each square s, and bit -s of N."""
+        self.square_set()
+        return self._square_masks
+
+    def _squares(self) -> tuple[list[int], list[int]]:
+        # the squares ascending, and the negation of each
+        seen = sorted({self.mul(x, x) for x in self.elements()})
+        return seen, [self.neg(s) for s in seen]
 
     def is_square(self, a: int) -> bool:
         return a in self.square_set()
@@ -376,6 +412,12 @@ class _ResidueCarrier(Carrier):
     def units(self):
         n = self.order
         return [u for u in range(1, n) if math.gcd(u, n) == 1]
+
+    def _squares(self):
+        # x and n - x have the same square
+        n = self.order
+        seen = sorted({x * x % n for x in range(n // 2 + 1)})
+        return seen, [-s % n for s in seen]
 
     def __repr__(self):
         return str(self)
@@ -667,21 +709,43 @@ def squares(carrier: Carrier) -> MappingProxyType:
     return sq
 
 
+def center_offsets(carrier: Carrier, e2: int) -> int:
+    """D_e as a bitmask: the offsets delta of the center pairs of e2 = e^2.
+
+    delta is in D_e when e2 + delta and e2 - delta are both squares and
+    2*delta != 0, so that the pair (e2 - delta, e2 + delta) has two
+    members; D_e is symmetric.  With S and N from square_masks it is
+    (S - e2) & (N + e2), two translations.  2*delta = 0 holds only at
+    delta = 0 when the additive period p is odd, also at n/2 in Z/nZ with
+    n even, and everywhere in characteristic 2.
+    """
+    p = carrier.additive_layout[0]
+    if p == 2:
+        return 0
+    s, neg = carrier.square_masks()
+    d_mask = carrier.translate(s, carrier.neg(e2)) & carrier.translate(neg, e2)
+    d_mask &= ~1
+    if p % 2 == 0:
+        d_mask &= ~(1 << p // 2)
+    return d_mask
+
+
 def center_pairs(carrier: Carrier, e: int) -> tuple[tuple[int, int], ...]:
     """All unordered pairs (u, v), u < v, of squares summing to 2*e^2.
 
     A magic square has four such pairs, one per line through the center, so
     fewer than four pairs rules the center value out.  The pairs come in
-    ascending order of u.
+    ascending order of u; their members are the bits of D_e + e^2 (see
+    center_offsets).
     """
-    sq = carrier.square_set()
     e2 = carrier.mul(e, e)
     target = carrier.add(e2, e2)
     sub = carrier.sub
+    members = carrier.translate(center_offsets(carrier, e2), e2)
     pairs = []
-    for u in sq:
+    for u in mask_bits(members):
         v = sub(target, u)
-        if u < v and v in sq:
+        if u < v:
             pairs.append((u, v))
     return tuple(pairs)
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (Carrier, ModularRing, center_pairs,
+from .algebra import (Carrier, ModularRing, center_offsets, center_pairs,
                       consecutive_square_triples, divisor_representatives,
-                      make_carrier, squares)
+                      make_carrier, mask_bits, squares)
 from .core import dihedral_canonical, dihedral_orbit
 
 
@@ -62,11 +62,11 @@ class SearchResult:
         return not self.tuples
 
 
-def _pair_hits(carrier, e2, pairs, anti_diagonal=None):
+def _pair_hits(carrier, e2, anti_diagonal=None):
     """Every magic tuple with center e2 = e^2, as one bitmask per center pair.
 
-    pairs is center_pairs(carrier, e).  Write each center pair (u, v),
-    u < v, as (e^2 - delta, e^2 + delta).
+    Write each center pair (u, v), u < v, as (e^2 - delta, e^2 + delta);
+    D_e is the set of these offsets (see center_offsets).
     With the diagonal pair (a, i) at offset alpha and the anti-diagonal pair
     (c, g) at offset gamma, the lines through the center sum to 3e^2, and
     the four derived cells are
@@ -75,12 +75,12 @@ def _pair_hits(carrier, e2, pairs, anti_diagonal=None):
         d = e^2 + (alpha - gamma)    f = e^2 - (alpha - gamma).
 
     So the tuple is magic exactly when alpha + gamma and alpha - gamma both
-    lie in D_e, the set of center-pair offsets.  D_e is symmetric, so the
-    condition reads gamma in (D_e - alpha) & (D_e + alpha), two
-    translations of one bitmask.  Pairs run in ascending order and each is
-    tested against the running mask of the offsets of all earlier pairs,
-    so every unordered combination of two distinct pairs is tested once,
-    with the later pair on the diagonal.
+    lie in D_e.  D_e is symmetric, so the condition reads
+    gamma in (D_e - alpha) & (D_e + alpha), two translations of one
+    bitmask.  Pairs run in ascending order of u and
+    each is tested against the running mask of the offsets of all earlier
+    pairs, so every unordered combination of two distinct pairs is tested
+    once, with the later pair on the diagonal.
 
     Yields ((u, v), alpha, hits) for each pair (u, v) = (e^2 - alpha,
     e^2 + alpha) with a hit, where bit gamma of hits marks the magic tuple
@@ -110,18 +110,56 @@ def _pair_hits(carrier, e2, pairs, anti_diagonal=None):
     Any pair (u, -u) of nonzero squares makes -1 = -u/u a square, so
     (1, -1) is itself a pair and gamma = -1 lies in D_0, as the argument
     above needs.
+
+    Z/nZ and prime fields, additive layout (n, 1), take a path on plain
+    residue arithmetic; extension fields translate with the carrier.
+    Both yield the same sequence for the same D_e.
     """
-    if not pairs:
-        return
-    sub, translate = carrier.sub, carrier.translate
-    offsets = [(sub(v, e2), sub(u, e2)) for u, v in pairs]
-    d_mask = 0
-    for up, down in offsets:
-        d_mask |= (1 << up) | (1 << down)
+    kernel = _residue_pair_hits if carrier.additive_layout[1] == 1 \
+        else _carrier_pair_hits
+    return kernel(carrier, e2, center_offsets(carrier, e2), anti_diagonal)
+
+
+def _residue_pair_hits(carrier, e2, d_mask, anti_diagonal):
+    # D_e is held doubled, D | D << n, so that translating it by t is the
+    # one shift doubled >> (n - t), read below bit n; the AND with the
+    # running mask, itself below bit n, drops the bits above.  The pair
+    # of alpha has u = e^2 - alpha, so its -alpha translation is the shift
+    # by alpha.  With t = 2e^2 mod n, the partner of u is t - u for u <= t
+    # and t - u + n above, so the lower members u < v are the u in
+    # [0, (t + 1)/2) and in (t, (t + n + 1)/2).
+    n = carrier.order
     repeats = _repeat_mask(carrier)
+    doubled = d_mask | d_mask << n
+    t = 2 * e2 % n
+    lower = ((1 << (t + 1) // 2) - 1) | ((1 << (t + n + 1) // 2) - (2 << t))
     earlier = 0 if anti_diagonal is None else anti_diagonal
-    for pair, (alpha, minus_alpha) in zip(pairs, offsets):
-        hits = translate(d_mask, minus_alpha) & earlier
+    for u in mask_bits((doubled >> (n - e2)) & lower):
+        alpha = (e2 - u) % n
+        hits = (doubled >> alpha) & earlier
+        if anti_diagonal is None:
+            earlier |= 1 << alpha
+        if hits:
+            hits &= doubled >> (n - alpha)
+        if hits:
+            hits &= ~repeats(alpha)
+        if hits:
+            yield (u, (e2 + alpha) % n), alpha, hits
+
+
+def _carrier_pair_hits(carrier, e2, d_mask, anti_diagonal):
+    # _residue_pair_hits with the carrier's translate and arithmetic
+    sub, translate = carrier.sub, carrier.translate
+    repeats = _repeat_mask(carrier)
+    members = translate(d_mask, e2)
+    target = carrier.add(e2, e2)
+    earlier = 0 if anti_diagonal is None else anti_diagonal
+    for u in mask_bits(members):
+        v = sub(target, u)
+        if u > v:
+            continue
+        alpha = sub(v, e2)
+        hits = translate(d_mask, sub(u, e2)) & earlier
         if anti_diagonal is None:
             earlier |= 1 << alpha
         if hits:
@@ -129,7 +167,7 @@ def _pair_hits(carrier, e2, pairs, anti_diagonal=None):
         if hits:
             hits &= ~repeats(alpha)
         if hits:
-            yield pair, alpha, hits
+            yield (u, v), alpha, hits
 
 
 def _repeat_mask(carrier):
@@ -139,23 +177,31 @@ def _repeat_mask(carrier):
     additive period p, 2 has the inverse (p + 1)/2 and each sign has the
     one solution +-alpha * (p + 1)/2.  In Z/nZ with n even, 2*gamma = alpha
     has the two solutions alpha/2 and alpha/2 + n/2 when alpha is even and
-    none when it is odd, and so has 2*gamma = -alpha.
+    none when it is odd, and so has 2*gamma = -alpha.  alpha is an offset
+    of D_e, so neither 2*alpha nor alpha/2 is 0.
     """
-    add, neg, mul = carrier.add, carrier.neg, carrier.mul
-    p = carrier.additive_layout[0]
-    if p % 2:
+    p, r = carrier.additive_layout
+    if r > 1:
+        add, neg, mul = carrier.add, carrier.neg, carrier.mul
         half = carrier.encode_int((p + 1) // 2)
 
         def repeats(alpha):
             two, h = add(alpha, alpha), mul(alpha, half)
             return (1 << two) | (1 << neg(two)) | (1 << h) | (1 << neg(h))
         return repeats
-    n = carrier.order
+    n = p
+    if n % 2:
+        half = (n + 1) // 2
+
+        def repeats(alpha):
+            two, h = 2 * alpha % n, alpha * half % n
+            return (1 << two) | (1 << (n - two)) | (1 << h) | (1 << (n - h))
+        return repeats
     m = n // 2
 
     def repeats(alpha):
-        two = add(alpha, alpha)
-        out = (1 << two) | (1 << neg(two))
+        two = 2 * alpha % n
+        out = (1 << two) | (1 << (n - two))
         if alpha % 2 == 0:
             h = alpha // 2
             out |= (1 << h) | (1 << (h + m)) | (1 << (m - h)) | (1 << (n - h))
@@ -203,13 +249,9 @@ def _search(carrier, centers) -> SearchResult:
     out = []
     for e, anti_diagonal in centers:
         e2 = carrier.mul(e, e)
-        pairs = center_pairs(carrier, e)
-        member = {}
-        for u, v in pairs:
-            member[sub(v, e2)] = (v, u)
-            member[sub(u, e2)] = (u, v)
-        for (a2, i2), alpha, hits in _pair_hits(carrier, e2, pairs,
-                                                anti_diagonal):
+        member = {delta: (add(e2, delta), sub(e2, delta))
+                  for delta in mask_bits(center_offsets(carrier, e2))}
+        for (a2, i2), alpha, hits in _pair_hits(carrier, e2, anti_diagonal):
             while hits:
                 low = hits & -hits
                 hits ^= low
@@ -228,7 +270,6 @@ def _search(carrier, centers) -> SearchResult:
 def _count(carrier, centers) -> int:
     return sum(hits.bit_count() for e, anti_diagonal in centers
                for _, _, hits in _pair_hits(carrier, carrier.mul(e, e),
-                                            center_pairs(carrier, e),
                                             anti_diagonal))
 
 
@@ -260,6 +301,10 @@ def count_ring(n) -> int:
     return _count(*_ring_centers(n))
 
 
+PREFILTER_REASONS = ("even-order", "too-few-squares", "pair-deficit",
+                     "no-consecutive-squares")
+
+
 def prefilter_field(q) -> str | None:
     """A Parker verdict for F_q from necessary conditions, or None.
 
@@ -269,8 +314,7 @@ def prefilter_field(q) -> str | None:
     consecutive-square triple.  A magic square needs four disjoint center
     pairs and a center-0 square scales to a consecutive-square triple, so
     each verdict implies the full search comes back empty.  The verdict is
-    the reason string "even-order", "too-few-squares", "pair-deficit" or
-    "no-consecutive-squares".
+    one of the reason strings in PREFILTER_REASONS.
     """
     carrier = q if isinstance(q, Carrier) else None
     order = carrier.order if carrier is not None else q

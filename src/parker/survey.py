@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass
 
 from .algebra import (check_order, is_prime, make_carrier, prime_power_base,
                       squares)
-from .search import count_field, count_ring, prefilter_field
+from .search import (PREFILTER_REASONS, count_field, count_ring,
+                     prefilter_field)
 
 log = logging.getLogger("parker.survey")
 
@@ -162,6 +163,8 @@ def ring_orders(lo: int, hi: int, order_filter="all") -> list[int]:
 # ---------------------------------------------------------------------------
 # Scan driver.
 
+_BATCHES_PER_WORKER = 8
+
 
 def _run_scan(kind, orders, worker, jobs, checkpoint):
     if jobs < 1:
@@ -171,6 +174,7 @@ def _run_scan(kind, orders, worker, jobs, checkpoint):
     computed = {}
     non_parker = sum(not done[kind, n].parker for n in orders
                      if (kind, n) in done)
+    start = _now_ms()
 
     def complete(rec):
         nonlocal non_parker
@@ -178,15 +182,22 @@ def _run_scan(kind, orders, worker, jobs, checkpoint):
         if checkpoint:
             append_checkpoint(checkpoint, rec)
         non_parker += not rec.parker
-        log.info("%s %d: %d magic squares in %d ms; %d/%d done, %d not Parker",
+        # the rate counts only the orders computed in this run
+        rate = len(computed) * 1000.0 / max(_now_ms() - start, 1e-6)
+        log.info("%s %d: %d magic squares in %d ms; %d/%d done, %d not "
+                 "Parker; %.2f orders/s, ETA %.1f s",
                  kind, rec.order, rec.msos_count, rec.elapsed_ms,
                  len(orders) - len(pending) + len(computed), len(orders),
-                 non_parker)
+                 non_parker, rate, (len(pending) - len(computed)) / rate)
 
     workers = min(jobs, len(pending), os.cpu_count() or 1)
     if workers > 1:
+        # a few batches per worker: one order per task spends the cheap
+        # orders' time on task round trips, while batches that are too
+        # large leave a worker idle at the end
+        chunksize = max(1, len(pending) // (_BATCHES_PER_WORKER * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(worker, pending):
+            for rec in pool.map(worker, pending, chunksize=chunksize):
                 complete(rec)
     else:
         for n in pending:
@@ -229,8 +240,11 @@ def record_to_json(rec: ScanRecord) -> str:
 def record_from_json(line: str) -> ScanRecord:
     """Parse one JSONL record; ValueError, KeyError or TypeError if malformed.
 
-    A record must be a JSON object whose Parker flag and dihedral class count
-    agree with its msos count, as every computed record's do.
+    A record must be a JSON object with the field types a computed record
+    has: nonnegative integer counts, order and time, a kind of "field" or
+    "ring", a boolean Parker flag and a prefilter reason that is null or
+    one the prefilter gives.  Its Parker flag and dihedral class count
+    must agree with its msos count, as every computed record's do.
     """
     obj = json.loads(line)
     if not isinstance(obj, dict):
@@ -239,6 +253,20 @@ def record_from_json(line: str) -> ScanRecord:
     # the canonical policy counted what the search counts now
     if obj.get("policy", "canonical") != "canonical":
         raise ValueError(f"record from policy {obj['policy']!r}")
+    for key in ("order", "square_count", "msos_count",
+                "dihedral_class_count", "elapsed_ms"):
+        value = obj[key]
+        if not isinstance(value, int) or isinstance(value, bool) \
+                or value < 0:
+            raise ValueError(f"{key} {value!r} is not a nonnegative integer")
+    if obj["kind"] not in ("field", "ring"):
+        raise ValueError(f"unknown record kind {obj['kind']!r}")
+    if not isinstance(obj["parker"], bool):
+        raise ValueError(f"parker flag {obj['parker']!r} is not a boolean")
+    if obj["prefilter_reason"] is not None \
+            and obj["prefilter_reason"] not in PREFILTER_REASONS:
+        raise ValueError(f"unknown prefilter reason "
+                         f"{obj['prefilter_reason']!r}")
     if obj["parker"] != (obj["msos_count"] == 0):
         raise ValueError("parker flag disagrees with msos_count")
     if obj["dihedral_class_count"] != obj["msos_count"]:

@@ -106,8 +106,10 @@ class TestScans:
         lines = err.splitlines()
         assert len(lines) == 5
         assert re.fullmatch(r"parker: ring 27: 3 magic squares in \d+ ms; "
-                            r"3/5 done, 1 not Parker", lines[2])
-        assert lines[4].endswith("; 5/5 done, 2 not Parker")
+                            r"3/5 done, 1 not Parker; "
+                            r"\d+\.\d\d orders/s, ETA \d+\.\d s", lines[2])
+        assert re.search(r"; 5/5 done, 2 not Parker; \d+\.\d\d orders/s, "
+                         r"ETA 0\.0 s$", lines[4])
         # the handler goes with the command
         assert run_cli(capsys, *args)[1:] == (quiet, "")
 

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parker import search
 from parker.algebra import (MAX_ORDER, center_pairs, divisor_representatives,
-                            make_carrier)
+                            is_prime, make_carrier)
 from parker.core import dihedral_canonical, dihedral_orbit, validate_square
 from parker.search import (brute_force_oracle, count_field, count_ring,
                            msos_field, msos_ring, oracle_agreement,
@@ -68,9 +69,9 @@ class TestMsosRing:
         scanned = []
         kernel = search._pair_hits
 
-        def counting(carrier, e2, pairs, anti_diagonal=None):
+        def counting(carrier, e2, anti_diagonal=None):
             scanned.append(e2)
-            return kernel(carrier, e2, pairs, anti_diagonal)
+            return kernel(carrier, e2, anti_diagonal)
 
         monkeypatch.setattr(search, "_pair_hits", counting)
         result = msos_ring(n)
@@ -136,7 +137,99 @@ def _reference_msos(carrier):
     return tuple(sorted(out))
 
 
+def _legacy_center_pairs(carrier, e):
+    """center_pairs as a walk over every square: u pairs with 2e^2 - u."""
+    sq = carrier.square_set()
+    e2 = carrier.mul(e, e)
+    target = carrier.add(e2, e2)
+    pairs = []
+    for u in sq:
+        v = carrier.sub(target, u)
+        if u < v and v in sq:
+            pairs.append((u, v))
+    return tuple(pairs)
+
+
+def _legacy_repeat_mask(carrier):
+    add, neg, mul = carrier.add, carrier.neg, carrier.mul
+    p = carrier.additive_layout[0]
+    if p % 2:
+        half = carrier.encode_int((p + 1) // 2)
+
+        def repeats(alpha):
+            two, h = add(alpha, alpha), mul(alpha, half)
+            return (1 << two) | (1 << neg(two)) | (1 << h) | (1 << neg(h))
+        return repeats
+    n = carrier.order
+    m = n // 2
+
+    def repeats(alpha):
+        two = add(alpha, alpha)
+        out = (1 << two) | (1 << neg(two))
+        if alpha % 2 == 0:
+            h = alpha // 2
+            out |= (1 << h) | (1 << (h + m)) | (1 << (m - h)) | (1 << (n - h))
+        return out
+    return repeats
+
+
+def _legacy_pair_hits(carrier, e2, pairs, anti_diagonal=None):
+    """The pair kernel before the residue path: the pairs of the square walk,
+    offsets by carrier.sub and every translation by Carrier.translate."""
+    if not pairs:
+        return
+    sub, translate = carrier.sub, carrier.translate
+    offsets = [(sub(v, e2), sub(u, e2)) for u, v in pairs]
+    d_mask = 0
+    for up, down in offsets:
+        d_mask |= (1 << up) | (1 << down)
+    repeats = _legacy_repeat_mask(carrier)
+    earlier = 0 if anti_diagonal is None else anti_diagonal
+    for pair, (alpha, minus_alpha) in zip(pairs, offsets):
+        hits = translate(d_mask, minus_alpha) & earlier
+        if anti_diagonal is None:
+            earlier |= 1 << alpha
+        if hits:
+            hits &= translate(d_mask, alpha)
+        if hits:
+            hits &= ~repeats(alpha)
+        if hits:
+            yield pair, alpha, hits
+
+
 class TestPairKernel:
+    def test_matches_legacy_kernel(self):
+        # every yield, in order, at every center the searches scan
+        carriers = [make_carrier("field", q) for q in field_orders(2, 500)]
+        carriers += [make_carrier("ring", n) for n in range(2, 401)]
+        carriers += [make_carrier("ring", n) for n in (1032, 2048, 2310, 3216)]
+        carriers += [make_carrier("field", q) for q in (2187, 4913)]
+        hit_centers = 0
+        for c in carriers:
+            centers = search._ring_centers(c) if c.kind == "modular-ring" \
+                else search._field_centers(c)
+            for e, anti_diagonal in centers[1]:
+                e2 = c.mul(e, e)
+                pairs = _legacy_center_pairs(c, e)
+                assert center_pairs(c, e) == pairs, (c, e)
+                got = list(search._pair_hits(c, e2, anti_diagonal))
+                assert got == list(_legacy_pair_hits(c, e2, pairs,
+                                                     anti_diagonal)), (c, e)
+                hit_centers += bool(got)
+        assert hit_centers > 500
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_doubled_shift_is_translate(self, data):
+        # the residue path translates D_e as doubled >> (n - t), below bit n
+        n = data.draw(st.integers(2, 700))
+        kind = "field" if data.draw(st.booleans()) and is_prime(n) else "ring"
+        c = make_carrier(kind, n)
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        t = data.draw(st.integers(0, n - 1))
+        doubled = mask | mask << n
+        assert (doubled >> (n - t)) & ((1 << n) - 1) == c.translate(mask, t)
+
     def test_matches_double_loop(self):
         carriers = [make_carrier("field", q) for q in field_orders(2, 500)]
         carriers += [make_carrier("ring", n) for n in range(2, 301)]

@@ -140,9 +140,11 @@ class TestOrderGuard:
 
 
 class _InlinePool:
-    """Stand-in for ProcessPoolExecutor that records its size, runs inline."""
+    """Stand-in for ProcessPoolExecutor that records its size and each
+    map's (item count, chunksize), runs inline."""
 
     sizes: list = []
+    batches: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -153,7 +155,9 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        self.batches.append((len(items), chunksize))
         return map(fn, items)
 
 
@@ -161,8 +165,12 @@ class TestPoolSize:
     @pytest.fixture
     def pool(self, monkeypatch):
         monkeypatch.setattr(_InlinePool, "sizes", [])
+        monkeypatch.setattr(_InlinePool, "batches", [])
         monkeypatch.setattr(survey, "ProcessPoolExecutor", _InlinePool)
-        return _InlinePool
+        yield _InlinePool
+        assert len(_InlinePool.batches) == len(_InlinePool.sizes)
+        for pending, chunksize in _InlinePool.batches:
+            assert 1 <= chunksize <= pending
 
     @pytest.mark.parametrize("cpus,jobs,expected", [
         (64, 10**9, [16]),  # capped by the 16 pending orders
@@ -184,6 +192,27 @@ class TestPoolSize:
         scan_fields(2, 23, checkpoint=ckpt)
         scan_fields(2, 29, jobs=10**9, checkpoint=ckpt)
         assert pool.sizes == [3]  # 25, 27 and 29
+
+    def test_batches_shrink_with_pending_orders(self, pool, monkeypatch):
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
+        scan_rings(1001, 2999, (4, 0), jobs=2)
+        scan_rings(2, 5, jobs=2)
+        assert pool.batches == [(499, 31), (4, 1)]
+
+    def test_pool_records_and_checkpoint_match_serial(self, monkeypatch,
+                                                      tmp_path):
+        # a real pool of two workers, batched, against the serial loop
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
+        runs = []
+        for jobs in (1, 2):
+            ckpt = tmp_path / f"jobs{jobs}.jsonl"
+            records, table = scan_rings(1001, 1400, (4, 0), jobs=jobs,
+                                        checkpoint=str(ckpt))
+            lines = ckpt.read_text().splitlines()
+            runs.append((_zero_elapsed(records), table, _zero_elapsed(
+                [survey.record_from_json(line) for line in lines])))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == runs[0][2]  # appended as they arrive, ascending
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, pool, jobs):
@@ -286,7 +315,22 @@ class TestCheckpoint:
         bad = ["{not json}", '{"order": 3}', "[1, 2]", '"x"', "7", "null",
                json.dumps({**good, "parker": True}),
                json.dumps({**good, "msos_count": 0}),
-               json.dumps({**good, "dihedral_class_count": 1})]
+               json.dumps({**good, "dihedral_class_count": 1}),
+               # wrongly typed fields the consistency checks let through
+               json.dumps({**good, "order": 29.0}),
+               json.dumps({**good, "order": -29}),
+               json.dumps({**good, "msos_count": 2.0,
+                           "dihedral_class_count": 2.0}),
+               json.dumps({**good, "msos_count": 7.5,
+                           "dihedral_class_count": 7.5}),
+               json.dumps({**good, "msos_count": -3,
+                           "dihedral_class_count": -3}),
+               json.dumps({**good, "square_count": True}),
+               json.dumps({**good, "elapsed_ms": "1"}),
+               json.dumps({**good, "kind": "cube"}),
+               json.dumps({**good, "parker": 0}),
+               json.dumps({**good, "prefilter_reason": 5}),
+               json.dumps({**good, "prefilter_reason": "made-up"})]
         path.write_text(survey.record_to_json(rec) + "\n"
                         + "".join(line + "\n" for line in bad))
         with caplog.at_level("WARNING", logger="parker.survey"):
@@ -306,6 +350,20 @@ class TestCheckpoint:
             done = load_checkpoint(str(path))
         assert done == {("field", 29): survey.record_from_json(line)}
         assert sum("corrupt" in m for m in caplog.messages) == 1
+
+    def test_progress_rate_counts_only_this_run(self, tmp_path, monkeypatch,
+                                                caplog):
+        ckpt = str(tmp_path / "ckpt.jsonl")
+        scan_rings(2, 10, checkpoint=ckpt)
+        # one second per clock reading: three per order, and one at the start
+        clock = itertools.count(0, 1000)
+        monkeypatch.setattr(survey, "_now_ms", lambda: float(next(clock)))
+        with caplog.at_level("INFO", logger="parker.survey"):
+            scan_rings(2, 13, checkpoint=ckpt)
+        assert [m.split("; ")[1:] for m in caplog.messages] == [
+            ["10/12 done, 0 not Parker", "0.33 orders/s, ETA 6.0 s"],
+            ["11/12 done, 0 not Parker", "0.33 orders/s, ETA 3.0 s"],
+            ["12/12 done, 0 not Parker", "0.33 orders/s, ETA 0.0 s"]]
 
     def test_missing_checkpoint_is_empty(self, tmp_path):
         assert load_checkpoint(str(tmp_path / "nope.jsonl")) == {}
