@@ -51,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Magic squares of squares over finite fields "
                                  "and rings, and magic-hourglass search over "
                                  "the Gaussian integers.")
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="log each completed scan order on stderr")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log the progress of scans and hourglass "
+                             "searches on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (("field", "search one finite field F_q"),
@@ -91,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="norm bound, at most "
                         + " / ".join(f"{n} ({m})" for m, n
                                      in MAX_BOUND.items()))
-    p.add_argument("--report-every", type=int, default=None,
-                   help="progress line on stderr every K units, K >= 1")
 
     p = sub.add_parser("verify", help="validate a square file")
     p.add_argument("file")
@@ -193,11 +192,7 @@ def _cmd_scan(args, kind):
 
 
 def _cmd_hourglass(args):
-    progress = (lambda msg: print(msg, file=sys.stderr)) \
-        if args.report_every is not None else None
-    result = search_hourglass(args.mode, args.max_norm,
-                              report_every=args.report_every,
-                              progress=progress)
+    result = search_hourglass(args.mode, args.max_norm)
     for hit in result.hits:
         print(json.dumps({"x": [hit.x.re, hit.x.im],
                           "y": [hit.y.re, hit.y.im],
@@ -287,7 +282,7 @@ def main(argv=None) -> int:
     logger = logging.getLogger("parker")
     handler = None
     if args.verbose:
-        # scans log one line per completed order
+        # scans and hourglass searches log their progress
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter("parker: %(message)s"))
         logger.addHandler(handler)

@@ -11,14 +11,17 @@ for such triples.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heappop, heapreplace
 from itertools import product
 
 from .algebra import Integers, factorize
 from .core import ValidationReport, validate_hourglass
+
+log = logging.getLogger("parker.gaussian")
 
 
 @dataclass(frozen=True)
@@ -409,19 +412,11 @@ def _pow4(re: int, im: int) -> tuple[int, int]:
 def _candidate_points(bound: int):
     """First-quadrant (re, im) with re >= 1, im >= 0 and norm <= bound.
 
-    One point per associate class, yielded in (norm, re, im) order.  A heap
-    holds the next point of each row re, so memory is O(sqrt(bound)).
+    One point per associate class, row by row: re ascending, then im.
     """
-    heap = [(re * re, re, 0) for re in range(1, math.isqrt(bound) + 1)]
-    while heap:
-        _, re, im = heap[0]
-        yield re, im
-        im += 1
-        norm = re * re + im * im
-        if norm <= bound:
-            heapreplace(heap, (norm, re, im))
-        else:
-            heappop(heap)
+    for re in range(1, math.isqrt(bound) + 1):
+        for im in range(math.isqrt(bound - re * re) + 1):
+            yield re, im
 
 
 def _count_points(bound: int) -> int:
@@ -438,8 +433,29 @@ def _count_points(bound: int) -> int:
 MAX_BOUND = {"exhaustive": 20_000, "product-first": 10_000_000}
 
 
-def search_hourglass(mode: str, bound: int, report_every: int | None = None,
-                     progress=None) -> HourglassSearchResult:
+class _Progress:
+    """INFO lines "mode: pos/total unit, counters; rate, ETA" on log.
+
+    The search calls line() once pos reaches due, the next whole percent of
+    total; with INFO off due stays past total and no clock is read.
+    """
+
+    def __init__(self, mode: str, total: int, unit: str):
+        self.mode, self.total, self.unit = mode, total, unit
+        self.due = total + 1
+        if log.isEnabledFor(logging.INFO):
+            self.start, self.due = time.perf_counter(), -(-total // 100)
+
+    def line(self, pos: int, counters: str):
+        elapsed = max(time.perf_counter() - self.start, 1e-9)
+        log.info("%s: %d/%d %s, %s; %.0f %s/s, ETA %.1f s", self.mode, pos,
+                 self.total, self.unit, counters, pos / elapsed, self.unit,
+                 elapsed * (self.total - pos) / pos if pos else 0.0)
+        pct = pos * 100 // self.total if self.total else 100
+        self.due = -(-(pct + 1) * self.total // 100)
+
+
+def search_hourglass(mode: str, bound: int) -> HourglassSearchResult:
     """Search for triples satisfying the hourglass condition.
 
     exhaustive mode scans all first-quadrant triples with
@@ -455,10 +471,11 @@ def search_hourglass(mode: str, bound: int, report_every: int | None = None,
     each decided exactly by the line lookup of _line_bucket_triples; in
     product-first mode every unordered split.  candidates_enumerated counts
     the exhaustive points (those with a nonreal fourth power) or the sieved
-    products.
+    products.  At INFO each mode logs its progress through its triples
+    (exhaustive) or points (product-first) at each whole percent.
 
-    bound must lie in 1..MAX_BOUND[mode] and report_every, when given, must
-    be at least 1; both raise ValueError before any point is enumerated.
+    bound must lie in 1..MAX_BOUND[mode]; ValueError is raised before any
+    point is enumerated.
     """
     if mode not in MAX_BOUND:
         raise ValueError(f"unknown search mode {mode!r}")
@@ -467,14 +484,12 @@ def search_hourglass(mode: str, bound: int, report_every: int | None = None,
     if bound > MAX_BOUND[mode]:
         raise ValueError(f"{mode} bound {bound} exceeds the limit "
                          f"{MAX_BOUND[mode]}")
-    if report_every is not None and report_every < 1:
-        raise ValueError("report_every must be at least 1")
     if mode == "exhaustive":
-        return _search_exhaustive(bound, report_every, progress)
-    return _search_product_first(bound, report_every, progress)
+        return _search_exhaustive(bound)
+    return _search_product_first(bound)
 
 
-def _line_bucket_triples(p4, report_every=None, progress=None):
+def _line_bucket_triples(p4):
     """Index triples i <= j <= k of p4 that satisfy the hourglass identity.
 
     p4 holds fourth powers as (re, im) pairs, every im nonzero.  With
@@ -499,11 +514,9 @@ def _line_bucket_triples(p4, report_every=None, progress=None):
         lines.setdefault(re / im, []).append(k)
     out = []
     n = len(p4)
+    progress = _Progress("exhaustive", n * (n + 1) * (n + 2) // 6, "triples")
     tested = 0
     for i, (xr, xi) in enumerate(p4):
-        if progress and i % report_every == 0:
-            progress(f"outer point {i + 1}/{n}, {tested} triples tested")
-        tested += (n - i) * (n - i + 1) // 2
         for j in range(i, n):
             yr, yi = p4[j]
             a = xr * yi + xi * yr  # Im P
@@ -523,16 +536,22 @@ def _line_bucket_triples(p4, report_every=None, progress=None):
                         or xr * zi == xi * zr or yr * zi == yi * zr:
                     continue
                 out.append((i, j, k))
+        tested += (n - i) * (n - i + 1) // 2
+        if tested >= progress.due:
+            progress.line(tested, f"{len(out)} hits")
+    if tested >= progress.due:  # no points: the one line of an empty search
+        progress.line(tested, "0 hits")
     return out
 
 
-def _search_exhaustive(bound, report_every, progress):
+def _search_exhaustive(bound):
     # points with a real fourth power (im == 0 or re == im) can never appear
-    # in a qualifying triple, so they are skipped up front
-    pts = [w for w in _candidate_points(bound) if _pow4(*w)[1] != 0]
+    # in a qualifying triple, so they are skipped up front; the rest go in
+    # (norm, re) order, which is (norm, re, im) order
+    pts = sorted((w for w in _candidate_points(bound) if _pow4(*w)[1] != 0),
+                 key=lambda w: (w[0] * w[0] + w[1] * w[1], w[0]))
     hits = []
-    for idx in _line_bucket_triples([_pow4(*w) for w in pts], report_every,
-                                    progress):
+    for idx in _line_bucket_triples([_pow4(*w) for w in pts]):
         x, y, z = (GaussianInt(*pts[t]) for t in idx)
         hits.append(HourglassHit(x, y, z, _verify_hit(x, y, z)))
     n = len(pts)
@@ -604,22 +623,26 @@ def _product_splits(w: GaussianInt, im4: int):
     return tested, survivors
 
 
-def _search_product_first(bound, report_every, progress):
+def _search_product_first(bound):
     hits = []
     tested = 0
     candidates = 0
-    total = _count_points(bound)
-    for idx, (re, im) in enumerate(_candidate_points(bound)):
-        if progress and idx % report_every == 0:
-            progress(f"product {idx + 1}/{total}, {tested} triples tested")
+    progress = _Progress("product-first", _count_points(bound), "points")
+    for pos, (re, im) in enumerate(_candidate_points(bound), 1):
         im4 = _pow4(re, im)[1]
-        if im4 == 0 or im4 % _PRODUCT_SIEVE:
-            continue
-        candidates += 1
-        count, survivors = _product_splits(GaussianInt(re, im), im4)
-        tested += count
-        for x, y, z in survivors:
-            if hourglass_condition(x, y, z).holds:
-                hits.append(HourglassHit(x, y, z, _verify_hit(x, y, z)))
-    return HourglassSearchResult("product-first", bound, tuple(hits),
-                                 tested, candidates)
+        if im4 and im4 % _PRODUCT_SIEVE == 0:
+            candidates += 1
+            count, survivors = _product_splits(GaussianInt(re, im), im4)
+            tested += count
+            for x, y, z in survivors:
+                if hourglass_condition(x, y, z).holds:
+                    hits.append((re * re + im * im, re,
+                                 HourglassHit(x, y, z, _verify_hit(x, y, z))))
+        if pos >= progress.due:
+            progress.line(pos, f"{tested} triples tested, {len(hits)} hits")
+    # the rows yield the products w out of (norm, re, im) order; a stable
+    # sort on (norm(w), re) puts the hits back in it
+    hits.sort(key=lambda h: h[:2])
+    return HourglassSearchResult("product-first", bound,
+                                 tuple(h for _, _, h in hits), tested,
+                                 candidates)

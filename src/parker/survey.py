@@ -104,13 +104,13 @@ def scan_field_order(order: int) -> ScanRecord:
     check_order(order)
     if order > 1 and order & (order - 1) == 0:
         return ScanRecord(order, "field", order, 0, 0, True,
-                          prefilter_field(order), int(_now_ms() - t0))
+                          prefilter_field(order), round(_now_ms() - t0))
     carrier = make_carrier("field", order)
     square_count = len(squares(carrier))
     count = count_field(carrier)
     reason = None if count else prefilter_field(carrier)
     return ScanRecord(order, "field", square_count, count, count, not count,
-                      reason, int(_now_ms() - t0))
+                      reason, round(_now_ms() - t0))
 
 
 def scan_ring_order(order: int) -> ScanRecord:
@@ -120,7 +120,7 @@ def scan_ring_order(order: int) -> ScanRecord:
     square_count = len(carrier.square_set())
     count = count_ring(carrier)
     return ScanRecord(order, "ring", square_count, count, count, not count,
-                      None, int(_now_ms() - t0))
+                      None, round(_now_ms() - t0))
 
 # ---------------------------------------------------------------------------
 # Order selection.

@@ -5,7 +5,7 @@ import pytest
 
 from parker import survey
 from parker.algebra import MAX_ORDER
-from parker.cli import main
+from parker.cli import build_parser, main
 from parker.gaussian import MAX_BOUND
 
 
@@ -187,17 +187,35 @@ class TestHourglassCommand:
 
     def test_product_first(self, capsys):
         code, _, err = run_cli(capsys, "hourglass", "--mode", "product-first",
-                               "--max-norm", "500", "--report-every", "100")
+                               "--max-norm", "500")
         assert code == 0
         assert "triples tested" in err
+
+    @pytest.mark.parametrize("mode", sorted(MAX_BOUND))
+    def test_verbose_logs_progress_on_stderr(self, capsys, mode):
+        args = ("hourglass", "--mode", mode, "--max-norm", "2000")
+        code, quiet, err = run_cli(capsys, *args)
+        summary = err.splitlines()
+        assert code == 0 and len(summary) == 1
+        assert summary[0].startswith(f"{mode}: 0 hits, ")
+        code, out, err = run_cli(capsys, "-v", *args)
+        assert code == 0 and out == quiet
+        lines = err.splitlines()
+        assert lines[-1:] == summary
+        assert 1 <= len(lines) - 1 <= 101
+        assert all(re.fullmatch(rf"parker: {mode}: \d+/\d+ \w+, .*0 hits; "
+                                r"\d+ \w+/s, ETA \d+\.\d s", line)
+                   for line in lines[:-1])
+        # the handler goes with the command
+        assert run_cli(capsys, *args)[1:] == (quiet, summary[0] + "\n")
+        assert build_parser().parse_args(["-vv", *args]).verbose is True
 
     @pytest.mark.parametrize("args", [
         ("--mode", "exhaustive", "--max-norm",
          str(MAX_BOUND["exhaustive"] + 1)),
         ("--mode", "product-first", "--max-norm", str(10**30)),
-        ("--mode", "exhaustive", "--max-norm", "40", "--report-every", "0"),
-        ("--mode", "product-first", "--max-norm", "40",
-         "--report-every", "-1"),
+        ("--mode", "exhaustive", "--max-norm", "40", "--report-every", "5"),
+        ("--mode", "product-first", "--max-norm", "0"),
     ])
     def test_absurd_input_exits_1(self, capsys, args):
         code, out, err = run_cli(capsys, "hourglass", *args)
@@ -214,8 +232,8 @@ class TestHourglassCommand:
                            GaussianInt(4, 1), (1, 2, 3, 4, 5, 6, 7))
         monkeypatch.setattr(
             cli, "search_hourglass",
-            lambda mode, bound, report_every=None, progress=None:
-            HourglassSearchResult(mode, bound, (hit,), 1, 1))
+            lambda mode, bound: HourglassSearchResult(mode, bound, (hit,), 1,
+                                                      1))
         code, out, _ = run_cli(capsys, "hourglass", "--mode", "exhaustive",
                                "--max-norm", "5")
         assert code == 0

@@ -1,4 +1,6 @@
 import math
+import re
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -290,11 +292,51 @@ class TestSearchHourglass:
         with pytest.raises(ValueError):
             search_hourglass("exhaustive", 0)
 
-    def test_progress_callback(self):
-        lines = []
-        search_hourglass("exhaustive", 30, report_every=5,
-                         progress=lines.append)
-        assert lines
+    @pytest.mark.parametrize("mode, bound", [
+        ("exhaustive", 1), ("exhaustive", 5), ("exhaustive", 800),
+        ("product-first", 1), ("product-first", 10**4)])
+    def test_progress_logged_at_whole_percents(self, caplog, mode, bound):
+        with caplog.at_level("INFO", logger="parker.gaussian"):
+            search_hourglass(mode, bound)
+        unit = "triples" if mode == "exhaustive" else "points"
+        counters = "" if mode == "exhaustive" else r"\d+ triples tested, "
+        line = re.compile(rf"{mode}: (\d+)/(\d+) {unit}, {counters}0 hits; "
+                          rf"\d+ {unit}/s, ETA \d+\.\d s")
+        found = [line.fullmatch(m) for m in caplog.messages]
+        assert all(found) and 1 <= len(found) <= 101
+        pos = [int(m[1]) for m in found]
+        assert pos == sorted(set(pos)) and pos[-1] == int(found[0][2])
+        total = int(found[0][2])
+        # one line per whole percent at most
+        assert len({p * 100 // total for p in pos} if total else pos) \
+            == len(pos)
+
+    @pytest.mark.parametrize("mode", sorted(MAX_BOUND))
+    def test_quiet_search_reads_no_clock(self, mode, monkeypatch, caplog):
+        def no_clock():
+            raise AssertionError("clock read")
+
+        monkeypatch.setattr(gaussian, "time",
+                            types.SimpleNamespace(perf_counter=no_clock))
+        with caplog.at_level("WARNING", logger="parker.gaussian"):
+            search_hourglass(mode, 500)
+        assert caplog.messages == []
+
+    def test_exhaustive_points_in_norm_order(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(gaussian, "_line_bucket_triples",
+                            lambda p4: seen.extend(p4) or [])
+        bound = 2000
+        result = search_hourglass("exhaustive", bound)
+        pts = sorted(((re, im) for re in range(1, 45) for im in range(45)
+                      if re * re + im * im <= bound and re != im and im),
+                     key=lambda w: (w[0] ** 2 + w[1] ** 2, w[0], w[1]))
+        assert seen == [gaussian._pow4(*w) for w in pts]
+        assert result.candidates_enumerated == len(pts)
+        assert gaussian._count_points(bound) \
+            == len(list(gaussian._candidate_points(bound))) \
+            == len({(re, im) for re in range(1, 45) for im in range(45)
+                    if re * re + im * im <= bound})
 
     @pytest.mark.parametrize("mode", sorted(MAX_BOUND))
     def test_bound_above_limit_fails_before_enumeration(self, mode,
@@ -306,11 +348,6 @@ class TestSearchHourglass:
         for bound in (MAX_BOUND[mode] + 1, 10**30):
             with pytest.raises(ValueError, match="limit"):
                 search_hourglass(mode, bound)
-
-    @pytest.mark.parametrize("every", [0, -1])
-    def test_report_every_below_one(self, every):
-        with pytest.raises(ValueError, match="report_every"):
-            search_hourglass("exhaustive", 10, report_every=every)
 
     def test_counters_at_benchmark_bounds(self):
         result = search_hourglass("exhaustive", 800)

@@ -292,6 +292,16 @@ class TestReports:
         with pytest.raises(ValueError):
             render_report([], "tsv")
 
+    @pytest.mark.parametrize("scan_order, order", [
+        (survey.scan_ring_order, 27), (survey.scan_field_order, 29),
+        (survey.scan_field_order, 16)])
+    def test_elapsed_ms_rounds(self, monkeypatch, scan_order, order):
+        # 0.6 ms reads 1, not the 0 that truncation gives
+        clock = iter([0.0, 0.6])
+        monkeypatch.setattr(survey, "_now_ms", lambda: next(clock))
+        rec = scan_order(order)
+        assert rec.elapsed_ms == 1 and type(rec.elapsed_ms) is int
+
 
 class TestCheckpoint:
     def test_resume_reproduces_identical_output(self, tmp_path, fake_clock):
