@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 
@@ -368,7 +368,8 @@ def hourglass_guess(s: int) -> HourglassCandidate | None:
 # Hourglass search drivers.
 
 # Im[w^4] is divisible by 24 for every w in Z[i], so the product side of the
-# identity is divisible by 4 * 24**3.
+# identity, and with it Im[w^4] for a hit's product w, is divisible by
+# 4 * 24**3.
 _PRODUCT_SIEVE = 4 * 24**3
 
 
@@ -390,6 +391,9 @@ class HourglassSearchResult:
 
 
 def _verify_hit(x, y, z) -> tuple[int, ...]:
+    if not hourglass_condition(x, y, z).holds:
+        raise AssertionError(
+            f"triple {x}, {y}, {z} fails the hourglass condition")
     alpha, beta, gamma = hourglass_generators(x, y, z)
     s = alpha.norm()
     if beta.norm() != s or gamma.norm() != s:  # pragma: no cover
@@ -409,6 +413,24 @@ def _pow4(re: int, im: int) -> tuple[int, int]:
     return (d * d - 4 * p * p, 4 * p * d)
 
 
+def _slope(re4: int, im4: int) -> tuple[int, int]:
+    """The slope re4/im4 of a nonreal fourth power, in lowest terms with a
+    positive denominator; its sign is the numerator's.
+
+    re4 is never 0 (see _slope_triples), so no slope is 0.
+    """
+    assert re4, "a fourth power with real part 0"
+    g = math.gcd(re4, im4)
+    if im4 < 0:
+        g = -g
+    return re4 // g, im4 // g
+
+
+def _mirror(triple):
+    """The slope triple negated: the slopes of the mirrored points."""
+    return tuple((-num, den) for num, den in triple)
+
+
 def _candidate_points(bound: int):
     """First-quadrant (re, im) with re >= 1, im >= 0 and norm <= bound.
 
@@ -426,11 +448,13 @@ def _count_points(bound: int) -> int:
 
 
 # Largest accepted bound per mode: at most about two minutes of search on a
-# 2-CPU x86 VM (exhaustive 38 s, product-first 142 s, both under 25 MB peak
-# RSS).  Exhaustive time grows with the square of its (pi/4)*bound points,
-# product-first a little faster than linearly; product-first streams its
-# points and the exhaustive point list holds about 15k entries at the limit.
-MAX_BOUND = {"exhaustive": 20_000, "product-first": 10_000_000}
+# 2-CPU x86 VM, measured in-process at the limit in two runs: exhaustive
+# 90-98 s in 40 MB peak RSS, product-first 68-71 s in 150 MB.  Exhaustive
+# time grows with the square of its positive slopes (12736 at the limit);
+# product-first time is mostly the sieve pass's factorizations of 1.5M
+# norms, a little faster than linear, and its memory the slope table of the
+# points of norm <= bound/25.
+MAX_BOUND = {"exhaustive": 80_000, "product-first": 100_000_000}
 
 
 class _Progress:
@@ -452,27 +476,30 @@ class _Progress:
                  self.total, self.unit, counters, pos / elapsed, self.unit,
                  elapsed * (self.total - pos) / pos if pos else 0.0)
         pct = pos * 100 // self.total if self.total else 100
-        self.due = -(-(pct + 1) * self.total // 100)
+        # past pos, so an empty total gives its one line only once
+        self.due = max(-(-(pct + 1) * self.total // 100), pos + 1)
 
 
 def search_hourglass(mode: str, bound: int) -> HourglassSearchResult:
     """Search for triples satisfying the hourglass condition.
 
-    exhaustive mode scans all first-quadrant triples with
-    norm(x) <= norm(y) <= norm(z) <= bound.  product-first mode scans
-    candidate products w with norm(w) <= bound whose Im[w^4] passes the
-    4*24^3 divisibility sieve, factors each, and tests every split of the
-    prime multiset into three parts.  Every hit is re-verified by building
-    the hourglass and validating all 5 sums; an empty result is the
-    expected outcome.
+    exhaustive mode covers all first-quadrant triples with
+    norm(x) <= norm(y) <= norm(z) <= bound; product-first mode covers every
+    split x*y*z of a product w with norm(w) <= bound.  Both find their hits
+    with the slope kernel _slope_triples and differ only in the bound
+    shape.  Every hit is re-checked with hourglass_condition and
+    re-verified by building the hourglass and validating all 5 sums; an
+    empty result is the expected outcome.
 
     triples_tested counts the triples the search decided: in exhaustive
-    mode every index triple i <= j <= k of its n points, n(n+1)(n+2)/6,
-    each decided exactly by the line lookup of _line_bucket_triples; in
-    product-first mode every unordered split.  candidates_enumerated counts
-    the exhaustive points (those with a nonreal fourth power) or the sieved
-    products.  At INFO each mode logs its progress through its triples
-    (exhaustive) or points (product-first) at each whole percent.
+    mode every index triple i <= j <= k of its n points, n(n+1)(n+2)/6; in
+    product-first mode every unordered split of every product w whose
+    Im[w^4] passes the 4*24^3 divisibility sieve, counted by _split_count.
+    candidates_enumerated counts the exhaustive points (those with a
+    nonreal fourth power) or the sieved products.  At INFO each mode logs
+    its progress at each whole percent: through the kernel's pairs
+    (exhaustive), or through the sieve pass's points and then the kernel's
+    pairs (product-first).
 
     bound must lie in 1..MAX_BOUND[mode]; ValueError is raised before any
     point is enumerated.
@@ -489,59 +516,83 @@ def search_hourglass(mode: str, bound: int) -> HourglassSearchResult:
     return _search_product_first(bound)
 
 
-def _line_bucket_triples(p4):
-    """Index triples i <= j <= k of p4 that satisfy the hourglass identity.
+def _slope_triples(slopes, known, ends, progress, done=0, counters=""):
+    """Slope triples (s_x, s_y, s_z) with s_x, s_y > 0 and sigma_2 = -3.
 
-    p4 holds fourth powers as (re, im) pairs, every im nonzero.  With
-    X, Y, Z = p4[i], p4[j], p4[k] and P = X*Y the identity
-    Im[P*Z] == -4*Im X*Im Y*Im Z reads
+    The reduction.  Write a nonreal fourth power as X = Im X * (s_x + i),
+    with slope s_x = Re X / Im X.  Then
+        Im[X*Y*Z] = Im X * Im Y * Im Z * (s_x*s_y + s_y*s_z + s_z*s_x - 1),
+    so with every Im nonzero the identity Im[XYZ] == -4*Im X*Im Y*Im Z
+    holds exactly when sigma_2 = s_x*s_y + s_y*s_z + s_z*s_x == -3: it
+    depends only on the three slopes.
+      - No slope is 0.  Re w^4 = (re^2 - im^2)^2 - 4*re^2*im^2 = 0 needs
+        re^2 - im^2 = +-2*re*im, so re/im = +-1 +- sqrt(2), which is
+        irrational.
+      - sigma_2 < 0 forces the signs (+, +, -) or (-, -, +): three slopes
+        of one sign give sigma_2 > 0.
+      - (re, im) -> (im, re) keeps the norm and negates the slope, since
+        im + re*i = i*conj(re + im*i) has fourth power conj(w^4).  sigma_2
+        is even, so the negation of a solution is a solution, and every
+        (-, -, +) solution mirrors a (+, +, -) one.  Both searches run over
+        point sets closed under this mirror.
+      - Equal slopes mean proportional fourth powers, which
+        hourglass_condition rejects.  So the hits are exactly the point
+        triples over slope triples of three distinct slopes with
+        sigma_2 = -3.
+    Hence it suffices to pair distinct positive slopes s_x = a/b and
+    s_y = c/d and to look up the third, -(3 + s_x*s_y)/(s_x + s_y) =
+    -(a*c + 3*b*d)/(b*c + a*d), as the positive slope
+    (a*c + 3*b*d)/(b*c + a*d) in known; the caller adds each triple's
+    mirror.
 
-        Im P * Re Z == (-4*Im X*Im Y - Re P) * Im Z,
-
-    so for a fixed pair (i, j) it holds exactly for the Z with
-    Re Z / Im Z == b / a, where a = Im P and b = -4*Im X*Im Y - Re P.  The
-    fourth powers are bucketed once by the float re / im, and each pair
-    looks its slope up as b / a.  Division of two Python ints is correctly
-    rounded, so equal rationals give equal floats and no Z on the line is
-    missed; distinct rationals can still round to the same float, so each
-    bucket member is checked exactly with b * Im Z == a * Re Z.  Every
-    triple i <= j <= k is decided, the ones off the line by the lookup.
-    Triples with two proportional fourth powers are dropped.  The triples
-    come in ascending order.
+    slopes lists the positive slopes, reduced as by _slope, and known
+    holds at least them.  Row i pairs slopes[i] with slopes[i+1:ends[i]],
+    and rows past len(ends) pair with nothing.  progress counts the pairs
+    tried from done on; counters prefixes its lines.
     """
-    lines: dict[float, list[int]] = {}
-    for k, (re, im) in enumerate(p4):
-        lines.setdefault(re / im, []).append(k)
-    out = []
-    n = len(p4)
-    progress = _Progress("exhaustive", n * (n + 1) * (n + 2) // 6, "triples")
-    tested = 0
-    for i, (xr, xi) in enumerate(p4):
-        for j in range(i, n):
-            yr, yi = p4[j]
-            a = xr * yi + xi * yr  # Im P
-            b = -3 * xi * yi - xr * yr  # -4*Im X*Im Y - Re P
-            if a == 0:
-                # a = b = 0 would need xr*yi = -xi*yr and xr*yr = -3*xi*yi,
-                # hence yr^2 = 3*yi^2, impossible for a nonzero integer yi;
-                # so no Z, whose im is nonzero, satisfies b*Im Z == 0
-                assert b, "Im P and -4*Im X*Im Y - Re P are both 0"
-                continue
-            ks = lines.get(b / a)
-            if ks is None:
-                continue
-            for k in ks[bisect_left(ks, j):]:
-                zr, zi = p4[k]
-                if b * zi != a * zr or xr * yi == xi * yr \
-                        or xr * zi == xi * zr or yr * zi == yi * zr:
-                    continue
-                out.append((i, j, k))
-        tested += (n - i) * (n - i + 1) // 2
-        if tested >= progress.due:
-            progress.line(tested, f"{len(out)} hits")
-    if tested >= progress.due:  # no points: the one line of an empty search
-        progress.line(tested, "0 hits")
+    assert all(a > 0 for a, _ in slopes), "a nonpositive slope to pair"
+    out = []  # every s_x + s_y below is positive, never 0
+    for i, end in enumerate(ends):
+        a, b = slopes[i]
+        b3 = 3 * b
+        for c, d in slopes[i + 1:end]:
+            num = a * c + b3 * d
+            den = b * c + a * d
+            g = math.gcd(num, den)
+            if (num // g, den // g) in known:
+                out.append(((a, b), (c, d), (-num // g, den // g)))
+        done += max(end - i - 1, 0)
+        if done >= progress.due:
+            progress.line(done, f"{counters}{len(out)} slope triples")
+    if done >= progress.due:  # no rows: the one line of an empty search
+        progress.line(done, f"{counters}{len(out)} slope triples")
     return out
+
+
+def _point_triples(found, groups):
+    """The point triples over each slope triple in found and its mirror;
+    groups maps each of those slopes to its points."""
+    for triple in found:
+        for t in (triple, _mirror(triple)):
+            yield from product(*(groups[s] for s in t))
+
+
+def _exhaustive_triples(p4):
+    """Index triples i < j < k of p4 whose fourth powers satisfy the
+    hourglass identity and are pairwise non-proportional, ascending.
+
+    p4 holds fourth powers as (re, im) pairs, both parts nonzero, and its
+    slopes are closed under negation, as the mirror gives for the points
+    (see _slope_triples).  Every pair of positive slopes is tried.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, (re, im) in enumerate(p4):
+        groups.setdefault(_slope(re, im), []).append(k)
+    slopes = [s for s in groups if s[0] > 0]
+    n = len(slopes)
+    progress = _Progress("exhaustive", n * (n - 1) // 2, "pairs")
+    found = _slope_triples(slopes, groups, [n] * n, progress)
+    return sorted(tuple(sorted(t)) for t in _point_triples(found, groups))
 
 
 def _search_exhaustive(bound):
@@ -551,7 +602,7 @@ def _search_exhaustive(bound):
     pts = sorted((w for w in _candidate_points(bound) if _pow4(*w)[1] != 0),
                  key=lambda w: (w[0] * w[0] + w[1] * w[1], w[0]))
     hits = []
-    for idx in _line_bucket_triples([_pow4(*w) for w in pts]):
+    for idx in _exhaustive_triples([_pow4(*w) for w in pts]):
         x, y, z = (GaussianInt(*pts[t]) for t in idx)
         hits.append(HourglassHit(x, y, z, _verify_hit(x, y, z)))
     n = len(pts)
@@ -559,90 +610,128 @@ def _search_exhaustive(bound):
                                  n * (n + 1) * (n + 2) // 6, n)
 
 
-def _divisors(factors) -> dict[tuple[int, ...], tuple[int, int, int]]:
-    """Every divisor of prod(prime^e), keyed by its exponent vector.
+def _split_count(re: int, im: int) -> int:
+    """How many unordered splits x*y*z, up to units, w = re + im*i has.
 
-    Values are (re, im, Im[d^4]) of the product of prime powers, which may
-    be any associate; Im[d^4] is the same for all four.
+    The exponents of w's Gaussian primes come from the factorization of
+    its norm in Z.  The ramified prime 1+i takes the exponent e of 2, and
+    an inert q == 3 (mod 4) takes e/2.  A split p == 1 (mod 4) with
+    exponent k shares it between its two primes as (k - m, m), where
+    m = v_p(gcd(re, im)): p^j = (pi*conj(pi))^j divides w exactly when
+    both primes do j times.  The symmetric group on (x, y, z) acts on the
+    prod C(e+2, 2) ordered splits.  A transposition fixes the
+    prod(e//2 + 1) splits with x = y; a 3-cycle fixes x = y = z, one split
+    when 3 divides every e and none otherwise.  By Burnside's lemma the
+    unordered splits number (ordered + 3*transposed + 2*cubed) / 6.
     """
-    divs = {(): (1, 0)}
-    for prime, e in factors:
-        powers = [prime**k for k in range(e + 1)]
-        divs = {v + (k,): (re * pk.re - im * pk.im, re * pk.im + im * pk.re)
-                for v, (re, im) in divs.items()
-                for k, pk in enumerate(powers)}
-    return {v: (re, im, _pow4(re, im)[1]) for v, (re, im) in divs.items()}
+    g = math.gcd(re, im)
+    ordered = transposed = 1
+    cubed = True
+    for p, k in factorize(re * re + im * im).items():
+        if p == 2:
+            exponents = (k,)
+        elif p % 4 == 3:
+            exponents = (k // 2,)
+        else:
+            m = 0
+            while g % p == 0:
+                g //= p
+                m += 1
+            exponents = (k - m, m)
+        for e in exponents:
+            ordered *= (e + 1) * (e + 2) // 2
+            transposed *= e // 2 + 1
+            cubed = cubed and e % 3 == 0
+    return (ordered + 3 * transposed + 2 * cubed) // 6
 
 
-def _splits(exponents: tuple[int, ...]):
-    """Exponent vectors e1 <= e2 <= e3 (lexicographic) summing to exponents.
+def _split_order(w: GaussianInt, triple) -> list[tuple[int, ...]]:
+    """The exponent vectors of the split x*y*z of w, ascending.
 
-    Each unordered split of the prime multiset into three factors comes
-    exactly once.  e2 runs over the divisors of the complement of e1 in
-    ascending order, so e3 descends and the loop stops once e3 < e2.  The
-    order forces e1[0] <= e2[0] <= e3[0] on the first coordinates, so e1[0]
-    stops at a third of its exponent and e2[0] runs from e1[0] to half of
-    what e1 leaves.
+    The vectors run over the primes of norm(w), first-quadrant and in
+    (norm, re) order.  Hits on one product come in the order of this key,
+    which is the order of the unordered splits of its prime multiset.
     """
-    if not exponents:  # a unit: the one split 1 * 1 * 1
-        yield (), (), ()
-        return
-    head, tail = exponents[0], exponents[1:]
-    for e1 in product(range(head // 3 + 1), *(range(e + 1) for e in tail)):
-        rest = tuple(e - a for e, a in zip(exponents, e1))
-        for e2 in product(range(e1[0], rest[0] // 2 + 1),
-                          *(range(c + 1) for c in rest[1:])):
-            if e2 < e1:
-                continue
-            e3 = tuple(c - b for c, b in zip(rest, e2))
-            if e3 < e2:
-                break
-            yield e1, e2, e3
+    fixed, split = _norm_primes(w.norm())
+    primes = [pi for pi, _ in fixed]
+    for pi, _ in split:
+        primes += [pi, GaussianInt(pi.im, pi.re)]
+    primes.sort(key=lambda q: (q.norm(), q.re))
 
+    def exponents(d):
+        out = []
+        for q in primes:
+            k, rest = 0, (d.re, d.im)
+            while (rest := _exact_quotient(rest, q)) is not None:
+                k += 1
+            out.append(k)
+        return tuple(out)
 
-def _product_splits(w: GaussianInt, im4: int):
-    """(splits tested, splits passing the identity) for the product w.
-
-    x*y*z is w up to a unit and a unit's fourth power is 1, so
-    x^4*y^4*z^4 == w^4 and the identity reduces to
-    -4*Im[x^4]*Im[y^4]*Im[z^4] == Im[w^4] == im4.  Survivors are
-    first-quadrant triples sorted by (norm, re, im).
-    """
-    factors = gaussian_factor(w).factors
-    divs = _divisors(factors)
-    tested = 0
-    survivors = []
-    for split in _splits(tuple(e for _, e in factors)):
-        tested += 1
-        d1, d2, d3 = (divs[e] for e in split)
-        if -4 * d1[2] * d2[2] * d3[2] == im4:
-            survivors.append(tuple(sorted(
-                (GaussianInt(d[0], d[1]).first_quadrant()
-                 for d in (d1, d2, d3)),
-                key=lambda v: (v.norm(), v.re, v.im))))
-    return tested, survivors
+    return sorted(map(exponents, triple))
 
 
 def _search_product_first(bound):
-    hits = []
-    tested = 0
-    candidates = 0
-    progress = _Progress("product-first", _count_points(bound), "points")
-    for pos, (re, im) in enumerate(_candidate_points(bound), 1):
-        im4 = _pow4(re, im)[1]
-        if im4 and im4 % _PRODUCT_SIEVE == 0:
-            candidates += 1
-            count, survivors = _product_splits(GaussianInt(re, im), im4)
-            tested += count
-            for x, y, z in survivors:
-                if hourglass_condition(x, y, z).holds:
-                    hits.append((re * re + im * im, re,
-                                 HourglassHit(x, y, z, _verify_hit(x, y, z))))
+    # a hit's three points have norms of at least 5 each, the least norm of
+    # a point with a nonreal fourth power, so each has norm <= bound/25;
+    # norms keeps the least norm of each positive slope among those points
+    small = bound // 25
+    norms = {}
+    for re, im in _candidate_points(small):
+        re4, im4 = _pow4(re, im)
+        if im4 and (s := _slope(re4, im4))[0] > 0:
+            n = re * re + im * im
+            if n < norms.get(s, n + 1):
+                norms[s] = n
+    slopes = sorted(norms, key=norms.get)
+    least = [norms[s] for s in slopes]
+    # row i pairs slopes[i] with the slopes j > i with 5*n_i*n_j <= bound
+    # (5 bounds the third norm from below); past the rows with
+    # 5*n_i^2 <= bound no pair is left
+    ends = [bisect_right(least, bound // (5 * n))
+            for n in least if 5 * n * n <= bound]
+    pairs = sum(max(end - i - 1, 0) for i, end in enumerate(ends))
+    progress = _Progress("product-first", _count_points(bound) + pairs,
+                         "points+pairs")
+
+    # the sieve pass counts the splits of every product w whose Im[w^4] =
+    # 4*re*im*(re^2 - im^2) is nonzero and passes the sieve; the sieve needs
+    # 27 | re*im*(re^2 - im^2), so each row walks only the classes of im
+    # mod 27 that allow it
+    classes = [[c for c in range(27) if a * c * (a * a - c * c) % 27 == 0]
+               for a in range(27)]
+    tested = candidates = pos = 0
+    for re in range(1, math.isqrt(bound) + 1):
+        re2 = re * re
+        top = math.isqrt(bound - re2)
+        for c in classes[re % 27]:
+            for im in range(c or 27, top + 1, 27):  # im >= 1
+                if 4 * re * im * (re2 - im * im) % _PRODUCT_SIEVE == 0 \
+                        and im != re:
+                    candidates += 1
+                    tested += _split_count(re, im)
+        pos += top + 1
         if pos >= progress.due:
-            progress.line(pos, f"{tested} triples tested, {len(hits)} hits")
-    # the rows yield the products w out of (norm, re, im) order; a stable
-    # sort on (norm(w), re) puts the hits back in it
-    hits.sort(key=lambda h: h[:2])
-    return HourglassSearchResult("product-first", bound,
-                                 tuple(h for _, _, h in hits), tested,
-                                 candidates)
+            progress.line(pos, f"{tested} triples tested, 0 slope triples")
+    found = _slope_triples(slopes, norms, ends, progress, pos,
+                           f"{tested} triples tested, ")
+
+    hits = []
+    if found:
+        wanted = {s for t in found for s in t + _mirror(t)}
+        groups: dict[tuple[int, int], list[GaussianInt]] = {}
+        for re, im in _candidate_points(small):
+            re4, im4 = _pow4(re, im)
+            if im4 and (s := _slope(re4, im4)) in wanted:
+                groups.setdefault(s, []).append(GaussianInt(re, im))
+        for triple in _point_triples(found, groups):
+            x, y, z = sorted(triple, key=lambda v: (v.norm(), v.re))
+            if x.norm() * y.norm() * z.norm() <= bound:
+                # hits come by product w in (norm, re) order, then by split
+                w = (x * y * z).first_quadrant()
+                hits.append(((w.norm(), w.re, _split_order(w, (x, y, z))),
+                             x, y, z))
+        hits.sort(key=lambda h: h[0])
+    return HourglassSearchResult(
+        "product-first", bound,
+        tuple(HourglassHit(x, y, z, _verify_hit(x, y, z))
+              for _, x, y, z in hits), tested, candidates)

@@ -203,8 +203,9 @@ class TestHourglassCommand:
         lines = err.splitlines()
         assert lines[-1:] == summary
         assert 1 <= len(lines) - 1 <= 101
-        assert all(re.fullmatch(rf"parker: {mode}: \d+/\d+ \w+, .*0 hits; "
-                                r"\d+ \w+/s, ETA \d+\.\d s", line)
+        assert all(re.fullmatch(rf"parker: {mode}: \d+/\d+ [\w+]+, "
+                                r".*0 slope triples; \d+ [\w+]+/s, "
+                                r"ETA \d+\.\d s", line)
                    for line in lines[:-1])
         # the handler goes with the command
         assert run_cli(capsys, *args)[1:] == (quiet, summary[0] + "\n")

@@ -1,6 +1,9 @@
+import functools
+import logging
 import math
 import re
 import types
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,10 +301,10 @@ class TestSearchHourglass:
     def test_progress_logged_at_whole_percents(self, caplog, mode, bound):
         with caplog.at_level("INFO", logger="parker.gaussian"):
             search_hourglass(mode, bound)
-        unit = "triples" if mode == "exhaustive" else "points"
+        unit = r"pairs" if mode == "exhaustive" else r"points\+pairs"
         counters = "" if mode == "exhaustive" else r"\d+ triples tested, "
-        line = re.compile(rf"{mode}: (\d+)/(\d+) {unit}, {counters}0 hits; "
-                          rf"\d+ {unit}/s, ETA \d+\.\d s")
+        line = re.compile(rf"{mode}: (\d+)/(\d+) {unit}, {counters}"
+                          rf"0 slope triples; \d+ {unit}/s, ETA \d+\.\d s")
         found = [line.fullmatch(m) for m in caplog.messages]
         assert all(found) and 1 <= len(found) <= 101
         pos = [int(m[1]) for m in found]
@@ -322,9 +325,46 @@ class TestSearchHourglass:
             search_hourglass(mode, 500)
         assert caplog.messages == []
 
+    def test_exhaustive_eta_tracks_the_clock(self, monkeypatch, caplog):
+        # a clock that ticks once per gcd, the kernel's work per pair and the
+        # set-up's per point: the ETA at the 50% line is within 2x of the
+        # time actually left
+        ticks = [0]
+
+        def gcd(a, b):
+            ticks[0] += 1
+            return math.gcd(a, b)
+
+        monkeypatch.setattr(gaussian, "math", types.SimpleNamespace(
+            gcd=gcd, isqrt=math.isqrt))
+        monkeypatch.setattr(gaussian, "time", types.SimpleNamespace(
+            perf_counter=lambda: ticks[0] * 1e-6))
+        lines = []
+
+        class Recorder(logging.Handler):
+            def emit(self, record):
+                lines.append((record.getMessage(), ticks[0]))
+
+        log = logging.getLogger("parker.gaussian")
+        handler = Recorder()
+        log.addHandler(handler)
+        try:
+            with caplog.at_level("INFO", logger="parker.gaussian"):
+                search_hourglass("exhaustive", 5000)
+        finally:
+            log.removeHandler(handler)
+        assert len(lines) > 50
+        for message, at in lines:
+            pos, total, eta = map(float, re.match(
+                r"exhaustive: (\d+)/(\d+) .* ETA (\S+) s", message).groups())
+            if pos >= total / 2:
+                break
+        left = (ticks[0] - at) * 1e-6
+        assert left / 2 <= eta <= 2 * left
+
     def test_exhaustive_points_in_norm_order(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(gaussian, "_line_bucket_triples",
+        monkeypatch.setattr(gaussian, "_exhaustive_triples",
                             lambda p4: seen.extend(p4) or [])
         bound = 2000
         result = search_hourglass("exhaustive", bound)
@@ -359,42 +399,334 @@ class TestSearchHourglass:
         assert result.triples_tested == 52658
         assert result.candidates_enumerated == 1202
 
+    @pytest.mark.parametrize("mode, bound, tested, enumerated", [
+        ("exhaustive", 5000, 9195965856, 3806),
+        ("product-first", 2000, 162, 6),
+        ("product-first", 10**6, 883242, 13878)])
+    def test_counters_at_larger_bounds(self, mode, bound, tested,
+                                       enumerated):
+        result = search_hourglass(mode, bound)
+        assert result.hits == ()
+        assert result.triples_tested == tested
+        assert result.candidates_enumerated == enumerated
 
-def _cubic_triples(p4):
-    """Every i <= j <= k whose fourth powers pass the identity, pairwise
-    non-proportional; the reference for the line-bucket kernel."""
-    pts = [GaussianInt(re, im) for re, im in p4]
+    def test_product_first_factors_only_in_z(self, monkeypatch):
+        def no_factoring(w):
+            raise AssertionError("factored in Z[i]")
+
+        monkeypatch.setattr(gaussian, "gaussian_factor", no_factoring)
+        result = search_hourglass("product-first", 10**5)
+        assert (result.triples_tested, result.candidates_enumerated) \
+            == (52658, 1202)
+
+
+# ---------------------------------------------------------------------------
+# The kernels the slope kernel replaced, kept as references: the exhaustive
+# line-bucket kernel and the product-first split enumeration.
+
+
+def _line_bucket_triples(p4):
+    """Index triples i <= j <= k of p4 that satisfy the hourglass identity.
+
+    p4 holds fourth powers as (re, im) pairs, every im nonzero.  With
+    X, Y, Z = p4[i], p4[j], p4[k] and P = X*Y the identity
+    Im[P*Z] == -4*Im X*Im Y*Im Z reads
+
+        Im P * Re Z == (-4*Im X*Im Y - Re P) * Im Z,
+
+    so for a fixed pair (i, j) it holds exactly for the Z with
+    Re Z / Im Z == b / a, where a = Im P and b = -4*Im X*Im Y - Re P.  The
+    fourth powers are bucketed once by the float re / im, and each pair
+    looks its slope up as b / a; each bucket member is checked exactly with
+    b * Im Z == a * Re Z.  Triples with two proportional fourth powers are
+    dropped.  The triples come in ascending order.
+    """
+    lines = {}
+    for k, (re, im) in enumerate(p4):
+        lines.setdefault(re / im, []).append(k)
     out = []
-    for i, x in enumerate(pts):
-        for j in range(i, len(pts)):
-            y = pts[j]
-            for k in range(j, len(pts)):
-                z = pts[k]
-                if (x * y * z).im != -4 * x.im * y.im * z.im:
-                    continue
-                if any(a.re * b.im == a.im * b.re
-                       for a, b in ((x, y), (x, z), (y, z))):
+    for i, (xr, xi) in enumerate(p4):
+        for j in range(i, len(p4)):
+            yr, yi = p4[j]
+            a = xr * yi + xi * yr  # Im P
+            b = -3 * xi * yi - xr * yr  # -4*Im X*Im Y - Re P
+            if a == 0:
+                continue
+            for k in lines.get(b / a, ()):
+                zr, zi = p4[k]
+                if k < j or b * zi != a * zr or xr * yi == xi * yr \
+                        or xr * zi == xi * zr or yr * zi == yi * zr:
                     continue
                 out.append((i, j, k))
     return out
 
 
+def _divisors(factors):
+    """Every divisor of prod(prime^e), keyed by its exponent vector.
+
+    Values are (re, im, Im[d^4]) of the product of prime powers, which may
+    be any associate; Im[d^4] is the same for all four.
+    """
+    divs = {(): (1, 0)}
+    for prime, e in factors:
+        powers = [prime**k for k in range(e + 1)]
+        divs = {v + (k,): (re * pk.re - im * pk.im, re * pk.im + im * pk.re)
+                for v, (re, im) in divs.items()
+                for k, pk in enumerate(powers)}
+    return {v: (re, im, gaussian._pow4(re, im)[1])
+            for v, (re, im) in divs.items()}
+
+
+def _splits(exponents):
+    """Exponent vectors e1 <= e2 <= e3 (lexicographic) summing to exponents.
+
+    Each unordered split of the prime multiset into three factors comes
+    exactly once, in lexicographic order of (e1, e2).
+    """
+    if not exponents:  # a unit: the one split 1 * 1 * 1
+        yield (), (), ()
+        return
+    head, tail = exponents[0], exponents[1:]
+    for e1 in product(range(head // 3 + 1), *(range(e + 1) for e in tail)):
+        rest = tuple(e - a for e, a in zip(exponents, e1))
+        for e2 in product(range(e1[0], rest[0] // 2 + 1),
+                          *(range(c + 1) for c in rest[1:])):
+            if e2 < e1:
+                continue
+            e3 = tuple(c - b for c, b in zip(rest, e2))
+            if e3 < e2:
+                break
+            yield e1, e2, e3
+
+
+def _product_splits(w, im4):
+    """(splits tested, splits passing the identity) for the product w.
+
+    x*y*z is w up to a unit, so the identity reduces to
+    -4*Im[x^4]*Im[y^4]*Im[z^4] == Im[w^4] == im4.  Survivors are
+    first-quadrant triples sorted by (norm, re, im).
+    """
+    factors = gaussian_factor(w).factors
+    divs = _divisors(factors)
+    tested = 0
+    survivors = []
+    for split in _splits(tuple(e for _, e in factors)):
+        tested += 1
+        d1, d2, d3 = (divs[e] for e in split)
+        if -4 * d1[2] * d2[2] * d3[2] == im4:
+            survivors.append(_canonical(
+                GaussianInt(d[0], d[1]) for d in (d1, d2, d3)))
+    return tested, survivors
+
+
+def _passes(x, y, z):
+    """The hourglass condition on three fourth powers."""
+    return x.im and y.im and z.im \
+        and (x * y * z).im == -4 * x.im * y.im * z.im \
+        and not any(a.re * b.im == a.im * b.re
+                    for a, b in ((x, y), (x, z), (y, z)))
+
+
+@functools.lru_cache(maxsize=None)
+def _legacy_split_lists(products):
+    """(w, its splits in the legacy order, as sorted first-quadrant
+    triples) for each product w.  Splits with a point whose fourth power
+    is real (im == 0 or re == im), which nothing is planted on, are left
+    out."""
+    out = []
+    for w in products:
+        factors = gaussian_factor(w).factors
+        divs = _divisors(factors)
+        splits = (_canonical(GaussianInt(*divs[e][:2]) for e in split)
+                  for split in _splits(tuple(e for _, e in factors)))
+        out.append((w, [t for t in splits
+                        if all(v.im and v.re != v.im for v in t)]))
+    return tuple(out)
+
+
+def _legacy_product_hits(products, pow4):
+    """The legacy product-first hits over the given products, with the
+    condition read off pow4: by (norm(w), re(w)), then in split order."""
+    hits = [((w.norm(), w.re), t)
+            for w, splits in _legacy_split_lists(tuple(products))
+            for t in splits
+            if _passes(*(GaussianInt(*pow4(v.re, v.im)) for v in t))]
+    hits.sort(key=lambda h: h[0])
+    return [t for _, t in hits]
+
+
+def _cubic_triples(p4):
+    """Every i <= j <= k whose fourth powers pass the hourglass condition;
+    the reference for the exhaustive kernels."""
+    pts = [GaussianInt(*p) for p in p4]
+    return [(i, j, k) for i in range(len(pts)) for j in range(i, len(pts))
+            for k in range(j, len(pts)) if _passes(pts[i], pts[j], pts[k])]
+
+
 @st.composite
 def fourth_power_lists(draw):
-    """Integer pairs with im != 0, some planted on the identity's line."""
-    pairs = draw(st.lists(st.tuples(st.integers(-40, 40),
-                                    st.integers(-40, 40).filter(bool)),
-                          min_size=1, max_size=8))
+    """Nonzero integer pairs, some planted on the identity's line, with
+    every pair's mirror (re, -im) beside it."""
+    nonzero = st.integers(-40, 40).filter(bool)
+    pairs = draw(st.lists(st.tuples(nonzero, nonzero), min_size=1,
+                          max_size=8))
     for _ in range(draw(st.integers(0, 4))):
         x = GaussianInt(*draw(st.sampled_from(pairs)))
         y = GaussianInt(*draw(st.sampled_from(pairs)))
         p = x * y
         a, b = p.im, -4 * x.im * y.im - p.re
-        if a:
+        if a and b:
             t, g = draw(st.integers(-3, 3).filter(bool)), math.gcd(a, b)
             pairs.insert(draw(st.integers(0, len(pairs))),
                          (t * b // g, t * a // g))
-    return pairs
+    return draw(st.permutations(pairs + [(re, -im) for re, im in pairs]))
+
+
+def _planted_pow4(planted):
+    """_pow4 with the fourth powers in planted on its points, and the
+    mirrored (re, -im) on their mirror points (im, re)."""
+    real = gaussian._pow4
+
+    def pow4(re, im):
+        if (re, im) in planted:
+            return planted[re, im]
+        if (im, re) in planted:
+            r, i = planted[im, re]
+            return r, -i
+        return real(re, im)
+
+    return pow4
+
+
+@st.composite
+def planted_points(draw, max_norm, bound=None):
+    """Fourth powers planted on points re > im >= 1 of norm <= max_norm:
+    for each of a few point triples, slopes s_x = a/b and s_y = c/d and
+    the third slope -(3 + s_x*s_y)/(s_x + s_y) that completes sigma_2 = -3.
+    With a bound, about half the triples have norms multiplying to at most
+    bound.
+    """
+    def norm(w):
+        return w[0] ** 2 + w[1] ** 2
+
+    points = [(re, im) for re in range(2, 12) for im in range(1, re)
+              if norm((re, im)) <= max_norm]
+    planted = {}
+    for _ in range(draw(st.integers(1, 3))):
+        x, y = draw(st.lists(st.sampled_from(points), min_size=2,
+                             max_size=2, unique=True))
+        zs = [z for z in points if z not in (x, y)]
+        if bound and draw(st.booleans()):
+            zs = [z for z in zs if norm(x) * norm(y) * norm(z) <= bound] \
+                or zs
+        z = draw(st.sampled_from(zs))
+        a, b, c, d = (draw(st.integers(1, 6)) for _ in range(4))
+        planted.update({x: (a, b), y: (c, d),
+                        z: (-(a * c + 3 * b * d), b * c + a * d)})
+    return planted
+
+
+def _search_hits(mode, bound, pow4):
+    """search_hourglass's hits as point triples, with fourth powers from
+    pow4 and no verification (planted hits are no real hourglasses)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gaussian, "_pow4", pow4)
+        mp.setattr(gaussian, "_verify_hit", lambda x, y, z: ())
+        return [(h.x, h.y, h.z) for h in search_hourglass(mode, bound).hits]
+
+
+class TestLineBucketKernel:
+    """The exhaustive slope kernel, which replaced the line-bucket kernel,
+    against the legacy kernel and the cubic reference."""
+
+    def test_planted_hit(self):
+        # slopes 1/2, 3 and -9/7: sigma_2 = 3/2 - 27/7 - 9/14 = -3
+        p4 = [(1, 2), (3, 1), (-9, 7), (1, -2), (3, -1), (-9, -7)]
+        assert gaussian._exhaustive_triples(p4) == [(0, 1, 2), (3, 4, 5)]
+        p4[2], p4[5] = (-9, 8), (-9, -8)
+        assert gaussian._exhaustive_triples(p4) == []
+
+    @given(fourth_power_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cubic_reference(self, p4):
+        assert gaussian._exhaustive_triples(p4) == _cubic_triples(p4) \
+            == _line_bucket_triples(p4)
+
+    @given(planted_points(max_norm=200))
+    @settings(max_examples=40, deadline=None)
+    def test_exhaustive_matches_legacy_kernel(self, planted):
+        bound, pow4 = 200, _planted_pow4(planted)
+        pts = sorted((w for w in gaussian._candidate_points(bound)
+                      if pow4(*w)[1]),
+                     key=lambda w: (w[0] ** 2 + w[1] ** 2, w[0]))
+        expected = [tuple(GaussianInt(*pts[t]) for t in idx)
+                    for idx in _line_bucket_triples([pow4(*w) for w in pts])]
+        assert _search_hits("exhaustive", bound, pow4) == expected
+
+    @given(planted_points(max_norm=40, bound=4000))
+    @settings(max_examples=40, deadline=None)
+    def test_product_first_matches_legacy_kernel(self, planted):
+        bound, pow4 = 4000, _planted_pow4(planted)
+        products = [GaussianInt(*w) for w in gaussian._candidate_points(bound)]
+        assert _search_hits("product-first", bound, pow4) \
+            == _legacy_product_hits(products, pow4)
+
+    def test_hits_on_one_product_come_in_split_order(self):
+        # w = (2+i)(3+2i)(4+i)(5+2i) = 178+19i splits as a*b*(cd) and as
+        # (ab)*c*d over six distinct points; slopes planted on both splits
+        # give two hits on w and two on its mirror 19+178i, and the legacy
+        # order puts (ab)*c*d first although its least norm is larger
+        planted = {(2, 1): (1, 1), (3, 2): (2, 1), (18, 13): (-5, 3),
+                   (4, 7): (1, 2), (4, 1): (3, 1), (5, 2): (-9, 7)}
+        pow4 = _planted_pow4(planted)
+        g = GaussianInt
+        expected = [(g(1, 4), g(2, 5), g(7, 4)), (g(1, 2), g(2, 3), g(13, 18)),
+                    (g(4, 1), g(5, 2), g(4, 7)), (g(2, 1), g(3, 2), g(18, 13))]
+        assert _legacy_product_hits([g(19, 178), g(178, 19)], pow4) \
+            == expected
+        assert _search_hits("product-first", 32045, pow4) == expected
+        assert _search_hits("product-first", 32044, pow4) == []
+
+
+class TestProductSplits:
+    """The Burnside split count of the product-first sieve pass against
+    the legacy split enumeration."""
+
+    @pytest.mark.parametrize("w", [
+        # (1+i)^3 * 3 * (2+i)^2 * (2-i): ramified, inert, and a split
+        # prime repeated beside its conjugate
+        GaussianInt(1, 1)**3 * 3 * GaussianInt(2, 1)**2 * GaussianInt(2, -1),
+        GaussianInt(1, 1)**2 * 7 * GaussianInt(3, 2)**3 * GaussianInt(3, -2),
+        GaussianInt(5, 0),
+        GaussianInt(1, 0),
+    ])
+    def test_unordered_splits_match_reference(self, w):
+        factors = gaussian_factor(w).factors
+        got = [_canonical(t) for t in _split_triples(factors)]
+        assert len(got) == len(set(got)) == gaussian._split_count(w.re, w.im)
+        assert set(got) == {_canonical(t) for t in _ordered_splits(factors)}
+        unit = gaussian_factor(w).unit
+        for x, y, z in _split_triples(factors):
+            assert x * y * z * unit == w
+
+    def test_integer_identity_matches_condition(self):
+        candidates = 0
+        for re, im in gaussian._candidate_points(20_000):
+            w = GaussianInt(re, im)
+            im4 = pow4_parts(w)[1]
+            if im4 == 0 or im4 % gaussian._PRODUCT_SIEVE:
+                continue
+            candidates += 1
+            triples = _split_triples(gaussian_factor(w).factors)
+            tested, survivors = _product_splits(w, im4)
+            assert tested == len(triples) == gaussian._split_count(re, im)
+            assert set(survivors) == {
+                _canonical(t) for t in triples
+                if hourglass_condition(*t).identity_holds}
+            assert not any(hourglass_condition(*t).holds for t in survivors)
+        assert candidates \
+            == search_hourglass("product-first", 20_000).candidates_enumerated
+        assert candidates > 100
 
 
 def _canonical(triple):
@@ -415,55 +747,6 @@ def _ordered_splits(factors):
 
 
 def _split_triples(factors):
-    divs = gaussian._divisors(factors)
+    divs = _divisors(factors)
     return [tuple(GaussianInt(*divs[e][:2]) for e in split)
-            for split in gaussian._splits(tuple(e for _, e in factors))]
-
-
-class TestLineBucketKernel:
-    def test_planted_hit(self):
-        # X = 1+2i, Y = 3+i: P = 1+7i, so Z lies on the line through -9+7i
-        assert gaussian._line_bucket_triples([(1, 2), (3, 1), (-9, 7)]) \
-            == [(0, 1, 2)]
-        assert gaussian._line_bucket_triples([(1, 2), (3, 1), (-9, 8)]) \
-            == []
-
-    @given(fourth_power_lists())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_cubic_reference(self, p4):
-        assert gaussian._line_bucket_triples(p4) == _cubic_triples(p4)
-
-
-class TestProductSplits:
-    @pytest.mark.parametrize("w", [
-        # (1+i)^3 * 3 * (2+i)^2 * (2-i): ramified, inert, and a split
-        # prime repeated beside its conjugate
-        GaussianInt(1, 1)**3 * 3 * GaussianInt(2, 1)**2 * GaussianInt(2, -1),
-        GaussianInt(1, 1)**2 * 7 * GaussianInt(3, 2)**3 * GaussianInt(3, -2),
-        GaussianInt(5, 0),
-        GaussianInt(1, 0),
-    ])
-    def test_unordered_splits_match_reference(self, w):
-        factors = gaussian_factor(w).factors
-        got = [_canonical(t) for t in _split_triples(factors)]
-        assert len(got) == len(set(got))
-        assert set(got) == {_canonical(t) for t in _ordered_splits(factors)}
-        unit = gaussian_factor(w).unit
-        for x, y, z in _split_triples(factors):
-            assert x * y * z * unit == w
-
-    def test_integer_identity_matches_condition(self):
-        candidates = 0
-        for re, im in gaussian._candidate_points(20_000):
-            w = GaussianInt(re, im)
-            im4 = pow4_parts(w)[1]
-            if im4 == 0 or im4 % gaussian._PRODUCT_SIEVE:
-                continue
-            candidates += 1
-            triples = _split_triples(gaussian_factor(w).factors)
-            tested, survivors = gaussian._product_splits(w, im4)
-            assert tested == len(triples)
-            assert set(survivors) == {
-                _canonical(t) for t in triples
-                if hourglass_condition(*t).identity_holds}
-        assert candidates > 100
+            for split in _splits(tuple(e for _, e in factors))]
