@@ -610,6 +610,10 @@ class ExtensionField(Carrier):
         if isinstance(obj, list) and all(isinstance(c, int) for c in obj):
             if len(obj) > self.degree:
                 raise ValueError(f"coefficient vector {obj} too long for {self}")
+            p = self.characteristic
+            if any(isinstance(c, bool) or not 0 <= c < p for c in obj):
+                raise ValueError(f"coefficient vector {obj} is not canonical "
+                                 f"for {self}: need integers in 0..{p - 1}")
             return self.encode_coeffs(obj)
         raise ValueError(f"cannot decode {obj!r} as an element of {self}")
 

@@ -367,12 +367,6 @@ def hourglass_guess(s: int) -> HourglassCandidate | None:
 # ---------------------------------------------------------------------------
 # Hourglass search drivers.
 
-# Im[w^4] is divisible by 24 for every w in Z[i], so the product side of the
-# identity, and with it Im[w^4] for a hit's product w, is divisible by
-# 4 * 24**3.
-_PRODUCT_SIEVE = 4 * 24**3
-
-
 @dataclass(frozen=True)
 class HourglassHit:
     x: GaussianInt
@@ -441,19 +435,13 @@ def _candidate_points(bound: int):
             yield re, im
 
 
-def _count_points(bound: int) -> int:
-    """How many points _candidate_points(bound) yields."""
-    return sum(math.isqrt(bound - re * re) + 1
-               for re in range(1, math.isqrt(bound) + 1))
-
-
 # Largest accepted bound per mode: at most about two minutes of search on a
-# 2-CPU x86 VM, measured in-process at the limit in two runs: exhaustive
-# 90-98 s in 40 MB peak RSS, product-first 68-71 s in 150 MB.  Exhaustive
-# time grows with the square of its positive slopes (12736 at the limit);
-# product-first time is mostly the sieve pass's factorizations of 1.5M
-# norms, a little faster than linear, and its memory the slope table of the
-# points of norm <= bound/25.
+# 2-CPU x86 VM, measured in-process at the limit: exhaustive 90-98 s in
+# 40 MB peak RSS, product-first 12-13 s in 150 MB (three runs).  Exhaustive
+# time grows with the square of its positive slopes (12736 at the limit).
+# Product-first time and memory go to the slope table of the 3.1M points of
+# norm <= bound/25 (about 7 s) and to the kernel's 3.5M pairs (about 5 s);
+# both grow about linearly, and the table's memory keeps the limit here.
 MAX_BOUND = {"exhaustive": 80_000, "product-first": 100_000_000}
 
 
@@ -491,15 +479,16 @@ def search_hourglass(mode: str, bound: int) -> HourglassSearchResult:
     re-verified by building the hourglass and validating all 5 sums; an
     empty result is the expected outcome.
 
-    triples_tested counts the triples the search decided: in exhaustive
-    mode every index triple i <= j <= k of its n points, n(n+1)(n+2)/6; in
-    product-first mode every unordered split of every product w whose
-    Im[w^4] passes the 4*24^3 divisibility sieve, counted by _split_count.
-    candidates_enumerated counts the exhaustive points (those with a
-    nonreal fourth power) or the sieved products.  At INFO each mode logs
-    its progress at each whole percent: through the kernel's pairs
-    (exhaustive), or through the sieve pass's points and then the kernel's
-    pairs (product-first).
+    candidates_enumerated counts the points the kernel's slopes come from,
+    those with a nonreal fourth power: of norm <= bound (exhaustive) or
+    <= bound/25 (product-first).  triples_tested counts the triples the
+    search decided: in exhaustive mode every index triple i <= j <= k of
+    its n points, n(n+1)(n+2)/6; in product-first mode the positive-slope
+    pairs the kernel tries, each of which tests one slope triple.  At INFO
+    each mode logs its progress through those pairs at each whole percent.
+    Hits come in ascending order: exhaustive hits by their point indices in
+    (norm, re) order, product-first hits by their product w in (norm, re)
+    order and then by the (norm, re) keys of their points.
 
     bound must lie in 1..MAX_BOUND[mode]; ValueError is raised before any
     point is enumerated.
@@ -516,7 +505,7 @@ def search_hourglass(mode: str, bound: int) -> HourglassSearchResult:
     return _search_product_first(bound)
 
 
-def _slope_triples(slopes, known, ends, progress, done=0, counters=""):
+def _slope_triples(slopes, known, ends, progress):
     """Slope triples (s_x, s_y, s_z) with s_x, s_y > 0 and sigma_2 = -3.
 
     The reduction.  Write a nonreal fourth power as X = Im X * (s_x + i),
@@ -548,10 +537,11 @@ def _slope_triples(slopes, known, ends, progress, done=0, counters=""):
     slopes lists the positive slopes, reduced as by _slope, and known
     holds at least them.  Row i pairs slopes[i] with slopes[i+1:ends[i]],
     and rows past len(ends) pair with nothing.  progress counts the pairs
-    tried from done on; counters prefixes its lines.
+    tried.
     """
     assert all(a > 0 for a, _ in slopes), "a nonpositive slope to pair"
     out = []  # every s_x + s_y below is positive, never 0
+    done = 0
     for i, end in enumerate(ends):
         a, b = slopes[i]
         b3 = 3 * b
@@ -563,9 +553,9 @@ def _slope_triples(slopes, known, ends, progress, done=0, counters=""):
                 out.append(((a, b), (c, d), (-num // g, den // g)))
         done += max(end - i - 1, 0)
         if done >= progress.due:
-            progress.line(done, f"{counters}{len(out)} slope triples")
+            progress.line(done, f"{len(out)} slope triples")
     if done >= progress.due:  # no rows: the one line of an empty search
-        progress.line(done, f"{counters}{len(out)} slope triples")
+        progress.line(done, f"{len(out)} slope triples")
     return out
 
 
@@ -610,78 +600,21 @@ def _search_exhaustive(bound):
                                  n * (n + 1) * (n + 2) // 6, n)
 
 
-def _split_count(re: int, im: int) -> int:
-    """How many unordered splits x*y*z, up to units, w = re + im*i has.
-
-    The exponents of w's Gaussian primes come from the factorization of
-    its norm in Z.  The ramified prime 1+i takes the exponent e of 2, and
-    an inert q == 3 (mod 4) takes e/2.  A split p == 1 (mod 4) with
-    exponent k shares it between its two primes as (k - m, m), where
-    m = v_p(gcd(re, im)): p^j = (pi*conj(pi))^j divides w exactly when
-    both primes do j times.  The symmetric group on (x, y, z) acts on the
-    prod C(e+2, 2) ordered splits.  A transposition fixes the
-    prod(e//2 + 1) splits with x = y; a 3-cycle fixes x = y = z, one split
-    when 3 divides every e and none otherwise.  By Burnside's lemma the
-    unordered splits number (ordered + 3*transposed + 2*cubed) / 6.
-    """
-    g = math.gcd(re, im)
-    ordered = transposed = 1
-    cubed = True
-    for p, k in factorize(re * re + im * im).items():
-        if p == 2:
-            exponents = (k,)
-        elif p % 4 == 3:
-            exponents = (k // 2,)
-        else:
-            m = 0
-            while g % p == 0:
-                g //= p
-                m += 1
-            exponents = (k - m, m)
-        for e in exponents:
-            ordered *= (e + 1) * (e + 2) // 2
-            transposed *= e // 2 + 1
-            cubed = cubed and e % 3 == 0
-    return (ordered + 3 * transposed + 2 * cubed) // 6
-
-
-def _split_order(w: GaussianInt, triple) -> list[tuple[int, ...]]:
-    """The exponent vectors of the split x*y*z of w, ascending.
-
-    The vectors run over the primes of norm(w), first-quadrant and in
-    (norm, re) order.  Hits on one product come in the order of this key,
-    which is the order of the unordered splits of its prime multiset.
-    """
-    fixed, split = _norm_primes(w.norm())
-    primes = [pi for pi, _ in fixed]
-    for pi, _ in split:
-        primes += [pi, GaussianInt(pi.im, pi.re)]
-    primes.sort(key=lambda q: (q.norm(), q.re))
-
-    def exponents(d):
-        out = []
-        for q in primes:
-            k, rest = 0, (d.re, d.im)
-            while (rest := _exact_quotient(rest, q)) is not None:
-                k += 1
-            out.append(k)
-        return tuple(out)
-
-    return sorted(map(exponents, triple))
-
-
 def _search_product_first(bound):
     # a hit's three points have norms of at least 5 each, the least norm of
     # a point with a nonreal fourth power, so each has norm <= bound/25;
     # norms keeps the least norm of each positive slope among those points
     small = bound // 25
     norms = {}
+    candidates = 0
     for re, im in _candidate_points(small):
         re4, im4 = _pow4(re, im)
-        if im4 and (s := _slope(re4, im4))[0] > 0:
-            n = re * re + im * im
-            if n < norms.get(s, n + 1):
-                norms[s] = n
+        if im4:
+            candidates += 1
+            if (s := _slope(re4, im4))[0] > 0:
+                n = re * re + im * im
+                if n < norms.get(s, n + 1):
+                    norms[s] = n
     slopes = sorted(norms, key=norms.get)
     least = [norms[s] for s in slopes]
     # row i pairs slopes[i] with the slopes j > i with 5*n_i*n_j <= bound
@@ -690,30 +623,8 @@ def _search_product_first(bound):
     ends = [bisect_right(least, bound // (5 * n))
             for n in least if 5 * n * n <= bound]
     pairs = sum(max(end - i - 1, 0) for i, end in enumerate(ends))
-    progress = _Progress("product-first", _count_points(bound) + pairs,
-                         "points+pairs")
-
-    # the sieve pass counts the splits of every product w whose Im[w^4] =
-    # 4*re*im*(re^2 - im^2) is nonzero and passes the sieve; the sieve needs
-    # 27 | re*im*(re^2 - im^2), so each row walks only the classes of im
-    # mod 27 that allow it
-    classes = [[c for c in range(27) if a * c * (a * a - c * c) % 27 == 0]
-               for a in range(27)]
-    tested = candidates = pos = 0
-    for re in range(1, math.isqrt(bound) + 1):
-        re2 = re * re
-        top = math.isqrt(bound - re2)
-        for c in classes[re % 27]:
-            for im in range(c or 27, top + 1, 27):  # im >= 1
-                if 4 * re * im * (re2 - im * im) % _PRODUCT_SIEVE == 0 \
-                        and im != re:
-                    candidates += 1
-                    tested += _split_count(re, im)
-        pos += top + 1
-        if pos >= progress.due:
-            progress.line(pos, f"{tested} triples tested, 0 slope triples")
-    found = _slope_triples(slopes, norms, ends, progress, pos,
-                           f"{tested} triples tested, ")
+    found = _slope_triples(slopes, norms, ends,
+                           _Progress("product-first", pairs, "pairs"))
 
     hits = []
     if found:
@@ -726,12 +637,13 @@ def _search_product_first(bound):
         for triple in _point_triples(found, groups):
             x, y, z = sorted(triple, key=lambda v: (v.norm(), v.re))
             if x.norm() * y.norm() * z.norm() <= bound:
-                # hits come by product w in (norm, re) order, then by split
+                # hits come by product w in (norm, re) order, then by the
+                # (norm, re) keys of their sorted points
                 w = (x * y * z).first_quadrant()
-                hits.append(((w.norm(), w.re, _split_order(w, (x, y, z))),
-                             x, y, z))
+                hits.append(((w.norm(), w.re) + tuple(
+                    (v.norm(), v.re) for v in (x, y, z)), x, y, z))
         hits.sort(key=lambda h: h[0])
     return HourglassSearchResult(
         "product-first", bound,
         tuple(HourglassHit(x, y, z, _verify_hit(x, y, z))
-              for _, x, y, z in hits), tested, candidates)
+              for _, x, y, z in hits), pairs, candidates)

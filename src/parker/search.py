@@ -314,11 +314,16 @@ def prefilter_field(q) -> str | None:
     consecutive-square triple.  A magic square needs four disjoint center
     pairs and a center-0 square scales to a consecutive-square triple, so
     each verdict implies the full search comes back empty.  The verdict is
-    one of the reason strings in PREFILTER_REASONS.
+    one of the reason strings in PREFILTER_REASONS.  An order that is not a
+    prime power raises ValueError: an even one here, an odd one when its
+    carrier is built.
     """
     carrier = q if isinstance(q, Carrier) else None
     order = carrier.order if carrier is not None else q
     if order % 2 == 0:
+        if order < 2 or order & (order - 1):
+            raise ValueError(f"{order} is not a prime power, no field of "
+                             f"that order")
         return "even-order"
     if carrier is None:
         carrier = make_carrier("field", order)

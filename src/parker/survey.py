@@ -127,7 +127,12 @@ def scan_ring_order(order: int) -> ScanRecord:
 
 
 def field_orders(lo: int, hi: int, order_filter: str = "all") -> list[int]:
-    """Field orders in [lo, hi]: every prime power, primes only, or strict powers."""
+    """Field orders in [lo, hi]: every prime power, primes only, or strict powers.
+
+    An unknown filter raises ValueError.
+    """
+    if order_filter not in ("all", "primes-only", "prime-powers-only"):
+        raise ValueError(f"unknown field filter {order_filter!r}")
     out = []
     for n in range(max(lo, 2), hi + 1):
         pr = prime_power_base(n)

@@ -279,6 +279,18 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["is_magic_square_of_squares"] is False
 
+    @pytest.mark.parametrize("cell", [[True, 1], [5, -1], [3], 9, True])
+    def test_non_canonical_extension_cell_exits_1(self, capsys, tmp_path,
+                                                  cell):
+        # over F_9 only [c0, c1] with 0 <= c < 3, or 0..8, encode a cell
+        path = self.write(tmp_path, {
+            "carrier": {"kind": "field", "order": 9},
+            "cells": [cell] + [0] * 8})
+        code, out, err = run_cli(capsys, "verify", path)
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
     def test_malformed_file_exits_1(self, capsys, tmp_path):
         path = self.write(tmp_path, {"cells": [1] * 9})
         code, _, err = run_cli(capsys, "verify", path)

@@ -301,10 +301,8 @@ class TestSearchHourglass:
     def test_progress_logged_at_whole_percents(self, caplog, mode, bound):
         with caplog.at_level("INFO", logger="parker.gaussian"):
             search_hourglass(mode, bound)
-        unit = r"pairs" if mode == "exhaustive" else r"points\+pairs"
-        counters = "" if mode == "exhaustive" else r"\d+ triples tested, "
-        line = re.compile(rf"{mode}: (\d+)/(\d+) {unit}, {counters}"
-                          rf"0 slope triples; \d+ {unit}/s, ETA \d+\.\d s")
+        line = re.compile(rf"{mode}: (\d+)/(\d+) pairs, "
+                          r"0 slope triples; \d+ pairs/s, ETA \d+\.\d s")
         found = [line.fullmatch(m) for m in caplog.messages]
         assert all(found) and 1 <= len(found) <= 101
         pos = [int(m[1]) for m in found]
@@ -373,8 +371,7 @@ class TestSearchHourglass:
                      key=lambda w: (w[0] ** 2 + w[1] ** 2, w[0], w[1]))
         assert seen == [gaussian._pow4(*w) for w in pts]
         assert result.candidates_enumerated == len(pts)
-        assert gaussian._count_points(bound) \
-            == len(list(gaussian._candidate_points(bound))) \
+        assert len(list(gaussian._candidate_points(bound))) \
             == len({(re, im) for re in range(1, 45) for im in range(45)
                     if re * re + im * im <= bound})
 
@@ -396,13 +393,13 @@ class TestSearchHourglass:
         assert result.candidates_enumerated == 582
         result = search_hourglass("product-first", 10**5)
         assert result.hits == ()
-        assert result.triples_tested == 52658
-        assert result.candidates_enumerated == 1202
+        assert result.triples_tested == 1780
+        assert result.candidates_enumerated == 3038
 
     @pytest.mark.parametrize("mode, bound, tested, enumerated", [
         ("exhaustive", 5000, 9195965856, 3806),
-        ("product-first", 2000, 162, 6),
-        ("product-first", 10**6, 883242, 13878)])
+        ("product-first", 2000, 14, 48),
+        ("product-first", 10**6, 23516, 31066)])
     def test_counters_at_larger_bounds(self, mode, bound, tested,
                                        enumerated):
         result = search_hourglass(mode, bound)
@@ -410,14 +407,15 @@ class TestSearchHourglass:
         assert result.triples_tested == tested
         assert result.candidates_enumerated == enumerated
 
-    def test_product_first_factors_only_in_z(self, monkeypatch):
-        def no_factoring(w):
-            raise AssertionError("factored in Z[i]")
+    def test_product_first_factors_nothing(self, monkeypatch):
+        def no_factoring(n):
+            raise AssertionError("factored")
 
-        monkeypatch.setattr(gaussian, "gaussian_factor", no_factoring)
+        for name in ("factorize", "_norm_primes", "gaussian_factor"):
+            monkeypatch.setattr(gaussian, name, no_factoring)
         result = search_hourglass("product-first", 10**5)
         assert (result.triples_tested, result.candidates_enumerated) \
-            == (52658, 1202)
+            == (1780, 3038)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +553,13 @@ def _legacy_product_hits(products, pow4):
     return [t for _, t in hits]
 
 
+def _hit_key(triple):
+    """The order of product-first hits: the product w by (norm, re), then
+    the (norm, re) keys of the triple's points, which come sorted."""
+    w = (triple[0] * triple[1] * triple[2]).first_quadrant()
+    return (w.norm(), w.re) + tuple((v.norm(), v.re) for v in triple)
+
+
 def _cubic_triples(p4):
     """Every i <= j <= k whose fourth powers pass the hourglass condition;
     the reference for the exhaustive kernels."""
@@ -669,28 +674,37 @@ class TestLineBucketKernel:
         bound, pow4 = 4000, _planted_pow4(planted)
         products = [GaussianInt(*w) for w in gaussian._candidate_points(bound)]
         assert _search_hits("product-first", bound, pow4) \
-            == _legacy_product_hits(products, pow4)
+            == sorted(_legacy_product_hits(products, pow4), key=_hit_key)
 
     def test_hits_on_one_product_come_in_split_order(self):
         # w = (2+i)(3+2i)(4+i)(5+2i) = 178+19i splits as a*b*(cd) and as
         # (ab)*c*d over six distinct points; slopes planted on both splits
-        # give two hits on w and two on its mirror 19+178i, and the legacy
-        # order puts (ab)*c*d first although its least norm is larger
+        # give two hits on w and two on its mirror 19+178i.  On one product
+        # the split whose sorted points have the smaller (norm, re) keys
+        # comes first: a*b*(cd), with norms 5, 13 and 493, before (ab)*c*d,
+        # with norms 17, 29 and 65, which the legacy split order put first
         planted = {(2, 1): (1, 1), (3, 2): (2, 1), (18, 13): (-5, 3),
                    (4, 7): (1, 2), (4, 1): (3, 1), (5, 2): (-9, 7)}
         pow4 = _planted_pow4(planted)
         g = GaussianInt
-        expected = [(g(1, 4), g(2, 5), g(7, 4)), (g(1, 2), g(2, 3), g(13, 18)),
-                    (g(4, 1), g(5, 2), g(4, 7)), (g(2, 1), g(3, 2), g(18, 13))]
-        assert _legacy_product_hits([g(19, 178), g(178, 19)], pow4) \
-            == expected
+        expected = [(g(1, 2), g(2, 3), g(13, 18)), (g(1, 4), g(2, 5), g(7, 4)),
+                    (g(2, 1), g(3, 2), g(18, 13)), (g(4, 1), g(5, 2), g(4, 7))]
+        legacy = _legacy_product_hits([g(19, 178), g(178, 19)], pow4)
+        assert legacy == [expected[i] for i in (1, 0, 3, 2)]
+        assert sorted(legacy, key=_hit_key) == expected
         assert _search_hits("product-first", 32045, pow4) == expected
         assert _search_hits("product-first", 32044, pow4) == []
 
 
+# Im[w^4] is divisible by 24 for every w in Z[i], so the product side of the
+# identity, and with it Im[w^4] for a hit's product w, is divisible by
+# 4 * 24**3.
+_PRODUCT_SIEVE = 4 * 24**3
+
+
 class TestProductSplits:
-    """The Burnside split count of the product-first sieve pass against
-    the legacy split enumeration."""
+    """The legacy split enumeration against ordered splits and the
+    hourglass condition."""
 
     @pytest.mark.parametrize("w", [
         # (1+i)^3 * 3 * (2+i)^2 * (2-i): ramified, inert, and a split
@@ -703,7 +717,7 @@ class TestProductSplits:
     def test_unordered_splits_match_reference(self, w):
         factors = gaussian_factor(w).factors
         got = [_canonical(t) for t in _split_triples(factors)]
-        assert len(got) == len(set(got)) == gaussian._split_count(w.re, w.im)
+        assert len(got) == len(set(got))
         assert set(got) == {_canonical(t) for t in _ordered_splits(factors)}
         unit = gaussian_factor(w).unit
         for x, y, z in _split_triples(factors):
@@ -714,18 +728,16 @@ class TestProductSplits:
         for re, im in gaussian._candidate_points(20_000):
             w = GaussianInt(re, im)
             im4 = pow4_parts(w)[1]
-            if im4 == 0 or im4 % gaussian._PRODUCT_SIEVE:
+            if im4 == 0 or im4 % _PRODUCT_SIEVE:
                 continue
             candidates += 1
             triples = _split_triples(gaussian_factor(w).factors)
             tested, survivors = _product_splits(w, im4)
-            assert tested == len(triples) == gaussian._split_count(re, im)
+            assert tested == len(triples)
             assert set(survivors) == {
                 _canonical(t) for t in triples
                 if hourglass_condition(*t).identity_holds}
             assert not any(hourglass_condition(*t).holds for t in survivors)
-        assert candidates \
-            == search_hourglass("product-first", 20_000).candidates_enumerated
         assert candidates > 100
 
 

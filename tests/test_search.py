@@ -289,6 +289,21 @@ class TestPrefilter:
         assert prefilter_field(17) == "no-consecutive-squares"
         assert prefilter_field(25) == "no-consecutive-squares"
 
+    def test_non_prime_power_orders_rejected(self):
+        # even ones before the even-order verdict, odd ones by the carrier
+        for q in (0, 6, 12, 10**9, 15, 2**40 * 3):
+            with pytest.raises(ValueError, match="not a prime power"):
+                prefilter_field(q)
+
+    def test_powers_of_two_settled_without_carrier(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a carrier")
+
+        monkeypatch.setattr(search, "make_carrier", refuse)
+        monkeypatch.setattr(search, "squares", refuse)
+        for q in (2, 16, 2**40):
+            assert prefilter_field(q) == "even-order"
+
     def test_sound_for_all_orders_to_1000(self):
         for q in field_orders(2, 1000):
             if prefilter_field(q) is not None:

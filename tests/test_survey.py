@@ -47,6 +47,12 @@ class TestScanFields:
         records, _ = scan_fields(2, 30, "prime-powers-only")
         assert [r.order for r in records] == [4, 8, 9, 16, 25, 27]
 
+    def test_unknown_filter_rejected(self):
+        with pytest.raises(ValueError, match="unknown field filter"):
+            survey.field_orders(2, 12, "primes")
+        with pytest.raises(ValueError, match="unknown field filter"):
+            scan_fields(2, 12, "primes")
+
     def test_record_breaker_table(self):
         records, table = scan_fields(2, 97, "primes-only")
         assert table.rows == ((2, 0), (29, 2), (61, 4), (89, 5), (97, 6))
