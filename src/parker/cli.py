@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 
 from . import survey
@@ -33,17 +32,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("PARKER_JOBS", "")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"PARKER_JOBS must be an integer, got {env!r}") \
-            from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_scan_common(p):
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes, at least 1 (default $PARKER_JOBS "
-                        "or 1); capped by the CPU and order counts")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at least 1 (default 1); capped by "
+                        "the CPU and order counts")
     p.add_argument("--checkpoint", default=None,
                    help="JSONL checkpoint file for resume")
     p.add_argument("--out", default=None, help="report file")
@@ -161,13 +149,12 @@ def _cmd_single(args, kind):
 
 
 def _cmd_scan(args, kind):
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     if kind == "field":
         order_filter = ("primes-only" if args.primes
                         else "prime-powers-only" if args.prime_powers
                         else "all")
         records, table = survey.scan_fields(
-            args.lo, args.hi, order_filter, jobs=jobs,
+            args.lo, args.hi, order_filter, jobs=args.jobs,
             checkpoint=args.checkpoint)
     else:
         if args.res is not None and args.mod is None:
@@ -176,7 +163,7 @@ def _cmd_scan(args, kind):
                         else (args.mod, args.res or 0) if args.mod is not None
                         else "all")
         records, table = survey.scan_rings(
-            args.lo, args.hi, order_filter, jobs=jobs,
+            args.lo, args.hi, order_filter, jobs=args.jobs,
             checkpoint=args.checkpoint)
     if args.out:
         survey.write_report(records, args.format, args.out)

@@ -436,12 +436,14 @@ def _candidate_points(bound: int):
 
 
 # Largest accepted bound per mode: at most about two minutes of search on a
-# 2-CPU x86 VM, measured in-process at the limit: exhaustive 90-98 s in
-# 40 MB peak RSS, product-first 12-13 s in 150 MB (three runs).  Exhaustive
-# time grows with the square of its positive slopes (12736 at the limit).
-# Product-first time and memory go to the slope table of the 3.1M points of
-# norm <= bound/25 (about 7 s) and to the kernel's 3.5M pairs (about 5 s);
-# both grow about linearly, and the table's memory keeps the limit here.
+# 2-CPU x86 VM, measured in-process at the limit: exhaustive 87-94 s in
+# 21 MB peak RSS, product-first 9-11 s in 150 MB (two runs each).
+# Exhaustive time grows with the square of its positive slopes (12736 at
+# the limit); it keeps one least norm per positive slope, not its points.
+# Product-first time and memory go to the walk over the 3.1M points of
+# norm <= bound/25 and its table of 0.64M positive slopes (about 5 s) and
+# to the kernel's 3.5M pairs (about 4 s); both grow about linearly, and the
+# table's memory keeps the limit here.
 MAX_BOUND = {"exhaustive": 80_000, "product-first": 100_000_000}
 
 
@@ -473,22 +475,25 @@ def search_hourglass(mode: str, bound: int) -> HourglassSearchResult:
 
     exhaustive mode covers all first-quadrant triples with
     norm(x) <= norm(y) <= norm(z) <= bound; product-first mode covers every
-    split x*y*z of a product w with norm(w) <= bound.  Both find their hits
-    with the slope kernel _slope_triples and differ only in the bound
-    shape.  Every hit is re-checked with hourglass_condition and
-    re-verified by building the hourglass and validating all 5 sums; an
-    empty result is the expected outcome.
+    split x*y*z of a product w with norm(w) <= bound.  One driver, _search,
+    serves both: it walks the disk of radius bound (exhaustive) or bound/25
+    (product-first) once for the least norm of each positive slope, pairs
+    the slopes with the kernel _slope_triples, and walks the disk again
+    only to expand the slope triples it found into point triples.  The
+    modes differ in the disk, the pairs tried, a product-first filter on
+    norm(x*y*z) <= bound and the counters.  Every hit is re-checked with
+    hourglass_condition and re-verified by building the hourglass and
+    validating all 5 sums; an empty result is the expected outcome.
 
-    candidates_enumerated counts the points the kernel's slopes come from,
-    those with a nonreal fourth power: of norm <= bound (exhaustive) or
-    <= bound/25 (product-first).  triples_tested counts the triples the
-    search decided: in exhaustive mode every index triple i <= j <= k of
-    its n points, n(n+1)(n+2)/6; in product-first mode the positive-slope
-    pairs the kernel tries, each of which tests one slope triple.  At INFO
-    each mode logs its progress through those pairs at each whole percent.
-    Hits come in ascending order: exhaustive hits by their point indices in
-    (norm, re) order, product-first hits by their product w in (norm, re)
-    order and then by the (norm, re) keys of their points.
+    candidates_enumerated counts the walked points with a nonreal fourth
+    power, the points the kernel's slopes come from.  triples_tested counts
+    the triples the search decided: in exhaustive mode every triple
+    x <= y <= z of its n points, n(n+1)(n+2)/6; in product-first mode the
+    positive-slope pairs the kernel tries, each of which tests one slope
+    triple.  At INFO both modes log their progress at each whole percent,
+    first through the rows of the walk, then through the pairs.  Hits come
+    in ascending order of the (norm, re) keys of their sorted points;
+    product-first puts the (norm, re) of the product w in front.
 
     bound must lie in 1..MAX_BOUND[mode]; ValueError is raised before any
     point is enumerated.
@@ -500,9 +505,7 @@ def search_hourglass(mode: str, bound: int) -> HourglassSearchResult:
     if bound > MAX_BOUND[mode]:
         raise ValueError(f"{mode} bound {bound} exceeds the limit "
                          f"{MAX_BOUND[mode]}")
-    if mode == "exhaustive":
-        return _search_exhaustive(bound)
-    return _search_product_first(bound)
+    return _search(mode, bound)
 
 
 def _slope_triples(slopes, known, ends, progress):
@@ -522,8 +525,9 @@ def _slope_triples(slopes, known, ends, progress):
       - (re, im) -> (im, re) keeps the norm and negates the slope, since
         im + re*i = i*conj(re + im*i) has fourth power conj(w^4).  sigma_2
         is even, so the negation of a solution is a solution, and every
-        (-, -, +) solution mirrors a (+, +, -) one.  Both searches run over
-        point sets closed under this mirror.
+        (-, -, +) solution mirrors a (+, +, -) one.  The search walks the
+        first-quadrant points of a disk, and those with a nonreal fourth
+        power are closed under this mirror.
       - Equal slopes mean proportional fourth powers, which
         hourglass_condition rejects.  So the hits are exactly the point
         triples over slope triples of three distinct slopes with
@@ -567,47 +571,17 @@ def _point_triples(found, groups):
             yield from product(*(groups[s] for s in t))
 
 
-def _exhaustive_triples(p4):
-    """Index triples i < j < k of p4 whose fourth powers satisfy the
-    hourglass identity and are pairwise non-proportional, ascending.
-
-    p4 holds fourth powers as (re, im) pairs, both parts nonzero, and its
-    slopes are closed under negation, as the mirror gives for the points
-    (see _slope_triples).  Every pair of positive slopes is tried.
-    """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, (re, im) in enumerate(p4):
-        groups.setdefault(_slope(re, im), []).append(k)
-    slopes = [s for s in groups if s[0] > 0]
-    n = len(slopes)
-    progress = _Progress("exhaustive", n * (n - 1) // 2, "pairs")
-    found = _slope_triples(slopes, groups, [n] * n, progress)
-    return sorted(tuple(sorted(t)) for t in _point_triples(found, groups))
-
-
-def _search_exhaustive(bound):
-    # points with a real fourth power (im == 0 or re == im) can never appear
-    # in a qualifying triple, so they are skipped up front; the rest go in
-    # (norm, re) order, which is (norm, re, im) order
-    pts = sorted((w for w in _candidate_points(bound) if _pow4(*w)[1] != 0),
-                 key=lambda w: (w[0] * w[0] + w[1] * w[1], w[0]))
-    hits = []
-    for idx in _exhaustive_triples([_pow4(*w) for w in pts]):
-        x, y, z = (GaussianInt(*pts[t]) for t in idx)
-        hits.append(HourglassHit(x, y, z, _verify_hit(x, y, z)))
-    n = len(pts)
-    return HourglassSearchResult("exhaustive", bound, tuple(hits),
-                                 n * (n + 1) * (n + 2) // 6, n)
-
-
-def _search_product_first(bound):
-    # a hit's three points have norms of at least 5 each, the least norm of
-    # a point with a nonreal fourth power, so each has norm <= bound/25;
-    # norms keeps the least norm of each positive slope among those points
-    small = bound // 25
+def _search(mode, bound):
+    # a product-first hit's three points have norms of at least 5 each, the
+    # least norm of a point with a nonreal fourth power, so each has norm
+    # <= bound/25; exhaustive points have norm <= bound.  norms keeps the
+    # least norm of each positive slope among the points walked
+    product_first = mode == "product-first"
+    radius = bound // 25 if product_first else bound
+    walk = _Progress(mode, math.isqrt(radius), "rows")
     norms = {}
     candidates = 0
-    for re, im in _candidate_points(small):
+    for re, im in _candidate_points(radius):
         re4, im4 = _pow4(re, im)
         if im4:
             candidates += 1
@@ -615,35 +589,46 @@ def _search_product_first(bound):
                 n = re * re + im * im
                 if n < norms.get(s, n + 1):
                     norms[s] = n
+        elif not im and re - 1 >= walk.due:
+            # each row opens with im = 0, a real fourth power: rows 1..re-1
+            # are done
+            walk.line(re - 1, f"{len(norms)} positive slopes")
+    if walk.total >= walk.due:
+        walk.line(walk.total, f"{len(norms)} positive slopes")
+
     slopes = sorted(norms, key=norms.get)
-    least = [norms[s] for s in slopes]
-    # row i pairs slopes[i] with the slopes j > i with 5*n_i*n_j <= bound
-    # (5 bounds the third norm from below); past the rows with
-    # 5*n_i^2 <= bound no pair is left
-    ends = [bisect_right(least, bound // (5 * n))
-            for n in least if 5 * n * n <= bound]
+    if product_first:
+        # row i pairs slopes[i] with the slopes j > i with 5*n_i*n_j <= bound
+        # (5 bounds the third norm from below); past the rows with
+        # 5*n_i^2 <= bound no pair is left
+        least = [norms[s] for s in slopes]
+        ends = [bisect_right(least, bound // (5 * n))
+                for n in least if 5 * n * n <= bound]
+    else:
+        ends = [len(slopes)] * len(slopes)
     pairs = sum(max(end - i - 1, 0) for i, end in enumerate(ends))
-    found = _slope_triples(slopes, norms, ends,
-                           _Progress("product-first", pairs, "pairs"))
+    found = _slope_triples(slopes, norms, ends, _Progress(mode, pairs, "pairs"))
 
     hits = []
     if found:
         wanted = {s for t in found for s in t + _mirror(t)}
         groups: dict[tuple[int, int], list[GaussianInt]] = {}
-        for re, im in _candidate_points(small):
+        for re, im in _candidate_points(radius):
             re4, im4 = _pow4(re, im)
             if im4 and (s := _slope(re4, im4)) in wanted:
                 groups.setdefault(s, []).append(GaussianInt(re, im))
         for triple in _point_triples(found, groups):
             x, y, z = sorted(triple, key=lambda v: (v.norm(), v.re))
-            if x.norm() * y.norm() * z.norm() <= bound:
-                # hits come by product w in (norm, re) order, then by the
-                # (norm, re) keys of their sorted points
+            key = tuple((v.norm(), v.re) for v in (x, y, z))
+            if product_first:
+                if x.norm() * y.norm() * z.norm() > bound:
+                    continue
                 w = (x * y * z).first_quadrant()
-                hits.append(((w.norm(), w.re) + tuple(
-                    (v.norm(), v.re) for v in (x, y, z)), x, y, z))
+                key = (w.norm(), w.re) + key
+            hits.append((key, x, y, z))
         hits.sort(key=lambda h: h[0])
+    tested = (pairs if product_first
+              else candidates * (candidates + 1) * (candidates + 2) // 6)
     return HourglassSearchResult(
-        "product-first", bound,
-        tuple(HourglassHit(x, y, z, _verify_hit(x, y, z))
-              for _, x, y, z in hits), pairs, candidates)
+        mode, bound, tuple(HourglassHit(x, y, z, _verify_hit(x, y, z))
+                           for _, x, y, z in hits), tested, candidates)

@@ -209,6 +209,14 @@ def _repeat_mask(carrier):
     return repeats
 
 
+def _field(carrier):
+    """carrier, once checked to be a field; ValueError otherwise."""
+    if carrier.kind not in ("prime-field", "extension-field"):
+        raise ValueError(f"the field search needs a field carrier, "
+                         f"got {carrier}")
+    return carrier
+
+
 def _field_centers(q):
     """(carrier, centers) of the field search: a list of (e, anti_diagonal).
 
@@ -216,10 +224,8 @@ def _field_centers(q):
     pairs summing to 0; center 1 scans unordered combinations of two
     distinct pairs summing to 2.
     """
-    carrier = q if isinstance(q, Carrier) else make_carrier("field", q)
-    if carrier.kind not in ("prime-field", "extension-field"):
-        raise ValueError(f"the field search needs a field carrier, "
-                         f"got {carrier}")
+    carrier = _field(q if isinstance(q, Carrier)
+                     else make_carrier("field", q))
     one = carrier.encode_int(1)
     return carrier, [(0, 1 << carrier.neg(one)), (one, None)]
 
@@ -316,9 +322,10 @@ def prefilter_field(q) -> str | None:
     each verdict implies the full search comes back empty.  The verdict is
     one of the reason strings in PREFILTER_REASONS.  An order that is not a
     prime power raises ValueError: an even one here, an odd one when its
-    carrier is built.
+    carrier is built.  So does a carrier that is not a field, before any
+    verdict.
     """
-    carrier = q if isinstance(q, Carrier) else None
+    carrier = _field(q) if isinstance(q, Carrier) else None
     order = carrier.order if carrier is not None else q
     if order % 2 == 0:
         if order < 2 or order & (order - 1):

@@ -152,12 +152,16 @@ class TestScans:
         assert code == 0
         assert out == fresh
 
-    def test_jobs_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("PARKER_JOBS", "2")
-        code, out, _ = run_cli(capsys, "scan-fields", "--from", "2", "--to",
-                               "20")
+    @pytest.mark.parametrize("env", ["junk", "0", "-3", "two"])
+    def test_jobs_env_ignored(self, capsys, monkeypatch, env):
+        # --jobs is the only worker setting; PARKER_JOBS is not read
+        args = ("scan-fields", "--from", "2", "--to", "20")
+        code, plain, _ = run_cli(capsys, *args)
         assert code == 0
-        assert "field 17: Parker" in out
+        monkeypatch.setenv("PARKER_JOBS", env)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert out == plain
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_1(self, capsys, jobs):
@@ -166,15 +170,6 @@ class TestScans:
         assert code == 1
         assert out == ""
         assert "at least 1" in err
-
-    @pytest.mark.parametrize("env", ["0", "-3", "two"])
-    def test_bad_jobs_env_exits_1(self, capsys, monkeypatch, env):
-        monkeypatch.setenv("PARKER_JOBS", env)
-        code, out, err = run_cli(capsys, "scan-fields", "--from", "2", "--to",
-                                 "20")
-        assert code == 1
-        assert out == ""
-        assert "error" in err
 
 
 class TestHourglassCommand:
@@ -202,11 +197,15 @@ class TestHourglassCommand:
         assert code == 0 and out == quiet
         lines = err.splitlines()
         assert lines[-1:] == summary
-        assert 1 <= len(lines) - 1 <= 101
-        assert all(re.fullmatch(rf"parker: {mode}: \d+/\d+ [\w+]+, "
-                                r".*0 slope triples; \d+ [\w+]+/s, "
-                                r"ETA \d+\.\d s", line)
-                   for line in lines[:-1])
+        # the walk's rows, then the kernel's pairs, at most 101 lines each
+        rows = [line for line in lines if re.fullmatch(
+            rf"parker: {mode}: \d+/\d+ rows, \d+ positive slopes; "
+            r"\d+ rows/s, ETA \d+\.\d s", line)]
+        pairs = [line for line in lines if re.fullmatch(
+            rf"parker: {mode}: \d+/\d+ pairs, \d+ slope triples; "
+            r"\d+ pairs/s, ETA \d+\.\d s", line)]
+        assert lines[:-1] == rows + pairs
+        assert 1 <= len(rows) <= 101 and 1 <= len(pairs) <= 101
         # the handler goes with the command
         assert run_cli(capsys, *args)[1:] == (quiet, summary[0] + "\n")
         assert build_parser().parse_args(["-vv", *args]).verbose is True

@@ -301,16 +301,32 @@ class TestSearchHourglass:
     def test_progress_logged_at_whole_percents(self, caplog, mode, bound):
         with caplog.at_level("INFO", logger="parker.gaussian"):
             search_hourglass(mode, bound)
-        line = re.compile(rf"{mode}: (\d+)/(\d+) pairs, "
-                          r"0 slope triples; \d+ pairs/s, ETA \d+\.\d s")
-        found = [line.fullmatch(m) for m in caplog.messages]
-        assert all(found) and 1 <= len(found) <= 101
-        pos = [int(m[1]) for m in found]
-        assert pos == sorted(set(pos)) and pos[-1] == int(found[0][2])
-        total = int(found[0][2])
-        # one line per whole percent at most
-        assert len({p * 100 // total for p in pos} if total else pos) \
-            == len(pos)
+        rows = re.compile(rf"{mode}: (\d+)/(\d+) rows, (\d+) positive "
+                          r"slopes; \d+ rows/s, ETA \d+\.\d s")
+        pairs = re.compile(rf"{mode}: (\d+)/(\d+) pairs, "
+                           r"0 slope triples; \d+ pairs/s, ETA \d+\.\d s")
+        # the walk's rows come first, then the kernel's pairs
+        phases = [[rows.fullmatch(m) for m in caplog.messages
+                   if m.split()[2] == "rows,"],
+                  [pairs.fullmatch(m) for m in caplog.messages
+                   if m.split()[2] == "pairs,"]]
+        assert [m.split()[2] for m in caplog.messages] \
+            == ["rows,"] * len(phases[0]) + ["pairs,"] * len(phases[1])
+        for found in phases:
+            assert all(found) and 1 <= len(found) <= 101
+            pos = [int(m[1]) for m in found]
+            assert pos == sorted(set(pos)) and pos[-1] == int(found[0][2])
+            total = int(found[0][2])
+            # one line per whole percent at most
+            assert len({p * 100 // total for p in pos} if total else pos) \
+                == len(pos)
+        slopes = [int(m[3]) for m in phases[0]]
+        assert slopes == sorted(slopes)
+        # every row of the walk closes a line while it is one whole percent
+        rows_total = int(phases[0][0][2])
+        assert rows_total \
+            == math.isqrt(bound // 25 if mode == "product-first" else bound)
+        assert len(phases[0]) == min(max(rows_total, 1), 100)
 
     @pytest.mark.parametrize("mode", sorted(MAX_BOUND))
     def test_quiet_search_reads_no_clock(self, mode, monkeypatch, caplog):
@@ -353,24 +369,30 @@ class TestSearchHourglass:
             log.removeHandler(handler)
         assert len(lines) > 50
         for message, at in lines:
-            pos, total, eta = map(float, re.match(
-                r"exhaustive: (\d+)/(\d+) .* ETA (\S+) s", message).groups())
-            if pos >= total / 2:
+            match = re.match(r"exhaustive: (\d+)/(\d+) pairs, .* ETA (\S+) s",
+                             message)
+            if match and int(match[1]) >= int(match[2]) / 2:
+                eta = float(match[3])
                 break
         left = (ticks[0] - at) * 1e-6
         assert left / 2 <= eta <= 2 * left
 
-    def test_exhaustive_points_in_norm_order(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(gaussian, "_exhaustive_triples",
-                            lambda p4: seen.extend(p4) or [])
+    def test_exhaustive_points_in_norm_order(self):
+        # one slope triple planted on (2, 1), (6, 1) and (5, 4): within a
+        # hit and across hits the points go in (norm, re) order, so (6, 1)
+        # of norm 37 comes before (5, 4) of norm 41
         bound = 2000
+        pow4 = _planted_pow4({(2, 1): (1, 2), (6, 1): (3, 1),
+                              (5, 4): (-9, 7)})
+        g = GaussianInt
+        assert _search_hits("exhaustive", bound, pow4) \
+            == [(g(1, 2), g(1, 6), g(4, 5)), (g(2, 1), g(6, 1), g(5, 4))]
+        pts = [(re, im) for re in range(1, 45) for im in range(45)
+               if re * re + im * im <= bound and re != im and im]
         result = search_hourglass("exhaustive", bound)
-        pts = sorted(((re, im) for re in range(1, 45) for im in range(45)
-                      if re * re + im * im <= bound and re != im and im),
-                     key=lambda w: (w[0] ** 2 + w[1] ** 2, w[0], w[1]))
-        assert seen == [gaussian._pow4(*w) for w in pts]
         assert result.candidates_enumerated == len(pts)
+        assert result.triples_tested \
+            == len(pts) * (len(pts) + 1) * (len(pts) + 2) // 6
         assert len(list(gaussian._candidate_points(bound))) \
             == len({(re, im) for re in range(1, 45) for im in range(45)
                     if re * re + im * im <= bound})
@@ -568,10 +590,17 @@ def _cubic_triples(p4):
             for k in range(j, len(pts)) if _passes(pts[i], pts[j], pts[k])]
 
 
+# points re > im >= 1 in (norm, re) order; fourth_power_lists plants on the
+# first of them, all of norm <= 50
+_PLANT_POINTS = sorted(((re, im) for re in range(2, 8) for im in range(1, re)),
+                       key=lambda w: (w[0] ** 2 + w[1] ** 2, w[0]))[:12]
+
+
 @st.composite
 def fourth_power_lists(draw):
-    """Nonzero integer pairs, some planted on the identity's line, with
-    every pair's mirror (re, -im) beside it."""
+    """Nonzero integer pairs, some planted on the identity's line, planted
+    on the points of _PLANT_POINTS in a drawn order; mirroring each pair as
+    (re, -im) onto its mirror point is _planted_pow4's part."""
     nonzero = st.integers(-40, 40).filter(bool)
     pairs = draw(st.lists(st.tuples(nonzero, nonzero), min_size=1,
                           max_size=8))
@@ -584,13 +613,14 @@ def fourth_power_lists(draw):
             t, g = draw(st.integers(-3, 3).filter(bool)), math.gcd(a, b)
             pairs.insert(draw(st.integers(0, len(pairs))),
                          (t * b // g, t * a // g))
-    return draw(st.permutations(pairs + [(re, -im) for re, im in pairs]))
+    points = draw(st.permutations(_PLANT_POINTS))
+    return dict(zip(points, pairs))
 
 
-def _planted_pow4(planted):
+def _planted_pow4(planted, real=gaussian._pow4):
     """_pow4 with the fourth powers in planted on its points, and the
-    mirrored (re, -im) on their mirror points (im, re)."""
-    real = gaussian._pow4
+    mirrored (re, -im) on their mirror points (im, re); real gives the
+    fourth powers of the other points."""
 
     def pow4(re, im):
         if (re, im) in planted:
@@ -641,21 +671,33 @@ def _search_hits(mode, bound, pow4):
 
 
 class TestLineBucketKernel:
-    """The exhaustive slope kernel, which replaced the line-bucket kernel,
-    against the legacy kernel and the cubic reference."""
+    """The search's slope kernel, which replaced the line-bucket kernel and
+    the split enumeration, against those legacy kernels and the cubic
+    reference."""
 
     def test_planted_hit(self):
         # slopes 1/2, 3 and -9/7: sigma_2 = 3/2 - 27/7 - 9/14 = -3
-        p4 = [(1, 2), (3, 1), (-9, 7), (1, -2), (3, -1), (-9, -7)]
-        assert gaussian._exhaustive_triples(p4) == [(0, 1, 2), (3, 4, 5)]
-        p4[2], p4[5] = (-9, 8), (-9, -8)
-        assert gaussian._exhaustive_triples(p4) == []
+        planted = {(2, 1): (1, 2), (3, 1): (3, 1), (3, 2): (-9, 7)}
+        g = GaussianInt
+        assert _search_hits("exhaustive", 50, _planted_pow4(planted)) \
+            == [(g(1, 2), g(1, 3), g(2, 3)), (g(2, 1), g(3, 1), g(3, 2))]
+        planted[3, 2] = (-9, 8)
+        assert _search_hits("exhaustive", 50, _planted_pow4(planted)) == []
 
     @given(fourth_power_lists())
     @settings(max_examples=300, deadline=None)
-    def test_matches_cubic_reference(self, p4):
-        assert gaussian._exhaustive_triples(p4) == _cubic_triples(p4) \
-            == _line_bucket_triples(p4)
+    def test_matches_cubic_reference(self, planted):
+        # every point off the planted ones and their mirrors gets a real
+        # fourth power, so the search sees exactly the planted pairs
+        bound = 50
+        pow4 = _planted_pow4(planted, real=lambda re, im: (1, 0))
+        pts = [w for w in gaussian._candidate_points(bound) if pow4(*w)[1]]
+        pts.sort(key=lambda w: (w[0] ** 2 + w[1] ** 2, w[0]))
+        p4 = [pow4(*w) for w in pts]
+        cubic = _cubic_triples(p4)
+        assert _line_bucket_triples(p4) == cubic
+        assert _search_hits("exhaustive", bound, pow4) \
+            == [tuple(GaussianInt(*pts[t]) for t in idx) for idx in cubic]
 
     @given(planted_points(max_norm=200))
     @settings(max_examples=40, deadline=None)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parker import search
-from parker.algebra import (MAX_ORDER, center_pairs, divisor_representatives,
-                            is_prime, make_carrier)
+from parker.algebra import (MAX_ORDER, Integers, center_pairs,
+                            divisor_representatives, is_prime, make_carrier)
 from parker.core import dihedral_canonical, dihedral_orbit, validate_square
 from parker.search import (brute_force_oracle, count_field, count_ring,
                            msos_field, msos_ring, oracle_agreement,
@@ -294,6 +294,15 @@ class TestPrefilter:
         for q in (0, 6, 12, 10**9, 15, 2**40 * 3):
             with pytest.raises(ValueError, match="not a prime power"):
                 prefilter_field(q)
+
+    def test_non_field_carriers_rejected(self):
+        # Z/45Z has squares, so a verdict would be a wrong Parker label;
+        # Z/25Z and the integers failed inside the cascade
+        assert count_ring(45) == 3
+        for carrier in (make_carrier("ring", 45), make_carrier("ring", 25),
+                        Integers()):
+            with pytest.raises(ValueError, match="needs a field carrier"):
+                prefilter_field(carrier)
 
     def test_powers_of_two_settled_without_carrier(self, monkeypatch):
         def refuse(*args, **kwargs):
