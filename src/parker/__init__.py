@@ -1,22 +1,51 @@
-"""Magic squares of squares over finite carriers, and hourglass search in Z[i]."""
+"""Magic squares of squares over finite carriers, and hourglass search in Z[i].
 
-from .algebra import (MAX_ORDER, Carrier, ExtensionField, Integers,
-                      ModularRing, NonInvertibleError, PrimeField,
-                      center_pairs, consecutive_square_triples,
-                      divisor_representatives, make_carrier, squares)
-from .core import (ValidationReport, dihedral_orbit, magic_from_params,
-                   validate_hourglass, validate_square)
-from .gaussian import (CongruumTriple, GaussianFactorization, GaussianInt,
-                       HourglassCandidate, HourglassConditionReport,
-                       chi, congruum_triple, gaussian_factor,
-                       hourglass_condition, hourglass_generators,
-                       hourglass_guess, pow4_parts, search_hourglass,
-                       two_square_reps)
-from .search import (SearchResult, brute_force_oracle, count_field, count_ring,
-                     msos_field, msos_ring, oracle_agreement, prefilter_field)
-from .survey import (RecordBreakerTable, ScanRecord, record_breakers,
-                     scan_fields, scan_rings)
+The public names below load their module on first access (PEP 562), so
+`import parker` imports no submodule and each command pays only for the
+modules it runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public name -> the submodule that defines it; each submodule is public too
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("algebra", ("MAX_ORDER", "Carrier", "ExtensionField", "Integers",
+                     "ModularRing", "NonInvertibleError", "PrimeField",
+                     "center_pairs", "consecutive_square_triples",
+                     "divisor_representatives", "make_carrier", "squares")),
+        ("core", ("ValidationReport", "dihedral_orbit", "magic_from_params",
+                  "validate_hourglass", "validate_square")),
+        ("gaussian", ("CongruumTriple", "GaussianFactorization",
+                      "GaussianInt", "HourglassCandidate",
+                      "HourglassConditionReport", "chi", "congruum_triple",
+                      "gaussian_factor", "hourglass_condition",
+                      "hourglass_generators", "hourglass_guess", "pow4_parts",
+                      "search_hourglass", "two_square_reps")),
+        ("search", ("SearchResult", "brute_force_oracle", "count_field",
+                    "count_ring", "msos_field", "msos_ring",
+                    "oracle_agreement", "prefilter_field")),
+        ("survey", ("RecordBreakerTable", "ScanRecord", "record_breakers",
+                    "scan_fields", "scan_rings")))
+    for name in (module, *names)
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -16,6 +16,8 @@ import math
 import operator
 from types import MappingProxyType
 
+from .limits import MAX_ORDER
+
 
 class NonInvertibleError(ArithmeticError):
     """Inversion was requested for an element that is not a unit."""
@@ -131,18 +133,6 @@ def divisor_representatives(n: int) -> list[int]:
     if n < 2:
         raise ValueError("need n >= 2")
     return [d % n for d in divisors(n)]
-
-
-# Largest field order or ring modulus a carrier may have.  Scans only count
-# (search.count_field and count_ring: Z/32768Z in 0.05 s and 18 MB, and
-# under 0.6 s and 22 MB for Z/32749Z, Z/32765Z and F_28561), but
-# msos_field and msos_ring, and with them `parker field/ring --list`, keep
-# every tuple, and their count grows about as the square of the order.  At
-# the limit F_32749 gives 524866 tuples in 2.9 s and 86 MB, and the largest
-# case, Z/32768Z, 2228796 tuples in 10 s and 293 MB; twice the limit would
-# need about four times that.  A separate, higher limit for counting needs
-# its own time and memory measurements.
-MAX_ORDER = 2**15
 
 
 def check_order(order: int) -> int:

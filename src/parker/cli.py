@@ -13,12 +13,11 @@ import json
 import logging
 import sys
 
-from . import survey
-from .algebra import MAX_ORDER, make_carrier
-from .core import validate_square
-from .gaussian import (MAX_BOUND, GaussianInt, chi, congruum_triple,
-                       search_hourglass)
-from .search import count_field, count_ring, msos_field, msos_ring
+from .limits import MAX_BOUND, MAX_ORDER
+
+# Each subcommand imports the modules it runs inside its handler, so a
+# command loads only what it uses: no scan loads gaussian and no hourglass
+# search loads survey or search.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,6 +114,9 @@ def _tuple_json(carrier, t):
 
 
 def _cmd_single(args, kind):
+    from .algebra import make_carrier
+    from .search import count_field, count_ring, msos_field, msos_ring
+
     # only a listing needs the tuples; a count is the popcount of the hits
     carrier = make_carrier(kind, args.order)
     if args.list:
@@ -149,6 +151,8 @@ def _cmd_single(args, kind):
 
 
 def _cmd_scan(args, kind):
+    from . import survey
+
     if kind == "field":
         order_filter = ("primes-only" if args.primes
                         else "prime-powers-only" if args.prime_powers
@@ -178,6 +182,14 @@ def _cmd_scan(args, kind):
     return EXIT_OK
 
 
+def search_hourglass(mode, bound):
+    """The hourglass command's one call into gaussian, loaded on first use;
+    bench/tracing.py times the search by wrapping this name."""
+    from .gaussian import search_hourglass
+
+    return search_hourglass(mode, bound)
+
+
 def _cmd_hourglass(args):
     result = search_hourglass(args.mode, args.max_norm)
     for hit in result.hits:
@@ -197,6 +209,8 @@ def _is_int(x):
 
 
 def _load_square_file(path):
+    from .algebra import make_carrier
+
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
@@ -221,6 +235,8 @@ def _load_square_file(path):
 
 
 def _cmd_verify(args):
+    from .core import validate_square
+
     carrier, cells = _load_square_file(args.file)
     report = validate_square(cells, carrier)
     payload = {
@@ -253,12 +269,16 @@ def _cmd_verify(args):
 
 
 def _cmd_congruum(args):
+    from .gaussian import congruum_triple
+
     t = congruum_triple(args.m, args.n, args.k)
     print(f"r={t.r} s={t.s} t={t.t} congruum={t.congruum}")
     return EXIT_OK
 
 
 def _cmd_chi(args):
+    from .gaussian import GaussianInt, chi
+
     r, s, t = chi(GaussianInt(args.re, args.im))
     print(f"r={r} s={s} t={t}")
     return EXIT_OK

@@ -10,8 +10,10 @@ lines through the center and has 5 sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .algebra import Carrier
+if TYPE_CHECKING:  # annotations only: core runs on any carrier's methods
+    from .algebra import Carrier
 
 SQUARE_LINE_LABELS = ("row0", "row1", "row2", "col0", "col1", "col2",
                       "diag", "anti")

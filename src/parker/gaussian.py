@@ -18,8 +18,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import Integers, factorize
 from .core import ValidationReport, validate_hourglass
+from .limits import MAX_BOUND
+
+# algebra (factorize, Integers) is imported inside the three functions that
+# use it, so an hourglass search that finds no hit never loads it
 
 log = logging.getLogger("parker.gaussian")
 
@@ -186,6 +189,8 @@ def _norm_primes(n: int):
     pi = _split_prime(p) and its conjugate, and split lists (pi, e) with e
     the exponent of p, shared between the two.
     """
+    from .algebra import factorize
+
     fixed, split = [], []
     for p, e in factorize(n).items():
         if p == 2:
@@ -352,6 +357,8 @@ def hourglass_guess(s: int) -> HourglassCandidate | None:
     three earliest qualifying generators in square_sum_generators order give
     the three center-line progressions.
     """
+    from .algebra import Integers
+
     if s < 1:
         raise ValueError("center must be a positive integer")
     gens = [g for g in square_sum_generators(s) if g.im > 0 and g.re != g.im]
@@ -385,6 +392,8 @@ class HourglassSearchResult:
 
 
 def _verify_hit(x, y, z) -> tuple[int, ...]:
+    from .algebra import Integers
+
     if not hourglass_condition(x, y, z).holds:
         raise AssertionError(
             f"triple {x}, {y}, {z} fails the hourglass condition")
@@ -433,18 +442,6 @@ def _candidate_points(bound: int):
     for re in range(1, math.isqrt(bound) + 1):
         for im in range(math.isqrt(bound - re * re) + 1):
             yield re, im
-
-
-# Largest accepted bound per mode: at most about two minutes of search on a
-# 2-CPU x86 VM, measured in-process at the limit: exhaustive 87-94 s in
-# 21 MB peak RSS, product-first 9-11 s in 150 MB (two runs each).
-# Exhaustive time grows with the square of its positive slopes (12736 at
-# the limit); it keeps one least norm per positive slope, not its points.
-# Product-first time and memory go to the walk over the 3.1M points of
-# norm <= bound/25 and its table of 0.64M positive slopes (about 5 s) and
-# to the kernel's 3.5M pairs (about 4 s); both grow about linearly, and the
-# table's memory keeps the limit here.
-MAX_BOUND = {"exhaustive": 80_000, "product-first": 100_000_000}
 
 
 class _Progress:
@@ -541,7 +538,9 @@ def _slope_triples(slopes, known, ends, progress):
     slopes lists the positive slopes, reduced as by _slope, and known
     holds at least them.  Row i pairs slopes[i] with slopes[i+1:ends[i]],
     and rows past len(ends) pair with nothing.  progress counts the pairs
-    tried.
+    tried; a row is cut into slices that end at progress.due, so a long
+    row still logs at each whole percent, and a quiet search (due past the
+    total) takes each row as one slice.
     """
     assert all(a > 0 for a, _ in slopes), "a nonpositive slope to pair"
     out = []  # every s_x + s_y below is positive, never 0
@@ -549,15 +548,19 @@ def _slope_triples(slopes, known, ends, progress):
     for i, end in enumerate(ends):
         a, b = slopes[i]
         b3 = 3 * b
-        for c, d in slopes[i + 1:end]:
-            num = a * c + b3 * d
-            den = b * c + a * d
-            g = math.gcd(num, den)
-            if (num // g, den // g) in known:
-                out.append(((a, b), (c, d), (-num // g, den // g)))
-        done += max(end - i - 1, 0)
-        if done >= progress.due:
-            progress.line(done, f"{len(out)} slope triples")
+        j = i + 1
+        while j < end:
+            k = min(end, j + progress.due - done)
+            for c, d in slopes[j:k]:
+                num = a * c + b3 * d
+                den = b * c + a * d
+                g = math.gcd(num, den)
+                if (num // g, den // g) in known:
+                    out.append(((a, b), (c, d), (-num // g, den // g)))
+            done += k - j
+            j = k
+            if done >= progress.due:
+                progress.line(done, f"{len(out)} slope triples")
     if done >= progress.due:  # no rows: the one line of an empty search
         progress.line(done, f"{len(out)} slope triples")
     return out

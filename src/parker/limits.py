@@ -1,0 +1,27 @@
+"""The input limits: the largest carrier order and hourglass norm bounds.
+
+algebra and gaussian enforce them; the CLI's help text names them, and
+importing this module alone lets the parser do so without loading either.
+"""
+
+# Largest field order or ring modulus a carrier may have.  Scans only count
+# (search.count_field and count_ring: Z/32768Z in 0.05 s and 18 MB, and
+# under 0.6 s and 22 MB for Z/32749Z, Z/32765Z and F_28561), but
+# msos_field and msos_ring, and with them `parker field/ring --list`, keep
+# every tuple, and their count grows about as the square of the order.  At
+# the limit F_32749 gives 524866 tuples in 2.9 s and 86 MB, and the largest
+# case, Z/32768Z, 2228796 tuples in 10 s and 293 MB; twice the limit would
+# need about four times that.  A separate, higher limit for counting needs
+# its own time and memory measurements.
+MAX_ORDER = 2**15
+
+# Largest accepted hourglass norm bound per search mode: at most about two
+# minutes of search on a 2-CPU x86 VM, measured in-process at the limit:
+# exhaustive 87-94 s in 21 MB peak RSS, product-first 9-11 s in 150 MB (two
+# runs each).  Exhaustive time grows with the square of its positive slopes
+# (12736 at the limit); it keeps one least norm per positive slope, not its
+# points.  Product-first time and memory go to the walk over the 3.1M points
+# of norm <= bound/25 and its table of 0.64M positive slopes (about 5 s) and
+# to the kernel's 3.5M pairs (about 4 s); both grow about linearly, and the
+# table's memory keeps the limit here.
+MAX_BOUND = {"exhaustive": 80_000, "product-first": 100_000_000}

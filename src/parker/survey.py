@@ -19,7 +19,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .algebra import (check_order, is_prime, make_carrier, prime_power_base,
@@ -126,15 +125,22 @@ def scan_ring_order(order: int) -> ScanRecord:
 # Order selection.
 
 
+def _order_range(lo: int, hi: int) -> range:
+    """The orders from max(lo, 2) to hi; lo above hi raises ValueError."""
+    if lo > hi:
+        raise ValueError(f"inverted range: lo {lo} is above hi {hi}")
+    return range(max(lo, 2), hi + 1)
+
+
 def field_orders(lo: int, hi: int, order_filter: str = "all") -> list[int]:
     """Field orders in [lo, hi]: every prime power, primes only, or strict powers.
 
-    An unknown filter raises ValueError.
+    An unknown filter or lo above hi raises ValueError.
     """
     if order_filter not in ("all", "primes-only", "prime-powers-only"):
         raise ValueError(f"unknown field filter {order_filter!r}")
     out = []
-    for n in range(max(lo, 2), hi + 1):
+    for n in _order_range(lo, hi):
         pr = prime_power_base(n)
         if pr is None:
             continue
@@ -149,9 +155,9 @@ def field_orders(lo: int, hi: int, order_filter: str = "all") -> list[int]:
 def ring_orders(lo: int, hi: int, order_filter="all") -> list[int]:
     """Ring moduli in [lo, hi]: all, odd only, or a congruence (mod M, res R).
 
-    A modulus M below 1 raises ValueError.
+    A modulus M below 1 or lo above hi raises ValueError.
     """
-    ns = range(max(lo, 2), hi + 1)
+    ns = _order_range(lo, hi)
     if order_filter == "all":
         return list(ns)
     if order_filter == "odd":
@@ -201,6 +207,9 @@ def _run_scan(kind, orders, worker, jobs, checkpoint):
         # orders' time on task round trips, while batches that are too
         # large leave a worker idle at the end
         chunksize = max(1, len(pending) // (_BATCHES_PER_WORKER * workers))
+        # imported here: only a scan with a pool pays for loading it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for rec in pool.map(worker, pending, chunksize=chunksize):
                 complete(rec)

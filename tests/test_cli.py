@@ -163,6 +163,13 @@ class TestScans:
         assert code == 0
         assert out == plain
 
+    @pytest.mark.parametrize("command", ["scan-fields", "scan-rings"])
+    def test_inverted_range_exits_1(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--from", "5", "--to", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "parker: error: inverted range: lo 5 is above hi 2\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_1(self, capsys, jobs):
         code, out, err = run_cli(capsys, "scan-rings", "--from", "2", "--to",
@@ -225,13 +232,13 @@ class TestHourglassCommand:
 
     def test_hit_wire_format(self, capsys, monkeypatch):
         # no qualifying triple is known, so pin the output format on a stub
-        from parker import cli
+        from parker import gaussian
         from parker.gaussian import (GaussianInt, HourglassHit,
                                      HourglassSearchResult)
         hit = HourglassHit(GaussianInt(2, 1), GaussianInt(3, 2),
                            GaussianInt(4, 1), (1, 2, 3, 4, 5, 6, 7))
         monkeypatch.setattr(
-            cli, "search_hourglass",
+            gaussian, "search_hourglass",
             lambda mode, bound: HourglassSearchResult(mode, bound, (hit,), 1,
                                                       1))
         code, out, _ = run_cli(capsys, "hourglass", "--mode", "exhaustive",

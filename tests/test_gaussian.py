@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parker import gaussian
+from parker import algebra, gaussian
 from parker.algebra import is_prime
 from parker.gaussian import (MAX_BOUND, GaussianInt, chi, congruum_triple,
                              gaussian_factor, hourglass_condition,
@@ -328,6 +328,26 @@ class TestSearchHourglass:
             == math.isqrt(bound // 25 if mode == "product-first" else bound)
         assert len(phases[0]) == min(max(rows_total, 1), 100)
 
+    def test_long_row_logs_at_every_percent(self, caplog):
+        # row 0 holds 199 of the 205 pairs: the kernel cuts it at each due
+        # position, so every line lands on its whole-percent target
+        slopes = [(k, 1) for k in range(1, 201)]
+        ends = [200, 5, 6]
+        total = 199 + 3 + 3
+        logged = []
+
+        class Recording(gaussian._Progress):
+            def line(self, pos, counters):
+                logged.append((pos, self.due))
+                super().line(pos, counters)
+
+        with caplog.at_level("INFO", logger="parker.gaussian"):
+            gaussian._slope_triples(slopes, set(slopes), ends,
+                                    Recording("test", total, "pairs"))
+        assert all(pos == due for pos, due in logged)
+        assert [pos for pos, _ in logged] \
+            == [-(-k * total // 100) for k in range(1, 101)]
+
     @pytest.mark.parametrize("mode", sorted(MAX_BOUND))
     def test_quiet_search_reads_no_clock(self, mode, monkeypatch, caplog):
         def no_clock():
@@ -433,7 +453,9 @@ class TestSearchHourglass:
         def no_factoring(n):
             raise AssertionError("factored")
 
-        for name in ("factorize", "_norm_primes", "gaussian_factor"):
+        # gaussian imports factorize from algebra when it factors
+        monkeypatch.setattr(algebra, "factorize", no_factoring)
+        for name in ("_norm_primes", "gaussian_factor"):
             monkeypatch.setattr(gaussian, name, no_factoring)
         result = search_hourglass("product-first", 10**5)
         assert (result.triples_tested, result.candidates_enumerated) \

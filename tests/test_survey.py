@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -144,6 +145,14 @@ class TestOrderGuard:
         with pytest.raises(ValueError, match="exceeds the limit"):
             scan(MAX_ORDER - 5, MAX_ORDER + 1)
 
+    @pytest.mark.parametrize("orders", [survey.field_orders,
+                                        survey.ring_orders])
+    def test_inverted_range_rejected(self, orders):
+        with pytest.raises(ValueError, match="inverted range"):
+            orders(5, 2)
+        assert orders(5, 5) == [5]
+        assert orders(0, 1) == []  # not inverted, only below the least order
+
 
 class _InlinePool:
     """Stand-in for ProcessPoolExecutor that records its size and each
@@ -172,7 +181,9 @@ class TestPoolSize:
     def pool(self, monkeypatch):
         monkeypatch.setattr(_InlinePool, "sizes", [])
         monkeypatch.setattr(_InlinePool, "batches", [])
-        monkeypatch.setattr(survey, "ProcessPoolExecutor", _InlinePool)
+        # survey imports the pool class from here when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _InlinePool)
         yield _InlinePool
         assert len(_InlinePool.batches) == len(_InlinePool.sizes)
         for pending, chunksize in _InlinePool.batches:
