@@ -15,7 +15,6 @@ _EXPORTS = {
     for module, names in (
         ("algebra", ("MAX_ORDER", "Carrier", "ExtensionField", "Integers",
                      "ModularRing", "NonInvertibleError", "PrimeField",
-                     "center_pairs", "consecutive_square_triples",
                      "divisor_representatives", "make_carrier", "squares")),
         ("core", ("ValidationReport", "dihedral_orbit", "magic_from_params",
                   "validate_hourglass", "validate_square")),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-from types import MappingProxyType
 
 from .limits import MAX_ORDER
 
@@ -288,34 +287,34 @@ class Carrier:
             raise ValueError(f"encoding {a} out of range for {self}")
         return a
 
-    def square_set(self) -> MappingProxyType:
-        """The squares {x^2}, as a read-only dict keyed by encoding.
+    def square_set(self) -> tuple[int, int]:
+        """(S, N): bit s of S is set for each square s, and bit -s of N.
 
-        Its keys iterate in ascending order, and `in` and `len` run at C
-        level; the values are all None.  Building it also builds the
-        masks of square_masks.
+        Built on first use and kept on the carrier.  An odd field of order
+        q has (q + 1)/2 squares and an even one q, which is asserted as the
+        masks are built.
         """
         try:
             return self._square_set
         except AttributeError:
-            seen, negated = self._squares()
-            self._square_masks = (_bitmask(seen, self.order),
-                                  _bitmask(negated, self.order))
-            self._square_set = MappingProxyType(dict.fromkeys(seen))
-            return self._square_set
+            pass
+        masks = self._squares()
+        if self.kind in ("prime-field", "extension-field"):
+            q, count = self.order, masks[0].bit_count()
+            expected = q if q % 2 == 0 else (q + 1) // 2
+            if count != expected:  # pragma: no cover
+                raise AssertionError(f"square count {count} != {expected} "
+                                     f"for {self}")
+        self._square_set = masks
+        return masks
 
-    def square_masks(self) -> tuple[int, int]:
-        """(S, N): bit s of S is set for each square s, and bit -s of N."""
-        self.square_set()
-        return self._square_masks
-
-    def _squares(self) -> tuple[list[int], list[int]]:
-        # the squares ascending, and the negation of each
-        seen = sorted({self.mul(x, x) for x in self.elements()})
-        return seen, [self.neg(s) for s in seen]
+    def _squares(self) -> tuple[int, int]:
+        seen = {self.mul(x, x) for x in self.elements()}
+        return (_bitmask(seen, self.order),
+                _bitmask(map(self.neg, seen), self.order))
 
     def is_square(self, a: int) -> bool:
-        return a in self.square_set()
+        return a >= 0 and bool(self.square_set()[0] >> a & 1)
 
     def translate(self, mask: int, t: int) -> int:
         """The bitmask of {x + t : x in mask}, with bit x for encoding x.
@@ -406,8 +405,8 @@ class _ResidueCarrier(Carrier):
     def _squares(self):
         # x and n - x have the same square
         n = self.order
-        seen = sorted({x * x % n for x in range(n // 2 + 1)})
-        return seen, [-s % n for s in seen]
+        seen = {x * x % n for x in range(n // 2 + 1)}
+        return _bitmask(seen, n), _bitmask([-s % n for s in seen], n)
 
     def __repr__(self):
         return str(self)
@@ -692,15 +691,9 @@ def make_carrier(kind: str, order: int | None = None,
 # Structure queries used by the search and its prefilters.
 
 
-def squares(carrier: Carrier) -> MappingProxyType:
-    """The carrier's square set; the (q+1)/2 size law holds for odd fields."""
-    sq = carrier.square_set()
-    if carrier.kind in ("prime-field", "extension-field"):
-        q = carrier.order
-        expected = q if q % 2 == 0 else (q + 1) // 2
-        if len(sq) != expected:  # pragma: no cover
-            raise AssertionError(f"square count {len(sq)} != {expected} for {carrier}")
-    return sq
+def squares(carrier: Carrier) -> tuple[int, ...]:
+    """The carrier's squares, ascending: the set bits of S (square_set)."""
+    return tuple(mask_bits(carrier.square_set()[0]))
 
 
 def center_offsets(carrier: Carrier, e2: int) -> int:
@@ -708,7 +701,8 @@ def center_offsets(carrier: Carrier, e2: int) -> int:
 
     delta is in D_e when e2 + delta and e2 - delta are both squares and
     2*delta != 0, so that the pair (e2 - delta, e2 + delta) has two
-    members; D_e is symmetric.  With S and N from square_masks it is
+    members; D_e is symmetric, and delta != -delta, so the center pairs
+    number D_e.bit_count() // 2.  With S and N from square_set it is
     (S - e2) & (N + e2), two translations.  2*delta = 0 holds only at
     delta = 0 when the additive period p is odd, also at n/2 in Z/nZ with
     n even, and everywhere in characteristic 2.
@@ -716,52 +710,9 @@ def center_offsets(carrier: Carrier, e2: int) -> int:
     p = carrier.additive_layout[0]
     if p == 2:
         return 0
-    s, neg = carrier.square_masks()
+    s, neg = carrier.square_set()
     d_mask = carrier.translate(s, carrier.neg(e2)) & carrier.translate(neg, e2)
     d_mask &= ~1
     if p % 2 == 0:
         d_mask &= ~(1 << p // 2)
     return d_mask
-
-
-def center_pairs(carrier: Carrier, e: int) -> tuple[tuple[int, int], ...]:
-    """All unordered pairs (u, v), u < v, of squares summing to 2*e^2.
-
-    A magic square has four such pairs, one per line through the center, so
-    fewer than four pairs rules the center value out.  The pairs come in
-    ascending order of u; their members are the bits of D_e + e^2 (see
-    center_offsets).
-    """
-    e2 = carrier.mul(e, e)
-    target = carrier.add(e2, e2)
-    sub = carrier.sub
-    members = carrier.translate(center_offsets(carrier, e2), e2)
-    pairs = []
-    for u in mask_bits(members):
-        v = sub(target, u)
-        if u < v:
-            pairs.append((u, v))
-    return tuple(pairs)
-
-
-def consecutive_square_triples(carrier: Carrier) -> list[tuple[int, int, int]]:
-    """Triples of squares (s-1, s, s+1) with none of the three in {0, 1, -1}.
-
-    Such a triple is what a center-zero magic square of distinct squares
-    scales down to.  A triple member equal to 0, 1, or -1 would collide with
-    the fixed entries of the scaled square (a member -1, for instance, has
-    negation 1), so those triples are excluded; so are triples with repeated
-    members, which occur only in characteristic 2.
-    """
-    if carrier.kind not in ("prime-field", "extension-field"):
-        raise ValueError("consecutive_square_triples expects a field carrier")
-    sq = carrier.square_set()
-    one = carrier.encode_int(1)
-    excluded = {0, one, carrier.neg(one)}
-    out = []
-    for s in sq:
-        lo, hi = carrier.sub(s, one), carrier.add(s, one)
-        if lo in sq and hi in sq and len({lo, s, hi}) == 3 \
-                and not {lo, s, hi} & excluded:
-            out.append((lo, s, hi))
-    return out

@@ -127,7 +127,7 @@ def _cmd_single(args, kind):
     payload = {
         "kind": kind,
         "order": args.order,
-        "square_count": len(carrier.square_set()),
+        "square_count": carrier.square_set()[0].bit_count(),
         "tuple_count": count,
         "dihedral_class_count": count,
         "parker": not count,

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (Carrier, ModularRing, center_offsets, center_pairs,
-                      consecutive_square_triples, divisor_representatives,
-                      make_carrier, mask_bits, squares)
+from .algebra import (Carrier, ModularRing, center_offsets,
+                      divisor_representatives, make_carrier, mask_bits,
+                      squares)
 from .core import dihedral_canonical, dihedral_orbit
 
 
@@ -62,11 +62,11 @@ class SearchResult:
         return not self.tuples
 
 
-def _pair_hits(carrier, e2, anti_diagonal=None):
+def _pair_hits(carrier, e2, d_mask, anti_diagonal=None):
     """Every magic tuple with center e2 = e^2, as one bitmask per center pair.
 
     Write each center pair (u, v), u < v, as (e^2 - delta, e^2 + delta);
-    D_e is the set of these offsets (see center_offsets).
+    d_mask is D_e, the set of these offsets (see center_offsets).
     With the diagonal pair (a, i) at offset alpha and the anti-diagonal pair
     (c, g) at offset gamma, the lines through the center sum to 3e^2, and
     the four derived cells are
@@ -82,7 +82,7 @@ def _pair_hits(carrier, e2, anti_diagonal=None):
     pairs, so every unordered combination of two distinct pairs is tested
     once, with the later pair on the diagonal.
 
-    Yields ((u, v), alpha, hits) for each pair (u, v) = (e^2 - alpha,
+    Yields (alpha, hits) for each pair (u, v) = (e^2 - alpha,
     e^2 + alpha) with a hit, where bit gamma of hits marks the magic tuple
     with (c, g) = (e^2 - gamma, e^2 + gamma).  The offsets whose tuple
     repeats a cell are already cleared, and these are exactly gamma = +-2*alpha
@@ -117,7 +117,7 @@ def _pair_hits(carrier, e2, anti_diagonal=None):
     """
     kernel = _residue_pair_hits if carrier.additive_layout[1] == 1 \
         else _carrier_pair_hits
-    return kernel(carrier, e2, center_offsets(carrier, e2), anti_diagonal)
+    return kernel(carrier, e2, d_mask, anti_diagonal)
 
 
 def _residue_pair_hits(carrier, e2, d_mask, anti_diagonal):
@@ -144,7 +144,7 @@ def _residue_pair_hits(carrier, e2, d_mask, anti_diagonal):
         if hits:
             hits &= ~repeats(alpha)
         if hits:
-            yield (u, (e2 + alpha) % n), alpha, hits
+            yield alpha, hits
 
 
 def _carrier_pair_hits(carrier, e2, d_mask, anti_diagonal):
@@ -167,7 +167,7 @@ def _carrier_pair_hits(carrier, e2, d_mask, anti_diagonal):
         if hits:
             hits &= ~repeats(alpha)
         if hits:
-            yield (u, v), alpha, hits
+            yield alpha, hits
 
 
 def _repeat_mask(carrier):
@@ -255,9 +255,11 @@ def _search(carrier, centers) -> SearchResult:
     out = []
     for e, anti_diagonal in centers:
         e2 = carrier.mul(e, e)
+        d_mask = center_offsets(carrier, e2)
         member = {delta: (add(e2, delta), sub(e2, delta))
-                  for delta in mask_bits(center_offsets(carrier, e2))}
-        for (a2, i2), alpha, hits in _pair_hits(carrier, e2, anti_diagonal):
+                  for delta in mask_bits(d_mask)}
+        for alpha, hits in _pair_hits(carrier, e2, d_mask, anti_diagonal):
+            i2, a2 = member[alpha]
             while hits:
                 low = hits & -hits
                 hits ^= low
@@ -274,9 +276,13 @@ def _search(carrier, centers) -> SearchResult:
 
 
 def _count(carrier, centers) -> int:
-    return sum(hits.bit_count() for e, anti_diagonal in centers
-               for _, _, hits in _pair_hits(carrier, carrier.mul(e, e),
-                                            anti_diagonal))
+    total = 0
+    for e, anti_diagonal in centers:
+        e2 = carrier.mul(e, e)
+        for _, hits in _pair_hits(carrier, e2, center_offsets(carrier, e2),
+                                  anti_diagonal):
+            total += hits.bit_count()
+    return total
 
 
 def msos_field(q) -> SearchResult:
@@ -334,15 +340,25 @@ def prefilter_field(q) -> str | None:
         return "even-order"
     if carrier is None:
         carrier = make_carrier("field", order)
-    sq = squares(carrier)
-    if len(sq) < 9:
+    s = carrier.square_set()[0]
+    if s.bit_count() < 9:
         return "too-few-squares"
-    e0_pairs = len(center_pairs(carrier, 0))
-    e1_pairs = len(center_pairs(carrier, carrier.encode_int(1)))
+    one = carrier.encode_int(1)
+    e0_pairs = center_offsets(carrier, 0).bit_count() // 2
+    e1_pairs = center_offsets(carrier, one).bit_count() // 2
     if e0_pairs < 4 and e1_pairs < 4:
         return "pair-deficit"
-    if e1_pairs < 4 and not consecutive_square_triples(carrier):
-        return "no-consecutive-squares"
+    if e1_pairs < 4:
+        # the squares x with x - 1 and x + 1 square too; a center-0 square
+        # scaled to (x - 1, x, x + 1) has 0, 1 and -1 as cells already, so
+        # x is none of 0, +-1, +-2, and the order is odd, so the three are
+        # distinct
+        minus_one, two = carrier.neg(one), carrier.encode_int(2)
+        triples = s & carrier.translate(s, one) & carrier.translate(s, minus_one)
+        for x in (0, one, minus_one, two, carrier.neg(two)):
+            triples &= ~(1 << x)
+        if not triples:
+            return "no-consecutive-squares"
     return None
 
 
@@ -356,7 +372,7 @@ def brute_force_oracle(carrier: Carrier, cap: int = 100) -> set[tuple[int, ...]]
     """
     if carrier.order is None or carrier.order > cap:
         raise ValueError(f"oracle refused: order of {carrier} exceeds cap {cap}")
-    sq = list(carrier.square_set())
+    sq = squares(carrier)
     in_sq = set(sq)
     add, sub = carrier.add, carrier.sub
     found: set[tuple[int, ...]] = set()

@@ -21,8 +21,7 @@ import os
 import time
 from dataclasses import asdict, dataclass
 
-from .algebra import (check_order, is_prime, make_carrier, prime_power_base,
-                      squares)
+from .algebra import check_order, is_prime, make_carrier, prime_power_base
 from .search import (PREFILTER_REASONS, count_field, count_ring,
                      prefilter_field)
 
@@ -105,7 +104,7 @@ def scan_field_order(order: int) -> ScanRecord:
         return ScanRecord(order, "field", order, 0, 0, True,
                           prefilter_field(order), round(_now_ms() - t0))
     carrier = make_carrier("field", order)
-    square_count = len(squares(carrier))
+    square_count = carrier.square_set()[0].bit_count()
     count = count_field(carrier)
     reason = None if count else prefilter_field(carrier)
     return ScanRecord(order, "field", square_count, count, count, not count,
@@ -116,7 +115,7 @@ def scan_ring_order(order: int) -> ScanRecord:
     """Classify one ring modulus by the counting divisor-orbit search."""
     t0 = _now_ms()
     carrier = make_carrier("ring", order)
-    square_count = len(carrier.square_set())
+    square_count = carrier.square_set()[0].bit_count()
     count = count_ring(carrier)
     return ScanRecord(order, "ring", square_count, count, count, not count,
                       None, round(_now_ms() - t0))

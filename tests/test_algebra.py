@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import parker.algebra as algebra
 from parker.algebra import (MAX_ORDER, ExtensionField, NonInvertibleError,
-                            PrimeField, center_pairs,
-                            consecutive_square_triples,
+                            PrimeField, center_offsets,
                             divisor_representatives, divisors, factorize,
                             find_irreducible, is_prime, make_carrier,
-                            prime_power_base, squares)
+                            mask_bits, prime_power_base, squares)
 from parker.survey import field_orders
 
 
@@ -335,35 +334,42 @@ class TestSquares:
 
     def test_ring_squares_direct(self):
         c = make_carrier("ring", 27)
-        assert set(c.square_set()) == {x * x % 27 for x in range(27)}
+        brute = {x * x % 27 for x in range(27)}
+        s, neg = c.square_set()
+        assert set(mask_bits(s)) == brute
+        assert set(mask_bits(neg)) == {-x % 27 for x in brute}
 
 
 class TestCenterPairs:
+    # the pairs (e^2 - delta, e^2 + delta) as their offsets D_e
     def test_f19_center_one(self):
+        # pairs (4, 17) and (5, 16)
         c = make_carrier("field", 19)
-        assert center_pairs(c, 1) == ((4, 17), (5, 16))
+        assert mask_bits(center_offsets(c, 1)) == [3, 4, 15, 16]
 
     def test_f23_center_one_counts_three(self):
         # 0^2 + 5^2 = 3^2 + 4^2 = 6^2 + 9^2 = 2 in F_23
         c = make_carrier("field", 23)
-        pairs = center_pairs(c, 1)
-        assert len(pairs) == 3
-        assert (0, 2) in pairs
+        d_mask = center_offsets(c, 1)
+        assert d_mask.bit_count() // 2 == 3
+        assert d_mask >> 1 & 1  # the pair (0, 2)
 
     def test_f17_center_zero(self):
+        # pairs (1, 16), (2, 15), (4, 13) and (8, 9)
         c = make_carrier("field", 17)
-        assert center_pairs(c, 0) == ((1, 16), (2, 15), (4, 13), (8, 9))
+        assert mask_bits(center_offsets(c, 0)) == [1, 2, 4, 8, 9, 13, 15, 16]
 
     @pytest.mark.parametrize("kind,order", [("field", 101), ("field", 343),
                                             ("ring", 360), ("ring", 499)])
     def test_completeness_against_double_loop(self, kind, order):
         c = make_carrier(kind, order)
-        sq = list(c.square_set())
+        sq = {c.mul(x, x) for x in c.elements()}
         for e in (0, 1, 2):
-            target = c.add(c.mul(e, e), c.mul(e, e))
-            brute = {(u, v) for u in sq for v in sq
-                     if u < v and c.add(u, v) == target}
-            assert set(center_pairs(c, e)) == brute
+            e2 = c.mul(e, e)
+            brute = [d for d in c.elements()
+                     if c.add(e2, d) in sq and c.sub(e2, d) in sq
+                     and c.add(d, d) != 0]
+            assert mask_bits(center_offsets(c, e2)) == brute
 
 
 class TestDivisorRepresentatives:
@@ -382,16 +388,3 @@ class TestDivisorRepresentatives:
         reachable = {c.mul(u, d) for d in reps for u in c.units()} | {0}
         assert reachable == set(range(54))
 
-
-class TestConsecutiveSquareTriples:
-    def test_f17_and_f25_have_none(self):
-        assert consecutive_square_triples(make_carrier("field", 17)) == []
-        assert consecutive_square_triples(make_carrier("field", 25)) == []
-
-    def test_f29(self):
-        got = consecutive_square_triples(make_carrier("field", 29))
-        assert got == [(4, 5, 6), (5, 6, 7), (22, 23, 24), (23, 24, 25)]
-
-    def test_rejects_rings(self):
-        with pytest.raises(ValueError):
-            consecutive_square_triples(make_carrier("ring", 27))

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parker import search
-from parker.algebra import (MAX_ORDER, Integers, center_pairs,
-                            divisor_representatives, is_prime, make_carrier)
+from parker.algebra import (MAX_ORDER, Integers, divisor_representatives,
+                            is_prime, make_carrier, prime_power_base)
 from parker.core import dihedral_canonical, dihedral_orbit, validate_square
 from parker.search import (brute_force_oracle, count_field, count_ring,
                            msos_field, msos_ring, oracle_agreement,
@@ -69,9 +69,9 @@ class TestMsosRing:
         scanned = []
         kernel = search._pair_hits
 
-        def counting(carrier, e2, anti_diagonal=None):
+        def counting(carrier, e2, d_mask, anti_diagonal=None):
             scanned.append(e2)
-            return kernel(carrier, e2, anti_diagonal)
+            return kernel(carrier, e2, d_mask, anti_diagonal)
 
         monkeypatch.setattr(search, "_pair_hits", counting)
         result = msos_ring(n)
@@ -118,34 +118,41 @@ def _reference_msos(carrier):
     """The pair-combination double loop the bitset kernel replaced: every
     later center pair on the diagonal against every earlier one."""
     add, sub = carrier.add, carrier.sub
-    sq = set(carrier.square_set())
+    sq = set(_square_walk(carrier))
     out = set()
     if carrier.kind == "modular-ring":
         centers = divisor_representatives(carrier.order)
     else:
         one = carrier.encode_int(1)
-        for a2, i2 in center_pairs(carrier, 0):
+        for a2, i2 in _legacy_center_pairs(carrier, 0):
             _reference_emit(out, sub, sq, 0, 0, a2, i2, one, carrier.neg(one))
         centers = [one]
     for e in centers:
         e2 = carrier.mul(e, e)
         t3 = add(add(e2, e2), e2)
-        pairs = center_pairs(carrier, e)
+        pairs = _legacy_center_pairs(carrier, e)
         for j, (a2, i2) in enumerate(pairs):
             for c2, g2 in pairs[:j]:
                 _reference_emit(out, sub, sq, t3, e2, a2, i2, c2, g2)
     return tuple(sorted(out))
 
 
+def _square_walk(carrier):
+    """Every square, ascending, from squaring every element."""
+    return sorted({carrier.mul(x, x) for x in carrier.elements()})
+
+
 def _legacy_center_pairs(carrier, e):
-    """center_pairs as a walk over every square: u pairs with 2e^2 - u."""
-    sq = carrier.square_set()
+    """The center pairs (u, v), u < v, as a walk over every square: u pairs
+    with 2e^2 - u."""
+    sq = _square_walk(carrier)
+    in_sq = set(sq)
     e2 = carrier.mul(e, e)
     target = carrier.add(e2, e2)
     pairs = []
     for u in sq:
         v = carrier.sub(target, u)
-        if u < v and v in sq:
+        if u < v and v in in_sq:
             pairs.append((u, v))
     return tuple(pairs)
 
@@ -185,7 +192,7 @@ def _legacy_pair_hits(carrier, e2, pairs, anti_diagonal=None):
         d_mask |= (1 << up) | (1 << down)
     repeats = _legacy_repeat_mask(carrier)
     earlier = 0 if anti_diagonal is None else anti_diagonal
-    for pair, (alpha, minus_alpha) in zip(pairs, offsets):
+    for alpha, minus_alpha in offsets:
         hits = translate(d_mask, minus_alpha) & earlier
         if anti_diagonal is None:
             earlier |= 1 << alpha
@@ -194,7 +201,7 @@ def _legacy_pair_hits(carrier, e2, pairs, anti_diagonal=None):
         if hits:
             hits &= ~repeats(alpha)
         if hits:
-            yield pair, alpha, hits
+            yield alpha, hits
 
 
 class TestPairKernel:
@@ -211,8 +218,10 @@ class TestPairKernel:
             for e, anti_diagonal in centers[1]:
                 e2 = c.mul(e, e)
                 pairs = _legacy_center_pairs(c, e)
-                assert center_pairs(c, e) == pairs, (c, e)
-                got = list(search._pair_hits(c, e2, anti_diagonal))
+                d_mask = search.center_offsets(c, e2)
+                assert d_mask == sum((1 << c.sub(u, e2)) | (1 << c.sub(v, e2))
+                                     for u, v in pairs), (c, e)
+                got = list(search._pair_hits(c, e2, d_mask, anti_diagonal))
                 assert got == list(_legacy_pair_hits(c, e2, pairs,
                                                      anti_diagonal)), (c, e)
                 hit_centers += bool(got)
@@ -312,6 +321,18 @@ class TestPrefilter:
         monkeypatch.setattr(search, "squares", refuse)
         for q in (2, 16, 2**40):
             assert prefilter_field(q) == "even-order"
+
+    def test_verdicts_to_2000(self):
+        # scans ask the prefilter only about Parker orders, so this pins
+        # the cascade on every order
+        expected = {2**k: "even-order" for k in range(1, 11)}
+        expected.update(dict.fromkeys((3, 5, 7, 9, 11, 13), "too-few-squares"))
+        expected.update(dict.fromkeys((17, 25), "no-consecutive-squares"))
+        expected.update(dict.fromkeys((19, 23, 27), "pair-deficit"))
+        orders = [q for q in range(2, 2001) if prime_power_base(q)]
+        assert len(orders) == 333
+        verdicts = {q: prefilter_field(q) for q in orders}
+        assert {q: v for q, v in verdicts.items() if v} == expected
 
     def test_sound_for_all_orders_to_1000(self):
         for q in field_orders(2, 1000):

@@ -106,7 +106,6 @@ class TestPrefilterLabels:
 class TestEvenFieldOrders:
     def test_settled_without_carrier(self, monkeypatch):
         monkeypatch.setattr(survey, "make_carrier", _refuse)
-        monkeypatch.setattr(survey, "squares", _refuse)
         for order in (2, 4, 8, 1024, 2048, 4096):
             rec = survey.scan_field_order(order)
             assert (rec.square_count, rec.msos_count,
