@@ -18,12 +18,11 @@ _EXPORTS = {
                      "divisor_representatives", "make_carrier", "squares")),
         ("core", ("ValidationReport", "dihedral_orbit", "magic_from_params",
                   "validate_hourglass", "validate_square")),
-        ("gaussian", ("CongruumTriple", "GaussianFactorization",
-                      "GaussianInt", "HourglassCandidate",
+        ("gaussian", ("CongruumTriple", "GaussianInt", "HourglassCandidate",
                       "HourglassConditionReport", "chi", "congruum_triple",
-                      "gaussian_factor", "hourglass_condition",
-                      "hourglass_generators", "hourglass_guess", "pow4_parts",
-                      "search_hourglass", "two_square_reps")),
+                      "hourglass_condition", "hourglass_generators",
+                      "hourglass_guess", "pow4_parts", "search_hourglass",
+                      "two_square_reps")),
         ("search", ("SearchResult", "brute_force_oracle", "count_field",
                     "count_ring", "msos_field", "msos_ring",
                     "oracle_agreement", "prefilter_field")),

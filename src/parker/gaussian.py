@@ -17,6 +17,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from .core import ValidationReport, validate_hourglass
 from .limits import MAX_BOUND
@@ -140,21 +141,7 @@ def two_square_reps(s: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Factorization.
-
-
-@dataclass(frozen=True)
-class GaussianFactorization:
-    """unit * product(prime^exponent) with primes in first-quadrant form."""
-
-    unit: GaussianInt
-    factors: tuple[tuple[GaussianInt, int], ...]
-
-    def product(self) -> GaussianInt:
-        out = self.unit
-        for prime, e in self.factors:
-            out = out * prime**e
-        return out
+# Gaussian primes over a rational norm.
 
 
 def _split_prime(p: int) -> GaussianInt:
@@ -202,53 +189,6 @@ def _norm_primes(n: int):
         else:
             split.append((_split_prime(p), e))
     return fixed, split
-
-
-def _exact_quotient(w: tuple[int, int], d: GaussianInt) -> tuple[int, int] | None:
-    """(re, im) of w / d when d divides w = (re, im) in Z[i], else None.
-
-    w / d = w * conj(d) / norm(d), so d divides w exactly when norm(d)
-    divides both parts of w * conj(d).
-    """
-    re, im = w
-    n = d.norm()
-    qr, rr = divmod(re * d.re + im * d.im, n)
-    qi, ri = divmod(im * d.re - re * d.im, n)
-    return None if rr or ri else (qr, qi)
-
-
-def gaussian_factor(w: GaussianInt) -> GaussianFactorization:
-    """Factor a nonzero Gaussian integer into first-quadrant primes and a unit.
-
-    The rational norm is factored first (trial division plus Pollard rho) and
-    _norm_primes maps it to Gaussian primes.  The ramified and inert
-    exponents are forced; each split prime's exponent is found by trial
-    division, and its conjugate (in first-quadrant form) takes the rest.
-    The unit is w over the product of the prime powers.
-    """
-    if not w:
-        raise ValueError("cannot factor 0")
-    primes = _norm_primes(w.norm())
-    if primes is None:  # pragma: no cover
-        raise ArithmeticError(f"norm of {w} has an inert prime to an odd power")
-    fixed, split = primes
-    factors = list(fixed)
-    rest = (w.re, w.im)
-    for pi, e in split:
-        count = 0
-        while count < e and (nxt := _exact_quotient(rest, pi)) is not None:
-            rest, count = nxt, count + 1
-        pj = GaussianInt(pi.im, pi.re)  # conj(pi) in first-quadrant form
-        factors += [(q, k) for q, k in ((pi, count), (pj, e - count)) if k]
-    factors.sort(key=lambda fe: (fe[0].norm(), fe[0].re, fe[0].im))
-    unit = _exact_quotient((w.re, w.im),
-                           GaussianFactorization(ONE, tuple(factors)).product())
-    if unit is None or unit[0] ** 2 + unit[1] ** 2 != 1:  # pragma: no cover
-        raise ArithmeticError(f"factorization of {w} left non-unit {unit}")
-    result = GaussianFactorization(GaussianInt(*unit), tuple(factors))
-    if result.product() != w:  # pragma: no cover
-        raise ArithmeticError(f"factorization of {w} does not multiply back")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -596,20 +536,23 @@ def _search(mode, bound):
             # each row opens with im = 0, a real fourth power: rows 1..re-1
             # are done
             walk.line(re - 1, f"{len(norms)} positive slopes")
-    if walk.total >= walk.due:
-        walk.line(walk.total, f"{len(norms)} positive slopes")
 
-    slopes = sorted(norms, key=norms.get)
+    ranked = sorted(norms.items(), key=itemgetter(1))
+    slopes = [s for s, _ in ranked]
     if product_first:
         # row i pairs slopes[i] with the slopes j > i with 5*n_i*n_j <= bound
         # (5 bounds the third norm from below); past the rows with
         # 5*n_i^2 <= bound no pair is left
-        least = [norms[s] for s in slopes]
+        least = [n for _, n in ranked]
         ends = [bisect_right(least, bound // (5 * n))
                 for n in least if 5 * n * n <= bound]
     else:
         ends = [len(slopes)] * len(slopes)
     pairs = sum(max(end - i - 1, 0) for i, end in enumerate(ends))
+    # the walk's closing line also covers the set-up above, so no stretch
+    # of the search between its first line and its last goes unlogged
+    if walk.total >= walk.due:
+        walk.line(walk.total, f"{len(norms)} positive slopes")
     found = _slope_triples(slopes, norms, ends, _Progress(mode, pairs, "pairs"))
 
     hits = []

@@ -1,9 +1,7 @@
-import functools
 import logging
 import math
 import re
 import types
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 from parker import algebra, gaussian
 from parker.algebra import is_prime
 from parker.gaussian import (MAX_BOUND, GaussianInt, chi, congruum_triple,
-                             gaussian_factor, hourglass_condition,
-                             hourglass_generators, hourglass_guess, pow4_parts,
-                             search_hourglass, square_sum_generators,
-                             two_square_reps)
+                             hourglass_condition, hourglass_generators,
+                             hourglass_guess, pow4_parts, search_hourglass,
+                             square_sum_generators, two_square_reps)
 
 gaussians = st.builds(GaussianInt, st.integers(-10**6, 10**6),
                       st.integers(-10**6, 10**6))
@@ -118,49 +115,32 @@ class TestTwoSquareReps:
             assert set(reps) == brute
 
 
-class TestGaussianFactor:
-    def test_split_prime(self):
-        f = gaussian_factor(GaussianInt(5, 0))
-        assert f.product() == GaussianInt(5, 0)
-        assert sorted((p.re, p.im) for p, _ in f.factors) == [(1, 2), (2, 1)]
-
-    def test_ramified(self):
-        f = gaussian_factor(GaussianInt(2, 0))
-        assert f.factors == ((GaussianInt(1, 1), 2),)
-        assert f.unit == GaussianInt(0, -1)
-
-    def test_inert(self):
-        f = gaussian_factor(GaussianInt(7, 0))
-        assert f.factors == ((GaussianInt(7, 0), 1),)
-        assert f.unit == GaussianInt(1, 0)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_factor(GaussianInt(0, 0))
-
-    def test_unit_input(self):
-        f = gaussian_factor(GaussianInt(0, 1))
-        assert f.factors == () and f.unit == GaussianInt(0, 1)
-
-    @given(st.builds(GaussianInt, st.integers(-31623, 31623),
-                     st.integers(-31623, 31623)).filter(bool))
-    @settings(max_examples=300, deadline=2000)
-    def test_roundtrip_up_to_norm_1e9(self, w):
-        f = gaussian_factor(w)
-        assert f.product() == w
-        assert f.unit.norm() == 1
-        for prime, e in f.factors:
-            assert e >= 1
-            assert prime.re > 0 and prime.im >= 0
-            n = prime.norm()
-            q = math.isqrt(n)
-            assert is_prime(n) or (q * q == n and is_prime(q) and q % 4 == 3)
+class TestNormPrimes:
+    """_norm_primes and _split_prime, through the two-square generators of
+    a norm."""
 
     def test_split_prime_matches_two_square_rep(self):
         for p in range(5, 50_000, 4):
             if is_prime(p):
                 (u, v), = two_square_reps(p)
                 assert gaussian._split_prime(p) == GaussianInt(v, u)
+
+    @given(st.builds(GaussianInt, st.integers(-31623, 31623),
+                     st.integers(-31623, 31623)).filter(bool))
+    @settings(max_examples=300, deadline=2000)
+    def test_generators_up_to_norm_2e9(self, w):
+        # a norm up to 2e9 can have two prime factors above the
+        # trial-division limit 10^4, so factorize's Pollard rho runs too
+        gens = square_sum_generators(w.norm())
+        assert all(g.norm() == w.norm() and g.re >= g.im >= 0 for g in gens)
+        u, v = abs(w.re), abs(w.im)
+        assert GaussianInt(max(u, v), min(u, v)) in gens
+
+    def test_generators_are_the_two_square_reps(self):
+        for s in range(1, 10_001):
+            gens, reps = square_sum_generators(s), two_square_reps(s)
+            assert len(gens) == len(reps)
+            assert {(g.im, g.re) for g in gens} == set(reps)
 
 
 class TestHourglassCondition:
@@ -455,110 +435,16 @@ class TestSearchHourglass:
 
         # gaussian imports factorize from algebra when it factors
         monkeypatch.setattr(algebra, "factorize", no_factoring)
-        for name in ("_norm_primes", "gaussian_factor"):
-            monkeypatch.setattr(gaussian, name, no_factoring)
+        monkeypatch.setattr(gaussian, "_norm_primes", no_factoring)
         result = search_hourglass("product-first", 10**5)
         assert (result.triples_tested, result.candidates_enumerated) \
             == (1780, 3038)
 
 
 # ---------------------------------------------------------------------------
-# The kernels the slope kernel replaced, kept as references: the exhaustive
-# line-bucket kernel and the product-first split enumeration.
-
-
-def _line_bucket_triples(p4):
-    """Index triples i <= j <= k of p4 that satisfy the hourglass identity.
-
-    p4 holds fourth powers as (re, im) pairs, every im nonzero.  With
-    X, Y, Z = p4[i], p4[j], p4[k] and P = X*Y the identity
-    Im[P*Z] == -4*Im X*Im Y*Im Z reads
-
-        Im P * Re Z == (-4*Im X*Im Y - Re P) * Im Z,
-
-    so for a fixed pair (i, j) it holds exactly for the Z with
-    Re Z / Im Z == b / a, where a = Im P and b = -4*Im X*Im Y - Re P.  The
-    fourth powers are bucketed once by the float re / im, and each pair
-    looks its slope up as b / a; each bucket member is checked exactly with
-    b * Im Z == a * Re Z.  Triples with two proportional fourth powers are
-    dropped.  The triples come in ascending order.
-    """
-    lines = {}
-    for k, (re, im) in enumerate(p4):
-        lines.setdefault(re / im, []).append(k)
-    out = []
-    for i, (xr, xi) in enumerate(p4):
-        for j in range(i, len(p4)):
-            yr, yi = p4[j]
-            a = xr * yi + xi * yr  # Im P
-            b = -3 * xi * yi - xr * yr  # -4*Im X*Im Y - Re P
-            if a == 0:
-                continue
-            for k in lines.get(b / a, ()):
-                zr, zi = p4[k]
-                if k < j or b * zi != a * zr or xr * yi == xi * yr \
-                        or xr * zi == xi * zr or yr * zi == yi * zr:
-                    continue
-                out.append((i, j, k))
-    return out
-
-
-def _divisors(factors):
-    """Every divisor of prod(prime^e), keyed by its exponent vector.
-
-    Values are (re, im, Im[d^4]) of the product of prime powers, which may
-    be any associate; Im[d^4] is the same for all four.
-    """
-    divs = {(): (1, 0)}
-    for prime, e in factors:
-        powers = [prime**k for k in range(e + 1)]
-        divs = {v + (k,): (re * pk.re - im * pk.im, re * pk.im + im * pk.re)
-                for v, (re, im) in divs.items()
-                for k, pk in enumerate(powers)}
-    return {v: (re, im, gaussian._pow4(re, im)[1])
-            for v, (re, im) in divs.items()}
-
-
-def _splits(exponents):
-    """Exponent vectors e1 <= e2 <= e3 (lexicographic) summing to exponents.
-
-    Each unordered split of the prime multiset into three factors comes
-    exactly once, in lexicographic order of (e1, e2).
-    """
-    if not exponents:  # a unit: the one split 1 * 1 * 1
-        yield (), (), ()
-        return
-    head, tail = exponents[0], exponents[1:]
-    for e1 in product(range(head // 3 + 1), *(range(e + 1) for e in tail)):
-        rest = tuple(e - a for e, a in zip(exponents, e1))
-        for e2 in product(range(e1[0], rest[0] // 2 + 1),
-                          *(range(c + 1) for c in rest[1:])):
-            if e2 < e1:
-                continue
-            e3 = tuple(c - b for c, b in zip(rest, e2))
-            if e3 < e2:
-                break
-            yield e1, e2, e3
-
-
-def _product_splits(w, im4):
-    """(splits tested, splits passing the identity) for the product w.
-
-    x*y*z is w up to a unit, so the identity reduces to
-    -4*Im[x^4]*Im[y^4]*Im[z^4] == Im[w^4] == im4.  Survivors are
-    first-quadrant triples sorted by (norm, re, im).
-    """
-    factors = gaussian_factor(w).factors
-    divs = _divisors(factors)
-    tested = 0
-    survivors = []
-    for split in _splits(tuple(e for _, e in factors)):
-        tested += 1
-        d1, d2, d3 = (divs[e] for e in split)
-        if -4 * d1[2] * d2[2] * d3[2] == im4:
-            survivors.append(_canonical(
-                GaussianInt(d[0], d[1]) for d in (d1, d2, d3)))
-    return tested, survivors
+# References for the slope kernel, taken from the definition: every triple
+# of points (exhaustive) or every triple whose norms multiply to at most the
+# bound (product-first), tested against the hourglass condition.
 
 
 def _passes(x, y, z):
@@ -567,34 +453,6 @@ def _passes(x, y, z):
         and (x * y * z).im == -4 * x.im * y.im * z.im \
         and not any(a.re * b.im == a.im * b.re
                     for a, b in ((x, y), (x, z), (y, z)))
-
-
-@functools.lru_cache(maxsize=None)
-def _legacy_split_lists(products):
-    """(w, its splits in the legacy order, as sorted first-quadrant
-    triples) for each product w.  Splits with a point whose fourth power
-    is real (im == 0 or re == im), which nothing is planted on, are left
-    out."""
-    out = []
-    for w in products:
-        factors = gaussian_factor(w).factors
-        divs = _divisors(factors)
-        splits = (_canonical(GaussianInt(*divs[e][:2]) for e in split)
-                  for split in _splits(tuple(e for _, e in factors)))
-        out.append((w, [t for t in splits
-                        if all(v.im and v.re != v.im for v in t)]))
-    return tuple(out)
-
-
-def _legacy_product_hits(products, pow4):
-    """The legacy product-first hits over the given products, with the
-    condition read off pow4: by (norm(w), re(w)), then in split order."""
-    hits = [((w.norm(), w.re), t)
-            for w, splits in _legacy_split_lists(tuple(products))
-            for t in splits
-            if _passes(*(GaussianInt(*pow4(v.re, v.im)) for v in t))]
-    hits.sort(key=lambda h: h[0])
-    return [t for _, t in hits]
 
 
 def _hit_key(triple):
@@ -606,10 +464,57 @@ def _hit_key(triple):
 
 def _cubic_triples(p4):
     """Every i <= j <= k whose fourth powers pass the hourglass condition;
-    the reference for the exhaustive kernels."""
-    pts = [GaussianInt(*p) for p in p4]
-    return [(i, j, k) for i in range(len(pts)) for j in range(i, len(pts))
-            for k in range(j, len(pts)) if _passes(pts[i], pts[j], pts[k])]
+    the reference for the exhaustive search.
+
+    p4 holds fourth powers as (re, im) pairs.  With X, Y, Z = p4[i], p4[j],
+    p4[k] and P = X*Y the identity Im[P*Z] == -4*Im X*Im Y*Im Z reads
+
+        Im P * Re Z == (-4*Im X*Im Y - Re P) * Im Z,
+
+    so a = Im P and b = -4*Im X*Im Y - Re P are computed once per pair, and
+    each Z is tested exactly with a * Re Z == b * Im Z.  A pair with a real
+    fourth power or two proportional ones is skipped, and so is each Z that
+    is real or proportional to X or Y.  The triples come in ascending order.
+    """
+    out = []
+    for i, (xr, xi) in enumerate(p4):
+        for j in range(i, len(p4)):
+            yr, yi = p4[j]
+            if not (xi and yi) or xr * yi == xi * yr:
+                continue
+            a, b = xr * yi + xi * yr, -3 * xi * yi - xr * yr
+            out += [(i, j, k) for k, (zr, zi) in enumerate(p4[j:], j)
+                    if zi and a * zr == b * zi
+                    and xr * zi != xi * zr and yr * zi != yi * zr]
+    return out
+
+
+def _product_triples(bound, pow4):
+    """The product-first hits at bound with fourth powers from pow4: every
+    triple x <= y <= z, in (norm, re) order, of first-quadrant points with
+    a nonreal fourth power, norms multiplying to at most bound and passing
+    the hourglass condition, sorted by _hit_key.
+
+    5 is the least norm of a point with a nonreal fourth power, so each
+    point of such a triple has norm <= bound/25.
+    """
+    pts = sorted((GaussianInt(*w)
+                  for w in gaussian._candidate_points(bound // 25)
+                  if pow4(*w)[1]), key=lambda v: (v.norm(), v.re))
+    p4 = {v: GaussianInt(*pow4(v.re, v.im)) for v in pts}
+    out = []
+    for i, x in enumerate(pts):
+        for j in range(i, len(pts)):
+            y = pts[j]
+            nxy = x.norm() * y.norm()
+            if nxy * y.norm() > bound:  # and so for every later y
+                break
+            for z in pts[j:]:
+                if nxy * z.norm() > bound:
+                    break
+                if _passes(p4[x], p4[y], p4[z]):
+                    out.append((x, y, z))
+    return sorted(out, key=_hit_key)
 
 
 # points re > im >= 1 in (norm, re) order; fourth_power_lists plants on the
@@ -692,10 +597,14 @@ def _search_hits(mode, bound, pow4):
         return [(h.x, h.y, h.z) for h in search_hourglass(mode, bound).hits]
 
 
-class TestLineBucketKernel:
-    """The search's slope kernel, which replaced the line-bucket kernel and
-    the split enumeration, against those legacy kernels and the cubic
-    reference."""
+points = st.builds(GaussianInt, st.integers(-200, 200),
+                   st.integers(-200, 200))
+
+
+class TestSlopeKernel:
+    """The search's slope kernel against the direct references: the cubic
+    walk over every triple of points, and the product-first enumeration of
+    every triple whose norms multiply to at most the bound."""
 
     def test_planted_hit(self):
         # slopes 1/2, 3 and -9/7: sigma_2 = 3/2 - 27/7 - 9/14 = -3
@@ -706,6 +615,20 @@ class TestLineBucketKernel:
         planted[3, 2] = (-9, 8)
         assert _search_hits("exhaustive", 50, _planted_pow4(planted)) == []
 
+    @given(st.one_of(points, st.integers(-200, 200).map(
+               lambda k: GaussianInt(k, k))),
+           points, points, st.sampled_from(["z", "x", "mirror of y"]))
+    def test_cubic_reference_is_the_condition(self, x, y, z, third):
+        # the reference's test of one triple, on real points with their
+        # true fourth powers, is hourglass_condition.  x is at times k+ki,
+        # whose fourth power is real, and z at times x or the mirror of y,
+        # whose fourth power is conj(y^4): with a real x^4 the identity
+        # holds on (x, y, mirror of y), and the condition fails all the same
+        z = {"z": z, "x": x, "mirror of y": GaussianInt(y.im, y.re)}[third]
+        p4 = [gaussian._pow4(v.re, v.im) for v in (x, y, z)]
+        assert ((0, 1, 2) in _cubic_triples(p4)) \
+            == hourglass_condition(x, y, z).holds
+
     @given(fourth_power_lists())
     @settings(max_examples=300, deadline=None)
     def test_matches_cubic_reference(self, planted):
@@ -715,30 +638,27 @@ class TestLineBucketKernel:
         pow4 = _planted_pow4(planted, real=lambda re, im: (1, 0))
         pts = [w for w in gaussian._candidate_points(bound) if pow4(*w)[1]]
         pts.sort(key=lambda w: (w[0] ** 2 + w[1] ** 2, w[0]))
-        p4 = [pow4(*w) for w in pts]
-        cubic = _cubic_triples(p4)
-        assert _line_bucket_triples(p4) == cubic
+        cubic = _cubic_triples([pow4(*w) for w in pts])
         assert _search_hits("exhaustive", bound, pow4) \
             == [tuple(GaussianInt(*pts[t]) for t in idx) for idx in cubic]
 
     @given(planted_points(max_norm=200))
     @settings(max_examples=40, deadline=None)
-    def test_exhaustive_matches_legacy_kernel(self, planted):
+    def test_exhaustive_planted_slopes_match_cubic_reference(self, planted):
         bound, pow4 = 200, _planted_pow4(planted)
         pts = sorted((w for w in gaussian._candidate_points(bound)
                       if pow4(*w)[1]),
                      key=lambda w: (w[0] ** 2 + w[1] ** 2, w[0]))
         expected = [tuple(GaussianInt(*pts[t]) for t in idx)
-                    for idx in _line_bucket_triples([pow4(*w) for w in pts])]
+                    for idx in _cubic_triples([pow4(*w) for w in pts])]
         assert _search_hits("exhaustive", bound, pow4) == expected
 
     @given(planted_points(max_norm=40, bound=4000))
     @settings(max_examples=40, deadline=None)
-    def test_product_first_matches_legacy_kernel(self, planted):
+    def test_product_first_matches_direct_enumeration(self, planted):
         bound, pow4 = 4000, _planted_pow4(planted)
-        products = [GaussianInt(*w) for w in gaussian._candidate_points(bound)]
         assert _search_hits("product-first", bound, pow4) \
-            == sorted(_legacy_product_hits(products, pow4), key=_hit_key)
+            == _product_triples(bound, pow4)
 
     def test_hits_on_one_product_come_in_split_order(self):
         # w = (2+i)(3+2i)(4+i)(5+2i) = 178+19i splits as a*b*(cd) and as
@@ -746,83 +666,14 @@ class TestLineBucketKernel:
         # give two hits on w and two on its mirror 19+178i.  On one product
         # the split whose sorted points have the smaller (norm, re) keys
         # comes first: a*b*(cd), with norms 5, 13 and 493, before (ab)*c*d,
-        # with norms 17, 29 and 65, which the legacy split order put first
+        # with norms 17, 29 and 65
         planted = {(2, 1): (1, 1), (3, 2): (2, 1), (18, 13): (-5, 3),
                    (4, 7): (1, 2), (4, 1): (3, 1), (5, 2): (-9, 7)}
         pow4 = _planted_pow4(planted)
         g = GaussianInt
         expected = [(g(1, 2), g(2, 3), g(13, 18)), (g(1, 4), g(2, 5), g(7, 4)),
                     (g(2, 1), g(3, 2), g(18, 13)), (g(4, 1), g(5, 2), g(4, 7))]
-        legacy = _legacy_product_hits([g(19, 178), g(178, 19)], pow4)
-        assert legacy == [expected[i] for i in (1, 0, 3, 2)]
-        assert sorted(legacy, key=_hit_key) == expected
+        assert _product_triples(32045, pow4) == expected
         assert _search_hits("product-first", 32045, pow4) == expected
+        assert _product_triples(32044, pow4) == []
         assert _search_hits("product-first", 32044, pow4) == []
-
-
-# Im[w^4] is divisible by 24 for every w in Z[i], so the product side of the
-# identity, and with it Im[w^4] for a hit's product w, is divisible by
-# 4 * 24**3.
-_PRODUCT_SIEVE = 4 * 24**3
-
-
-class TestProductSplits:
-    """The legacy split enumeration against ordered splits and the
-    hourglass condition."""
-
-    @pytest.mark.parametrize("w", [
-        # (1+i)^3 * 3 * (2+i)^2 * (2-i): ramified, inert, and a split
-        # prime repeated beside its conjugate
-        GaussianInt(1, 1)**3 * 3 * GaussianInt(2, 1)**2 * GaussianInt(2, -1),
-        GaussianInt(1, 1)**2 * 7 * GaussianInt(3, 2)**3 * GaussianInt(3, -2),
-        GaussianInt(5, 0),
-        GaussianInt(1, 0),
-    ])
-    def test_unordered_splits_match_reference(self, w):
-        factors = gaussian_factor(w).factors
-        got = [_canonical(t) for t in _split_triples(factors)]
-        assert len(got) == len(set(got))
-        assert set(got) == {_canonical(t) for t in _ordered_splits(factors)}
-        unit = gaussian_factor(w).unit
-        for x, y, z in _split_triples(factors):
-            assert x * y * z * unit == w
-
-    def test_integer_identity_matches_condition(self):
-        candidates = 0
-        for re, im in gaussian._candidate_points(20_000):
-            w = GaussianInt(re, im)
-            im4 = pow4_parts(w)[1]
-            if im4 == 0 or im4 % _PRODUCT_SIEVE:
-                continue
-            candidates += 1
-            triples = _split_triples(gaussian_factor(w).factors)
-            tested, survivors = _product_splits(w, im4)
-            assert tested == len(triples)
-            assert set(survivors) == {
-                _canonical(t) for t in triples
-                if hourglass_condition(*t).identity_holds}
-            assert not any(hourglass_condition(*t).holds for t in survivors)
-        assert candidates > 100
-
-
-def _canonical(triple):
-    return tuple(sorted((v.first_quadrant() for v in triple),
-                        key=lambda v: (v.norm(), v.re, v.im)))
-
-
-def _ordered_splits(factors):
-    """Every prime's exponent dealt over three ordered parts; the reference
-    for the unordered split enumeration."""
-    one = GaussianInt(1, 0)
-    parts = [(one, one, one)]
-    for prime, e in factors:
-        parts = [(a * prime**e1, b * prime**e2, c * prime**(e - e1 - e2))
-                 for a, b, c in parts
-                 for e1 in range(e + 1) for e2 in range(e + 1 - e1)]
-    return parts
-
-
-def _split_triples(factors):
-    divs = _divisors(factors)
-    return [tuple(GaussianInt(*divs[e][:2]) for e in split)
-            for split in _splits(tuple(e for _, e in factors))]
