@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import cached_property
 
 from .limits import MAX_ORDER
 
@@ -230,6 +231,25 @@ def mask_bits(mask: int) -> list[int]:
     return out
 
 
+class _DigitMasks(dict):
+    """(i, d) -> the mask of the encodings whose digit i is below p - d.
+
+    Those are the low (p - d) * p**i encodings of every block of
+    p**(i + 1), repeated by a repunit; (0, 0) is every encoding, the full
+    mask.  Each is built on first lookup and kept.
+    """
+
+    def __init__(self, p: int, order: int):
+        super().__init__()
+        self.p, self.full = p, (1 << order) - 1
+
+    def __missing__(self, key):
+        i, d = key
+        run = (1 << (self.p - d) * self.p**i) - 1
+        mask = self[key] = run * self.full // ((1 << self.p ** (i + 1)) - 1)
+        return mask
+
+
 # ---------------------------------------------------------------------------
 # Carriers.
 
@@ -308,11 +328,6 @@ class Carrier:
         self._square_set = masks
         return masks
 
-    def _squares(self) -> tuple[int, int]:
-        seen = {self.mul(x, x) for x in self.elements()}
-        return (_bitmask(seen, self.order),
-                _bitmask(map(self.neg, seen), self.order))
-
     def is_square(self, a: int) -> bool:
         return a >= 0 and bool(self.square_set()[0] >> a & 1)
 
@@ -330,7 +345,8 @@ class Carrier:
         digits are built on first use and kept on the carrier.
         """
         p, r = self.additive_layout
-        full = (1 << self.order) - 1
+        masks = self._digit_masks
+        full = masks[0, 0]
         weight = 1
         for i in range(r):
             t, d = divmod(t, p)
@@ -339,21 +355,14 @@ class Carrier:
                 if i == r - 1:
                     mask = ((mask << up) & full) | (mask >> down)
                 else:
-                    low = mask & self._low_digit_mask(i, d)
+                    low = mask & masks[i, d]
                     mask = (low << up) | ((mask ^ low) >> down)
             weight *= p
         return mask
 
-    def _low_digit_mask(self, i: int, d: int) -> int:
-        # encodings whose digit i is below p - d: the low (p - d) * p**i
-        # encodings of every block of p**(i + 1), repeated by a repunit
-        masks = self.__dict__.setdefault("_digit_masks", {})
-        if (i, d) not in masks:
-            p = self.additive_layout[0]
-            run = (1 << (p - d) * p**i) - 1
-            masks[i, d] = (run * ((1 << self.order) - 1)
-                           // ((1 << p ** (i + 1)) - 1))
-        return masks[i, d]
+    @cached_property
+    def _digit_masks(self) -> _DigitMasks:
+        return _DigitMasks(self.additive_layout[0], self.order)
 
     def element_repr(self, a: int) -> str:
         return str(a)
@@ -438,6 +447,46 @@ class ModularRing(_ResidueCarrier):
         return f"Z/{self.order}Z"
 
 
+def _digit_sum_table(k: int, p: int, r: int) -> list:
+    """The table of y -> y + k over F_{p^r}: digitwise addition mod p.
+
+    Built one digit at a time: the table over the low j + 1 digits is p
+    blocks, block c the table over the low j digits raised by
+    ((c + k_j) mod p) * p**j.
+    """
+    table = [0]
+    weight = 1
+    for _ in range(r):
+        k, d = divmod(k, p)
+        out = []
+        for c in range(p):
+            out += map(((c + d) % p * weight).__add__, table)
+        table = out
+        weight *= p
+    return table
+
+
+def _times_table(g, p: int, r: int, modulus_poly) -> list:
+    """The table of y -> g*y over F_{p^r} = F_p[x] / modulus_poly.
+
+    Multiplication by g is F_p-linear: g * (c*x^i + y') = g*y' + c*(g*x^i).
+    So the table is built a digit at a time, and the block of the
+    encodings with digit i = c, the top one so far, is the block of c - 1
+    translated by g*x^i: one map over a digit-sum table.
+    """
+    table = [0]
+    g_xi = g
+    for _ in range(r):
+        step = _digit_sum_table(
+            sum(c * p**j for j, c in enumerate(g_xi)), p, r).__getitem__
+        block = table
+        for _ in range(p - 1):
+            block = list(map(step, block))
+            table += block
+        g_xi = _poly_mod((0,) + g_xi, modulus_poly, p)
+    return table
+
+
 def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list, list]:
     """(exp, log, zech) of F_{p^r} = F_p[x] / modulus_poly, q = p**r.
 
@@ -445,6 +494,7 @@ def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list, list]:
     l | q - 1, so g has order q - 1.  exp[k] = g^k and zech[k] = log(1 + g^k),
     -1 where g^k = -1, are stored twice over so that sums and differences
     of two logs index them directly; log inverts exp and holds -1 at 0.
+    exp walks the cycle of _times_table from 1, one list index per unit.
     """
     q = p**r
     n = q - 1
@@ -464,34 +514,19 @@ def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list, list]:
         g = _poly_trim(_digits_of(enc, p, r))
         if all(power(g, c) != one for c in cofactors):
             break
-    # the walk steps a digit list by g: one shift and reduction by the
-    # modulus per coefficient of g below its top, which is one when g = x;
-    # x^r = -(m_0 + m_1 x + ... + m_{r-1} x^{r-1}), over the nonzero m_j
-    taps = [(j, m) for j, m in enumerate(modulus_poly[:r]) if m]
-
-    def times_x(c):
-        top = c.pop()
-        c.insert(0, 0)
-        if top:
-            for j, m in taps:
-                c[j] = (c[j] - top * m) % p
-
-    weights = [p**i for i in range(r)]
-    exp = []
-    x = [1] + [0] * (r - 1)
-    for _ in range(n):
-        exp.append(sum(map(operator.mul, weights, x)))
-        # x * g by Horner over the coefficients of g, highest first
-        y = [g[-1] * c % p for c in x]
-        for coeff in g[-2::-1]:
-            times_x(y)
-            if coeff:
-                y = [(a + coeff * b) % p for a, b in zip(y, x)]
-        x = y
+    times_g = _times_table(g, p, r, modulus_poly)
+    exp = [1] * n
     log = [-1] * q
-    for k, x in enumerate(exp):
+    log[1] = 0
+    x = 1
+    for k in range(1, n):
+        x = times_g[x]
+        exp[k] = x
         log[x] = k
-    zech = [log[x - x % p + (x + 1) % p] for x in exp]  # 1 adds to digit 0
+    del times_g
+    # x + 1 raises digit 0, and wraps it at p - 1
+    bump = map(([1] * (p - 1) + [1 - p]).__getitem__, map(p.__rmod__, exp))
+    zech = list(map(log.__getitem__, map(operator.add, exp, bump)))
     return exp * 2, log, zech * 2
 
 
@@ -526,6 +561,14 @@ class ExtensionField(Carrier):
         self.modulus_poly = modulus_poly
         self._exp, self._log, self._zech = _log_tables(p, r, modulus_poly)
         self._log_minus_one = self._log[p - 1]  # 0 in characteristic 2
+
+    def _squares(self):
+        # 0 and the even powers of g, and 0 and the even powers times
+        # g^log(-1); exp holds two periods, so each slice meets every even
+        # power, and in characteristic 2, where q - 1 is odd, every unit
+        exp, q = self._exp, self.order
+        return (_bitmask(exp[::2], q) | 1,
+                _bitmask(exp[self._log_minus_one::2], q) | 1)
 
     @property
     def additive_layout(self):

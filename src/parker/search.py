@@ -112,8 +112,10 @@ def _pair_hits(carrier, e2, d_mask, anti_diagonal=None):
     above needs.
 
     Z/nZ and prime fields, additive layout (n, 1), take a path on plain
-    residue arithmetic; extension fields translate with the carrier.
-    Both yield the same sequence for the same D_e.
+    residue arithmetic; extension fields translate through a table of D_e
+    translated by the low digits (see _translator), or, with a fixed
+    anti-diagonal, test its offsets one by one.  Both yield the same
+    sequence for the same D_e.
     """
     kernel = _residue_pair_hits if carrier.additive_layout[1] == 1 \
         else _carrier_pair_hits
@@ -148,26 +150,92 @@ def _residue_pair_hits(carrier, e2, d_mask, anti_diagonal):
 
 
 def _carrier_pair_hits(carrier, e2, d_mask, anti_diagonal):
-    # _residue_pair_hits with the carrier's translate and arithmetic
-    sub, translate = carrier.sub, carrier.translate
+    # _residue_pair_hits with the carrier's arithmetic, translating D_e
+    # through _translator; D_e is empty in characteristic 2.  A fixed
+    # anti-diagonal needs no translation: gamma is a hit of alpha when
+    # gamma + alpha and gamma - alpha both lie in D_e, looked up in its
+    # binary digits
+    if not d_mask:
+        return
+    add, sub = carrier.add, carrier.sub
     repeats = _repeat_mask(carrier)
-    members = translate(d_mask, e2)
-    target = carrier.add(e2, e2)
-    earlier = 0 if anti_diagonal is None else anti_diagonal
+    members = carrier.translate(d_mask, e2)
+    target = add(e2, e2)
+    if anti_diagonal is None:
+        translate = _translator(carrier, d_mask)[1]
+        earlier = 0
+    else:
+        in_d = f"{d_mask:0{carrier.order}b}"[::-1]
+        gammas = mask_bits(anti_diagonal)
     for u in mask_bits(members):
         v = sub(target, u)
         if u > v:
             continue
         alpha = sub(v, e2)
-        hits = translate(d_mask, sub(u, e2)) & earlier
         if anti_diagonal is None:
+            hits = translate(sub(u, e2)) & earlier
             earlier |= 1 << alpha
+            if hits:
+                hits &= translate(alpha)
+        else:
+            hits = 0
+            for gamma in gammas:
+                if in_d[add(gamma, alpha)] == "1" == in_d[sub(gamma, alpha)]:
+                    hits |= 1 << gamma
         if hits:
-            hits &= translate(d_mask, alpha)
-        if hits:
-            hits &= ~repeats(alpha)
+            hits ^= hits & repeats(alpha)
         if hits:
             yield alpha, hits
+
+
+# The most bits _translator's table may hold: 2**22 bits, 512 KiB.  It
+# keeps every digit but the top one in the table for each odd field order
+# up to 5000; the first it cuts short is 3**8 = 6561.
+TABLE_BITS = 2**22
+
+
+def _translator(carrier, mask):
+    """(table, translate): translate(t) has carrier.translate(mask, t) below
+    bit q, the order, and leftover bits above it.
+
+    The additive layout (p, r) splits t into its low h digits, the middle
+    digits h..r - 2 and its top digit c.  table holds mask translated by
+    every value s of the low h digits, at index s, each held doubled as
+    m | m << q the way _residue_pair_hits holds D_e, so that translating by
+    c * p**(r - 1) is the one shift >> (q - c * p**(r - 1)).  The block of
+    the p**i entries with digit i = c is the block of c - 1 translated by
+    p**i, one masked shift pair each.  h is the largest below r that keeps
+    the p**h entries of 2q bits within TABLE_BITS; when that cuts the
+    table short, Carrier.translate adds the middle digits.
+    """
+    p, r = carrier.additive_layout
+    q = carrier.order
+    h = r - 1
+    while h and p**h * 2 * q > TABLE_BITS:
+        h -= 1
+    table = [mask | mask << q]
+    weight = 1
+    for i in range(h):
+        keep = carrier._digit_masks[i, 1]
+        keep |= keep << q
+        for _ in range(p - 1):
+            for m in table[-weight:]:
+                low = m & keep
+                table.append(low << weight | (m ^ low) >> (p - 1) * weight)
+        weight *= p
+    top = p ** (r - 1)
+    if weight == top:
+        def translate(t):
+            s = t % top
+            return table[s] >> q - t + s
+        return table, translate
+    full = carrier._digit_masks[0, 0]
+
+    def translate(t):
+        s, c = t % weight, t // top
+        return carrier.translate(table[s] >> q - c * top & full,
+                                 t - s - c * top)
+    return table, translate
 
 
 def _repeat_mask(carrier):

@@ -17,11 +17,12 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
 
-from .algebra import check_order, is_prime, make_carrier, prime_power_base
+from .algebra import check_order, is_prime, make_carrier
 from .search import (PREFILTER_REASONS, count_field, count_ring,
                      prefilter_field)
 
@@ -134,20 +135,24 @@ def _order_range(lo: int, hi: int) -> range:
 def field_orders(lo: int, hi: int, order_filter: str = "all") -> list[int]:
     """Field orders in [lo, hi]: every prime power, primes only, or strict powers.
 
-    An unknown filter or lo above hi raises ValueError.
+    The strict powers p**k, k >= 2, are the powers of the primes up to
+    sqrt(hi), so only the primes take a primality test per order.  An
+    unknown filter or lo above hi raises ValueError.
     """
     if order_filter not in ("all", "primes-only", "prime-powers-only"):
         raise ValueError(f"unknown field filter {order_filter!r}")
+    orders = _order_range(lo, hi)
     out = []
-    for n in _order_range(lo, hi):
-        pr = prime_power_base(n)
-        if pr is None:
-            continue
-        if order_filter == "primes-only" and pr[1] != 1:
-            continue
-        if order_filter == "prime-powers-only" and pr[1] == 1:
-            continue
-        out.append(n)
+    if order_filter != "prime-powers-only":
+        out = [n for n in orders if is_prime(n)]
+    if order_filter != "primes-only":
+        for p in filter(is_prime, range(2, math.isqrt(hi) + 1)):
+            power = p * p
+            while power <= hi:
+                if power >= lo:
+                    out.append(power)
+                power *= p
+        out.sort()
     return out
 
 

@@ -332,6 +332,17 @@ class TestSquares:
         if kind == "field" and order % 2 == 1:
             assert len(brute) == (order + 1) // 2
 
+    @pytest.mark.parametrize("order", field_orders(4, 3000, "prime-powers-only")
+                             + [19683, MAX_ORDER])
+    def test_extension_squares_are_even_powers(self, order):
+        # the masks come from the even powers of g; the reference squares
+        # every element
+        c = make_carrier("field", order)
+        seen = {c.mul(x, x) for x in c.elements()}
+        s, neg = c.square_set()
+        assert set(mask_bits(s)) == seen
+        assert set(mask_bits(neg)) == {c.neg(x) for x in seen}
+
     def test_ring_squares_direct(self):
         c = make_carrier("ring", 27)
         brute = {x * x % 27 for x in range(27)}

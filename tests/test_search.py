@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -204,6 +206,11 @@ def _legacy_pair_hits(carrier, e2, pairs, anti_diagonal=None):
             yield alpha, hits
 
 
+@functools.cache
+def _extension_field(order):
+    return make_carrier("field", order)
+
+
 class TestPairKernel:
     def test_matches_legacy_kernel(self):
         # every yield, in order, at every center the searches scan
@@ -238,6 +245,24 @@ class TestPairKernel:
         t = data.draw(st.integers(0, n - 1))
         doubled = mask | mask << n
         assert (doubled >> (n - t)) & ((1 << n) - 1) == c.translate(mask, t)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_table_lookup_is_translate(self, data):
+        # the extension-field path looks the low digits up in a table of
+        # 2q-bit entries within 2**22 bits; F_19683 keeps 4 of its 8 low
+        # digits there and adds the other 4 by Carrier.translate, and the
+        # budget fits F_127^2's one low digit but not F_131^2's
+        order, low_digits = data.draw(st.sampled_from(
+            ((25, 1), (1331, 2), (2187, 6), (3125, 4), (19683, 4),
+             (16129, 1), (17161, 0))))
+        c = _extension_field(order)
+        mask = data.draw(st.integers(0, (1 << order) - 1))
+        t = data.draw(st.integers(0, order - 1))
+        table, translate = search._translator(c, mask)
+        assert len(table) == c.characteristic ** low_digits
+        assert len(table) * 2 * order <= 2**22
+        assert translate(t) & ((1 << order) - 1) == c.translate(mask, t)
 
     def test_matches_double_loop(self):
         carriers = [make_carrier("field", q) for q in field_orders(2, 500)]

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from parker import survey
-from parker.algebra import MAX_ORDER, make_carrier, squares
+from parker.algebra import (MAX_ORDER, make_carrier, prime_power_base,
+                            squares)
 from parker.survey import (RecordBreakerTable, ScanRecord, load_checkpoint,
                            non_standard_record_breakers, parse_report,
                            record_breakers, render_report, scan_fields,
@@ -47,6 +48,17 @@ class TestScanFields:
     def test_strict_prime_power_filter(self):
         records, _ = scan_fields(2, 30, "prime-powers-only")
         assert [r.order for r in records] == [4, 8, 9, 16, 25, 27]
+
+    @pytest.mark.parametrize("lo,hi", [(2, 5000), (730, 5000), (3000, 3500),
+                                       (15625, 19683), (0, 1)])
+    def test_orders_match_prime_power_base(self, lo, hi):
+        # each order classified on its own by its factorization
+        for order_filter, keep in (("all", {1, 2}), ("primes-only", {1}),
+                                   ("prime-powers-only", {2})):
+            expected = [n for n in range(max(lo, 2), hi + 1)
+                        if prime_power_base(n)
+                        and min(prime_power_base(n)[1], 2) in keep]
+            assert survey.field_orders(lo, hi, order_filter) == expected
 
     def test_unknown_filter_rejected(self):
         with pytest.raises(ValueError, match="unknown field filter"):
