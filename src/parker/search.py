@@ -4,8 +4,8 @@ A carrier is Parker when it admits no 3x3 magic square of nine distinct
 squared elements.  msos_field and msos_ring enumerate the full set of magic
 tuples up to scaling: fields normalize the center to 0 (with the corner pair
 fixed to 1 and -1) or to 1, rings normalize the center to a divisor residue.
-count_field and count_ring give the same count from the same pair kernel by
-popcounting its hit masks, with no tuple built; range scans use them, and
+count_field and count_ring give the same count from the same hit masks by
+popcounting them, with no tuple built; range scans use them, and
 only msos_* (and `parker field`/`ring` with --list or --json) keep tuples.
 brute_force_oracle enumerates with no normalization at all and is used to
 check that the normalized searches lose nothing.
@@ -48,9 +48,9 @@ class SearchResult:
         kernel emits only the image with the later of its two center pairs
         on the diagonal and both pairs in ascending order, so no two
         emitted tuples with the same center share a class.  In the
-        center-0 field case the kernel emits the diagonal pair ascending
-        beside the fixed anti-diagonal (1, -1), and an image exchanging the
-        pairs would need {a, i} = {1, -1}, which repeats a cell.  Distinct
+        center-0 field case each pair of the center-0 mask is emitted once,
+        ascending on the diagonal beside (1, -1), and an image exchanging
+        the pairs would need {a, i} = {1, -1}, which repeats a cell.  Distinct
         centers are distinct classes, and msos_ring scans each distinct
         center square once.  oracle_agreement checks this count against
         dihedral_canonical.
@@ -62,7 +62,7 @@ class SearchResult:
         return not self.tuples
 
 
-def _pair_hits(carrier, e2, d_mask, anti_diagonal=None):
+def _pair_hits(carrier, e2, d_mask):
     """Every magic tuple with center e2 = e^2, as one bitmask per center pair.
 
     Write each center pair (u, v), u < v, as (e^2 - delta, e^2 + delta);
@@ -100,29 +100,21 @@ def _pair_hits(carrier, e2, d_mask, anti_diagonal=None):
         alpha = -(alpha +- gamma)    is gamma = -+2*alpha.
 
     Of these, only 2*gamma = +-alpha and gamma = +-2*alpha can hold, and
-    they are the offsets cleared.  A field of characteristic 2 has no pair at all, since
-    u + v = 2e^2 = 0 forces u = v, so the halves of alpha are only ever
-    taken in odd characteristic and in Z/nZ.
-
-    anti_diagonal, when given, is a fixed mask of anti-diagonal offsets
-    used for every pair in place of the running mask.  The center-0 field
-    case passes the single bit of gamma = -1, which puts (c, g) = (1, -1).
-    Any pair (u, -u) of nonzero squares makes -1 = -u/u a square, so
-    (1, -1) is itself a pair and gamma = -1 lies in D_0, as the argument
-    above needs.
+    they are the offsets cleared.  A field of characteristic 2 has no pair
+    at all, since u + v = 2e^2 = 0 forces u = v, so the halves of alpha are
+    only ever taken in odd characteristic and in Z/nZ.
 
     Z/nZ and prime fields, additive layout (n, 1), take a path on plain
     residue arithmetic; extension fields translate through a table of D_e
-    translated by the low digits (see _translator), or, with a fixed
-    anti-diagonal, test its offsets one by one.  Both yield the same
+    translated by the low digits (see _translator).  Both yield the same
     sequence for the same D_e.
     """
     kernel = _residue_pair_hits if carrier.additive_layout[1] == 1 \
         else _carrier_pair_hits
-    return kernel(carrier, e2, d_mask, anti_diagonal)
+    return kernel(carrier, e2, d_mask)
 
 
-def _residue_pair_hits(carrier, e2, d_mask, anti_diagonal):
+def _residue_pair_hits(carrier, e2, d_mask):
     # D_e is held doubled, D | D << n, so that translating it by t is the
     # one shift doubled >> (n - t), read below bit n; the AND with the
     # running mask, itself below bit n, drops the bits above.  The pair
@@ -135,12 +127,11 @@ def _residue_pair_hits(carrier, e2, d_mask, anti_diagonal):
     doubled = d_mask | d_mask << n
     t = 2 * e2 % n
     lower = ((1 << (t + 1) // 2) - 1) | ((1 << (t + n + 1) // 2) - (2 << t))
-    earlier = 0 if anti_diagonal is None else anti_diagonal
+    earlier = 0
     for u in mask_bits((doubled >> (n - e2)) & lower):
         alpha = (e2 - u) % n
         hits = (doubled >> alpha) & earlier
-        if anti_diagonal is None:
-            earlier |= 1 << alpha
+        earlier |= 1 << alpha
         if hits:
             hits &= doubled >> (n - alpha)
         if hits:
@@ -149,43 +140,56 @@ def _residue_pair_hits(carrier, e2, d_mask, anti_diagonal):
             yield alpha, hits
 
 
-def _carrier_pair_hits(carrier, e2, d_mask, anti_diagonal):
+def _carrier_pair_hits(carrier, e2, d_mask):
     # _residue_pair_hits with the carrier's arithmetic, translating D_e
-    # through _translator; D_e is empty in characteristic 2.  A fixed
-    # anti-diagonal needs no translation: gamma is a hit of alpha when
-    # gamma + alpha and gamma - alpha both lie in D_e, looked up in its
-    # binary digits
+    # through _translator; D_e is empty in characteristic 2
     if not d_mask:
         return
-    add, sub = carrier.add, carrier.sub
+    sub = carrier.sub
     repeats = _repeat_mask(carrier)
-    members = carrier.translate(d_mask, e2)
-    target = add(e2, e2)
-    if anti_diagonal is None:
-        translate = _translator(carrier, d_mask)[1]
-        earlier = 0
-    else:
-        in_d = f"{d_mask:0{carrier.order}b}"[::-1]
-        gammas = mask_bits(anti_diagonal)
-    for u in mask_bits(members):
+    translate = _translator(carrier, d_mask)[1]
+    target = carrier.add(e2, e2)
+    earlier = 0
+    for u in mask_bits(carrier.translate(d_mask, e2)):
         v = sub(target, u)
         if u > v:
             continue
         alpha = sub(v, e2)
-        if anti_diagonal is None:
-            hits = translate(sub(u, e2)) & earlier
-            earlier |= 1 << alpha
-            if hits:
-                hits &= translate(alpha)
-        else:
-            hits = 0
-            for gamma in gammas:
-                if in_d[add(gamma, alpha)] == "1" == in_d[sub(gamma, alpha)]:
-                    hits |= 1 << gamma
+        hits = translate(sub(u, e2)) & earlier
+        earlier |= 1 << alpha
+        if hits:
+            hits &= translate(alpha)
         if hits:
             hits ^= hits & repeats(alpha)
         if hits:
             yield alpha, hits
+
+
+def _center_zero_mask(carrier, d0):
+    """T, the offsets alpha of D_0 = d0 whose pair makes a center-0 tuple.
+
+    Center 0 fixes the anti-diagonal to (c, g) = (1, -1), gamma = -1, which
+    is in D_0 whenever D_0 is not empty: a pair (u, -u) of nonzero squares
+    makes -1 a square.  By _pair_hits alpha hits exactly when alpha - 1 and
+    alpha + 1 are in D_0 and alpha is not +-2 or +-1/2, the alphas that
+    repeat a cell with gamma = -1; the relation is symmetric, so they are
+    _repeat_mask's mask at -1.  So T = D_0 & (D_0 + 1) & (D_0 - 1) without
+    them, a symmetric mask, empty exactly when center 0 has no square.
+    """
+    one = carrier.encode_int(1)
+    minus_one = carrier.neg(one)
+    mask = d0 & carrier.translate(d0, one) & carrier.translate(d0, minus_one)
+    return mask & ~_repeat_mask(carrier)(minus_one)
+
+
+def _center_zero_hits(carrier, e2, d_mask):
+    # the center-0 run, e2 = 0: one bit, gamma = -1, for each alpha of
+    # T that is the upper member of its pair, as _pair_hits would yield
+    neg = carrier.neg
+    hit = 1 << neg(carrier.encode_int(1))
+    for alpha in mask_bits(_center_zero_mask(carrier, d_mask)):
+        if neg(alpha) < alpha:
+            yield alpha, hit
 
 
 # The most bits _translator's table may hold: 2**22 bits, 512 KiB.  It
@@ -286,34 +290,32 @@ def _field(carrier):
 
 
 def _field_centers(q):
-    """(carrier, centers) of the field search: a list of (e, anti_diagonal).
+    """(carrier, centers) of the field search: a list of (e^2, run).
 
     Center 0 fixes the anti-diagonal corners to 1 and -1 and scans corner
-    pairs summing to 0; center 1 scans unordered combinations of two
-    distinct pairs summing to 2.
+    pairs summing to 0 (_center_zero_hits); center 1 scans unordered
+    combinations of two distinct pairs summing to 2 (_pair_hits).
     """
     carrier = _field(q if isinstance(q, Carrier)
                      else make_carrier("field", q))
-    one = carrier.encode_int(1)
-    return carrier, [(0, 1 << carrier.neg(one)), (one, None)]
+    return carrier, [(0, _center_zero_hits),
+                     (carrier.encode_int(1), _pair_hits)]
 
 
 def _ring_centers(n):
-    """(carrier, centers) of the ring search: a list of (e, None).
+    """(carrier, centers) of the ring search: a list of (e^2, _pair_hits).
 
     The center is normalized to a divisor residue of n (one unit orbit per
     divisor).  The scan depends on the center only through its square, so
-    each distinct divisor square, 0 included, is scanned once, with the
-    first divisor that gives it.
+    each distinct divisor square, 0 included, is scanned once.
     """
     carrier = n if isinstance(n, Carrier) else make_carrier("ring", n)
     if carrier.kind != "modular-ring":
         raise ValueError(f"the ring search needs a ring carrier, "
                          f"got {carrier}")
-    centers: dict[int, int] = {}
-    for e in divisor_representatives(carrier.order):
-        centers.setdefault(carrier.mul(e, e), e)
-    return carrier, [(e, None) for e in centers.values()]
+    e2s = dict.fromkeys(carrier.mul(e, e)
+                        for e in divisor_representatives(carrier.order))
+    return carrier, [(e2, _pair_hits) for e2 in e2s]
 
 
 def _search(carrier, centers) -> SearchResult:
@@ -321,12 +323,11 @@ def _search(carrier, centers) -> SearchResult:
     # shared by every tuple that uses them
     add, sub = carrier.add, carrier.sub
     out = []
-    for e, anti_diagonal in centers:
-        e2 = carrier.mul(e, e)
+    for e2, run in centers:
         d_mask = center_offsets(carrier, e2)
         member = {delta: (add(e2, delta), sub(e2, delta))
                   for delta in mask_bits(d_mask)}
-        for alpha, hits in _pair_hits(carrier, e2, d_mask, anti_diagonal):
+        for alpha, hits in run(carrier, e2, d_mask):
             i2, a2 = member[alpha]
             while hits:
                 low = hits & -hits
@@ -345,10 +346,8 @@ def _search(carrier, centers) -> SearchResult:
 
 def _count(carrier, centers) -> int:
     total = 0
-    for e, anti_diagonal in centers:
-        e2 = carrier.mul(e, e)
-        for _, hits in _pair_hits(carrier, e2, center_offsets(carrier, e2),
-                                  anti_diagonal):
+    for e2, run in centers:
+        for _, hits in run(carrier, e2, center_offsets(carrier, e2)):
             total += hits.bit_count()
     return total
 
@@ -356,8 +355,8 @@ def _count(carrier, centers) -> int:
 def msos_field(q) -> SearchResult:
     """All magic squares of squares over F_q, up to scaling.
 
-    Two cases by center entry, 0 and 1, both run by the same pair kernel
-    (see _field_centers).  The tuples come back sorted.
+    Two cases by center entry: 0 from one offset mask, 1 by the pair
+    kernel (see _field_centers).  The tuples come back sorted.
     """
     return _search(*_field_centers(q))
 
@@ -390,14 +389,13 @@ def prefilter_field(q) -> str | None:
 
     The cascade: even order; fewer than nine squares; fewer than four center
     pairs on both the center-0 route (target 0) and the center-1 route
-    (target 2); and, when only the center-0 route stays open, no qualifying
-    consecutive-square triple.  A magic square needs four disjoint center
-    pairs and a center-0 square scales to a consecutive-square triple, so
-    each verdict implies the full search comes back empty.  The verdict is
-    one of the reason strings in PREFILTER_REASONS.  An order that is not a
-    prime power raises ValueError: an even one here, an odd one when its
-    carrier is built.  So does a carrier that is not a field, before any
-    verdict.
+    (target 2); and, when only the center-0 route stays open, an empty
+    center-0 mask, which is exact for that route (see _center_zero_mask).
+    A magic square needs four disjoint center pairs, so each verdict
+    implies the full search comes back empty.  The verdict is one of the
+    reason strings in PREFILTER_REASONS.  An order that is not a prime
+    power raises ValueError: an even one here, an odd one when its carrier
+    is built.  So does a carrier that is not a field, before any verdict.
     """
     carrier = _field(q) if isinstance(q, Carrier) else None
     order = carrier.order if carrier is not None else q
@@ -408,25 +406,14 @@ def prefilter_field(q) -> str | None:
         return "even-order"
     if carrier is None:
         carrier = make_carrier("field", order)
-    s = carrier.square_set()[0]
-    if s.bit_count() < 9:
+    if carrier.square_set()[0].bit_count() < 9:
         return "too-few-squares"
-    one = carrier.encode_int(1)
-    e0_pairs = center_offsets(carrier, 0).bit_count() // 2
-    e1_pairs = center_offsets(carrier, one).bit_count() // 2
-    if e0_pairs < 4 and e1_pairs < 4:
+    d0 = center_offsets(carrier, 0)
+    e1_pairs = center_offsets(carrier, carrier.encode_int(1)).bit_count() // 2
+    if d0.bit_count() // 2 < 4 and e1_pairs < 4:
         return "pair-deficit"
-    if e1_pairs < 4:
-        # the squares x with x - 1 and x + 1 square too; a center-0 square
-        # scaled to (x - 1, x, x + 1) has 0, 1 and -1 as cells already, so
-        # x is none of 0, +-1, +-2, and the order is odd, so the three are
-        # distinct
-        minus_one, two = carrier.neg(one), carrier.encode_int(2)
-        triples = s & carrier.translate(s, one) & carrier.translate(s, minus_one)
-        for x in (0, one, minus_one, two, carrier.neg(two)):
-            triples &= ~(1 << x)
-        if not triples:
-            return "no-consecutive-squares"
+    if e1_pairs < 4 and not _center_zero_mask(carrier, d0):
+        return "no-consecutive-squares"
     return None
 
 

@@ -31,6 +31,8 @@ log = logging.getLogger("parker.survey")
 CSV_COLUMNS = ("order", "kind", "square_count", "msos_count",
                "dihedral_class_count", "parker", "prefilter_reason",
                "elapsed_ms")
+_INTEGER_COLUMNS = ("order", "square_count", "msos_count",
+                    "dihedral_class_count", "elapsed_ms")
 
 
 @dataclass(frozen=True)
@@ -255,24 +257,14 @@ def record_to_json(rec: ScanRecord) -> str:
     return json.dumps(asdict(rec), sort_keys=True)
 
 
-def record_from_json(line: str) -> ScanRecord:
-    """Parse one JSONL record; ValueError, KeyError or TypeError if malformed.
-
-    A record must be a JSON object with the field types a computed record
-    has: nonnegative integer counts, order and time, a kind of "field" or
-    "ring", a boolean Parker flag and a prefilter reason that is null or
-    one the prefilter gives.  Its Parker flag and dihedral class count
-    must agree with its msos count, as every computed record's do.
+def _checked_record(obj) -> ScanRecord:
+    """The ScanRecord of obj, a dict of its fields, if a scan could have
+    computed it: nonnegative integer counts, order and time, a kind of
+    "field" or "ring", a boolean Parker flag and a dihedral class count
+    that agree with the msos count, and a prefilter reason that is None or
+    one the prefilter gives.  ValueError or KeyError otherwise.
     """
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    # records from before the assignment policy was retired carry it; only
-    # the canonical policy counted what the search counts now
-    if obj.get("policy", "canonical") != "canonical":
-        raise ValueError(f"record from policy {obj['policy']!r}")
-    for key in ("order", "square_count", "msos_count",
-                "dihedral_class_count", "elapsed_ms"):
+    for key in _INTEGER_COLUMNS:
         value = obj[key]
         if not isinstance(value, int) or isinstance(value, bool) \
                 or value < 0:
@@ -289,9 +281,20 @@ def record_from_json(line: str) -> ScanRecord:
         raise ValueError("parker flag disagrees with msos_count")
     if obj["dihedral_class_count"] != obj["msos_count"]:
         raise ValueError("dihedral_class_count differs from msos_count")
-    return ScanRecord(**{k: obj[k] for k in (
-        "order", "kind", "square_count", "msos_count", "dihedral_class_count",
-        "parker", "prefilter_reason", "elapsed_ms")})
+    return ScanRecord(**{k: obj[k] for k in CSV_COLUMNS})
+
+
+def record_from_json(line: str) -> ScanRecord:
+    """Parse one JSONL record, a JSON object checked by _checked_record;
+    ValueError, KeyError or TypeError if malformed."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    # records from before the assignment policy was retired carry it; only
+    # the canonical policy counted what the search counts now
+    if obj.get("policy", "canonical") != "canonical":
+        raise ValueError(f"record from policy {obj['policy']!r}")
+    return _checked_record(obj)
 
 
 def write_report(records, fmt: str, path) -> None:
@@ -318,18 +321,25 @@ def render_report(records, fmt: str) -> str:
 
 
 def parse_report(text: str, fmt: str) -> list[ScanRecord]:
-    """Inverse of render_report, used for round-trip checks and resumption."""
+    """Inverse of render_report, for round-trip checks.
+
+    Both formats pass the same record checks (see _checked_record), so a
+    malformed record raises ValueError, KeyError or TypeError in either.
+    Resumption reads checkpoints with load_checkpoint instead.
+    """
     if fmt == "jsonl":
         return [record_from_json(line) for line in text.splitlines() if line]
     if fmt == "csv":
-        rows = list(csv.reader(io.StringIO(text)))
+        # integers parse as int, the Parker flag as "true" or "false" and an
+        # empty reason as None; _checked_record rejects the rest
+        flags = {"true": True, "false": False}
         out = []
-        for row in rows[1:]:
-            out.append(ScanRecord(
-                order=int(row[0]), kind=row[1], square_count=int(row[2]),
-                msos_count=int(row[3]), dihedral_class_count=int(row[4]),
-                parker=row[5] == "true", prefilter_reason=row[6] or None,
-                elapsed_ms=int(row[7])))
+        for row in list(csv.reader(io.StringIO(text)))[1:]:
+            obj = dict(zip(CSV_COLUMNS, row, strict=True))
+            obj.update({key: int(obj[key]) for key in _INTEGER_COLUMNS},
+                       parker=flags.get(row[5], row[5]),
+                       prefilter_reason=row[6] or None)
+            out.append(_checked_record(obj))
         return out
     raise ValueError(f"unknown report format {fmt!r}")
 

@@ -71,9 +71,9 @@ class TestMsosRing:
         scanned = []
         kernel = search._pair_hits
 
-        def counting(carrier, e2, d_mask, anti_diagonal=None):
+        def counting(carrier, e2, d_mask):
             scanned.append(e2)
-            return kernel(carrier, e2, d_mask, anti_diagonal)
+            return kernel(carrier, e2, d_mask)
 
         monkeypatch.setattr(search, "_pair_hits", counting)
         result = msos_ring(n)
@@ -132,7 +132,7 @@ def _reference_msos(carrier):
     for e in centers:
         e2 = carrier.mul(e, e)
         t3 = add(add(e2, e2), e2)
-        pairs = _legacy_center_pairs(carrier, e)
+        pairs = _legacy_center_pairs(carrier, e2)
         for j, (a2, i2) in enumerate(pairs):
             for c2, g2 in pairs[:j]:
                 _reference_emit(out, sub, sq, t3, e2, a2, i2, c2, g2)
@@ -144,12 +144,11 @@ def _square_walk(carrier):
     return sorted({carrier.mul(x, x) for x in carrier.elements()})
 
 
-def _legacy_center_pairs(carrier, e):
-    """The center pairs (u, v), u < v, as a walk over every square: u pairs
-    with 2e^2 - u."""
+def _legacy_center_pairs(carrier, e2):
+    """The center pairs (u, v), u < v, of the center square e2 = e^2, as a
+    walk over every square: u pairs with 2e^2 - u."""
     sq = _square_walk(carrier)
     in_sq = set(sq)
-    e2 = carrier.mul(e, e)
     target = carrier.add(e2, e2)
     pairs = []
     for u in sq:
@@ -213,24 +212,35 @@ def _extension_field(order):
 
 class TestPairKernel:
     def test_matches_legacy_kernel(self):
-        # every yield, in order, at every center the searches scan
+        # every yield, in order, at every center the searches scan; the
+        # center-0 field run yields the hits of the legacy kernel's fixed
+        # anti-diagonal in another order.  F_32749 and F_32761 add center 0
+        # at the order limit, where -1 is a square and D_0 is not empty
         carriers = [make_carrier("field", q) for q in field_orders(2, 500)]
         carriers += [make_carrier("ring", n) for n in range(2, 401)]
         carriers += [make_carrier("ring", n) for n in (1032, 2048, 2310, 3216)]
         carriers += [make_carrier("field", q) for q in (2187, 4913)]
+        carriers += [make_carrier("field", q) for q in (32749, 32761)]
         hit_centers = 0
         for c in carriers:
             centers = search._ring_centers(c) if c.kind == "modular-ring" \
                 else search._field_centers(c)
-            for e, anti_diagonal in centers[1]:
-                e2 = c.mul(e, e)
-                pairs = _legacy_center_pairs(c, e)
+            for e2, run in centers[1]:
+                if c.order > 5000 and e2:
+                    continue
+                pairs = _legacy_center_pairs(c, e2)
                 d_mask = search.center_offsets(c, e2)
                 assert d_mask == sum((1 << c.sub(u, e2)) | (1 << c.sub(v, e2))
-                                     for u, v in pairs), (c, e)
-                got = list(search._pair_hits(c, e2, d_mask, anti_diagonal))
-                assert got == list(_legacy_pair_hits(c, e2, pairs,
-                                                     anti_diagonal)), (c, e)
+                                     for u, v in pairs), (c, e2)
+                got = list(run(c, e2, d_mask))
+                if run is search._pair_hits:
+                    assert got == list(_legacy_pair_hits(c, e2, pairs)), \
+                        (c, e2)
+                else:
+                    assert c.kind != "modular-ring" and e2 == 0
+                    fixed = 1 << c.neg(c.encode_int(1))
+                    assert sorted(got) == sorted(_legacy_pair_hits(
+                        c, e2, pairs, anti_diagonal=fixed)), c
                 hit_centers += bool(got)
         assert hit_centers > 500
 

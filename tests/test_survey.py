@@ -320,6 +320,27 @@ class TestReports:
         with pytest.raises(ValueError):
             render_report([], "tsv")
 
+    @pytest.mark.parametrize("row", [
+        "29,martian,15,2,2,false,,1",
+        "29,field,15,2,2,false,,-1",
+        "29,field,15,2,2,false,bogus,1",
+        "29,field,15,2,3,false,,1",
+        "29,field,15,2,2,true,,1",
+        "29,field,15,0,0,false,,1",
+        "29,field,15,2,2,yes,,1",
+        "29,field,15,2,2,false,,1,extra",
+        "29,field,15,2,2,false,",
+        "29,field,15,2.0,2.0,false,,1",
+    ])
+    def test_csv_rows_pass_the_jsonl_checks(self, row):
+        # a row parse_report takes in one format it takes in the other
+        header = ",".join(survey.CSV_COLUMNS)
+        good = "29,field,15,2,2,false,,1"
+        assert parse_report(f"{header}\n{good}\n", "csv") == \
+            [ScanRecord(29, "field", 15, 2, 2, False, None, 1)]
+        with pytest.raises(ValueError):
+            parse_report(f"{header}\n{row}\n", "csv")
+
     @pytest.mark.parametrize("scan_order, order", [
         (survey.scan_ring_order, 27), (survey.scan_field_order, 29),
         (survey.scan_field_order, 16)])
