@@ -5,6 +5,7 @@ The public names below load their module on first access (PEP 562), so
 modules it runs.
 """
 
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -43,6 +44,21 @@ def __getattr__(name):
         value = getattr(value, name)
     globals()[name] = value  # later lookups skip this hook
     return value
+
+
+def _info_logger(name):
+    """The logger `name` when it emits INFO records, else None.
+
+    Nothing in the package imports logging unless something may listen:
+    the CLI loads it for -v only.  Until logging is imported nobody can
+    have set a handler or a level, so INFO is off, and the test for it
+    loads no module.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger(name)
+    return log if log.isEnabledFor(logging.INFO) else None
 
 
 def __dir__():

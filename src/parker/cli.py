@@ -9,15 +9,23 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import sys
 
 from .limits import MAX_BOUND, MAX_ORDER
 
 # Each subcommand imports the modules it runs inside its handler, so a
 # command loads only what it uses: no scan loads gaussian and no hourglass
-# search loads survey or search.
+# search loads survey or search.  The same goes for the standard library.
+# Past the interpreter's own start-up, every command loads argparse (with
+# gettext and locale), and the records are typing.NamedTuples.  Then
+#   field, ring     json with --json
+#   scan-*          json with --checkpoint or a JSONL --out, csv with a CSV
+#                   --out, and concurrent.futures (with logging) with a
+#                   pool of two or more workers
+#   hourglass       json only to print a hit
+#   verify          json
+# Any command loads logging with -v, and a scan loads it for the warning
+# on a corrupt checkpoint line.  None loads dataclasses or inspect.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,6 +145,8 @@ def _cmd_single(args, kind):
     if args.list:
         payload["tuples"] = [_tuple_json(carrier, t) for t in tuples]
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
     print(f"{carrier}: {count} magic squares of squares "
@@ -192,6 +202,8 @@ def search_hourglass(mode, bound):
 
 def _cmd_hourglass(args):
     result = search_hourglass(args.mode, args.max_norm)
+    if result.hits:
+        import json
     for hit in result.hits:
         print(json.dumps({"x": [hit.x.re, hit.x.im],
                           "y": [hit.y.re, hit.y.im],
@@ -209,6 +221,8 @@ def _is_int(x):
 
 
 def _load_square_file(path):
+    import json
+
     from .algebra import make_carrier
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -251,6 +265,8 @@ def _cmd_verify(args):
     if report.common_total is not None:
         payload["common_total"] = carrier.element_to_json(report.common_total)
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"carrier: {payload['carrier']}")
@@ -286,15 +302,26 @@ def _cmd_chi(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not args.verbose:
+        return _run(args)
+    # scans and hourglass searches log their progress; only here does a
+    # command load logging
+    import logging
+
     logger = logging.getLogger("parker")
-    handler = None
-    if args.verbose:
-        # scans and hourglass searches log their progress
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("parker: %(message)s"))
-        logger.addHandler(handler)
-        level = logger.level
-        logger.setLevel(logging.INFO)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("parker: %(message)s"))
+    logger.addHandler(handler)
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    try:
+        return _run(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _run(args) -> int:
     try:
         if args.command == "field":
             code = _cmd_single(args, "field")
@@ -314,16 +341,12 @@ def main(argv=None) -> int:
             code = _cmd_chi(args)
         else:  # pragma: no cover
             raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"parker: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:  # pragma: no cover
         print(f"parker: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        if handler is not None:
-            logger.removeHandler(handler)
-            logger.setLevel(level)
     return code
 
 

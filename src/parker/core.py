@@ -9,8 +9,7 @@ lines through the center and has 5 sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # annotations only: core runs on any carrier's methods
     from .algebra import Carrier
@@ -47,8 +46,7 @@ def _build_dihedral_perms():
 DIHEDRAL_PERMS = _build_dihedral_perms()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Line sums and the derived verdict for a square or hourglass candidate."""
 
     line_sums: tuple[int, ...]

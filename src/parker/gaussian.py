@@ -11,29 +11,54 @@ for such triples.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import ValidationReport, validate_hourglass
+from . import _info_logger
 from .limits import MAX_BOUND
 
-# algebra (factorize, Integers) is imported inside the three functions that
-# use it, so an hourglass search that finds no hit never loads it
+if TYPE_CHECKING:  # annotations only
+    from .core import ValidationReport
 
-log = logging.getLogger("parker.gaussian")
+# algebra (factorize, Integers) and core (validate_hourglass) are imported
+# inside the functions that use them, so an hourglass search that finds no
+# hit loads neither
 
 
-@dataclass(frozen=True)
 class GaussianInt:
-    """An element of Z[i] with arbitrary-precision components."""
+    """An element of Z[i] with arbitrary-precision components, immutable.
 
-    re: int
-    im: int
+    Not a tuple: w + w, 3 * w and w * 3 are always Gaussian arithmetic.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"GaussianInt is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return GaussianInt, (self.re, self.im)
+
+    def __eq__(self, o):
+        if o.__class__ is not GaussianInt:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianInt(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, o):
         return GaussianInt(self.re + o.re, self.im + o.im)
@@ -104,8 +129,7 @@ def pow4_parts(w: GaussianInt) -> tuple[int, int]:
     return _pow4(w.re, w.im)
 
 
-@dataclass(frozen=True)
-class CongruumTriple:
+class CongruumTriple(NamedTuple):
     """A three-term arithmetic progression of squares and its parameters."""
 
     r: int
@@ -195,8 +219,7 @@ def _norm_primes(n: int):
 # The hourglass condition and construction.
 
 
-@dataclass(frozen=True)
-class HourglassConditionReport:
+class HourglassConditionReport(NamedTuple):
     """Outcome of the product-identity test on a triple (x, y, z)."""
 
     holds: bool
@@ -238,8 +261,7 @@ def hourglass_generators(x: GaussianInt, y: GaussianInt, z: GaussianInt):
 # Guess-and-check hourglass candidates.
 
 
-@dataclass(frozen=True)
-class HourglassCandidate:
+class HourglassCandidate(NamedTuple):
     """A candidate hourglass built from three square progressions.
 
     cells holds the pre-square integers (a, b, c, e, g, h, i); signs are
@@ -298,6 +320,7 @@ def hourglass_guess(s: int) -> HourglassCandidate | None:
     the three center-line progressions.
     """
     from .algebra import Integers
+    from .core import validate_hourglass
 
     if s < 1:
         raise ValueError("center must be a positive integer")
@@ -314,16 +337,14 @@ def hourglass_guess(s: int) -> HourglassCandidate | None:
 # ---------------------------------------------------------------------------
 # Hourglass search drivers.
 
-@dataclass(frozen=True)
-class HourglassHit:
+class HourglassHit(NamedTuple):
     x: GaussianInt
     y: GaussianInt
     z: GaussianInt
     cells: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HourglassSearchResult:
+class HourglassSearchResult(NamedTuple):
     mode: str
     bound: int
     hits: tuple[HourglassHit, ...]
@@ -333,6 +354,7 @@ class HourglassSearchResult:
 
 def _verify_hit(x, y, z) -> tuple[int, ...]:
     from .algebra import Integers
+    from .core import validate_hourglass
 
     if not hourglass_condition(x, y, z).holds:
         raise AssertionError(
@@ -385,7 +407,8 @@ def _candidate_points(bound: int):
 
 
 class _Progress:
-    """INFO lines "mode: pos/total unit, counters; rate, ETA" on log.
+    """INFO lines "mode: pos/total unit, counters; rate, ETA" on the
+    "parker.gaussian" logger.
 
     The search calls line() once pos reaches due, the next whole percent of
     total; with INFO off due stays past total and no clock is read.
@@ -394,14 +417,16 @@ class _Progress:
     def __init__(self, mode: str, total: int, unit: str):
         self.mode, self.total, self.unit = mode, total, unit
         self.due = total + 1
-        if log.isEnabledFor(logging.INFO):
+        self.log = _info_logger("parker.gaussian")
+        if self.log is not None:
             self.start, self.due = time.perf_counter(), -(-total // 100)
 
     def line(self, pos: int, counters: str):
         elapsed = max(time.perf_counter() - self.start, 1e-9)
-        log.info("%s: %d/%d %s, %s; %.0f %s/s, ETA %.1f s", self.mode, pos,
-                 self.total, self.unit, counters, pos / elapsed, self.unit,
-                 elapsed * (self.total - pos) / pos if pos else 0.0)
+        self.log.info("%s: %d/%d %s, %s; %.0f %s/s, ETA %.1f s", self.mode,
+                      pos, self.total, self.unit, counters, pos / elapsed,
+                      self.unit,
+                      elapsed * (self.total - pos) / pos if pos else 0.0)
         pct = pos * 100 // self.total if self.total else 100
         # past pos, so an empty total gives its one line only once
         self.due = max(-(-(pct + 1) * self.total // 100), pos + 1)

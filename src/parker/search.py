@@ -13,16 +13,17 @@ check that the normalized searches lose nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (Carrier, ModularRing, center_offsets,
                       divisor_representatives, make_carrier, mask_bits,
                       squares)
-from .core import dihedral_canonical, dihedral_orbit
+
+# core's dihedral group is imported by the two oracle checks that use it,
+# so a search or scan never loads core
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of one enumeration: the magic tuples, sorted."""
 
     carrier: Carrier
@@ -192,9 +193,15 @@ def _center_zero_hits(carrier, e2, d_mask):
             yield alpha, hit
 
 
-# The most bits _translator's table may hold: 2**22 bits, 512 KiB.  It
-# keeps every digit but the top one in the table for each odd field order
-# up to 5000; the first it cuts short is 3**8 = 6561.
+# The most bits _translator's table may hold.  A full table, every digit
+# but the top one, makes each translation one shift with no call to
+# Carrier.translate, and may take FULL_TABLE_BITS = 2**24 bits, 2 MiB:
+# every F_{p^2} has one (1.5 MB at F_181^2), and so do F_19^3 and F_23^3.
+# A table cut short still calls Carrier.translate for the middle digits,
+# so each entry saves less; it keeps to TABLE_BITS = 2**22 bits, 512 KiB.
+# Every odd field order up to 5000 has a full table within TABLE_BITS; the
+# first order cut short is 3**8 = 6561, whose larger tables measured slower.
+FULL_TABLE_BITS = 2**24
 TABLE_BITS = 2**22
 
 
@@ -208,15 +215,17 @@ def _translator(carrier, mask):
     m | m << q the way _residue_pair_hits holds D_e, so that translating by
     c * p**(r - 1) is the one shift >> (q - c * p**(r - 1)).  The block of
     the p**i entries with digit i = c is the block of c - 1 translated by
-    p**i, one masked shift pair each.  h is the largest below r that keeps
-    the p**h entries of 2q bits within TABLE_BITS; when that cuts the
-    table short, Carrier.translate adds the middle digits.
+    p**i, one masked shift pair each.  h is r - 1 when the p**h entries of
+    2q bits fit FULL_TABLE_BITS, else the largest that keeps them within
+    TABLE_BITS; when that cuts the table short, Carrier.translate adds the
+    middle digits.
     """
     p, r = carrier.additive_layout
     q = carrier.order
     h = r - 1
-    while h and p**h * 2 * q > TABLE_BITS:
-        h -= 1
+    if p**h * 2 * q > FULL_TABLE_BITS:
+        while h and p**h * 2 * q > TABLE_BITS:
+            h -= 1
     table = [mask | mask << q]
     weight = 1
     for i in range(h):
@@ -473,6 +482,8 @@ def _unit_squares(carrier):
 def scaling_closure(carrier: Carrier,
                     tuples) -> set[tuple[int, ...]]:
     """All unit-square scalings of all dihedral images of the given tuples."""
+    from .core import dihedral_orbit
+
     mul = carrier.mul
     closure: set[tuple[int, ...]] = set()
     for t in tuples:
@@ -492,6 +503,8 @@ def oracle_agreement(carrier: Carrier, cap: int = 100) -> bool:
     closure of the normalized set under dihedral symmetry and unit-square
     scaling.
     """
+    from .core import dihedral_canonical
+
     if isinstance(carrier, ModularRing):
         result, count = msos_ring(carrier), count_ring(carrier)
     else:

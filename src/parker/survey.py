@@ -5,7 +5,7 @@ counts into ScanRecords, and maintain the running record-breaker table
 (orders whose magic-square count exceeds every smaller scanned order).
 The counts come from search.count_field and count_ring, so a scan never
 builds a tuple.  Each completed order is logged at INFO on the
-"parker.survey" logger.
+"parker.survey" logger, when logging is loaded and INFO is on.
 Scans are deterministic: records come back ascending by order no matter how
 many worker processes run, and a checkpoint file replays completed orders so
 an interrupted scan resumes to identical output.
@@ -13,20 +13,18 @@ an interrupted scan resumes to identical output.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import logging
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
+from . import _info_logger
 from .algebra import check_order, is_prime, make_carrier
 from .search import (PREFILTER_REASONS, count_field, count_ring,
                      prefilter_field)
 
-log = logging.getLogger("parker.survey")
+# json, csv and io load only where a record or report is written or read,
+# and logging only for the corrupt-checkpoint warning (see _info_logger)
 
 CSV_COLUMNS = ("order", "kind", "square_count", "msos_count",
                "dihedral_class_count", "parker", "prefilter_reason",
@@ -35,10 +33,7 @@ _INTEGER_COLUMNS = ("order", "square_count", "msos_count",
                     "dihedral_class_count", "elapsed_ms")
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """Per-order survey result."""
-
+class _ScanFields(NamedTuple):
     order: int
     kind: str  # "field" or "ring"
     square_count: int
@@ -48,13 +43,24 @@ class ScanRecord:
     prefilter_reason: str | None
     elapsed_ms: int
 
-    def __post_init__(self):
-        if self.parker != (self.msos_count == 0):  # pragma: no cover
+
+class ScanRecord(_ScanFields):
+    """Per-order survey result; its Parker flag agrees with msos_count."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        rec = super().__new__(cls, *args, **kwargs)
+        if rec.parker != (rec.msos_count == 0):
             raise AssertionError("parker flag disagrees with msos count")
+        return rec
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks the flag too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RecordBreakerTable:
+class RecordBreakerTable(NamedTuple):
     """Orders whose count strictly exceeds every smaller scanned order."""
 
     kind: str
@@ -191,6 +197,7 @@ def _run_scan(kind, orders, worker, jobs, checkpoint):
     computed = {}
     non_parker = sum(not done[kind, n].parker for n in orders
                      if (kind, n) in done)
+    log = _info_logger("parker.survey")
     start = _now_ms()
 
     def complete(rec):
@@ -199,6 +206,8 @@ def _run_scan(kind, orders, worker, jobs, checkpoint):
         if checkpoint:
             append_checkpoint(checkpoint, rec)
         non_parker += not rec.parker
+        if log is None:
+            return
         # the rate counts only the orders computed in this run
         rate = len(computed) * 1000.0 / max(_now_ms() - start, 1e-6)
         log.info("%s %d: %d magic squares in %d ms; %d/%d done, %d not "
@@ -254,7 +263,9 @@ def scan_rings(lo: int, hi: int, order_filter="all", jobs: int = 1,
 
 
 def record_to_json(rec: ScanRecord) -> str:
-    return json.dumps(asdict(rec), sort_keys=True)
+    import json
+
+    return json.dumps(rec._asdict(), sort_keys=True)
 
 
 def _checked_record(obj) -> ScanRecord:
@@ -287,6 +298,8 @@ def _checked_record(obj) -> ScanRecord:
 def record_from_json(line: str) -> ScanRecord:
     """Parse one JSONL record, a JSON object checked by _checked_record;
     ValueError, KeyError or TypeError if malformed."""
+    import json
+
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
@@ -306,6 +319,9 @@ def write_report(records, fmt: str, path) -> None:
 
 def render_report(records, fmt: str) -> str:
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -330,6 +346,9 @@ def parse_report(text: str, fmt: str) -> list[ScanRecord]:
     if fmt == "jsonl":
         return [record_from_json(line) for line in text.splitlines() if line]
     if fmt == "csv":
+        import csv
+        import io
+
         # integers parse as int, the Parker flag as "true" or "false" and an
         # empty reason as None; _checked_record rejects the rest
         flags = {"true": True, "false": False}
@@ -365,9 +384,13 @@ def load_checkpoint(path) -> dict[tuple[str, int], ScanRecord]:
                     continue
                 try:
                     rec = record_from_json(line)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    log.warning("skipping corrupt checkpoint line %d in %s",
-                                lineno, path)
+                # json.JSONDecodeError is a ValueError
+                except (KeyError, TypeError, ValueError):
+                    import logging
+
+                    logging.getLogger("parker.survey").warning(
+                        "skipping corrupt checkpoint line %d in %s",
+                        lineno, path)
                     continue
                 done[(rec.kind, rec.order)] = rec
     except FileNotFoundError:

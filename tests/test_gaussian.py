@@ -1,5 +1,7 @@
+import copy
 import logging
 import math
+import pickle
 import re
 import types
 
@@ -15,6 +17,35 @@ from parker.gaussian import (MAX_BOUND, GaussianInt, chi, congruum_triple,
 
 gaussians = st.builds(GaussianInt, st.integers(-10**6, 10**6),
                       st.integers(-10**6, 10**6))
+
+
+class TestGaussianInt:
+    def test_fields_cannot_be_assigned(self):
+        w = GaussianInt(3, 4)
+        for name in ("re", "im", "other"):
+            with pytest.raises(AttributeError):
+                setattr(w, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(w, name)
+        assert (w.re, w.im) == (3, 4)
+
+    def test_arithmetic_is_never_tuple_arithmetic(self):
+        w = GaussianInt(3, 4)
+        for got, want in ((3 * w, GaussianInt(9, 12)),
+                          (w * 3, GaussianInt(9, 12)),
+                          (w + w, GaussianInt(6, 8)),
+                          (w * w, GaussianInt(-7, 24))):
+            assert type(got) is GaussianInt and got == want
+        with pytest.raises(TypeError):
+            len(w)
+
+    def test_value_semantics(self):
+        w = GaussianInt(3, -4)
+        assert w == GaussianInt(3, -4) and w != (3, -4)
+        assert len({w, GaussianInt(3, -4), w.conj()}) == 2
+        assert repr(w) == "GaussianInt(re=3, im=-4)"
+        copied = pickle.loads(pickle.dumps(w))
+        assert copied == w and copy.deepcopy(w) == w
 
 
 class TestChi:

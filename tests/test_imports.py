@@ -1,7 +1,8 @@
-"""Each command loads only the modules it runs, and the package's public
-names load their module on first access."""
+"""Each command loads only the modules it runs, parker's and the standard
+library's, and the package's public names load their module on first
+access."""
 
-import json
+import functools
 import os
 import subprocess
 import sys
@@ -14,25 +15,44 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def loaded_after(code):
-    """The sorted sys.modules of a fresh interpreter after running code."""
+# standard-library modules no command loads unless its path uses them:
+# dataclasses (with inspect) nowhere, logging only for -v, json only to
+# read or write JSON, and csv only for a CSV report
+UNUSED = {"dataclasses", "inspect", "logging", "json", "csv"}
+
+
+def _run(args):
+    """A fresh interpreter run with args and src on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def loaded_after(code):
+    """The sys.modules of a fresh interpreter after running code, as a set;
+    the probe itself loads no module."""
+    probe = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
+    proc = _run(["-c", probe])
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@functools.lru_cache(maxsize=None)
+def at_start():
+    """The modules an interpreter loads before running any code."""
+    return frozenset(loaded_after(""))
 
 
 def loaded_by_command(*argv):
+    """The modules the command adds to a fresh interpreter."""
     return loaded_after(
         "import contextlib, io\n"
         "from parker.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    assert main({list(argv)!r}) == 0\n")
+        f"    assert main({list(argv)!r}) == 0\n") - at_start()
 
 
 def test_import_parker_loads_no_submodule():
@@ -56,6 +76,41 @@ def test_carrier_commands_load_no_gaussian_or_pool(argv):
     loaded = loaded_by_command(*argv)
     assert "parker.search" in loaded
     assert loaded.isdisjoint({"parker.gaussian", "concurrent.futures"})
+
+
+@pytest.mark.parametrize("argv", [
+    ("hourglass", "--mode", "exhaustive", "--max-norm", "60"),
+    ("hourglass", "--mode", "product-first", "--max-norm", "2000"),
+    ("scan-fields", "--from", "4", "--to", "30", "--prime-powers"),
+    ("ring", "27"),
+], ids=["exhaustive", "product-first", "scan-fields", "ring"])
+def test_commands_load_no_unused_stdlib_module(argv):
+    assert loaded_by_command(*argv).isdisjoint(UNUSED)
+
+
+def test_verbose_hourglass_loads_logging_and_logs():
+    proc = _run(["-c", "import sys\n"
+                       "from parker.cli import main\n"
+                       "code = main(['-v', 'hourglass', '--mode', "
+                       "'exhaustive', '--max-norm', '60'])\n"
+                       "print('logging' in sys.modules, code)"])
+    assert proc.stdout == "True 0\n"
+    phases = [line.split()[3] for line in proc.stderr.splitlines()
+              if line.startswith("parker: exhaustive: ")]
+    assert phases[0] == "rows," and phases[-1] == "pairs,"
+    assert phases == sorted(phases, reverse=True)
+
+
+def test_corrupt_checkpoint_warns_without_verbose(tmp_path):
+    # logging is not loaded until the warning; its last-resort handler
+    # still writes the warning to stderr
+    ckpt = tmp_path / "ckpt.jsonl"
+    ckpt.write_text("{not json}\n")
+    proc = _run(["-m", "parker.cli", "scan-fields", "--from", "2", "--to",
+                 "10", "--checkpoint", str(ckpt)])
+    assert proc.returncode == 0, proc.stderr
+    assert "skipping corrupt checkpoint line 1 in " in proc.stderr
+    assert proc.stdout.splitlines()[0] == "field 2: Parker (even-order)"
 
 
 class TestPackageExports:

@@ -260,18 +260,22 @@ class TestPairKernel:
     @settings(max_examples=300, deadline=None)
     def test_table_lookup_is_translate(self, data):
         # the extension-field path looks the low digits up in a table of
-        # 2q-bit entries within 2**22 bits; F_19683 keeps 4 of its 8 low
-        # digits there and adds the other 4 by Carrier.translate, and the
-        # budget fits F_127^2's one low digit but not F_131^2's
+        # 2q-bit entries: all of them within 2**24 bits, as for every
+        # F_{p^2} up to F_181^2 and for F_23^3, or else as many as fit
+        # 2**22 bits; F_19683 keeps 4 of its 8 low digits there and adds
+        # the other 4 by Carrier.translate, and F_29^3 keeps 1 of 2
         order, low_digits = data.draw(st.sampled_from(
-            ((25, 1), (1331, 2), (2187, 6), (3125, 4), (19683, 4),
-             (16129, 1), (17161, 0))))
+            ((25, 1), (1331, 2), (2187, 6), (3125, 4), (6561, 5),
+             (19683, 4), (24389, 1), (12167, 2), (16129, 1), (17161, 1),
+             (32761, 1))))
         c = _extension_field(order)
         mask = data.draw(st.integers(0, (1 << order) - 1))
         t = data.draw(st.integers(0, order - 1))
         table, translate = search._translator(c, mask)
-        assert len(table) == c.characteristic ** low_digits
-        assert len(table) * 2 * order <= 2**22
+        p, r = c.additive_layout
+        assert len(table) == p ** low_digits
+        assert len(table) * 2 * order <= (
+            2**24 if low_digits == r - 1 else 2**22)
         assert translate(t) & ((1 << order) - 1) == c.translate(mask, t)
 
     def test_matches_double_loop(self):

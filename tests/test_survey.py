@@ -1,7 +1,7 @@
 import concurrent.futures
-import dataclasses
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -15,7 +15,7 @@ from parker.survey import (RecordBreakerTable, ScanRecord, load_checkpoint,
 
 
 def _zero_elapsed(records):
-    return [dataclasses.replace(r, elapsed_ms=0) for r in records]
+    return [r._replace(elapsed_ms=0) for r in records]
 
 
 @pytest.fixture
@@ -289,6 +289,33 @@ class TestRecordBreakers:
         table = RecordBreakerTable("ring", rows)
         assert non_standard_record_breakers(table) == \
             [27, 29, 37, 53, 54, 101, 162]
+
+
+class TestScanRecord:
+    RECORD = ScanRecord(29, "field", 15, 2, 2, False, None, 1)
+
+    @pytest.mark.parametrize("field", ScanRecord._fields)
+    def test_fields_cannot_be_assigned(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.RECORD, field, 0)
+        assert self.RECORD == ScanRecord(29, "field", 15, 2, 2, False, None, 1)
+
+    @pytest.mark.parametrize("parker, msos", [(True, 2), (False, 0)])
+    def test_parker_flag_must_agree_with_count(self, parker, msos):
+        with pytest.raises(AssertionError, match="parker flag"):
+            ScanRecord(29, "field", 15, msos, msos, parker, None, 1)
+        with pytest.raises(AssertionError, match="parker flag"):
+            self.RECORD._replace(parker=parker, msos_count=msos)
+
+    def test_checkpoint_line_sorts_its_keys(self):
+        assert survey.record_to_json(self.RECORD) == (
+            '{"dihedral_class_count": 2, "elapsed_ms": 1, "kind": "field", '
+            '"msos_count": 2, "order": 29, "parker": false, '
+            '"prefilter_reason": null, "square_count": 15}')
+
+    def test_pickles_for_the_pool(self):
+        rec = pickle.loads(pickle.dumps(self.RECORD))
+        assert type(rec) is ScanRecord and rec == self.RECORD
 
 
 class TestReports:
