@@ -123,9 +123,11 @@ def _tuple_json(carrier, t):
 
 def _cmd_single(args, kind):
     from .algebra import make_carrier
-    from .search import count_field, count_ring, msos_field, msos_ring
+    from .search import (count_field, count_ring, msos_field, msos_ring,
+                         ring_square_count)
 
-    # only a listing needs the tuples; a count is the popcount of the hits
+    # only a listing needs the tuples; a count needs no tuple, and a ring
+    # count no square set of Z/nZ
     carrier = make_carrier(kind, args.order)
     if args.list:
         tuples = (msos_field if kind == "field" else msos_ring)(carrier).tuples
@@ -135,7 +137,8 @@ def _cmd_single(args, kind):
     payload = {
         "kind": kind,
         "order": args.order,
-        "square_count": carrier.square_set()[0].bit_count(),
+        "square_count": ring_square_count(args.order) if kind == "ring"
+        else carrier.square_set()[0].bit_count(),
         "tuple_count": count,
         "dihedral_class_count": count,
         "parker": not count,

@@ -4,20 +4,27 @@ A carrier is Parker when it admits no 3x3 magic square of nine distinct
 squared elements.  msos_field and msos_ring enumerate the full set of magic
 tuples up to scaling: fields normalize the center to 0 (with the corner pair
 fixed to 1 and -1) or to 1, rings normalize the center to a divisor residue.
-count_field and count_ring give the same count from the same hit masks by
-popcounting them, with no tuple built; range scans use them, and
-only msos_* (and `parker field`/`ring` with --list or --json) keep tuples.
+count_field gives the same count from the same hit masks by popcounting
+them, with no tuple built.  count_ring builds no mask over Z/nZ: it
+multiplies count vectors of the prime-power factors of n, each computed
+once per process by a mask kernel mod the prime power (see count_ring).
+Range scans use the count_*, and only msos_* (and `parker field`/`ring`
+with --list) keep tuples.
 brute_force_oracle enumerates with no normalization at all and is used to
 check that the normalized searches lose nothing.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cache
+from operator import mul
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .algebra import (Carrier, ModularRing, center_offsets,
-                      divisor_representatives, make_carrier, mask_bits,
-                      squares)
+                      divisor_representatives, factorize, make_carrier,
+                      mask_bits, squares)
 
 # core's dihedral group is imported by the two oracle checks that use it,
 # so a search or scan never loads core
@@ -311,20 +318,31 @@ def _field_centers(q):
                      (carrier.encode_int(1), _pair_hits)]
 
 
-def _ring_centers(n):
-    """(carrier, centers) of the ring search: a list of (e^2, _pair_hits).
-
-    The center is normalized to a divisor residue of n (one unit orbit per
-    divisor).  The scan depends on the center only through its square, so
-    each distinct divisor square, 0 included, is scanned once.
-    """
+def _ring(n):
+    """The carrier Z/nZ of n, or n itself once checked to be a ring carrier;
+    ValueError otherwise."""
     carrier = n if isinstance(n, Carrier) else make_carrier("ring", n)
     if carrier.kind != "modular-ring":
         raise ValueError(f"the ring search needs a ring carrier, "
                          f"got {carrier}")
-    e2s = dict.fromkeys(carrier.mul(e, e)
-                        for e in divisor_representatives(carrier.order))
-    return carrier, [(e2, _pair_hits) for e2 in e2s]
+    return carrier
+
+
+def _center_squares(n):
+    """The distinct squares e^2 of the divisor residues e of n, in order.
+
+    The ring search normalizes the center to a divisor residue of n (one
+    unit orbit per divisor), and depends on the center only through its
+    square, so each of these, 0 included, is one center.
+    """
+    return dict.fromkeys(e * e % n for e in divisor_representatives(n))
+
+
+def _ring_centers(n):
+    """(carrier, centers) of the ring search: a list of (e^2, _pair_hits),
+    one per distinct divisor square (see _center_squares)."""
+    carrier = _ring(n)
+    return carrier, [(e2, _pair_hits) for e2 in _center_squares(carrier.order)]
 
 
 def _search(carrier, centers) -> SearchResult:
@@ -385,8 +403,224 @@ def count_field(q) -> int:
 
 
 def count_ring(n) -> int:
-    """msos_ring(n).tuple_count, from popcounts, with no tuple built."""
-    return _count(*_ring_centers(n))
+    """msos_ring(n).tuple_count, from the prime-power factors of n, with no
+    tuple, no square set of Z/nZ and no pair kernel over it.
+
+    *Only the center's gcd matters.*  The count at center c = e^2 counts
+    the unordered pairs of distinct center pairs, at offsets alpha and
+    gamma, with alpha + gamma and alpha - gamma in D_e and no repeated
+    cell (see _pair_hits).  For a unit square s, delta -> s*delta maps the
+    center pairs of c onto those of s*c and keeps every linear relation,
+    so c and s*c have equal counts.  Two squares c, c' with gcd(c, n) =
+    gcd(c', n) differ by a unit square: mod each prime power p**k of n
+    both are p**m times a unit square for the same m (or both are 0, when
+    m = k), so their quotient there is a unit square, and by the CRT it is
+    one mod n.  So count_ring sums over the same distinct center squares
+    as msos_ring, one count per gcd class, weighted by the class size.
+
+    *The count at one center.*  Write D' for the offsets delta with
+    c +- delta both squares and Z for the delta with 2*delta = 0, so that
+    D_e = D' minus Z.  Let T be the number of ordered (alpha, gamma) with
+    alpha, gamma, alpha + gamma and alpha - gamma all in D_e.  A pair of
+    distinct center pairs gives 8 of them (which pair is alpha, and a sign
+    for each), and alpha = +-gamma would put 0 in D_e, so T/8 counts the
+    unordered pairs of pairs that meet the line condition.  By _pair_hits
+    the ones among them that repeat a cell are {[x], [2x]}, the pairs of x
+    and 2x, for the x with x, 2x and 3x in D_e; let O count these x, and
+    O5 those with 5x = 0.  x and -x give the same {[x], [2x]}, and so
+    does y = +-2x exactly when 5x = 0 (y = +-2x with 2y = +-x needs
+    3x = 0, which 3x in D_e excludes, or 5x = 0), and then x, 2x, 3x in
+    D_e puts y, 2y, 3y in D_e too.  So the repeating pairs number
+    (O - O5)/2 + O5/4 and
+
+        count = T/8 - (2*(O - O5) + O5)/4,
+
+    and both divisions are asserted to be exact.
+
+    *The CRT factorization.*  By the CRT, Z/nZ is the product of the
+    Z/qZ over the prime powers q of n; so are its squares, and with them
+    D' and Z, each the product of its sets mod q.  D_e = D' minus Z is
+    not, so by inclusion and exclusion over the set S of positions (of
+    alpha, gamma, alpha + gamma, alpha - gamma) that lie in Z,
+
+        T = sum over S of (-1)**|S| * prod over q of N_q(S),
+
+    where N_q(S) counts the (alpha, gamma) mod q with all four values in
+    D'_q and those at S in Z_q.  O and O5 factor the same way over the
+    positions x, 2x, 3x, as O_q(S) and O5_q(S); 5x = 0 is a condition mod
+    each q.  The vectors depend on c mod q only through its gcd with q
+    (the same unit-square argument), and _component_counts caches them
+    for each prime power q and its center classes, so a scan computes the
+    vectors of q once for all of 4q, 8q, 12q, ...  An order that is not a
+    ring modulus of at most MAX_ORDER raises ValueError, as does a carrier
+    that is not a ring.
+    """
+    n = _ring(n).order
+    components = [(p**k, _component_counts(p**k))
+                  for p, k in factorize(n).items()]
+    weights = {}
+    for e2 in _center_squares(n):
+        g = math.gcd(e2, n)
+        weights[g] = weights.get(g, 0) + 1
+    total = 0
+    for g, weight in weights.items():
+        vec = _SIGNS
+        for q, vectors in components:
+            vec = tuple(map(mul, vec, vectors[math.gcd(g, q)]))
+        pairs = sum(vec[:16])
+        repeats = 2 * sum(vec[16:24]) - sum(vec[24:])
+        if pairs % 8 or repeats % 4:
+            raise AssertionError(f"center class {g} of Z/{n}Z: T = {pairs} "
+                                 f"and 2(O - O5) + O5 = {repeats}")
+        total += weight * (pairs // 8 - repeats // 4)
+    return total
+
+
+def ring_square_count(n) -> int:
+    """The number of squares in Z/nZ, the product over the prime powers
+    p**k of n of the number mod p**k: x is a square mod n exactly when it
+    is one mod each p**k (CRT)."""
+    return math.prod(_square_count(p, k) for p, k in factorize(n).items())
+
+
+def _square_count(p, k):
+    """The number of squares mod p**k.
+
+    They are the unit squares, (p - 1)*p**(k - 1)/2 of them for odd p and
+    1, 1, 2**(k - 3) for p = 2 and k = 1, 2, >= 3, and p**2 times the
+    squares mod p**(k - 2), with 0 the one square left mod p**0 and mod p.
+    """
+    count = 1
+    for j in range(2 - k % 2, k + 1, 2):
+        count += (p - 1) * p**(j - 1) // 2 if p % 2 else 1 << max(j - 3, 0)
+    return count
+
+
+# The count vector of a prime power q at one center: N_q(S) for the 16
+# subsets S of the pair positions alpha, gamma, alpha + gamma and
+# alpha - gamma, then O_q(S) and O5_q(S) for the 8 subsets of the
+# positions x, 2x, 3x, S as a bitmask of positions.  count_ring starts the
+# product over q from _SIGNS, (-1)**|S| in each entry, so that T, O and
+# O5 are plain sums of the product.
+_SIGNS = tuple((-1) ** s.bit_count()
+               for s in (*range(16), *range(8), *range(8)))
+
+
+@cache
+def _component_counts(q):
+    """{p**m: the count vector of Z/qZ at center p**m}, q = p**k, read-only.
+
+    The center classes of Z/qZ are the gcds p**m of its squares with q:
+    m even below k, and m = k for the center 0.  The vector holds N_q(S),
+    O_q(S) and O5_q(S) (see count_ring and _center_counts).  The cache
+    holds one entry of integers per prime power up to MAX_ORDER at most;
+    the carrier and its masks are dropped once the vectors are counted.
+    """
+    p, k = factorize(q).popitem()
+    s, neg = ModularRing(q).square_set()
+    if s.bit_count() != _square_count(p, k):
+        raise AssertionError(f"square count of Z/{q}Z")
+    # each z of Z_q with its preimages under t -> 2t and t -> 3t
+    zero = [(z, 1 << z, _preimage(1 << z, q, 2), _preimage(1 << z, q, 3))
+            for z in ((0, q // 2) if q % 2 == 0 else (0,))]
+    fives = _preimage(1, q, 5)
+    out = {}
+    for m in (*range(0, k, 2), k):
+        c = p**m % q
+        d = _rotate(s, q, c) & _rotate(neg, q, -c % q)
+        out[p**m] = _center_counts(q, d, [z for z in zero if d >> z[0] & 1],
+                                   fives)
+    return MappingProxyType(out)
+
+
+def _rotate(mask, q, b):
+    """{t : t + b in mask} mod q, Carrier.translate(mask, -b) of Z/qZ as
+    one shift of the doubled mask, as in _residue_pair_hits."""
+    return (mask | mask << q) >> b & (1 << q) - 1 if b else mask
+
+
+def _preimage(mask, q, k):
+    """{t : k*t in mask} mod q.
+
+    A mask of at most 8 members takes the solutions of k*t = w for each
+    member w: with g = gcd(k, q), none unless g divides w, else
+    t0 + j*q/g for j < g.  Any other takes one slice of its bit string
+    repeated, bit t being bit k*t % q, which measured faster from about
+    10 members on at q = 2**11 and 2**15.
+    """
+    if mask.bit_count() > 8:
+        # character i of the string is bit q - 1 - i, and (k - 1) + k*i
+        # in k copies is bit k*(q - 1 - i) % q
+        return int((format(mask, f"0{q}b") * k)[k - 1::k], 2)
+    g = math.gcd(k, q)
+    period = q // g
+    inverse = pow(k // g, -1, period)
+    solutions = sum(1 << j * period for j in range(g))
+    out = 0
+    while mask:
+        w = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        if w % g == 0:
+            out |= solutions << w // g * inverse % period
+    return out
+
+
+def _center_counts(q, d, zero, fives):
+    """The count vector of Z/qZ at one center, from d = D'_q, zero, the
+    members z of D'_q in Z_q = {z : 2z = 0}, at most 2, each as (z, its
+    mask, and the masks of its preimages under t -> 2t and t -> 3t), and
+    fives, the mask of the x with 5x = 0.
+
+    N_q({}) is the mask kernel: alpha contributes the popcount of
+    D' & (D' - alpha) & (D' + alpha), the same for -alpha, so the sum runs
+    over one member of each +- pair, doubled, and the members of Z once.
+    For S not empty, the first position of S is fixed to each z in
+    zd = D'_q & Z_q, and then the others lie on lines in t:
+
+        alpha = z:          gamma = t, alpha +- gamma = z +- t
+        alpha + gamma = z:  alpha = t, gamma = z - t, alpha - gamma = 2t - z
+
+    A position in S must lie in zd, any other in D'_q, so each count is
+    the popcount of masks of t: D'_q or zd, their translations by z, and
+    their preimages under t -> 2t + z.  Both sets are symmetric and z = -z,
+    so z +- t and t + z are the same condition.  O_q(S) and O5_q(S) are
+    the popcounts of the preimages of x, 2x and 3x in D'_q or zd, and the
+    latter also in fives.
+    """
+    zs = [z[0] for z in zero]
+    # the masks of zd and of its preimages under t -> 2t and t -> 3t
+    zd, zd2, zd3 = (sum(z[i] for z in zero) for i in (1, 2, 3))
+    d2, d3 = _preimage(d, q, 2), _preimage(d, q, 3)
+    n1 = n3 = n4 = n5 = n7 = n12 = n13 = n15 = 0
+    for z in zs:
+        # {t : t + z in d or zd}, then {t : 2t + z in d or zd}
+        b, bz = _rotate(d, q, z), _rotate(zd, q, z)
+        c, cz = (_rotate(d2, q, z // 2), _rotate(zd2, q, z // 2)) \
+            if z % 2 == 0 else (_preimage(b, q, 2), _preimage(bz, q, 2))
+        db = d & b
+        n1 += db.bit_count()                # S = {alpha}
+        n3 += (zd & b).bit_count()          # {alpha, gamma}
+        n5 += (db & bz).bit_count()         # {alpha, alpha + gamma}
+        n7 += (zd & b & bz).bit_count()     # and gamma
+        n13 += (d & bz).bit_count()         # all but gamma
+        n15 += (zd & bz).bit_count()        # all four
+        n4 += (db & c).bit_count()          # {alpha + gamma}
+        n12 += (db & cz).bit_count()        # {alpha +- gamma}
+    # the kernel; its alpha in Z are the ones N_q({alpha}) = n1 counts
+    dd = d | d << q
+    pairs = 0
+    for alpha in mask_bits(d & (1 << (q + 1) // 2) - 2):
+        pairs += (d & dd >> alpha & dd >> q - alpha).bit_count()
+    triples = [x & y & w for w in (d3, zd3) for y in (d2, zd2)
+               for x in (d, zd)]
+    # N_q(S) keeps its value when (alpha, gamma) -> (gamma, alpha) swaps
+    # the positions alpha and gamma, bits 0 and 1 of S, and when
+    # (alpha, gamma) -> (alpha, -gamma) swaps alpha + gamma and
+    # alpha - gamma, bits 2 and 3, since D'_q and zd are symmetric
+    return (2 * pairs + n1, n1, n1, n3, n4, n5, n5, n7,
+            n4, n5, n5, n7, n12, n13, n13, n15,
+            *(m.bit_count() for m in triples),
+            *((m & fives).bit_count() for m in triples))
 
 
 PREFILTER_REASONS = ("even-order", "too-few-squares", "pair-deficit",

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import _info_logger
 from .algebra import check_order, is_prime, make_carrier
 from .search import (PREFILTER_REASONS, count_field, count_ring,
-                     prefilter_field)
+                     prefilter_field, ring_square_count)
 
 # json, csv and io load only where a record or report is written or read,
 # and logging only for the corrupt-checkpoint warning (see _info_logger)
@@ -121,10 +121,16 @@ def scan_field_order(order: int) -> ScanRecord:
 
 
 def scan_ring_order(order: int) -> ScanRecord:
-    """Classify one ring modulus by the counting divisor-orbit search."""
+    """Classify one ring modulus by the counting search.
+
+    make_carrier validates the modulus.  The square count and the count
+    come from the prime-power factors of the modulus (ring_square_count
+    and count_ring, whose vectors each prime power computes once per
+    process), so no square set or pair kernel over Z/nZ is built.
+    """
     t0 = _now_ms()
     carrier = make_carrier("ring", order)
-    square_count = carrier.square_set()[0].bit_count()
+    square_count = ring_square_count(order)
     count = count_ring(carrier)
     return ScanRecord(order, "ring", square_count, count, count, not count,
                       None, round(_now_ms() - t0))

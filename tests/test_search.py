@@ -1,4 +1,5 @@
 import functools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,10 +81,11 @@ class TestMsosRing:
         divisor_squares = {e * e % n for e in divisor_representatives(n)}
         assert sorted(scanned) == sorted(divisor_squares)
         assert result.tuples == _reference_msos(make_carrier("ring", n))
-        # the count scans the same centers
+        # the count comes from the prime-power factors, with no pair
+        # kernel over Z/nZ
         scanned.clear()
         assert count_ring(n) == result.tuple_count
-        assert sorted(scanned) == sorted(divisor_squares)
+        assert scanned == []
 
     def test_bad_input(self):
         with pytest.raises(ValueError):
@@ -324,6 +326,98 @@ class TestCount:
             count_ring(make_carrier("field", 29))
         with pytest.raises(ValueError, match="exceeds the limit"):
             count_ring(MAX_ORDER + 1)
+        with pytest.raises(ValueError, match="invalid order"):
+            count_ring(1)
+
+
+def _brute_component(q, c):
+    """N_q(S), O_q(S) and O5_q(S) at the center square c of Z/qZ, by a walk
+    over every (alpha, gamma) and every x (see search.count_ring)."""
+    sq = {x * x % q for x in range(q)}
+    d = [t for t in range(q) if (c + t) % q in sq and (c - t) % q in sq]
+    in_d = set(d)
+    zero = {t for t in d if 2 * t % q == 0}
+
+    def in_zero(values):
+        return sum(1 << i for i, v in enumerate(values) if v in zero)
+
+    pairs, triples, fives = [0] * 16, [0] * 8, [0] * 8
+    for a in d:
+        for g in d:
+            values = (a, g, (a + g) % q, (a - g) % q)
+            if values[2] in in_d and values[3] in in_d:
+                hit = in_zero(values)
+                for s in range(16):
+                    pairs[s] += s & hit == s
+    for x in d:
+        values = (x, 2 * x % q, 3 * x % q)
+        if values[1] in in_d and values[2] in in_d:
+            hit = in_zero(values)
+            for s in range(8):
+                triples[s] += s & hit == s
+                fives[s] += s & hit == s and 5 * x % q == 0
+    return (*pairs, *triples, *fives)
+
+
+def _kernel_count(carrier, e2):
+    return sum(hits.bit_count() for _, hits in search._pair_hits(
+        carrier, e2, search.center_offsets(carrier, e2)))
+
+
+class TestRingCount:
+    def test_component_vectors_match_brute_force_to_64(self):
+        # every center square, not only the class representative that
+        # count_ring uses, so this also checks the gcd lemma mod q
+        powers = [q for q in range(2, 65) if prime_power_base(q)]
+        assert len(powers) == 27
+        for q in powers:
+            vectors = search._component_counts(q)
+            centers = {x * x % q for x in range(q)}
+            assert set(vectors) == {math.gcd(c, q) for c in centers}, q
+            for c in centers:
+                assert vectors[math.gcd(c, q)] == _brute_component(q, c), \
+                    (q, c)
+            assert search.ring_square_count(q) == len(centers)
+
+    def test_count_depends_only_on_center_gcd_to_600(self):
+        # the kernel's count at every center square of Z/nZ
+        for n in range(2, 601):
+            carrier = make_carrier("ring", n)
+            counts = {}
+            for c in {x * x % n for x in range(n)}:
+                counts.setdefault(math.gcd(c, n), set()).add(
+                    _kernel_count(carrier, c))
+            assert all(len(v) == 1 for v in counts.values()), (n, counts)
+
+    @pytest.mark.parametrize("orders", [
+        range(1004, 3000, 4),
+        (1024, 2048, 3125, 16384, 27720, 30030, 32749, 32760, 32764, 32768)])
+    def test_equals_kernel_count(self, orders):
+        for n in orders:
+            assert count_ring(n) == search._count(*search._ring_centers(n)), n
+
+    @given(st.integers(2, 6000))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_kernel_count_property(self, n):
+        assert count_ring(n) == search._count(*search._ring_centers(n))
+
+    def test_square_count_is_the_square_set(self):
+        for n in (*range(2, 1001), 3216, 27720, 32768):
+            assert search.ring_square_count(n) == \
+                make_carrier("ring", n).square_set()[0].bit_count(), n
+
+    def test_cache_holds_integer_vectors_per_prime_power(self):
+        search._component_counts.cache_clear()
+        for n in (27720, 32764, 4096):
+            count_ring(n)
+        # 2**3, 3**2, 5, 7, 11, 2**2, 8191, 2**12
+        assert search._component_counts.cache_info().currsize == 8
+        for q in (8, 9, 5, 7, 11, 4, 8191, 4096):
+            vectors = search._component_counts(q)
+            assert all(isinstance(v, tuple) and len(v) == 32
+                       and all(type(x) is int for x in v)
+                       for v in vectors.values())
+        assert search._component_counts.cache_info().currsize == 8
 
 
 class TestPrefilter:
