@@ -107,10 +107,11 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
+def divisors(n: int, factors: dict[int, int] | None = None) -> list[int]:
+    """All positive divisors of n, ascending; factors, when given, is
+    factorize(n), so a caller that has it does not factor n again."""
     divs = [1]
-    for p, e in factorize(n).items():
+    for p, e in (factorize(n) if factors is None else factors).items():
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
 

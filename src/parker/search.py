@@ -22,9 +22,8 @@ from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .algebra import (Carrier, ModularRing, center_offsets,
-                      divisor_representatives, factorize, make_carrier,
-                      mask_bits, squares)
+from .algebra import (Carrier, ModularRing, center_offsets, divisors,
+                      factorize, make_carrier, mask_bits, squares)
 
 # core's dihedral group is imported by the two oracle checks that use it,
 # so a search or scan never loads core
@@ -328,21 +327,24 @@ def _ring(n):
     return carrier
 
 
-def _center_squares(n):
-    """The distinct squares e^2 of the divisor residues e of n, in order.
+def _center_squares(n, factors):
+    """The distinct squares e^2 of the divisor residues e of n, in order,
+    from factors, the factorization of n.
 
     The ring search normalizes the center to a divisor residue of n (one
     unit orbit per divisor), and depends on the center only through its
     square, so each of these, 0 included, is one center.
     """
-    return dict.fromkeys(e * e % n for e in divisor_representatives(n))
+    return dict.fromkeys(d * d % n for d in divisors(n, factors))
 
 
 def _ring_centers(n):
     """(carrier, centers) of the ring search: a list of (e^2, _pair_hits),
     one per distinct divisor square (see _center_squares)."""
     carrier = _ring(n)
-    return carrier, [(e2, _pair_hits) for e2 in _center_squares(carrier.order)]
+    n = carrier.order
+    return carrier, [(e2, _pair_hits)
+                     for e2 in _center_squares(n, factorize(n))]
 
 
 def _search(carrier, centers) -> SearchResult:
@@ -454,19 +456,40 @@ def count_ring(n) -> int:
     vectors of q once for all of 4q, 8q, 12q, ...  An order that is not a
     ring modulus of at most MAX_ORDER raises ValueError, as does a carrier
     that is not a ring.
+
+    *The product tree.*  Each center class g takes the vector of q at
+    gcd(g, q) for every q, so classes that agree on the first prime powers
+    share the product over them.  The class of the divisor d = prod p**i
+    is gcd(d**2, n) = prod p**min(2i, k), and the i run independently, so
+    the classes of Z/nZ are the products of one class of each Z/qZ.  So
+    the products run one prime power at a time, those with the fewest
+    classes first, each partial product computed once for all the classes
+    that extend it, and after the last prime power each class reads its
+    own vector.  The divisibility of T and of 2*(O - O5) + O5 is still
+    asserted once per class, naming it.
     """
     n = _ring(n).order
-    components = [(p**k, _component_counts(p**k))
-                  for p, k in factorize(n).items()]
+    return _count_ring(n, factorize(n))
+
+
+def _count_ring(n, factors):
+    """count_ring(n) from factors, the factorization of n."""
     weights = {}
-    for e2 in _center_squares(n):
+    for e2 in _center_squares(n, factors):
         g = math.gcd(e2, n)
         weights[g] = weights.get(g, 0) + 1
+    components = sorted((_component_counts(p**k) for p, k in factors.items()),
+                        key=len)
+    # the product over the prime powers so far, keyed by the product of
+    # the classes taken so far
+    products = {1: _SIGNS}
+    for vectors in components:
+        products = {h * r: tuple(map(mul, vec, v))
+                    for h, vec in products.items()
+                    for r, v in vectors.items()}
     total = 0
     for g, weight in weights.items():
-        vec = _SIGNS
-        for q, vectors in components:
-            vec = tuple(map(mul, vec, vectors[math.gcd(g, q)]))
+        vec = products[g]
         pairs = sum(vec[:16])
         repeats = 2 * sum(vec[16:24]) - sum(vec[24:])
         if pairs % 8 or repeats % 4:
@@ -480,7 +503,12 @@ def ring_square_count(n) -> int:
     """The number of squares in Z/nZ, the product over the prime powers
     p**k of n of the number mod p**k: x is a square mod n exactly when it
     is one mod each p**k (CRT)."""
-    return math.prod(_square_count(p, k) for p, k in factorize(n).items())
+    return _ring_square_count(factorize(n))
+
+
+def _ring_square_count(factors):
+    """ring_square_count(n) from factors, the factorization of n."""
+    return math.prod(_square_count(p, k) for p, k in factors.items())
 
 
 def _square_count(p, k):

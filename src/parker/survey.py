@@ -8,7 +8,10 @@ builds a tuple.  Each completed order is logged at INFO on the
 "parker.survey" logger, when logging is loaded and INFO is on.
 Scans are deterministic: records come back ascending by order no matter how
 many worker processes run, and a checkpoint file replays completed orders so
-an interrupted scan resumes to identical output.
+an interrupted scan resumes to identical output.  A scan opens its
+checkpoint once, in append mode, before any order runs, so an unwritable
+path fails before any work; each record is written and flushed as its
+order completes.  A ring modulus is factored once, for both its counts.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import time
 from typing import NamedTuple
 
 from . import _info_logger
-from .algebra import check_order, is_prime, make_carrier
-from .search import (PREFILTER_REASONS, count_field, count_ring,
-                     prefilter_field, ring_square_count)
+from .algebra import check_order, factorize, is_prime, make_carrier
+from .search import (PREFILTER_REASONS, _count_ring, _ring_square_count,
+                     count_field, prefilter_field)
 
 # json, csv and io load only where a record or report is written or read,
 # and logging only for the corrupt-checkpoint warning (see _info_logger)
@@ -126,12 +129,14 @@ def scan_ring_order(order: int) -> ScanRecord:
     make_carrier validates the modulus.  The square count and the count
     come from the prime-power factors of the modulus (ring_square_count
     and count_ring, whose vectors each prime power computes once per
-    process), so no square set or pair kernel over Z/nZ is built.
+    process), so no square set or pair kernel over Z/nZ is built.  The
+    modulus is factored once, for both.
     """
     t0 = _now_ms()
-    carrier = make_carrier("ring", order)
-    square_count = ring_square_count(order)
-    count = count_ring(carrier)
+    make_carrier("ring", order)
+    factors = factorize(order)
+    square_count = _ring_square_count(factors)
+    count = _count_ring(order, factors)
     return ScanRecord(order, "ring", square_count, count, count, not count,
                       None, round(_now_ms() - t0))
 
@@ -199,6 +204,19 @@ def _run_scan(kind, orders, worker, jobs, checkpoint):
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     done = load_checkpoint(checkpoint) if checkpoint else {}
+    if checkpoint:
+        # opened before any order runs, so an unwritable path fails first
+        with open(checkpoint, "a", encoding="utf-8") as fh:
+            computed = _compute(kind, orders, done, worker, jobs, fh)
+    else:
+        computed = _compute(kind, orders, done, worker, jobs, None)
+    records = [done.get((kind, n)) or computed[n] for n in orders]
+    return records, record_breakers(records)
+
+
+def _compute(kind, orders, done, worker, jobs, fh):
+    """{order: record} of the orders not done, each appended to the open
+    checkpoint fh, if any, as it completes."""
     pending = [n for n in orders if (kind, n) not in done]
     computed = {}
     non_parker = sum(not done[kind, n].parker for n in orders
@@ -209,8 +227,8 @@ def _run_scan(kind, orders, worker, jobs, checkpoint):
     def complete(rec):
         nonlocal non_parker
         computed[rec.order] = rec
-        if checkpoint:
-            append_checkpoint(checkpoint, rec)
+        if fh is not None:
+            append_checkpoint(fh, rec)
         non_parker += not rec.parker
         if log is None:
             return
@@ -237,8 +255,7 @@ def _run_scan(kind, orders, worker, jobs, checkpoint):
     else:
         for n in pending:
             complete(worker(n))
-    records = [done.get((kind, n)) or computed[n] for n in orders]
-    return records, record_breakers(records)
+    return computed
 
 
 def scan_fields(lo: int, hi: int, order_filter: str = "all", jobs: int = 1,
@@ -369,11 +386,11 @@ def parse_report(text: str, fmt: str) -> list[ScanRecord]:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def append_checkpoint(path, rec: ScanRecord) -> None:
-    """Append one completed record; one JSON object per line, flushed."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(record_to_json(rec) + "\n")
-        fh.flush()
+def append_checkpoint(fh, rec: ScanRecord) -> None:
+    """Append one completed record to fh, the checkpoint file the scan
+    holds open in append mode; one JSON object per line, flushed."""
+    fh.write(record_to_json(rec) + "\n")
+    fh.flush()
 
 
 def load_checkpoint(path) -> dict[tuple[str, int], ScanRecord]:

@@ -406,6 +406,23 @@ class TestRingCount:
             assert search.ring_square_count(n) == \
                 make_carrier("ring", n).square_set()[0].bit_count(), n
 
+    def test_divisibility_checked_per_class(self, monkeypatch):
+        # N_27({}) raised by 2 at the class 9 of Z/27Z moves T by 2 times
+        # N_8({}) in each class of Z/216Z that takes it: 1 at the class 9,
+        # 4 at the classes 36 and 72, so only the class 9 breaks T = 0 mod 8
+        real = search._component_counts
+
+        def off_by_two(q):
+            vectors = dict(real(q))
+            if q == 27:
+                vectors[9] = (vectors[9][0] + 2, *vectors[9][1:])
+            return vectors
+
+        monkeypatch.setattr(search, "_component_counts", off_by_two)
+        with pytest.raises(AssertionError,
+                           match=r"^center class 9 of Z/216Z: T = "):
+            count_ring(216)
+
     def test_cache_holds_integer_vectors_per_prime_power(self):
         search._component_counts.cache_clear()
         for n in (27720, 32764, 4096):

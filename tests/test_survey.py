@@ -5,9 +5,9 @@ import pickle
 
 import pytest
 
-from parker import survey
-from parker.algebra import (MAX_ORDER, make_carrier, prime_power_base,
-                            squares)
+from parker import algebra, search, survey
+from parker.algebra import (MAX_ORDER, factorize, make_carrier,
+                            prime_power_base, squares)
 from parker.survey import (RecordBreakerTable, ScanRecord, load_checkpoint,
                            non_standard_record_breakers, parse_report,
                            record_breakers, render_report, scan_fields,
@@ -248,6 +248,20 @@ class TestPoolSize:
             scan_rings(2, 10, jobs=jobs)
         assert pool.sizes == []
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unwritable_checkpoint_fails_before_any_order(
+            self, pool, monkeypatch, tmp_path, jobs):
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
+        scanned = []
+        real = survey.scan_ring_order
+        monkeypatch.setattr(survey, "scan_ring_order",
+                            lambda n: scanned.append(n) or real(n))
+        with pytest.raises(OSError):
+            scan_rings(2, 30, jobs=jobs,
+                       checkpoint=str(tmp_path / "missing" / "c"))
+        assert scanned == []
+        assert pool.sizes == []
+
 
 class TestScanRings:
     def test_first_non_parker_ring(self):
@@ -266,6 +280,25 @@ class TestScanRings:
     def test_bad_filter(self):
         with pytest.raises(ValueError):
             scan_rings(2, 10, "even-ish")
+
+    def test_one_factorization_per_modulus(self, monkeypatch):
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return factorize(n)
+
+        for module in (algebra, search, survey):
+            monkeypatch.setattr(module, "factorize", spy)
+        search._component_counts.cache_clear()
+        rec = survey.scan_ring_order(3216)
+        # 3216 = 16 * 3 * 67, and each new prime power once for its vectors
+        assert sorted(calls) == [3, 16, 67, 3216]
+        calls.clear()
+        assert survey.scan_ring_order(3216)._replace(elapsed_ms=0) == \
+            rec._replace(elapsed_ms=0)
+        assert calls == [3216]
+        assert (rec.square_count, rec.msos_count) == (272, 0)
 
 
 class TestRecordBreakers:
