@@ -20,8 +20,8 @@ from .limits import MAX_BOUND, MAX_ORDER
 # gettext and locale), and the records are typing.NamedTuples.  Then
 #   field, ring     json with --json
 #   scan-*          json with --checkpoint or a JSONL --out, csv with a CSV
-#                   --out, and concurrent.futures (with logging) with a
-#                   pool of two or more workers
+#                   --out, and concurrent.futures (with logging) only
+#                   when orders are left for a pool after the serial pass
 #   hourglass       json only to print a hit
 #   verify          json
 # Any command loads logging with -v, and a scan loads it for the warning
@@ -105,8 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_scan_common(p):
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at least 1 (default 1); capped by "
-                        "the CPU and order counts")
+                   help="worker processes, at least 1 (default 1); a pool "
+                        "starts only for the orders left after 250 ms of "
+                        "serial work, capped by their count and the usable "
+                        "CPUs")
     p.add_argument("--checkpoint", default=None,
                    help="JSONL checkpoint file for resume")
     p.add_argument("--out", default=None, help="report file")

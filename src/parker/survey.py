@@ -8,10 +8,13 @@ builds a tuple.  Each completed order is logged at INFO on the
 "parker.survey" logger, when logging is loaded and INFO is on.
 Scans are deterministic: records come back ascending by order no matter how
 many worker processes run, and a checkpoint file replays completed orders so
-an interrupted scan resumes to identical output.  A scan opens its
-checkpoint once, in append mode, before any order runs, so an unwritable
-path fails before any work; each record is written and flushed as its
-order completes.  A ring modulus is factored once, for both its counts.
+an interrupted scan resumes to identical output.  Every scan runs its orders
+serially in this process first; a process pool starts only for the orders
+still pending once the scan has run _SERIAL_MS, so a short scan never pays
+for one.  A scan opens its checkpoint once, in append mode, before any
+order runs, so an unwritable path fails before any work; each record is
+written and flushed as its order completes.  A ring modulus is factored
+once, for both its counts.
 """
 
 from __future__ import annotations
@@ -198,6 +201,21 @@ def ring_orders(lo: int, hi: int, order_filter="all") -> list[int]:
 # Scan driver.
 
 _BATCHES_PER_WORKER = 8
+# A pool costs about 20 ms to import concurrent.futures, 10 ms to start and
+# 50 ms of CPU in two idle workers (Python 3.11, 2 vCPUs), so a scan runs
+# serially until it has spent this long, and only the orders still pending
+# then go to a pool.  A long scan loses at most _SERIAL_MS * (1 - 1/workers)
+# of wall time, and its workers fork with the parent's caches warm.
+_SERIAL_MS = 250.0
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the CPU count, else 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _run_scan(kind, orders, worker, jobs, checkpoint):
@@ -216,7 +234,11 @@ def _run_scan(kind, orders, worker, jobs, checkpoint):
 
 def _compute(kind, orders, done, worker, jobs, fh):
     """{order: record} of the orders not done, each appended to the open
-    checkpoint fh, if any, as it completes."""
+    checkpoint fh, if any, as it completes.
+
+    The orders run serially, ascending, until _SERIAL_MS have passed; with
+    jobs > 1 the rest then go to a pool of at most jobs workers.
+    """
     pending = [n for n in orders if (kind, n) not in done]
     computed = {}
     non_parker = sum(not done[kind, n].parker for n in orders
@@ -240,21 +262,30 @@ def _compute(kind, orders, done, worker, jobs, fh):
                  len(orders) - len(pending) + len(computed), len(orders),
                  non_parker, rate, (len(pending) - len(computed)) / rate)
 
-    workers = min(jobs, len(pending), os.cpu_count() or 1)
-    if workers > 1:
-        # a few batches per worker: one order per task spends the cheap
-        # orders' time on task round trips, while batches that are too
-        # large leave a worker idle at the end
-        chunksize = max(1, len(pending) // (_BATCHES_PER_WORKER * workers))
-        # imported here: only a scan with a pool pays for loading it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(worker, pending, chunksize=chunksize):
-                complete(rec)
+    cpus = min(jobs, _usable_cpus())
+    for n in pending:
+        workers = min(cpus, len(pending) - len(computed))
+        # the clock is read only where a pool of two or more could take over
+        if workers > 1 and _now_ms() - start >= _SERIAL_MS:
+            break
+        complete(worker(n))
     else:
-        for n in pending:
-            complete(worker(n))
+        return computed
+    rest = pending[len(computed):]
+    # a few batches per worker: one order per task spends the cheap orders'
+    # time on task round trips, while batches that are too large leave a
+    # worker idle at the end
+    chunksize = max(1, len(rest) // (_BATCHES_PER_WORKER * workers))
+    if log is not None:
+        log.info("%s scan: pool of %d workers for %d orders, %d done "
+                 "serially in %d ms", kind, workers, len(rest), len(computed),
+                 _now_ms() - start)
+    # imported here: only a scan that outlasts the serial pass loads it
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for rec in pool.map(worker, rest, chunksize=chunksize):
+            complete(rec)
     return computed
 
 
@@ -262,11 +293,13 @@ def scan_fields(lo: int, hi: int, order_filter: str = "all", jobs: int = 1,
                 checkpoint: str | None = None):
     """Classify every qualifying field order in [lo, hi].
 
-    Returns (records ascending by order, record-breaker table).  With jobs > 1
-    the orders are distributed over a process pool of at most jobs workers,
-    capped by the pending order count and the CPU count; output order and
-    content do not depend on jobs.  jobs below 1, or hi above MAX_ORDER,
-    raises ValueError before any order is scanned.
+    Returns (records ascending by order, record-breaker table).  The orders
+    run serially, ascending, in this process.  With jobs > 1, the orders
+    still pending once the scan has run _SERIAL_MS (250 ms) go to a process
+    pool of at most jobs workers, capped by those orders and by the CPUs
+    this process may run on; a scan that ends sooner starts no pool.
+    Output order and content do not depend on jobs.  jobs below 1, or hi
+    above MAX_ORDER, raises ValueError before any order is scanned.
     """
     check_order(hi)
     orders = field_orders(lo, hi, order_filter)

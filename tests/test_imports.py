@@ -71,11 +71,15 @@ def test_hourglass_loads_no_scan_module():
 @pytest.mark.parametrize("argv", [
     ("ring", "27"),
     ("scan-fields", "--from", "4", "--to", "30", "--prime-powers"),
-], ids=["ring", "scan-fields"])
+    # two jobs, but a scan this short ends before the pool would start
+    ("scan-rings", "--from", "1001", "--to", "1100", "--mod", "4", "--res",
+     "0", "--jobs", "2"),
+], ids=["ring", "scan-fields", "scan-rings"])
 def test_carrier_commands_load_no_gaussian_or_pool(argv):
     loaded = loaded_by_command(*argv)
     assert "parker.search" in loaded
-    assert loaded.isdisjoint({"parker.gaussian", "concurrent.futures"})
+    assert loaded.isdisjoint({"parker.gaussian", "concurrent.futures",
+                              "multiprocessing"})
 
 
 @pytest.mark.parametrize("argv", [

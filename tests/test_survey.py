@@ -187,6 +187,22 @@ class _InlinePool:
         return map(fn, items)
 
 
+def _spy_ring_orders(monkeypatch):
+    """The list of moduli scan_ring_order is called on, in call order."""
+    scanned = []
+    real = survey.scan_ring_order
+    monkeypatch.setattr(survey, "scan_ring_order",
+                        lambda n: scanned.append(n) or real(n))
+    return scanned
+
+
+def _clock_past_budget_after(monkeypatch, done, k):
+    """A clock that stands at 0 until the list done holds k items, then
+    reads the serial budget, so the pool takes over after k orders."""
+    monkeypatch.setattr(survey, "_now_ms",
+                        lambda: survey._SERIAL_MS * (len(done) >= k))
+
+
 class TestPoolSize:
     @pytest.fixture
     def pool(self, monkeypatch):
@@ -200,45 +216,119 @@ class TestPoolSize:
         for pending, chunksize in _InlinePool.batches:
             assert 1 <= chunksize <= pending
 
+    @pytest.fixture
+    def past_budget(self, monkeypatch):
+        # each reading is a full serial budget after the last, so a scan
+        # hands every pending order to the pool before computing one
+        clock = itertools.count(0.0, survey._SERIAL_MS)
+        monkeypatch.setattr(survey, "_now_ms", lambda: next(clock))
+
     @pytest.mark.parametrize("cpus,jobs,expected", [
         (64, 10**9, [16]),  # capped by the 16 pending orders
         (4, 10**9, [4]),    # capped by the CPU count
         (4, 3, [3]),
-        (None, 10**9, []),  # unknown CPU count: serial, no pool
+        (1, 10**9, []),     # one usable CPU, as for an unknown count: serial
         (64, 1, []),
     ], ids=["by-orders", "by-cpus", "by-jobs", "no-cpu-count", "serial"])
-    def test_workers_capped(self, pool, monkeypatch, cpus, jobs, expected):
-        monkeypatch.setattr(survey.os, "cpu_count", lambda: cpus)
+    def test_workers_capped(self, pool, past_budget, monkeypatch, cpus, jobs,
+                            expected):
+        monkeypatch.setattr(survey, "_usable_cpus", lambda: cpus)
         records, _ = scan_fields(2, 29, jobs=jobs)
         assert pool.sizes == expected
         assert [r.order for r in records if not r.parker] == [29]
 
-    def test_resumed_scan_sizes_pool_by_pending(self, pool, monkeypatch,
-                                                tmp_path):
+    def test_pool_capped_by_affinity(self, pool, past_budget, monkeypatch):
+        # pinned to 2 of the host's 64 CPUs, as under taskset or a cpuset
+        monkeypatch.setattr(survey.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(survey.os, "cpu_count", lambda: 64)
+        scan_fields(2, 29, jobs=64)
+        assert pool.sizes == [2]
+
+    @pytest.mark.parametrize("count,expected", [(8, 8), (None, 1)],
+                             ids=["count", "unknown"])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, expected):
+        monkeypatch.delattr(survey.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: count)
+        assert survey._usable_cpus() == expected
+
+    def test_resumed_scan_sizes_pool_by_pending(self, pool, past_budget,
+                                                monkeypatch, tmp_path):
+        monkeypatch.setattr(survey, "_usable_cpus", lambda: 64)
         ckpt = str(tmp_path / "ckpt.jsonl")
         scan_fields(2, 23, checkpoint=ckpt)
         scan_fields(2, 29, jobs=10**9, checkpoint=ckpt)
         assert pool.sizes == [3]  # 25, 27 and 29
 
-    def test_batches_shrink_with_pending_orders(self, pool, monkeypatch):
-        monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
+    def test_batches_shrink_with_pending_orders(self, pool, past_budget,
+                                                monkeypatch):
+        monkeypatch.setattr(survey, "_usable_cpus", lambda: 2)
         scan_rings(1001, 2999, (4, 0), jobs=2)
         scan_rings(2, 5, jobs=2)
         assert pool.batches == [(499, 31), (4, 1)]
 
+    def test_scan_within_budget_starts_no_pool(self, pool, monkeypatch):
+        monkeypatch.setattr(survey, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(survey, "_now_ms", lambda: 0.0)
+        records, _ = scan_rings(1001, 2999, (4, 0), jobs=2)
+        assert len(records) == 499
+        assert pool.sizes == []
+
+    @pytest.mark.parametrize("k,batch", [
+        (1, (498, 31)), (120, (379, 23)), (497, (2, 1))])
+    def test_pool_gets_the_orders_left_at_the_budget(self, pool, monkeypatch,
+                                                     caplog, k, batch):
+        monkeypatch.setattr(survey, "_usable_cpus", lambda: 2)
+        scanned = _spy_ring_orders(monkeypatch)
+        _clock_past_budget_after(monkeypatch, scanned, k)
+        pending = survey.ring_orders(1001, 2999, (4, 0))
+        with caplog.at_level("INFO", logger="parker.survey"):
+            records, _ = scan_rings(1001, 2999, (4, 0), jobs=2)
+        rest = len(pending) - k
+        assert pool.sizes == [2]
+        assert pool.batches == [batch]  # chunksize from the rest alone
+        assert scanned == pending  # each order once, the serial ones first
+        assert [r.order for r in records] == pending
+        # one line as the pool starts, between the per-order lines
+        starts = [i for i, m in enumerate(caplog.messages) if "pool" in m]
+        assert starts == [k]
+        assert caplog.messages[k] == (f"ring scan: pool of 2 workers for "
+                                      f"{rest} orders, {k} done serially "
+                                      f"in {survey._SERIAL_MS:.0f} ms")
+
+    def test_last_order_never_gets_a_pool(self, pool, monkeypatch):
+        monkeypatch.setattr(survey, "_usable_cpus", lambda: 2)
+        scanned = _spy_ring_orders(monkeypatch)
+        _clock_past_budget_after(monkeypatch, scanned, 4)
+        scan_rings(2, 6, jobs=2)
+        assert scanned == [2, 3, 4, 5, 6]
+        assert pool.sizes == []
+
     def test_pool_records_and_checkpoint_match_serial(self, monkeypatch,
                                                       tmp_path):
-        # a real pool of two workers, batched, against the serial loop
-        monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
+        # a real pool of two workers, batched, takes over after 40 of the
+        # 100 moduli; the serial loop runs them all
+        monkeypatch.setattr(survey, "_usable_cpus", lambda: 2)
+        written = []
+        real = survey.append_checkpoint
+        monkeypatch.setattr(survey, "append_checkpoint",
+                            lambda fh, rec: written.append(rec)
+                            or real(fh, rec))
+        _clock_past_budget_after(monkeypatch, written, 40)
+        started = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: started.append(max_workers)
+                            or real_pool(max_workers=max_workers))
         runs = []
         for jobs in (1, 2):
+            written.clear()
             ckpt = tmp_path / f"jobs{jobs}.jsonl"
             records, table = scan_rings(1001, 1400, (4, 0), jobs=jobs,
                                         checkpoint=str(ckpt))
             lines = ckpt.read_text().splitlines()
             runs.append((_zero_elapsed(records), table, _zero_elapsed(
                 [survey.record_from_json(line) for line in lines])))
+        assert started == [2]
         assert runs[0] == runs[1]
         assert runs[0][0] == runs[0][2]  # appended as they arrive, ascending
 
@@ -250,12 +340,9 @@ class TestPoolSize:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unwritable_checkpoint_fails_before_any_order(
-            self, pool, monkeypatch, tmp_path, jobs):
-        monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
-        scanned = []
-        real = survey.scan_ring_order
-        monkeypatch.setattr(survey, "scan_ring_order",
-                            lambda n: scanned.append(n) or real(n))
+            self, pool, past_budget, monkeypatch, tmp_path, jobs):
+        monkeypatch.setattr(survey, "_usable_cpus", lambda: 2)
+        scanned = _spy_ring_orders(monkeypatch)
         with pytest.raises(OSError):
             scan_rings(2, 30, jobs=jobs,
                        checkpoint=str(tmp_path / "missing" / "c"))
