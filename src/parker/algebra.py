@@ -405,6 +405,11 @@ class _ResidueCarrier(Carrier):
     def additive_layout(self):
         return self.order, 1
 
+    def translate(self, mask, t):
+        # one digit, so a rotation: one shift of the mask held doubled
+        n = self.order
+        return (mask | mask << n) >> (n - t) & (1 << n) - 1 if t else mask
+
     def encode_int(self, n):
         return n % self.order
 

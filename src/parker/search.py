@@ -4,12 +4,12 @@ A carrier is Parker when it admits no 3x3 magic square of nine distinct
 squared elements.  msos_field and msos_ring enumerate the full set of magic
 tuples up to scaling: fields normalize the center to 0 (with the corner pair
 fixed to 1 and -1) or to 1, rings normalize the center to a divisor residue.
-count_field gives the same count from the same hit masks by popcounting
-them, with no tuple built.  count_ring builds no mask over Z/nZ: it
-multiplies count vectors of the prime-power factors of n, each computed
-once per process by a mask kernel mod the prime power (see count_ring).
-Range scans use the count_*, and only msos_* (and `parker field`/`ring`
-with --list) keep tuples.
+The pair kernel serves only these listings.  count_field and count_ring
+give their counts by one formula on count vectors, each from a mask
+kernel: a field's at center 1, and for Z/nZ those of the prime-power
+factors of n, computed once per process, with no mask over Z/nZ (see
+count_ring).  Range scans use the count_*, and only msos_* (and `parker
+field`/`ring` with --list) keep tuples.
 brute_force_oracle enumerates with no normalization at all and is used to
 check that the normalized searches lose nothing.
 """
@@ -17,13 +17,13 @@ check that the normalized searches lose nothing.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, partial
 from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .algebra import (Carrier, ModularRing, center_offsets, divisors,
-                      factorize, make_carrier, mask_bits, squares)
+from .algebra import (Carrier, ModularRing, _bitmask, center_offsets,
+                      divisors, factorize, make_carrier, mask_bits, squares)
 
 # core's dihedral group is imported by the two oracle checks that use it,
 # so a search or scan never loads core
@@ -111,45 +111,10 @@ def _pair_hits(carrier, e2, d_mask):
     at all, since u + v = 2e^2 = 0 forces u = v, so the halves of alpha are
     only ever taken in odd characteristic and in Z/nZ.
 
-    Z/nZ and prime fields, additive layout (n, 1), take a path on plain
-    residue arithmetic; extension fields translate through a table of D_e
-    translated by the low digits (see _translator).  Both yield the same
-    sequence for the same D_e.
+    The lower members u < v are read off D_e + e^2 in ascending order, and
+    D_e is translated through _translator (one shift in Z/nZ and F_p).
     """
-    kernel = _residue_pair_hits if carrier.additive_layout[1] == 1 \
-        else _carrier_pair_hits
-    return kernel(carrier, e2, d_mask)
-
-
-def _residue_pair_hits(carrier, e2, d_mask):
-    # D_e is held doubled, D | D << n, so that translating it by t is the
-    # one shift doubled >> (n - t), read below bit n; the AND with the
-    # running mask, itself below bit n, drops the bits above.  The pair
-    # of alpha has u = e^2 - alpha, so its -alpha translation is the shift
-    # by alpha.  With t = 2e^2 mod n, the partner of u is t - u for u <= t
-    # and t - u + n above, so the lower members u < v are the u in
-    # [0, (t + 1)/2) and in (t, (t + n + 1)/2).
-    n = carrier.order
-    repeats = _repeat_mask(carrier)
-    doubled = d_mask | d_mask << n
-    t = 2 * e2 % n
-    lower = ((1 << (t + 1) // 2) - 1) | ((1 << (t + n + 1) // 2) - (2 << t))
-    earlier = 0
-    for u in mask_bits((doubled >> (n - e2)) & lower):
-        alpha = (e2 - u) % n
-        hits = (doubled >> alpha) & earlier
-        earlier |= 1 << alpha
-        if hits:
-            hits &= doubled >> (n - alpha)
-        if hits:
-            hits &= ~repeats(alpha)
-        if hits:
-            yield alpha, hits
-
-
-def _carrier_pair_hits(carrier, e2, d_mask):
-    # _residue_pair_hits with the carrier's arithmetic, translating D_e
-    # through _translator; D_e is empty in characteristic 2
+    # D_e is empty in characteristic 2
     if not d_mask:
         return
     sub = carrier.sub
@@ -218,13 +183,13 @@ def _translator(carrier, mask):
     The additive layout (p, r) splits t into its low h digits, the middle
     digits h..r - 2 and its top digit c.  table holds mask translated by
     every value s of the low h digits, at index s, each held doubled as
-    m | m << q the way _residue_pair_hits holds D_e, so that translating by
-    c * p**(r - 1) is the one shift >> (q - c * p**(r - 1)).  The block of
-    the p**i entries with digit i = c is the block of c - 1 translated by
-    p**i, one masked shift pair each.  h is r - 1 when the p**h entries of
-    2q bits fit FULL_TABLE_BITS, else the largest that keeps them within
-    TABLE_BITS; when that cuts the table short, Carrier.translate adds the
-    middle digits.
+    m | m << q, so that translating by c * p**(r - 1) is the one shift
+    >> (q - c * p**(r - 1)); Z/nZ and prime fields need only that one.
+    The block of the p**i entries with digit i = c is the block of c - 1
+    translated by p**i, one masked shift pair each.  h is r - 1 when the
+    p**h entries of 2q bits fit FULL_TABLE_BITS, else the largest that
+    keeps them within TABLE_BITS; when that cuts the table short,
+    Carrier.translate adds the middle digits.
     """
     p, r = carrier.additive_layout
     q = carrier.order
@@ -268,7 +233,7 @@ def _repeat_mask(carrier):
     of D_e, so neither 2*alpha nor alpha/2 is 0.
     """
     p, r = carrier.additive_layout
-    if r > 1:
+    if p % 2 or r > 1:
         add, neg, mul = carrier.add, carrier.neg, carrier.mul
         half = carrier.encode_int((p + 1) // 2)
 
@@ -276,15 +241,7 @@ def _repeat_mask(carrier):
             two, h = add(alpha, alpha), mul(alpha, half)
             return (1 << two) | (1 << neg(two)) | (1 << h) | (1 << neg(h))
         return repeats
-    n = p
-    if n % 2:
-        half = (n + 1) // 2
-
-        def repeats(alpha):
-            two, h = 2 * alpha % n, alpha * half % n
-            return (1 << two) | (1 << (n - two)) | (1 << h) | (1 << (n - h))
-        return repeats
-    m = n // 2
+    n, m = p, p // 2
 
     def repeats(alpha):
         two = 2 * alpha % n
@@ -302,6 +259,17 @@ def _field(carrier):
         raise ValueError(f"the field search needs a field carrier, "
                          f"got {carrier}")
     return carrier
+
+
+def _odd_field(q):
+    """The carrier of q, a field carrier or order, or None, with nothing
+    built, for an even one; ValueError as in prefilter_field."""
+    carrier = _field(q) if isinstance(q, Carrier) else None
+    order = q if carrier is None else carrier.order
+    if order % 2 == 0 and (order < 2 or order & (order - 1)):
+        raise ValueError(f"{order} is not a prime power, no field of that "
+                         f"order")
+    return (carrier or make_carrier("field", order)) if order % 2 else None
 
 
 def _field_centers(q):
@@ -373,14 +341,6 @@ def _search(carrier, centers) -> SearchResult:
     return SearchResult(carrier, tuple(out))
 
 
-def _count(carrier, centers) -> int:
-    total = 0
-    for e2, run in centers:
-        for _, hits in run(carrier, e2, center_offsets(carrier, e2)):
-            total += hits.bit_count()
-    return total
-
-
 def msos_field(q) -> SearchResult:
     """All magic squares of squares over F_q, up to scaling.
 
@@ -400,8 +360,22 @@ def msos_ring(n) -> SearchResult:
 
 
 def count_field(q) -> int:
-    """msos_field(q).tuple_count, from popcounts, with no tuple built."""
-    return _count(*_field_centers(q))
+    """msos_field(q).tuple_count, with no tuple built and no pair kernel:
+    a tuple per +- pair of the center-0 mask T, symmetric and without 0
+    (see _center_zero_mask), plus count_ring's formula on the center-1
+    vector of _center_counts.  An even order counts 0 with nothing built,
+    as u + v = 2e^2 = 0 forces u = v.
+    """
+    carrier = _odd_field(q)
+    if carrier is None:
+        return 0
+    # center 1 has 0 in D', and Z = {0} in odd characteristic
+    d = center_offsets(carrier, carrier.encode_int(1)) | 1
+    zero = [(0, 1, _preimage(carrier, 1, 2), _preimage(carrier, 1, 3))]
+    vector = _center_counts(carrier, d, zero, _preimage(carrier, 1, 5))
+    t_mask = _center_zero_mask(carrier, center_offsets(carrier, 0))
+    signed = tuple(map(mul, _SIGNS, vector))
+    return t_mask.bit_count() // 2 + _center_class_count(signed, 1, carrier)
 
 
 def count_ring(n) -> int:
@@ -420,30 +394,12 @@ def count_ring(n) -> int:
     one mod n.  So count_ring sums over the same distinct center squares
     as msos_ring, one count per gcd class, weighted by the class size.
 
-    *The count at one center.*  Write D' for the offsets delta with
-    c +- delta both squares and Z for the delta with 2*delta = 0, so that
-    D_e = D' minus Z.  Let T be the number of ordered (alpha, gamma) with
-    alpha, gamma, alpha + gamma and alpha - gamma all in D_e.  A pair of
-    distinct center pairs gives 8 of them (which pair is alpha, and a sign
-    for each), and alpha = +-gamma would put 0 in D_e, so T/8 counts the
-    unordered pairs of pairs that meet the line condition.  By _pair_hits
-    the ones among them that repeat a cell are {[x], [2x]}, the pairs of x
-    and 2x, for the x with x, 2x and 3x in D_e; let O count these x, and
-    O5 those with 5x = 0.  x and -x give the same {[x], [2x]}, and so
-    does y = +-2x exactly when 5x = 0 (y = +-2x with 2y = +-x needs
-    3x = 0, which 3x in D_e excludes, or 5x = 0), and then x, 2x, 3x in
-    D_e puts y, 2y, 3y in D_e too.  So the repeating pairs number
-    (O - O5)/2 + O5/4 and
-
-        count = T/8 - (2*(O - O5) + O5)/4,
-
-    and both divisions are asserted to be exact.
-
-    *The CRT factorization.*  By the CRT, Z/nZ is the product of the
-    Z/qZ over the prime powers q of n; so are its squares, and with them
-    D' and Z, each the product of its sets mod q.  D_e = D' minus Z is
-    not, so by inclusion and exclusion over the set S of positions (of
-    alpha, gamma, alpha + gamma, alpha - gamma) that lie in Z,
+    *The CRT factorization.*  The count at one center is
+    _center_class_count's T/8 - (2*(O - O5) + O5)/4.  By the CRT, Z/nZ is
+    the product of the Z/qZ over the prime powers q of n; so are its
+    squares, and with them D' and Z, each the product of its sets mod q.
+    D_e = D' minus Z is not, so by inclusion and exclusion over the set S
+    of positions (of alpha, gamma, alpha + gamma, alpha - gamma) in Z,
 
         T = sum over S of (-1)**|S| * prod over q of N_q(S),
 
@@ -478,7 +434,7 @@ def _count_ring(n, factors):
     for e2 in _center_squares(n, factors):
         g = math.gcd(e2, n)
         weights[g] = weights.get(g, 0) + 1
-    components = sorted((_component_counts(p**k) for p, k in factors.items()),
+    components = sorted((_component_counts(p, k) for p, k in factors.items()),
                         key=len)
     # the product over the prime powers so far, keyed by the product of
     # the classes taken so far
@@ -487,16 +443,40 @@ def _count_ring(n, factors):
         products = {h * r: tuple(map(mul, vec, v))
                     for h, vec in products.items()
                     for r, v in vectors.items()}
-    total = 0
+    total, label = 0, f"Z/{n}Z"
     for g, weight in weights.items():
-        vec = products[g]
-        pairs = sum(vec[:16])
-        repeats = 2 * sum(vec[16:24]) - sum(vec[24:])
-        if pairs % 8 or repeats % 4:
-            raise AssertionError(f"center class {g} of Z/{n}Z: T = {pairs} "
-                                 f"and 2(O - O5) + O5 = {repeats}")
-        total += weight * (pairs // 8 - repeats // 4)
+        total += weight * _center_class_count(products[g], g, label)
     return total
+
+
+def _center_class_count(vector, g, label):
+    """The count at one center from its count vector signed by _SIGNS; g
+    and label name the center class and the carrier if a division fails.
+
+    At a center c, write D' for the offsets delta with c +- delta both
+    squares and Z for the delta with 2*delta = 0, so that D_e = D' minus
+    Z.  Let T be the number of ordered (alpha, gamma) with alpha, gamma,
+    alpha + gamma and alpha - gamma all in D_e.  A pair of distinct center
+    pairs gives 8 of them (which pair is alpha, and a sign for each), and
+    alpha = +-gamma would put 0 in D_e, so T/8 counts the unordered pairs
+    of pairs that meet the line condition.  By _pair_hits the ones among
+    them that repeat a cell are {[x], [2x]}, the pairs of x and 2x, for
+    the x with x, 2x and 3x in D_e; let O count these x, and O5 those
+    with 5x = 0.  x and -x give the same {[x], [2x]}, and so does y = +-2x
+    exactly when 5x = 0 (y = +-2x with 2y = +-x needs 3x = 0, which 3x in
+    D_e excludes, or 5x = 0), and then x, 2x, 3x in D_e puts y, 2y, 3y in
+    D_e too.  So the repeating pairs number (O - O5)/2 + O5/4 and
+
+        count = T/8 - (2*(O - O5) + O5)/4,
+
+    and both divisions are asserted to be exact.
+    """
+    pairs = sum(vector[:16])
+    repeats = 2 * sum(vector[16:24]) - sum(vector[24:])
+    if pairs % 8 or repeats % 4:
+        raise AssertionError(f"center class {g} of {label}: T = {pairs} "
+                             f"and 2(O - O5) + O5 = {repeats}")
+    return pairs // 8 - repeats // 4
 
 
 def ring_square_count(n) -> int:
@@ -528,14 +508,14 @@ def _square_count(p, k):
 # subsets S of the pair positions alpha, gamma, alpha + gamma and
 # alpha - gamma, then O_q(S) and O5_q(S) for the 8 subsets of the
 # positions x, 2x, 3x, S as a bitmask of positions.  count_ring starts the
-# product over q from _SIGNS, (-1)**|S| in each entry, so that T, O and
-# O5 are plain sums of the product.
+# product over q from _SIGNS, (-1)**|S| in each entry, and count_field
+# multiplies its one vector by it, so that T, O and O5 are plain sums.
 _SIGNS = tuple((-1) ** s.bit_count()
                for s in (*range(16), *range(8), *range(8)))
 
 
 @cache
-def _component_counts(q):
+def _component_counts(p, k):
     """{p**m: the count vector of Z/qZ at center p**m}, q = p**k, read-only.
 
     The center classes of Z/qZ are the gcds p**m of its squares with q:
@@ -544,38 +524,42 @@ def _component_counts(q):
     holds one entry of integers per prime power up to MAX_ORDER at most;
     the carrier and its masks are dropped once the vectors are counted.
     """
-    p, k = factorize(q).popitem()
-    s, neg = ModularRing(q).square_set()
+    q = p**k
+    carrier = ModularRing(q)
+    s, neg = carrier.square_set()
     if s.bit_count() != _square_count(p, k):
         raise AssertionError(f"square count of Z/{q}Z")
     # each z of Z_q with its preimages under t -> 2t and t -> 3t
-    zero = [(z, 1 << z, _preimage(1 << z, q, 2), _preimage(1 << z, q, 3))
+    zero = [(z, 1 << z, _preimage(carrier, 1 << z, 2),
+             _preimage(carrier, 1 << z, 3))
             for z in ((0, q // 2) if q % 2 == 0 else (0,))]
-    fives = _preimage(1, q, 5)
+    fives = _preimage(carrier, 1, 5)
     out = {}
     for m in (*range(0, k, 2), k):
         c = p**m % q
-        d = _rotate(s, q, c) & _rotate(neg, q, -c % q)
-        out[p**m] = _center_counts(q, d, [z for z in zero if d >> z[0] & 1],
-                                   fives)
+        d = carrier.translate(s, -c % q) & carrier.translate(neg, c)
+        out[p**m] = _center_counts(carrier, d,
+                                   [z for z in zero if d >> z[0] & 1], fives)
     return MappingProxyType(out)
 
 
-def _rotate(mask, q, b):
-    """{t : t + b in mask} mod q, Carrier.translate(mask, -b) of Z/qZ as
-    one shift of the doubled mask, as in _residue_pair_hits."""
-    return (mask | mask << q) >> b & (1 << q) - 1 if b else mask
+def _preimage(carrier, mask, k):
+    """{t : k*t in mask} over the carrier, k an integer.
 
-
-def _preimage(mask, q, k):
-    """{t : k*t in mask} mod q.
-
-    A mask of at most 8 members takes the solutions of k*t = w for each
-    member w: with g = gcd(k, q), none unless g divides w, else
-    t0 + j*q/g for j < g.  Any other takes one slice of its bit string
-    repeated, bit t being bit k*t % q, which measured faster from about
-    10 members on at q = 2**11 and 2**15.
+    In F_{p^r}, r > 1, k acts on each digit as k mod p: the preimage is
+    the image under its inverse, or if p | k all or nothing, as 0 is in
+    mask or not.  In Z/qZ and F_q a mask of at most 8 members takes the
+    solutions of k*t = w for each member w: with g = gcd(k, q), none unless
+    g divides w, else t0 + j*q/g for j < g.  Any other takes one slice of
+    its bit string repeated, bit t being bit k*t % q (faster from about 10
+    members on at q = 2**11 and 2**15).
     """
+    (p, r), q = carrier.additive_layout, carrier.order
+    if r > 1:
+        if k % p == 0:
+            return (1 << q) - 1 if mask & 1 else 0
+        scale = partial(carrier.mul, carrier.encode_int(pow(k, -1, p)))
+        return _bitmask(map(scale, mask_bits(mask)), q)
     if mask.bit_count() > 8:
         # character i of the string is bit q - 1 - i, and (k - 1) + k*i
         # in k copies is bit k*(q - 1 - i) % q
@@ -593,38 +577,44 @@ def _preimage(mask, q, k):
     return out
 
 
-def _center_counts(q, d, zero, fives):
-    """The count vector of Z/qZ at one center, from d = D'_q, zero, the
-    members z of D'_q in Z_q = {z : 2z = 0}, at most 2, each as (z, its
-    mask, and the masks of its preimages under t -> 2t and t -> 3t), and
-    fives, the mask of the x with 5x = 0.
+def _center_counts(carrier, d, zero, fives):
+    """The count vector of Z/qZ or of a field of odd order at one center,
+    from d = D', zero, the members z of D' in Z = {z : 2z = 0}, at most 2,
+    each as (z, its mask, and the masks of its preimages under t -> 2t and
+    t -> 3t), and fives, the mask of the x with 5x = 0.
 
-    N_q({}) is the mask kernel: alpha contributes the popcount of
+    N({}) is the mask kernel: alpha contributes the popcount of
     D' & (D' - alpha) & (D' + alpha), the same for -alpha, so the sum runs
     over one member of each +- pair, doubled, and the members of Z once.
+    The lower member of a pair has its top nonzero digit below p/2.  Z/qZ
+    and F_q shift D' held doubled inline, F_{p^r} goes through _translator.
     For S not empty, the first position of S is fixed to each z in
-    zd = D'_q & Z_q, and then the others lie on lines in t:
+    zd = D' & Z, and then the others lie on lines in t:
 
         alpha = z:          gamma = t, alpha +- gamma = z +- t
         alpha + gamma = z:  alpha = t, gamma = z - t, alpha - gamma = 2t - z
 
-    A position in S must lie in zd, any other in D'_q, so each count is
-    the popcount of masks of t: D'_q or zd, their translations by z, and
-    their preimages under t -> 2t + z.  Both sets are symmetric and z = -z,
-    so z +- t and t + z are the same condition.  O_q(S) and O5_q(S) are
-    the popcounts of the preimages of x, 2x and 3x in D'_q or zd, and the
-    latter also in fives.
+    A position in S must lie in zd, any other in D', so each count is the
+    popcount of masks of t: D' or zd, their translations by z, and their
+    preimages under t -> 2t + z.  Both sets are symmetric and z = -z, so
+    z +- t and t + z are the same condition.  O(S) and O5(S) are the
+    popcounts of the preimages of x, 2x and 3x in D' or zd, and the latter
+    also in fives.
     """
+    (p, r), q = carrier.additive_layout, carrier.order
+    translate = carrier.translate
     zs = [z[0] for z in zero]
     # the masks of zd and of its preimages under t -> 2t and t -> 3t
     zd, zd2, zd3 = (sum(z[i] for z in zero) for i in (1, 2, 3))
-    d2, d3 = _preimage(d, q, 2), _preimage(d, q, 3)
+    d2, d3 = _preimage(carrier, d, 2), _preimage(carrier, d, 3)
     n1 = n3 = n4 = n5 = n7 = n12 = n13 = n15 = 0
     for z in zs:
-        # {t : t + z in d or zd}, then {t : 2t + z in d or zd}
-        b, bz = _rotate(d, q, z), _rotate(zd, q, z)
-        c, cz = (_rotate(d2, q, z // 2), _rotate(zd2, q, z // 2)) \
-            if z % 2 == 0 else (_preimage(b, q, 2), _preimage(bz, q, 2))
+        # {t : t + z in d or zd}, then {t : 2t + z in d or zd}; z is 0,
+        # or q/2 in Z/qZ with q even
+        b, bz = translate(d, z), translate(zd, z)
+        c, cz = (_preimage(carrier, b, 2), _preimage(carrier, bz, 2)) \
+            if z % 2 else (translate(d2, -(z // 2) % q),
+                           translate(zd2, -(z // 2) % q))
         db = d & b
         n1 += db.bit_count()                # S = {alpha}
         n3 += (zd & b).bit_count()          # {alpha, gamma}
@@ -634,17 +624,24 @@ def _center_counts(q, d, zero, fives):
         n15 += (zd & bz).bit_count()        # all four
         n4 += (db & c).bit_count()          # {alpha + gamma}
         n12 += (db & cz).bit_count()        # {alpha +- gamma}
-    # the kernel; its alpha in Z are the ones N_q({alpha}) = n1 counts
-    dd = d | d << q
+    # the kernel; its alpha in Z are the ones N({alpha}) = n1 counts
     pairs = 0
-    for alpha in mask_bits(d & (1 << (q + 1) // 2) - 2):
-        pairs += (d & dd >> alpha & dd >> q - alpha).bit_count()
+    if r == 1:
+        dd = d | d << q
+        for alpha in mask_bits(d & (1 << (q + 1) // 2) - 2):
+            pairs += (d & dd >> alpha & dd >> q - alpha).bit_count()
+    else:
+        lower = sum((1 << (p + 1) // 2 * p**i) - (1 << p**i)
+                    for i in range(r))
+        shifted, neg = _translator(carrier, d)[1], carrier.neg
+        for alpha in mask_bits(d & lower):
+            pairs += (d & shifted(alpha) & shifted(neg(alpha))).bit_count()
     triples = [x & y & w for w in (d3, zd3) for y in (d2, zd2)
                for x in (d, zd)]
-    # N_q(S) keeps its value when (alpha, gamma) -> (gamma, alpha) swaps
-    # the positions alpha and gamma, bits 0 and 1 of S, and when
+    # N(S) keeps its value when (alpha, gamma) -> (gamma, alpha) swaps the
+    # positions alpha and gamma, bits 0 and 1 of S, and when
     # (alpha, gamma) -> (alpha, -gamma) swaps alpha + gamma and
-    # alpha - gamma, bits 2 and 3, since D'_q and zd are symmetric
+    # alpha - gamma, bits 2 and 3, since D' and zd are symmetric
     return (2 * pairs + n1, n1, n1, n3, n4, n5, n5, n7,
             n4, n5, n5, n7, n12, n13, n13, n15,
             *(m.bit_count() for m in triples),
@@ -668,15 +665,9 @@ def prefilter_field(q) -> str | None:
     power raises ValueError: an even one here, an odd one when its carrier
     is built.  So does a carrier that is not a field, before any verdict.
     """
-    carrier = _field(q) if isinstance(q, Carrier) else None
-    order = carrier.order if carrier is not None else q
-    if order % 2 == 0:
-        if order < 2 or order & (order - 1):
-            raise ValueError(f"{order} is not a prime power, no field of "
-                             f"that order")
-        return "even-order"
+    carrier = _odd_field(q)
     if carrier is None:
-        carrier = make_carrier("field", order)
+        return "even-order"
     if carrier.square_set()[0].bit_count() < 9:
         return "too-few-squares"
     d0 = center_offsets(carrier, 0)
@@ -758,8 +749,8 @@ def scaling_closure(carrier: Carrier,
 def oracle_agreement(carrier: Carrier, cap: int = 100) -> bool:
     """True when the normalized search and the oracle describe the same set.
 
-    Checks that the reported class count and the popcount of count_field
-    or count_ring are the number of distinct dihedral classes among the
+    Checks that the reported class count and the count of count_field or
+    count_ring are the number of distinct dihedral classes among the
     normalized tuples, that every normalized tuple is itself magic
     (membership in the oracle set) and that the oracle set equals the
     closure of the normalized set under dihedral symmetry and unit-square

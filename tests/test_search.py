@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 
@@ -249,7 +250,8 @@ class TestPairKernel:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_doubled_shift_is_translate(self, data):
-        # the residue path translates D_e as doubled >> (n - t), below bit n
+        # _translator of a single-digit layout translates D_e as
+        # doubled >> (n - t), read below bit n
         n = data.draw(st.integers(2, 700))
         kind = "field" if data.draw(st.booleans()) and is_prime(n) else "ring"
         c = make_carrier(kind, n)
@@ -265,11 +267,12 @@ class TestPairKernel:
         # 2q-bit entries: all of them within 2**24 bits, as for every
         # F_{p^2} up to F_181^2 and for F_23^3, or else as many as fit
         # 2**22 bits; F_19683 keeps 4 of its 8 low digits there and adds
-        # the other 4 by Carrier.translate, and F_29^3 keeps 1 of 2
+        # the other 4 by Carrier.translate, F_29^3 and F_31^3 keep 1 of 2
+        # and F_13^4 1 of 3
         order, low_digits = data.draw(st.sampled_from(
             ((25, 1), (1331, 2), (2187, 6), (3125, 4), (6561, 5),
              (19683, 4), (24389, 1), (12167, 2), (16129, 1), (17161, 1),
-             (32761, 1))))
+             (32761, 1), (28561, 1), (29791, 1))))
         c = _extension_field(order)
         mask = data.draw(st.integers(0, (1 << order) - 1))
         t = data.draw(st.integers(0, order - 1))
@@ -330,38 +333,50 @@ class TestCount:
             count_ring(1)
 
 
-def _brute_component(q, c):
-    """N_q(S), O_q(S) and O5_q(S) at the center square c of Z/qZ, by a walk
-    over every (alpha, gamma) and every x (see search.count_ring)."""
-    sq = {x * x % q for x in range(q)}
-    d = [t for t in range(q) if (c + t) % q in sq and (c - t) % q in sq]
+def _brute_component(carrier, c):
+    """N(S), O(S) and O5(S) at the center square c of a finite carrier, by
+    a walk over every (alpha, gamma) and every x in its own arithmetic (see
+    search._center_class_count)."""
+    add, sub = carrier.add, carrier.sub
+    sq = set(_square_walk(carrier))
+    d = [t for t in carrier.elements() if add(c, t) in sq and sub(c, t) in sq]
     in_d = set(d)
-    zero = {t for t in d if 2 * t % q == 0}
+    zero = {t for t in d if add(t, t) == 0}
 
     def in_zero(values):
         return sum(1 << i for i, v in enumerate(values) if v in zero)
 
-    pairs, triples, fives = [0] * 16, [0] * 8, [0] * 8
+    # how many (alpha, gamma), and how many x, hit Z at each set of positions
+    pair_hits, triple_hits = collections.Counter(), collections.Counter()
     for a in d:
         for g in d:
-            values = (a, g, (a + g) % q, (a - g) % q)
+            values = (a, g, add(a, g), sub(a, g))
             if values[2] in in_d and values[3] in in_d:
-                hit = in_zero(values)
-                for s in range(16):
-                    pairs[s] += s & hit == s
+                pair_hits[in_zero(values)] += 1
     for x in d:
-        values = (x, 2 * x % q, 3 * x % q)
+        two = add(x, x)
+        values = (x, two, add(two, x))
         if values[1] in in_d and values[2] in in_d:
-            hit = in_zero(values)
-            for s in range(8):
-                triples[s] += s & hit == s
-                fives[s] += s & hit == s and 5 * x % q == 0
+            triple_hits[in_zero(values), add(values[2], two) == 0] += 1
+    pairs = [sum(n for hit, n in pair_hits.items() if s & hit == s)
+             for s in range(16)]
+    triples = [sum(n for (hit, _), n in triple_hits.items() if s & hit == s)
+               for s in range(8)]
+    fives = [sum(n for (hit, five), n in triple_hits.items()
+                 if five and s & hit == s) for s in range(8)]
     return (*pairs, *triples, *fives)
 
 
-def _kernel_count(carrier, e2):
-    return sum(hits.bit_count() for _, hits in search._pair_hits(
+def _kernel_count(carrier, e2, run=search._pair_hits):
+    """The popcount of the hit masks of one center of a search."""
+    return sum(hits.bit_count() for _, hits in run(
         carrier, e2, search.center_offsets(carrier, e2)))
+
+
+def _search_kernel_count(carrier, centers):
+    """The popcount of the hit masks of every center of a search, the
+    count of its listing."""
+    return sum(_kernel_count(carrier, e2, run) for e2, run in centers)
 
 
 class TestRingCount:
@@ -371,12 +386,12 @@ class TestRingCount:
         powers = [q for q in range(2, 65) if prime_power_base(q)]
         assert len(powers) == 27
         for q in powers:
-            vectors = search._component_counts(q)
+            vectors = search._component_counts(*prime_power_base(q))
             centers = {x * x % q for x in range(q)}
             assert set(vectors) == {math.gcd(c, q) for c in centers}, q
             for c in centers:
-                assert vectors[math.gcd(c, q)] == _brute_component(q, c), \
-                    (q, c)
+                assert vectors[math.gcd(c, q)] == _brute_component(
+                    make_carrier("ring", q), c), (q, c)
             assert search.ring_square_count(q) == len(centers)
 
     def test_count_depends_only_on_center_gcd_to_600(self):
@@ -394,12 +409,13 @@ class TestRingCount:
         (1024, 2048, 3125, 16384, 27720, 30030, 32749, 32760, 32764, 32768)])
     def test_equals_kernel_count(self, orders):
         for n in orders:
-            assert count_ring(n) == search._count(*search._ring_centers(n)), n
+            assert count_ring(n) == _search_kernel_count(
+                *search._ring_centers(n)), n
 
     @given(st.integers(2, 6000))
     @settings(max_examples=60, deadline=None)
     def test_equals_kernel_count_property(self, n):
-        assert count_ring(n) == search._count(*search._ring_centers(n))
+        assert count_ring(n) == _search_kernel_count(*search._ring_centers(n))
 
     def test_square_count_is_the_square_set(self):
         for n in (*range(2, 1001), 3216, 27720, 32768):
@@ -412,9 +428,9 @@ class TestRingCount:
         # 4 at the classes 36 and 72, so only the class 9 breaks T = 0 mod 8
         real = search._component_counts
 
-        def off_by_two(q):
-            vectors = dict(real(q))
-            if q == 27:
+        def off_by_two(p, k):
+            vectors = dict(real(p, k))
+            if p**k == 27:
                 vectors[9] = (vectors[9][0] + 2, *vectors[9][1:])
             return vectors
 
@@ -430,11 +446,53 @@ class TestRingCount:
         # 2**3, 3**2, 5, 7, 11, 2**2, 8191, 2**12
         assert search._component_counts.cache_info().currsize == 8
         for q in (8, 9, 5, 7, 11, 4, 8191, 4096):
-            vectors = search._component_counts(q)
+            vectors = search._component_counts(*prime_power_base(q))
             assert all(isinstance(v, tuple) and len(v) == 32
                        and all(type(x) is int for x in v)
                        for v in vectors.values())
         assert search._component_counts.cache_info().currsize == 8
+
+
+class TestFieldCount:
+    def test_center_one_vector_matches_brute_force_to_729(self, monkeypatch):
+        # the one vector count_field takes, at center 1 of every odd field
+        # order, against a walk in the field's own arithmetic
+        vectors = []
+        real = search._center_counts
+
+        def recording(*args):
+            vectors.append(real(*args))
+            return vectors[-1]
+
+        monkeypatch.setattr(search, "_center_counts", recording)
+        orders = [q for q in field_orders(3, 729) if q % 2]
+        assert len(orders) == 143
+        for q in orders:
+            carrier = make_carrier("field", q)
+            vectors.clear()
+            count_field(carrier)
+            assert vectors == [_brute_component(carrier, 1)], q
+
+    @pytest.mark.parametrize("orders", [
+        field_orders(2, 3000),
+        # degrees 6, 5, 9, 4, 3 and 2 past the orders above; F_13^4 and
+        # F_31^3 have translation tables cut short to one low digit, so
+        # their center-1 kernel also adds the middle digits by
+        # Carrier.translate
+        (15625, 16807, 19683, 28561, 29791, 32761)])
+    def test_equals_kernel_count(self, orders):
+        for q in orders:
+            assert count_field(q) == _search_kernel_count(
+                *search._field_centers(q)), q
+
+    def test_even_orders_count_zero_with_nothing_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a carrier")
+
+        monkeypatch.setattr(search, "make_carrier", refuse)
+        assert [count_field(2**k) for k in range(1, 16)] == [0] * 15
+        with pytest.raises(ValueError, match="not a prime power"):
+            count_field(24)
 
 
 class TestPrefilter:

@@ -379,8 +379,9 @@ class TestScanRings:
             monkeypatch.setattr(module, "factorize", spy)
         search._component_counts.cache_clear()
         rec = survey.scan_ring_order(3216)
-        # 3216 = 16 * 3 * 67, and each new prime power once for its vectors
-        assert sorted(calls) == [3, 16, 67, 3216]
+        # 3216 = 16 * 3 * 67 only: the vectors of its new prime powers
+        # take them from that factorization
+        assert calls == [3216]
         calls.clear()
         assert survey.scan_ring_order(3216)._replace(elapsed_ms=0) == \
             rec._replace(elapsed_ms=0)
