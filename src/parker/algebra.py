@@ -38,7 +38,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -368,6 +368,12 @@ class Carrier:
     def element_repr(self, a: int) -> str:
         return str(a)
 
+    def __str__(self):
+        return self.kind
+
+    def __repr__(self):
+        return str(self)
+
     def element_to_json(self, a: int):
         return a
 
@@ -422,9 +428,6 @@ class _ResidueCarrier(Carrier):
         n = self.order
         seen = {x * x % n for x in range(n // 2 + 1)}
         return _bitmask(seen, n), _bitmask([-s % n for s in seen], n)
-
-    def __repr__(self):
-        return str(self)
 
 
 class PrimeField(_ResidueCarrier):
@@ -658,9 +661,6 @@ class ExtensionField(Carrier):
     def __str__(self):
         return f"F_{self.order}"
 
-    def __repr__(self):
-        return str(self)
-
 
 class Integers(Carrier):
     """The rational integers, used to validate grids over Z."""
@@ -698,9 +698,6 @@ class Integers(Carrier):
 
     def __str__(self):
         return "Z"
-
-    def __repr__(self):
-        return str(self)
 
 
 def make_carrier(kind: str, order: int | None = None,
@@ -745,6 +742,18 @@ def squares(carrier: Carrier) -> tuple[int, ...]:
     return tuple(mask_bits(carrier.square_set()[0]))
 
 
+def two_torsion(carrier: Carrier) -> int:
+    """Z as a bitmask: the delta with 2*delta = 0.
+
+    It is {0} when the additive period p is odd, {0, n/2} in Z/nZ with n
+    even, and everything in characteristic 2.
+    """
+    p = carrier.additive_layout[0]
+    if p == 2:
+        return (1 << carrier.order) - 1
+    return 1 if p % 2 else 1 | 1 << p // 2
+
+
 def center_offsets(carrier: Carrier, e2: int) -> int:
     """D_e as a bitmask: the offsets delta of the center pairs of e2 = e^2.
 
@@ -752,16 +761,12 @@ def center_offsets(carrier: Carrier, e2: int) -> int:
     2*delta != 0, so that the pair (e2 - delta, e2 + delta) has two
     members; D_e is symmetric, and delta != -delta, so the center pairs
     number D_e.bit_count() // 2.  With S and N from square_set it is
-    (S - e2) & (N + e2), two translations.  2*delta = 0 holds only at
-    delta = 0 when the additive period p is odd, also at n/2 in Z/nZ with
-    n even, and everywhere in characteristic 2.
+    (S - e2) & (N + e2), two translations, less two_torsion.  In
+    characteristic 2 that is everything, so D_e is empty with no square
+    set built.
     """
-    p = carrier.additive_layout[0]
-    if p == 2:
+    if carrier.additive_layout[0] == 2:
         return 0
     s, neg = carrier.square_set()
     d_mask = carrier.translate(s, carrier.neg(e2)) & carrier.translate(neg, e2)
-    d_mask &= ~1
-    if p % 2 == 0:
-        d_mask &= ~(1 << p // 2)
-    return d_mask
+    return d_mask & ~two_torsion(carrier)

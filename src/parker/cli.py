@@ -49,17 +49,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log the progress of scans and hourglass "
                              "searches on stderr")
+    # each subcommand sets run, its handler, and kind where two share one
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (("field", "search one finite field F_q"),
                             ("ring", "search one ring Z/nZ")):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=_cmd_single, kind=name)
         p.add_argument("order", type=int, help=f"at most {MAX_ORDER}")
         p.add_argument("--list", action="store_true",
                        help="include the tuples themselves")
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("scan-fields", help="classify a range of field orders")
+    p.set_defaults(run=_cmd_scan, kind="field")
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True,
                    help=f"at most {MAX_ORDER}")
@@ -71,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_common(p)
 
     p = sub.add_parser("scan-rings", help="classify a range of ring moduli")
+    p.set_defaults(run=_cmd_scan, kind="ring")
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True,
                    help=f"at most {MAX_ORDER}")
@@ -82,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_common(p)
 
     p = sub.add_parser("hourglass", help="search for magic hourglass triples")
+    p.set_defaults(run=_cmd_hourglass)
     p.add_argument("--mode", choices=tuple(MAX_BOUND), required=True)
     p.add_argument("--max-norm", type=int, required=True,
                    help="norm bound, at most "
@@ -89,15 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      in MAX_BOUND.items()))
 
     p = sub.add_parser("verify", help="validate a square file")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("congruum", help="three-square progression parameters")
+    p.set_defaults(run=_cmd_congruum)
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
 
     p = sub.add_parser("chi", help="square progression of a Gaussian integer")
+    p.set_defaults(run=_cmd_chi)
     p.add_argument("re", type=int)
     p.add_argument("im", type=int)
     return parser
@@ -123,13 +131,14 @@ def _tuple_json(carrier, t):
     return [carrier.element_to_json(x) for x in t]
 
 
-def _cmd_single(args, kind):
+def _cmd_single(args):
     from .algebra import make_carrier
     from .search import (count_field, count_ring, msos_field, msos_ring,
                          ring_square_count)
 
     # only a listing needs the tuples; a count needs no tuple, and a ring
     # count no square set of Z/nZ
+    kind = args.kind
     carrier = make_carrier(kind, args.order)
     if args.list:
         tuples = (msos_field if kind == "field" else msos_ring)(carrier).tuples
@@ -165,10 +174,10 @@ def _cmd_single(args, kind):
     return EXIT_OK
 
 
-def _cmd_scan(args, kind):
+def _cmd_scan(args):
     from . import survey
 
-    if kind == "field":
+    if args.kind == "field":
         order_filter = ("primes-only" if args.primes
                         else "prime-powers-only" if args.prime_powers
                         else "all")
@@ -328,31 +337,13 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        if args.command == "field":
-            code = _cmd_single(args, "field")
-        elif args.command == "ring":
-            code = _cmd_single(args, "ring")
-        elif args.command == "scan-fields":
-            code = _cmd_scan(args, "field")
-        elif args.command == "scan-rings":
-            code = _cmd_scan(args, "ring")
-        elif args.command == "hourglass":
-            code = _cmd_hourglass(args)
-        elif args.command == "verify":
-            code = _cmd_verify(args)
-        elif args.command == "congruum":
-            code = _cmd_congruum(args)
-        elif args.command == "chi":
-            code = _cmd_chi(args)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"parker: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:  # pragma: no cover
         print(f"parker: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,11 +5,12 @@ squared elements.  msos_field and msos_ring enumerate the full set of magic
 tuples up to scaling: fields normalize the center to 0 (with the corner pair
 fixed to 1 and -1) or to 1, rings normalize the center to a divisor residue.
 The pair kernel serves only these listings.  count_field and count_ring
-give their counts by one formula on count vectors, each from a mask
-kernel: a field's at center 1, and for Z/nZ those of the prime-power
-factors of n, computed once per process, with no mask over Z/nZ (see
-count_ring).  Range scans use the count_*, and only msos_* (and `parker
-field`/`ring` with --list) keep tuples.
+give their counts by one formula on count vectors of 25 entries, each
+distinct count once, that _center_counts builds from a carrier and a
+center alone with a mask kernel: a field's at center 1, and for Z/nZ
+those of the prime-power factors of n, computed once per process, with
+no mask over Z/nZ (see count_ring).  Range scans use the count_*, and
+only msos_* (and `parker field`/`ring` with --list) keep tuples.
 brute_force_oracle enumerates with no normalization at all and is used to
 check that the normalized searches lose nothing.
 """
@@ -23,7 +24,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .algebra import (Carrier, ModularRing, _bitmask, center_offsets,
-                      divisors, factorize, make_carrier, mask_bits, squares)
+                      divisors, factorize, make_carrier, mask_bits, squares,
+                      two_torsion)
 
 # core's dihedral group is imported by the two oracle checks that use it,
 # so a search or scan never loads core
@@ -369,13 +371,11 @@ def count_field(q) -> int:
     carrier = _odd_field(q)
     if carrier is None:
         return 0
-    # center 1 has 0 in D', and Z = {0} in odd characteristic
-    d = center_offsets(carrier, carrier.encode_int(1)) | 1
-    zero = [(0, 1, _preimage(carrier, 1, 2), _preimage(carrier, 1, 3))]
-    vector = _center_counts(carrier, d, zero, _preimage(carrier, 1, 5))
     t_mask = _center_zero_mask(carrier, center_offsets(carrier, 0))
-    signed = tuple(map(mul, _SIGNS, vector))
-    return t_mask.bit_count() // 2 + _center_class_count(signed, 1, carrier)
+    vector = _center_counts(carrier, carrier.encode_int(1))
+    # count_ring's product tree from _WEIGHTS, with this one factor
+    weighted = tuple(map(mul, _WEIGHTS, vector))
+    return t_mask.bit_count() // 2 + _center_class_count(weighted, 1, carrier)
 
 
 def count_ring(n) -> int:
@@ -404,9 +404,12 @@ def count_ring(n) -> int:
         T = sum over S of (-1)**|S| * prod over q of N_q(S),
 
     where N_q(S) counts the (alpha, gamma) mod q with all four values in
-    D'_q and those at S in Z_q.  O and O5 factor the same way over the
-    positions x, 2x, 3x, as O_q(S) and O5_q(S); 5x = 0 is a condition mod
-    each q.  The vectors depend on c mod q only through its gcd with q
+    D'_q and those at S in Z_q.  N_q(S) is equal on the S that the swaps
+    alpha <-> gamma and gamma <-> -gamma exchange, and so is the product
+    over q, so the vector holds the 9 distinct values, which _WEIGHTS
+    weights by sign and multiplicity.  O and O5 factor the same way over
+    the positions x, 2x, 3x, as O_q(S) and O5_q(S); 5x = 0 is a condition
+    mod each q.  The vectors depend on c mod q only through its gcd with q
     (the same unit-square argument), and _component_counts caches them
     for each prime power q and its center classes, so a scan computes the
     vectors of q once for all of 4q, 8q, 12q, ...  An order that is not a
@@ -438,7 +441,7 @@ def _count_ring(n, factors):
                         key=len)
     # the product over the prime powers so far, keyed by the product of
     # the classes taken so far
-    products = {1: _SIGNS}
+    products = {1: _WEIGHTS}
     for vectors in components:
         products = {h * r: tuple(map(mul, vec, v))
                     for h, vec in products.items()
@@ -450,8 +453,8 @@ def _count_ring(n, factors):
 
 
 def _center_class_count(vector, g, label):
-    """The count at one center from its count vector signed by _SIGNS; g
-    and label name the center class and the carrier if a division fails.
+    """The count at one center from its count vector times _WEIGHTS; g and
+    label name the center class and the carrier if a division fails.
 
     At a center c, write D' for the offsets delta with c +- delta both
     squares and Z for the delta with 2*delta = 0, so that D_e = D' minus
@@ -471,8 +474,8 @@ def _center_class_count(vector, g, label):
 
     and both divisions are asserted to be exact.
     """
-    pairs = sum(vector[:16])
-    repeats = 2 * sum(vector[16:24]) - sum(vector[24:])
+    pairs = sum(vector[:9])
+    repeats = 2 * sum(vector[9:17]) - sum(vector[17:])
     if pairs % 8 or repeats % 4:
         raise AssertionError(f"center class {g} of {label}: T = {pairs} "
                              f"and 2(O - O5) + O5 = {repeats}")
@@ -504,14 +507,19 @@ def _square_count(p, k):
     return count
 
 
-# The count vector of a prime power q at one center: N_q(S) for the 16
-# subsets S of the pair positions alpha, gamma, alpha + gamma and
-# alpha - gamma, then O_q(S) and O5_q(S) for the 8 subsets of the
-# positions x, 2x, 3x, S as a bitmask of positions.  count_ring starts the
-# product over q from _SIGNS, (-1)**|S| in each entry, and count_field
-# multiplies its one vector by it, so that T, O and O5 are plain sums.
-_SIGNS = tuple((-1) ** s.bit_count()
-               for s in (*range(16), *range(8), *range(8)))
+# The count vector of Z/qZ or a field at one center: N(S) for the subsets
+# S of the pair positions alpha, gamma, alpha + gamma and alpha - gamma,
+# S as a bitmask of positions, then O(S) and O5(S) for the 8 subsets of
+# the positions x, 2x, 3x.  The swaps (alpha, gamma) -> (gamma, alpha)
+# and (alpha, gamma) -> (alpha, -gamma) keep D' and Z and exchange bits 0
+# and 1 and bits 2 and 3 of S, so N(S) is equal on the orbits {0},
+# {1, 2}, {3}, {4, 8}, {5, 6, 9, 10}, {7, 11}, {12}, {13, 14} and {15},
+# and so is an entrywise product of vectors.  The vector holds one N(S)
+# per orbit, 25 entries in all.  _WEIGHTS holds (-1)**|S| times the orbit
+# size for these and (-1)**|S| for O and O5; count_ring starts its product
+# over q from it, so that T, O and O5 are plain sums of the product.
+_WEIGHTS = (1, -2, 1, -2, 4, -2, 1, -2, 1,
+            *((-1) ** s.bit_count() for s in (*range(8), *range(8))))
 
 
 @cache
@@ -519,28 +527,18 @@ def _component_counts(p, k):
     """{p**m: the count vector of Z/qZ at center p**m}, q = p**k, read-only.
 
     The center classes of Z/qZ are the gcds p**m of its squares with q:
-    m even below k, and m = k for the center 0.  The vector holds N_q(S),
-    O_q(S) and O5_q(S) (see count_ring and _center_counts).  The cache
-    holds one entry of integers per prime power up to MAX_ORDER at most;
-    the carrier and its masks are dropped once the vectors are counted.
+    m even below k, and m = k for the center 0.  The vector holds the 9
+    distinct N_q(S), then O_q(S) and O5_q(S) (see count_ring and
+    _center_counts).  The cache holds one entry of integers per prime
+    power up to MAX_ORDER at most; the carrier and its masks are dropped
+    once the vectors are counted.
     """
     q = p**k
     carrier = ModularRing(q)
-    s, neg = carrier.square_set()
-    if s.bit_count() != _square_count(p, k):
+    if carrier.square_set()[0].bit_count() != _square_count(p, k):
         raise AssertionError(f"square count of Z/{q}Z")
-    # each z of Z_q with its preimages under t -> 2t and t -> 3t
-    zero = [(z, 1 << z, _preimage(carrier, 1 << z, 2),
-             _preimage(carrier, 1 << z, 3))
-            for z in ((0, q // 2) if q % 2 == 0 else (0,))]
-    fives = _preimage(carrier, 1, 5)
-    out = {}
-    for m in (*range(0, k, 2), k):
-        c = p**m % q
-        d = carrier.translate(s, -c % q) & carrier.translate(neg, c)
-        out[p**m] = _center_counts(carrier, d,
-                                   [z for z in zero if d >> z[0] & 1], fives)
-    return MappingProxyType(out)
+    return MappingProxyType({p**m: _center_counts(carrier, p**m % q)
+                             for m in (*range(0, k, 2), k)})
 
 
 def _preimage(carrier, mask, k):
@@ -577,19 +575,21 @@ def _preimage(carrier, mask, k):
     return out
 
 
-def _center_counts(carrier, d, zero, fives):
-    """The count vector of Z/qZ or of a field of odd order at one center,
-    from d = D', zero, the members z of D' in Z = {z : 2z = 0}, at most 2,
-    each as (z, its mask, and the masks of its preimages under t -> 2t and
-    t -> 3t), and fives, the mask of the x with 5x = 0.
+def _center_counts(carrier, c):
+    """The count vector of Z/qZ or of a field of odd order at the center
+    square c: the 9 distinct N(S), then O(S) and O5(S) (see _WEIGHTS).
 
+    It is counted from D' = (S - c) & (N + c), with S and N from
+    square_set, zd = D' & Z, with Z from two_torsion (0, and q/2 in Z/qZ
+    with q even), the preimages of both under t -> 2t and t -> 3t, and
+    fives, the mask of the x with 5x = 0.
     N({}) is the mask kernel: alpha contributes the popcount of
     D' & (D' - alpha) & (D' + alpha), the same for -alpha, so the sum runs
     over one member of each +- pair, doubled, and the members of Z once.
     The lower member of a pair has its top nonzero digit below p/2.  Z/qZ
     and F_q shift D' held doubled inline, F_{p^r} goes through _translator.
-    For S not empty, the first position of S is fixed to each z in
-    zd = D' & Z, and then the others lie on lines in t:
+    For S not empty, the first position of S is fixed to each z in zd,
+    and then the others lie on lines in t:
 
         alpha = z:          gamma = t, alpha +- gamma = z +- t
         alpha + gamma = z:  alpha = t, gamma = z - t, alpha - gamma = 2t - z
@@ -603,16 +603,21 @@ def _center_counts(carrier, d, zero, fives):
     """
     (p, r), q = carrier.additive_layout, carrier.order
     translate = carrier.translate
-    zs = [z[0] for z in zero]
-    # the masks of zd and of its preimages under t -> 2t and t -> 3t
-    zd, zd2, zd3 = (sum(z[i] for z in zero) for i in (1, 2, 3))
+    s, negs = carrier.square_set()
+    d = translate(s, carrier.neg(c)) & translate(negs, c)
+    zd = d & two_torsion(carrier)
     d2, d3 = _preimage(carrier, d, 2), _preimage(carrier, d, 3)
+    zd2, zd3 = _preimage(carrier, zd, 2), _preimage(carrier, zd, 3)
     n1 = n3 = n4 = n5 = n7 = n12 = n13 = n15 = 0
-    for z in zs:
-        # {t : t + z in d or zd}, then {t : 2t + z in d or zd}; z is 0,
-        # or q/2 in Z/qZ with q even
+    # zd holds 0 and at most q/2 besides, so walk its set bits rather
+    # than write out its q/2 digits as mask_bits would
+    rest = zd
+    while rest:
+        z = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        # {t : t + z in d or zd}, then {t : 2t + z in d or zd}
         b, bz = translate(d, z), translate(zd, z)
-        c, cz = (_preimage(carrier, b, 2), _preimage(carrier, bz, 2)) \
+        h, hz = (_preimage(carrier, b, 2), _preimage(carrier, bz, 2)) \
             if z % 2 else (translate(d2, -(z // 2) % q),
                            translate(zd2, -(z // 2) % q))
         db = d & b
@@ -622,8 +627,8 @@ def _center_counts(carrier, d, zero, fives):
         n7 += (zd & b & bz).bit_count()     # and gamma
         n13 += (d & bz).bit_count()         # all but gamma
         n15 += (zd & bz).bit_count()        # all four
-        n4 += (db & c).bit_count()          # {alpha + gamma}
-        n12 += (db & cz).bit_count()        # {alpha +- gamma}
+        n4 += (db & h).bit_count()          # {alpha + gamma}
+        n12 += (db & hz).bit_count()        # {alpha +- gamma}
     # the kernel; its alpha in Z are the ones N({alpha}) = n1 counts
     pairs = 0
     if r == 1:
@@ -638,12 +643,8 @@ def _center_counts(carrier, d, zero, fives):
             pairs += (d & shifted(alpha) & shifted(neg(alpha))).bit_count()
     triples = [x & y & w for w in (d3, zd3) for y in (d2, zd2)
                for x in (d, zd)]
-    # N(S) keeps its value when (alpha, gamma) -> (gamma, alpha) swaps the
-    # positions alpha and gamma, bits 0 and 1 of S, and when
-    # (alpha, gamma) -> (alpha, -gamma) swaps alpha + gamma and
-    # alpha - gamma, bits 2 and 3, since D' and zd are symmetric
-    return (2 * pairs + n1, n1, n1, n3, n4, n5, n5, n7,
-            n4, n5, n5, n7, n12, n13, n13, n15,
+    fives = _preimage(carrier, 1, 5)
+    return (2 * pairs + n1, n1, n3, n4, n5, n7, n12, n13, n15,
             *(m.bit_count() for m in triples),
             *((m & fives).bit_count() for m in triples))
 

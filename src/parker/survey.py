@@ -159,7 +159,7 @@ def field_orders(lo: int, hi: int, order_filter: str = "all") -> list[int]:
 
     The strict powers p**k, k >= 2, are the powers of the primes up to
     sqrt(hi), so only the primes take a primality test per order.  An
-    unknown filter or lo above hi raises ValueError.
+    unknown filter or lo above hi raises ValueError; hi below 2 gives [].
     """
     if order_filter not in ("all", "primes-only", "prime-powers-only"):
         raise ValueError(f"unknown field filter {order_filter!r}")
@@ -168,7 +168,7 @@ def field_orders(lo: int, hi: int, order_filter: str = "all") -> list[int]:
     if order_filter != "prime-powers-only":
         out = [n for n in orders if is_prime(n)]
     if order_filter != "primes-only":
-        for p in filter(is_prime, range(2, math.isqrt(hi) + 1)):
+        for p in filter(is_prime, range(2, math.isqrt(max(hi, 0)) + 1)):
             power = p * p
             while power <= hi:
                 if power >= lo:

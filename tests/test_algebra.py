@@ -8,7 +8,8 @@ from parker.algebra import (MAX_ORDER, ExtensionField, NonInvertibleError,
                             PrimeField, center_offsets,
                             divisor_representatives, divisors, factorize,
                             find_irreducible, is_prime, make_carrier,
-                            mask_bits, prime_power_base, squares)
+                            mask_bits, prime_power_base, squares,
+                            two_torsion)
 from parker.survey import field_orders
 
 
@@ -381,6 +382,15 @@ class TestCenterPairs:
                      if c.add(e2, d) in sq and c.sub(e2, d) in sq
                      and c.add(d, d) != 0]
             assert mask_bits(center_offsets(c, e2)) == brute
+
+    @pytest.mark.parametrize("kind,order", [
+        ("field", 2), ("field", 8), ("field", 9), ("field", 101),
+        ("ring", 2), ("ring", 27), ("ring", 30), ("ring", 64)])
+    def test_two_torsion_is_the_order_two_offsets(self, kind, order):
+        c = make_carrier(kind, order)
+        assert mask_bits(two_torsion(c)) == \
+            [d for d in c.elements() if c.add(d, d) == 0]
+        assert repr(c) == str(c)
 
 
 class TestDivisorRepresentatives:

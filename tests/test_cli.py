@@ -170,6 +170,16 @@ class TestScans:
         assert out == ""
         assert err == "parker: error: inverted range: lo 5 is above hi 2\n"
 
+    @pytest.mark.parametrize("argv", [("scan-fields",),
+                                      ("scan-fields", "--primes"),
+                                      ("scan-fields", "--prime-powers"),
+                                      ("scan-rings",)])
+    def test_negative_range_prints_empty_table(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--from", "-10", "--to", "-5")
+        assert code == 0
+        assert out == "record breakers: \n"
+        assert err == ""
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_1(self, capsys, jobs):
         code, out, err = run_cli(capsys, "scan-rings", "--from", "2", "--to",

@@ -164,6 +164,12 @@ class TestOrderGuard:
         assert orders(5, 5) == [5]
         assert orders(0, 1) == []  # not inverted, only below the least order
 
+    @pytest.mark.parametrize("hi", [-5, 0, 1])
+    @pytest.mark.parametrize("order_filter", ["all", "primes-only",
+                                              "prime-powers-only"])
+    def test_field_orders_below_two_empty(self, hi, order_filter):
+        assert survey.field_orders(-10, hi, order_filter) == []
+
 
 class _InlinePool:
     """Stand-in for ProcessPoolExecutor that records its size and each
