@@ -762,11 +762,9 @@ def center_offsets(carrier: Carrier, e2: int) -> int:
     members; D_e is symmetric, and delta != -delta, so the center pairs
     number D_e.bit_count() // 2.  With S and N from square_set it is
     (S - e2) & (N + e2), two translations, less two_torsion.  In
-    characteristic 2 that is everything, so D_e is empty with no square
-    set built.
+    characteristic 2 that is everything, so D_e is empty; the field search
+    gives a field of even order no center and never asks for it.
     """
-    if carrier.additive_layout[0] == 2:
-        return 0
     s, neg = carrier.square_set()
     d_mask = carrier.translate(s, carrier.neg(e2)) & carrier.translate(neg, e2)
     return d_mask & ~two_torsion(carrier)

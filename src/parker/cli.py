@@ -168,8 +168,11 @@ def _cmd_single(args):
           f"{'not Parker' if count else 'Parker'}")
     if args.list:
         for t in tuples:
-            rows = [" ".join(carrier.element_repr(x) for x in t[i:i + 3])
-                    for i in (0, 3, 6)]
+            # an extension-field element such as 6 + 6*x prints with
+            # spaces, so it is parenthesized to keep the cells apart
+            cells = [carrier.element_repr(x) for x in t]
+            cells = [f"({c})" if " " in c else c for c in cells]
+            rows = [" ".join(cells[i:i + 3]) for i in (0, 3, 6)]
             print("  [" + " | ".join(rows) + "]")
     return EXIT_OK
 

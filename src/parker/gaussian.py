@@ -303,12 +303,16 @@ def square_sum_generators(s: int) -> list[GaussianInt]:
     return out
 
 
-def _assemble_cells(progs, s):
+def _hourglass(gens, s):
+    """(cells, report): the hourglass of three generators of norm s, one
+    square progression chi(g) per center line, validated over Z."""
+    from .algebra import Integers
+    from .core import validate_hourglass
+
     # One progression per center line: (a,e,i), then (c,e,g), then (b,e,h).
-    r1, _, t1 = progs[0]
-    r2, _, t2 = progs[1]
-    r3, _, t3 = progs[2]
-    return (t1, r3, r2, s, t2, t3, r1)
+    (r1, _, t1), (r2, _, t2), (r3, _, t3) = map(chi, gens)
+    cells = (t1, r3, r2, s, t2, t3, r1)
+    return cells, validate_hourglass(tuple(c * c for c in cells), Integers())
 
 
 def hourglass_guess(s: int) -> HourglassCandidate | None:
@@ -319,19 +323,13 @@ def hourglass_guess(s: int) -> HourglassCandidate | None:
     three earliest qualifying generators in square_sum_generators order give
     the three center-line progressions.
     """
-    from .algebra import Integers
-    from .core import validate_hourglass
-
     if s < 1:
         raise ValueError("center must be a positive integer")
     gens = [g for g in square_sum_generators(s) if g.im > 0 and g.re != g.im]
     if len(gens) < 3:
         return None
     gens = tuple(gens[:3])
-    progs = [chi(g) for g in gens]
-    cells = _assemble_cells(progs, s)
-    report = validate_hourglass(tuple(c * c for c in cells), Integers())
-    return HourglassCandidate(s, gens, cells, report)
+    return HourglassCandidate(s, gens, *_hourglass(gens, s))
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +351,14 @@ class HourglassSearchResult(NamedTuple):
 
 
 def _verify_hit(x, y, z) -> tuple[int, ...]:
-    from .algebra import Integers
-    from .core import validate_hourglass
-
     if not hourglass_condition(x, y, z).holds:
         raise AssertionError(
             f"triple {x}, {y}, {z} fails the hourglass condition")
-    alpha, beta, gamma = hourglass_generators(x, y, z)
-    s = alpha.norm()
-    if beta.norm() != s or gamma.norm() != s:  # pragma: no cover
+    gens = hourglass_generators(x, y, z)
+    s = gens[0].norm()
+    if gens[1].norm() != s or gens[2].norm() != s:  # pragma: no cover
         raise AssertionError("generator norms disagree")
-    cells = _assemble_cells([chi(alpha), chi(beta), chi(gamma)], s)
-    report = validate_hourglass(tuple(c * c for c in cells), Integers())
+    cells, report = _hourglass(gens, s)
     if not report.is_magic:
         raise AssertionError(
             f"triple {x}, {y}, {z} passed the condition but fails validation")

@@ -8,7 +8,7 @@ importing this module alone lets the parser do so without loading either.
 # (search.count_field and count_ring, timed in process, best of 7 fresh
 # interpreters, with the peak RSS of the interpreter, on a 2-CPU x86 VM:
 # Z/32768Z in 0.02 s and 16 MB, Z/32749Z in 0.07 s and 16 MB, Z/32765Z in
-# under 0.01 s, F_28561 in 0.09 s and 18 MB, F_32749 in 0.03 s and 16 MB,
+# under 0.01 s, F_28561 in 0.06 s and 18 MB, F_32749 in 0.03 s and 16 MB,
 # F_32761 in 0.05 s and 19 MB), but
 # msos_field and msos_ring, and with them `parker field/ring --list`, keep
 # every tuple, and their count grows about as the square of the order.  At

@@ -109,16 +109,13 @@ def _pair_hits(carrier, e2, d_mask):
         alpha = -(alpha +- gamma)    is gamma = -+2*alpha.
 
     Of these, only 2*gamma = +-alpha and gamma = +-2*alpha can hold, and
-    they are the offsets cleared.  A field of characteristic 2 has no pair
-    at all, since u + v = 2e^2 = 0 forces u = v, so the halves of alpha are
-    only ever taken in odd characteristic and in Z/nZ.
+    they are the offsets cleared.  The carrier is a field of odd order or a
+    Z/nZ, as a field of even order has no center (see _field_centers), so
+    the halves of alpha are only ever taken there.
 
     The lower members u < v are read off D_e + e^2 in ascending order, and
     D_e is translated through _translator (one shift in Z/nZ and F_p).
     """
-    # D_e is empty in characteristic 2
-    if not d_mask:
-        return
     sub = carrier.sub
     repeats = _repeat_mask(carrier)
     translate = _translator(carrier, d_mask)[1]
@@ -166,16 +163,13 @@ def _center_zero_hits(carrier, e2, d_mask):
             yield alpha, hit
 
 
-# The most bits _translator's table may hold.  A full table, every digit
-# but the top one, makes each translation one shift with no call to
-# Carrier.translate, and may take FULL_TABLE_BITS = 2**24 bits, 2 MiB:
-# every F_{p^2} has one (1.5 MB at F_181^2), and so do F_19^3 and F_23^3.
-# A table cut short still calls Carrier.translate for the middle digits,
-# so each entry saves less; it keeps to TABLE_BITS = 2**22 bits, 512 KiB.
-# Every odd field order up to 5000 has a full table within TABLE_BITS; the
-# first order cut short is 3**8 = 6561, whose larger tables measured slower.
-FULL_TABLE_BITS = 2**24
-TABLE_BITS = 2**22
+# The most bits _translator's table may hold, 2 MiB.  A full table, every
+# digit but the top one, makes each translation one shift with no call to
+# Carrier.translate: every odd field order up to 5000 has one, and so do
+# every F_{p^2} (1.5 MB at F_181^2), F_19^3 and F_23^3.  Past that a table
+# cut short adds the middle digits by Carrier.translate; 3**8 = 6561 is the
+# first order cut short, to 6 of its 7 low digits.
+TABLE_BITS = 2**24
 
 
 def _translator(carrier, mask):
@@ -188,17 +182,16 @@ def _translator(carrier, mask):
     m | m << q, so that translating by c * p**(r - 1) is the one shift
     >> (q - c * p**(r - 1)); Z/nZ and prime fields need only that one.
     The block of the p**i entries with digit i = c is the block of c - 1
-    translated by p**i, one masked shift pair each.  h is r - 1 when the
-    p**h entries of 2q bits fit FULL_TABLE_BITS, else the largest that
-    keeps them within TABLE_BITS; when that cuts the table short,
-    Carrier.translate adds the middle digits.
+    translated by p**i, one masked shift pair each.  h is the most low
+    digits, at most r - 1, whose p**h entries of 2q bits fit TABLE_BITS;
+    when that cuts the table short, Carrier.translate adds the middle
+    digits.
     """
     p, r = carrier.additive_layout
     q = carrier.order
     h = r - 1
-    if p**h * 2 * q > FULL_TABLE_BITS:
-        while h and p**h * 2 * q > TABLE_BITS:
-            h -= 1
+    while h and p**h * 2 * q > TABLE_BITS:
+        h -= 1
     table = [mask | mask << q]
     weight = 1
     for i in range(h):
@@ -229,13 +222,14 @@ def _repeat_mask(carrier):
 
     Those are +-2*alpha and the solutions of 2*gamma = +-alpha.  With an odd
     additive period p, 2 has the inverse (p + 1)/2 and each sign has the
-    one solution +-alpha * (p + 1)/2.  In Z/nZ with n even, 2*gamma = alpha
-    has the two solutions alpha/2 and alpha/2 + n/2 when alpha is even and
-    none when it is odd, and so has 2*gamma = -alpha.  alpha is an offset
-    of D_e, so neither 2*alpha nor alpha/2 is 0.
+    one solution +-alpha * (p + 1)/2.  Otherwise the carrier is Z/nZ with
+    n even (a field of even order has no center, see _field_centers), where
+    2*gamma = alpha has the two solutions alpha/2 and alpha/2 + n/2 when
+    alpha is even and none when it is odd, and so has 2*gamma = -alpha.
+    alpha is an offset of D_e, so neither 2*alpha nor alpha/2 is 0.
     """
-    p, r = carrier.additive_layout
-    if p % 2 or r > 1:
+    p = carrier.additive_layout[0]
+    if p % 2:
         add, neg, mul = carrier.add, carrier.neg, carrier.mul
         half = carrier.encode_int((p + 1) // 2)
 
@@ -255,18 +249,25 @@ def _repeat_mask(carrier):
     return repeats
 
 
-def _field(carrier):
-    """carrier, once checked to be a field; ValueError otherwise."""
-    if carrier.kind not in ("prime-field", "extension-field"):
-        raise ValueError(f"the field search needs a field carrier, "
-                         f"got {carrier}")
-    return carrier
+def _carrier(kind, x):
+    """x once checked to be a carrier of kind "field" or "ring", or else
+    the carrier of that kind and order x; ValueError otherwise.
+
+    Every search entry goes through it, so the kernels below may assume a
+    field or a Z/nZ.
+    """
+    if not isinstance(x, Carrier):
+        return make_carrier(kind, x)
+    # the kinds prime-field and extension-field, and modular-ring
+    if not x.kind.endswith("-" + kind):
+        raise ValueError(f"the {kind} search needs a {kind} carrier, got {x}")
+    return x
 
 
 def _odd_field(q):
     """The carrier of q, a field carrier or order, or None, with nothing
     built, for an even one; ValueError as in prefilter_field."""
-    carrier = _field(q) if isinstance(q, Carrier) else None
+    carrier = _carrier("field", q) if isinstance(q, Carrier) else None
     order = q if carrier is None else carrier.order
     if order % 2 == 0 and (order < 2 or order & (order - 1)):
         raise ValueError(f"{order} is not a prime power, no field of that "
@@ -279,22 +280,15 @@ def _field_centers(q):
 
     Center 0 fixes the anti-diagonal corners to 1 and -1 and scans corner
     pairs summing to 0 (_center_zero_hits); center 1 scans unordered
-    combinations of two distinct pairs summing to 2 (_pair_hits).
+    combinations of two distinct pairs summing to 2 (_pair_hits).  A field
+    of even order has no center at all, since u + v = 2e^2 = 0 forces
+    u = v, so only fields of odd order reach the kernels.
     """
-    carrier = _field(q if isinstance(q, Carrier)
-                     else make_carrier("field", q))
+    carrier = _carrier("field", q)
+    if carrier.order % 2 == 0:
+        return carrier, []
     return carrier, [(0, _center_zero_hits),
                      (carrier.encode_int(1), _pair_hits)]
-
-
-def _ring(n):
-    """The carrier Z/nZ of n, or n itself once checked to be a ring carrier;
-    ValueError otherwise."""
-    carrier = n if isinstance(n, Carrier) else make_carrier("ring", n)
-    if carrier.kind != "modular-ring":
-        raise ValueError(f"the ring search needs a ring carrier, "
-                         f"got {carrier}")
-    return carrier
 
 
 def _center_squares(n, factors):
@@ -311,7 +305,7 @@ def _center_squares(n, factors):
 def _ring_centers(n):
     """(carrier, centers) of the ring search: a list of (e^2, _pair_hits),
     one per distinct divisor square (see _center_squares)."""
-    carrier = _ring(n)
+    carrier = _carrier("ring", n)
     n = carrier.order
     return carrier, [(e2, _pair_hits)
                      for e2 in _center_squares(n, factorize(n))]
@@ -427,7 +421,7 @@ def count_ring(n) -> int:
     own vector.  The divisibility of T and of 2*(O - O5) + O5 is still
     asserted once per class, naming it.
     """
-    n = _ring(n).order
+    n = _carrier("ring", n).order
     return _count_ring(n, factorize(n))
 
 
@@ -631,15 +625,15 @@ def _center_counts(carrier, c):
         n12 += (db & hz).bit_count()        # {alpha +- gamma}
     # the kernel; its alpha in Z are the ones N({alpha}) = n1 counts
     pairs = 0
+    lower = d & sum((1 << (p + 1) // 2 * p**i) - (1 << p**i)
+                    for i in range(r))
     if r == 1:
         dd = d | d << q
-        for alpha in mask_bits(d & (1 << (q + 1) // 2) - 2):
+        for alpha in mask_bits(lower):
             pairs += (d & dd >> alpha & dd >> q - alpha).bit_count()
     else:
-        lower = sum((1 << (p + 1) // 2 * p**i) - (1 << p**i)
-                    for i in range(r))
         shifted, neg = _translator(carrier, d)[1], carrier.neg
-        for alpha in mask_bits(d & lower):
+        for alpha in mask_bits(lower):
             pairs += (d & shifted(alpha) & shifted(neg(alpha))).bit_count()
     triples = [x & y & w for w in (d3, zd3) for y in (d2, zd2)
                for x in (d, zd)]

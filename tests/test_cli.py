@@ -56,6 +56,26 @@ class TestFieldAndRing:
         assert all(isinstance(cell, list) and len(cell) == 4
                    for t in payload["tuples"] for cell in t)
 
+    @pytest.mark.parametrize("argv,expected", [
+        (("ring", "27"), "Z/27Z: 3 magic squares of squares "
+         "(3 dihedral classes), not Parker\n"
+         "  [10 13 7 | 25 1 4 | 22 16 19]\n"
+         "  [10 16 4 | 22 1 7 | 25 13 19]\n"
+         "  [13 7 10 | 25 1 4 | 19 22 16]\n"),
+        (("field", "29"), "F_29: 2 magic squares of squares "
+         "(2 dihedral classes), not Parker\n"
+         "  [5 23 1 | 25 0 4 | 28 6 24]\n"
+         "  [6 22 1 | 24 0 5 | 28 7 23]\n"),
+        # an element that prints with spaces is parenthesized
+        (("field", "49"), "F_49: 1 magic squares of squares "
+         "(1 dihedral classes), not Parker\n"
+         "  [x (6 + 6*x) 1 | (1 + 6*x) 0 (6 + x) | 6 (1 + x) 6*x]\n"),
+    ])
+    def test_text_listing(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, *argv, "--list")
+        assert code == 0
+        assert out == expected
+
     def test_plain_output(self, capsys):
         code, out, _ = run_cli(capsys, "field", "17")
         assert code == 0

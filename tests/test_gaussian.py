@@ -283,6 +283,24 @@ class TestHourglassGuess:
         assert [(g.re, g.im) for g in square_sum_generators(s)] == expected
 
 
+class TestVerifyHit:
+    # no search finds a hit, so these are the only runs of _verify_hit;
+    # the generators of the worked triple share the norm 650
+    triple = (GaussianInt(2, 1), GaussianInt(3, 1), GaussianInt(3, 2))
+
+    def test_condition_failure_raises(self):
+        with pytest.raises(AssertionError,
+                           match="fails the hourglass condition"):
+            gaussian._verify_hit(*self.triple)
+
+    def test_validation_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "hourglass_condition",
+                            lambda x, y, z: types.SimpleNamespace(holds=True))
+        with pytest.raises(AssertionError,
+                           match="passed the condition but fails validation"):
+            gaussian._verify_hit(*self.triple)
+
+
 class TestSearchHourglass:
     def test_exhaustive_small_is_empty(self):
         result = search_hourglass("exhaustive", 50)

@@ -217,8 +217,9 @@ class TestPairKernel:
     def test_matches_legacy_kernel(self):
         # every yield, in order, at every center the searches scan; the
         # center-0 field run yields the hits of the legacy kernel's fixed
-        # anti-diagonal in another order.  F_32749 and F_32761 add center 0
-        # at the order limit, where -1 is a square and D_0 is not empty
+        # anti-diagonal in another order, and a field of even order has no
+        # center.  F_32749 and F_32761 add center 0 at the order limit,
+        # where -1 is a square and D_0 is not empty
         carriers = [make_carrier("field", q) for q in field_orders(2, 500)]
         carriers += [make_carrier("ring", n) for n in range(2, 401)]
         carriers += [make_carrier("ring", n) for n in (1032, 2048, 2310, 3216)]
@@ -263,24 +264,22 @@ class TestPairKernel:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_table_lookup_is_translate(self, data):
-        # the extension-field path looks the low digits up in a table of
-        # 2q-bit entries: all of them within 2**24 bits, as for every
-        # F_{p^2} up to F_181^2 and for F_23^3, or else as many as fit
-        # 2**22 bits; F_19683 keeps 4 of its 8 low digits there and adds
-        # the other 4 by Carrier.translate, F_29^3 and F_31^3 keep 1 of 2
-        # and F_13^4 1 of 3
+        # the extension-field path looks up as many low digits as fit
+        # 2**24 bits of 2q-bit entries, all of them for every F_{p^2} up
+        # to F_181^2 and for F_23^3; F_6561 keeps 6 of its 7 low digits
+        # there, F_19683 5 of 8, F_13^4 2 of 3, F_29^3 and F_31^3 1 of 2,
+        # and the other digits are added by Carrier.translate
         order, low_digits = data.draw(st.sampled_from(
-            ((25, 1), (1331, 2), (2187, 6), (3125, 4), (6561, 5),
-             (19683, 4), (24389, 1), (12167, 2), (16129, 1), (17161, 1),
-             (32761, 1), (28561, 1), (29791, 1))))
+            ((25, 1), (1331, 2), (2187, 6), (3125, 4), (6561, 6),
+             (19683, 5), (24389, 1), (12167, 2), (16129, 1), (17161, 1),
+             (32761, 1), (28561, 2), (29791, 1))))
         c = _extension_field(order)
         mask = data.draw(st.integers(0, (1 << order) - 1))
         t = data.draw(st.integers(0, order - 1))
         table, translate = search._translator(c, mask)
         p, r = c.additive_layout
         assert len(table) == p ** low_digits
-        assert len(table) * 2 * order <= (
-            2**24 if low_digits == r - 1 else 2**22)
+        assert len(table) * 2 * order <= 2**24
         assert translate(t) & ((1 << order) - 1) == c.translate(mask, t)
 
     def test_matches_double_loop(self):
@@ -490,15 +489,26 @@ class TestFieldCount:
 
     @pytest.mark.parametrize("orders", [
         field_orders(2, 3000),
-        # degrees 6, 5, 9, 4, 3 and 2 past the orders above; F_13^4 and
-        # F_31^3 have translation tables cut short to one low digit, so
-        # their center-1 kernel also adds the middle digits by
-        # Carrier.translate
-        (15625, 16807, 19683, 28561, 29791, 32761)])
+        # degrees 8, 6, 5, 9, 4, 3 and 2 past the orders above; all but
+        # F_181^2 have translation tables cut short, so their center-1
+        # kernel also adds the middle digits by Carrier.translate
+        (6561, 15625, 16807, 19683, 28561, 29791, 32761)])
     def test_equals_kernel_count(self, orders):
         for q in orders:
             assert count_field(q) == _search_kernel_count(
                 *search._field_centers(q)), q
+
+    def test_even_orders_list_nothing_with_no_kernel(self, monkeypatch):
+        # u + v = 2e^2 = 0 forces u = v, so the field search gives a field
+        # of even order no center and runs no kernel below it
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a kernel")
+
+        for name in ("_pair_hits", "_center_zero_hits", "center_offsets"):
+            monkeypatch.setattr(search, name, refuse)
+        for k in range(1, 16):
+            result = msos_field(2**k)
+            assert result.tuples == () and result.carrier.order == 2**k
 
     def test_even_orders_count_zero_with_nothing_built(self, monkeypatch):
         def refuse(*args, **kwargs):
