@@ -6,8 +6,11 @@ coefficient vector (c0, ..., c_{r-1}) over F_p encodes as sum(c_i * p**i),
 a bijection onto [0, p**r).  Only this module knows about coefficient vectors;
 everything above works with encodings.
 
-Extension-field arithmetic runs on log, antilog and Zech tables to a
-primitive element; polynomials over F_p are used only to build them.
+Extension-field arithmetic runs on log and antilog tables to a primitive
+element; polynomials over F_p are used only to build them.  Addition also
+reads a Zech table, built from those two on the first add or sub.  Counting
+only multiplies, negates and translates masks, so it never builds one;
+listing, verification and the oracle do.
 """
 
 from __future__ import annotations
@@ -154,33 +157,41 @@ def _poly_trim(a):
     return a[:i]
 
 
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
+def _poly_mul(a, b):
+    # the product over Z, left unreduced for _poly_mod
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(tuple(out))
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 def _poly_mod(a, m, p):
-    # m is monic
+    # m is monic; each coefficient of a is reduced mod p once, as the
+    # quotient digit it leads or as a digit of the remainder
     a = list(a)
     dm = len(m) - 1
+    low = m[:dm]
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i] % p
         if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return _poly_trim(tuple(x % p for x in a[:dm]))
+            for j, y in enumerate(low, i - dm):
+                a[j] -= c * y
+    return _poly_trim(tuple([x % p for x in a[:dm]]))
 
 
 def _is_irreducible(poly, p):
-    # trial division against every monic polynomial of degree <= deg/2
+    # no root in F_p (Horner), then trial division against every monic
+    # polynomial of degree 2..deg/2
     deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
+    for x in range(p):
+        value = 0
+        for c in reversed(poly):
+            value = value * x + c
+        if not value % p:
+            return False
+    for d in range(2, deg // 2 + 1):
         for enc in range(p**d):
             div = _digits_of(enc, p, d) + (1,)
             if not _poly_mod(poly, div, p):
@@ -496,14 +507,15 @@ def _times_table(g, p: int, r: int, modulus_poly) -> list:
     return table
 
 
-def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list, list]:
-    """(exp, log, zech) of F_{p^r} = F_p[x] / modulus_poly, q = p**r.
+def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list]:
+    """(exp, log) of F_{p^r} = F_p[x] / modulus_poly, q = p**r.
 
     g is the smallest encoding >= p with g^((q-1)/l) != 1 for every prime
-    l | q - 1, so g has order q - 1.  exp[k] = g^k and zech[k] = log(1 + g^k),
-    -1 where g^k = -1, are stored twice over so that sums and differences
-    of two logs index them directly; log inverts exp and holds -1 at 0.
-    exp walks the cycle of _times_table from 1, one list index per unit.
+    l | q - 1, so g has order q - 1.  exp[k] = g^k is stored twice over so
+    that a sum of two logs indexes it directly; log inverts exp and holds
+    -1 at 0.  exp walks the cycle of _times_table from 1, one list index
+    per unit.  The Zech table, which only addition needs, is built from
+    these on first use (ExtensionField._zech).
     """
     q = p**r
     n = q - 1
@@ -513,8 +525,8 @@ def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list, list]:
         out = one
         while k:
             if k & 1:
-                out = _poly_mod(_poly_mul(out, a, p), modulus_poly, p)
-            a = _poly_mod(_poly_mul(a, a, p), modulus_poly, p)
+                out = _poly_mod(_poly_mul(out, a), modulus_poly, p)
+            a = _poly_mod(_poly_mul(a, a), modulus_poly, p)
             k >>= 1
         return out
 
@@ -532,11 +544,7 @@ def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list, list]:
         x = times_g[x]
         exp[k] = x
         log[x] = k
-    del times_g
-    # x + 1 raises digit 0, and wraps it at p - 1
-    bump = map(([1] * (p - 1) + [1 - p]).__getitem__, map(p.__rmod__, exp))
-    zech = list(map(log.__getitem__, map(operator.add, exp, bump)))
-    return exp * 2, log, zech * 2
+    return exp * 2, log
 
 
 class ExtensionField(Carrier):
@@ -546,7 +554,9 @@ class ExtensionField(Carrier):
     explicit branch for 0.  With a = g^i and b = g^j, a + b = g^i (1 + g^(j-i))
     = g^(i + zech[j - i]), and a - b = a + g^(j + log(-1)) with -1 encoded
     as p - 1.  A negative zech index wraps to the same residue mod q - 1,
-    because the table holds two periods.
+    because the table holds two periods.  Only add and sub read the Zech
+    table, and it is built on their first call: counting keeps to mul, neg
+    and translate, so a count never builds it.
     """
 
     kind = "extension-field"
@@ -568,8 +578,17 @@ class ExtensionField(Carrier):
             if not _is_irreducible(modulus_poly, p):
                 raise ValueError(f"modulus {modulus_poly} is reducible over F_{p}")
         self.modulus_poly = modulus_poly
-        self._exp, self._log, self._zech = _log_tables(p, r, modulus_poly)
+        self._exp, self._log = _log_tables(p, r, modulus_poly)
         self._log_minus_one = self._log[p - 1]  # 0 in characteristic 2
+
+    @cached_property
+    def _zech(self) -> list:
+        """zech[k] = log(1 + g^k), -1 where g^k = -1, over two periods."""
+        p, exp = self.characteristic, self._exp[:self.order - 1]
+        # x + 1 raises digit 0, and wraps it at p - 1
+        bump = map(([1] * (p - 1) + [1 - p]).__getitem__, map(p.__rmod__, exp))
+        return list(map(self._log.__getitem__,
+                        map(operator.add, exp, bump))) * 2
 
     def _squares(self):
         # 0 and the even powers of g, and 0 and the even powers times

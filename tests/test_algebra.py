@@ -73,6 +73,24 @@ class TestMakeCarrier:
         with pytest.raises(ValueError):
             make_carrier("field", 9, modulus_poly=(2, 0, 1))  # x^2+2=(x+1)(x+2)
 
+    @pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (2, 4), (2, 5),
+                                      (2, 6), (3, 2), (3, 3), (3, 4),
+                                      (5, 2), (5, 3), (7, 2), (7, 4)])
+    def test_irreducible_count_is_gauss(self, p, r):
+        # the root test and the trial division from degree 2 accept
+        # exactly (1/r) * sum over d | r of mu(d) * p**(r/d) monic
+        # polynomials of degree r, Gauss's count of the irreducibles
+        def mobius(n):
+            f = factorize(n) if n > 1 else {}
+            return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
+
+        expected = sum(mobius(d) * p ** (r // d) for d in divisors(r)) // r
+        found = [enc for enc in range(p**r) if algebra._is_irreducible(
+            algebra._digits_of(enc, p, r) + (1,), p)]
+        assert len(found) == expected
+        assert find_irreducible(p, r) == algebra._digits_of(found[0], p, r) \
+            + (1,)
+
     @pytest.mark.parametrize("kind, order, modulus", [
         ("field", 29, [1, 1, 1]), ("ring", 29, [1, 1, 1]), ("int", None, [1]),
         ("field", 9, []), ("ring", 9, [])])
@@ -200,7 +218,7 @@ class TestExtensionArithmetic:
 
         def mul(a, b):
             return encode(algebra._poly_mod(
-                algebra._poly_mul(digits(a), digits(b), p), m, p))
+                algebra._poly_mul(digits(a), digits(b)), m, p))
 
         return add, neg, mul
 
@@ -268,7 +286,7 @@ def _polynomial_log_tables(c):
         x, exp = (1,), []
         while not exp or x != (1,):
             exp.append(sum(d * p**i for i, d in enumerate(x)))
-            x = algebra._poly_mod(algebra._poly_mul(x, g, p), m, p)
+            x = algebra._poly_mod(algebra._poly_mul(x, g), m, p)
         if len(exp) == n:
             break
     log = [-1] * c.order

@@ -1,13 +1,15 @@
 import collections
 import functools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parker import search
+from parker import search, survey
 from parker.algebra import (MAX_ORDER, Integers, divisor_representatives,
-                            is_prime, make_carrier, prime_power_base)
+                            is_prime, make_carrier, mask_bits,
+                            prime_power_base)
 from parker.core import dihedral_canonical, dihedral_orbit, validate_square
 from parker.search import (brute_force_oracle, count_field, count_ring,
                            msos_field, msos_ring, oracle_agreement,
@@ -518,6 +520,97 @@ class TestFieldCount:
         assert [count_field(2**k) for k in range(1, 16)] == [0] * 15
         with pytest.raises(ValueError, match="not a prime power"):
             count_field(24)
+
+
+_EXTENSIONS_TO_3000 = tuple(q for q in field_orders(4, 3000,
+                                                   "prime-powers-only")
+                            if prime_power_base(q)[1] > 1)
+
+
+def _center_one_offsets(carrier):
+    """D' at the center 1: the delta with 1 + delta and 1 - delta square."""
+    s, negs = carrier.square_set()
+    return carrier.translate(s, carrier.neg(1)) & carrier.translate(negs, 1)
+
+
+def _scaled_members(carrier, mask, k):
+    """{t : k*t in mask} member by member: the image of mask under the
+    inverse of k mod p, or everything or nothing when p | k, as 0 is in
+    mask or not."""
+    p = carrier.characteristic
+    if k % p == 0:
+        return (1 << carrier.order) - 1 if mask & 1 else 0
+    inverse = carrier.encode_int(pow(k, -1, p))
+    return sum(1 << carrier.mul(inverse, w) for w in mask_bits(mask))
+
+
+class TestExtensionPreimage:
+    # every extension field up to 3000, then F_3^8 and F_181^2
+    ORDERS = (*_EXTENSIONS_TO_3000, 6561, 32761)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_center_one_offsets_and_small_masks(self, order):
+        # D' takes the log rotation, a mask of at most 8 members the
+        # per-member path, except in the smallest fields
+        c = _extension_field(order)
+        d = _center_one_offsets(c)
+        assert d.bit_count() > order // 6
+        rng = random.Random(order)
+        masks = [d, 0, 1, (1 << order) - 1]
+        masks += [sum(1 << x for x in rng.sample(range(order), size))
+                  for size in range(1, min(order, 8) + 1)]
+        for k in (2, 3, 5):
+            for mask in masks:
+                assert search._preimage(c, mask, k) == \
+                    _scaled_members(c, mask, k), (order, k, mask)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_mask(self, data):
+        order = data.draw(st.sampled_from(self.ORDERS))
+        c = _extension_field(order)
+        mask = data.draw(st.integers(0, (1 << order) - 1))
+        k = data.draw(st.sampled_from((2, 3, 5)))
+        assert search._preimage(c, mask, k) == _scaled_members(c, mask, k)
+
+
+class TestFrobeniusOrbits:
+    @pytest.mark.parametrize("order", [
+        *(q for q in _EXTENSIONS_TO_3000 if q % 2),
+        6561, 16807, 19683, 28561, 32761])
+    def test_orbit_sum_is_the_lower_member_sum(self, order):
+        # N({}) at center 1 is twice the sum over the lower members alpha
+        # of D' (alpha < -alpha) of |D' & (D' - alpha) & (D' + alpha)|,
+        # plus |D'| for alpha = 0; _center_counts sums one alpha per orbit
+        c = _extension_field(order)
+        d = _center_one_offsets(c)
+        translate = search._translator(c, d)[1]
+        plain = sum((d & translate(a) & translate(c.neg(a))).bit_count()
+                    for a in mask_bits(d) if a < c.neg(a))
+        assert search._center_counts(c, 1)[0] == 2 * plain + d.bit_count()
+
+
+class TestCountingBuildsNoZech:
+    @pytest.mark.parametrize("order", [9, 25, 27, 841, 2187, 6561])
+    def test_count_prefilter_and_scan(self, order, monkeypatch):
+        # counting keeps to mul, neg and translate; only add and sub, for
+        # listing, verify and the oracle, build the Zech table
+        c = make_carrier("field", order)
+        count_field(c)
+        prefilter_field(c)
+        built = []
+
+        def recording(*args):
+            built.append(make_carrier(*args))
+            return built[-1]
+
+        monkeypatch.setattr(survey, "make_carrier", recording)
+        survey.scan_field_order(order)
+        assert len(built) == 1
+        for carrier in (c, *built):
+            assert "_zech" not in carrier.__dict__, carrier
+        msos_field(c)
+        assert "_zech" in c.__dict__
 
 
 class TestPrefilter:
