@@ -247,13 +247,14 @@ class _DigitMasks(dict):
     """(i, d) -> the mask of the encodings whose digit i is below p - d.
 
     Those are the low (p - d) * p**i encodings of every block of
-    p**(i + 1), repeated by a repunit; (0, 0) is every encoding, the full
-    mask.  Each is built on first lookup and kept.
+    p**(i + 1), repeated by a repunit, each built on first lookup and
+    kept.  (0, 0) is every encoding, the full mask, which every translation
+    reads, so it is set at the start and costs no repunit division.
     """
 
     def __init__(self, p: int, order: int):
-        super().__init__()
         self.p, self.full = p, (1 << order) - 1
+        super().__init__({(0, 0): self.full})
 
     def __missing__(self, key):
         i, d = key
@@ -421,11 +422,6 @@ class _ResidueCarrier(Carrier):
     @property
     def additive_layout(self):
         return self.order, 1
-
-    def translate(self, mask, t):
-        # one digit, so a rotation: one shift of the mask held doubled
-        n = self.order
-        return (mask | mask << n) >> (n - t) & (1 << n) - 1 if t else mask
 
     def encode_int(self, n):
         return n % self.order

@@ -19,12 +19,13 @@ importing this module alone lets the parser do so without loading either.
 MAX_ORDER = 2**15
 
 # Largest accepted hourglass norm bound per search mode: at most about two
-# minutes of search on a 2-CPU x86 VM, measured in-process at the limit:
-# exhaustive 87-94 s in 21 MB peak RSS, product-first 9-11 s in 150 MB (two
-# runs each).  Exhaustive time grows with the square of its positive slopes
-# (12736 at the limit); it keeps one least norm per positive slope, not its
-# points.  Product-first time and memory go to the walk over the 3.1M points
-# of norm <= bound/25 and its table of 0.64M positive slopes (about 5 s) and
-# to the kernel's 3.5M pairs (about 4 s); both grow about linearly, and the
-# table's memory keeps the limit here.
+# minutes of search on a 2-CPU x86 VM.  Measured in process at the limit
+# (Python 3.11.7, two runs each): exhaustive 38.1-38.6 s in 17 MB peak RSS,
+# product-first 3.9 s in 190 MB.  Exhaustive time grows with the square of
+# its positive slopes (12736 at the limit); it keeps one least norm per
+# positive slope, not its points.  Product-first time and memory go to the
+# walk over the 3.1M points of norm <= bound/25 and its table of 0.64M
+# positive slopes (about 2.3 s) and to the kernel's 3.5M pairs (about
+# 1.7 s); both grow about linearly, and the table's memory keeps the limit
+# here.
 MAX_BOUND = {"exhaustive": 80_000, "product-first": 100_000_000}

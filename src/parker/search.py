@@ -479,7 +479,10 @@ def _center_class_count(vector, g, label):
 def ring_square_count(n) -> int:
     """The number of squares in Z/nZ, the product over the prime powers
     p**k of n of the number mod p**k: x is a square mod n exactly when it
-    is one mod each p**k (CRT)."""
+    is one mod each p**k (CRT).  n passes the ring gate of count_ring
+    first, so a modulus that is no ring of at most MAX_ORDER raises
+    ValueError before it is factored."""
+    n = _carrier("ring", n).order
     return _ring_square_count(factorize(n))
 
 

@@ -39,37 +39,29 @@ _INTEGER_COLUMNS = ("order", "square_count", "msos_count",
                     "dihedral_class_count", "elapsed_ms")
 
 
-class _ScanFields(NamedTuple):
+class ScanRecord(NamedTuple):
+    """Per-order survey result; its Parker flag and dihedral class count
+    derive from msos_count, as on SearchResult."""
+
     order: int
     kind: str  # "field" or "ring"
     square_count: int
     msos_count: int
-    dihedral_class_count: int
-    parker: bool
     prefilter_reason: str | None
     elapsed_ms: int
 
+    @property
+    def dihedral_class_count(self) -> int:
+        return self.msos_count
 
-class ScanRecord(_ScanFields):
-    """Per-order survey result; its Parker flag agrees with msos_count."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        rec = super().__new__(cls, *args, **kwargs)
-        if rec.parker != (rec.msos_count == 0):
-            raise AssertionError("parker flag disagrees with msos count")
-        return rec
-
-    @classmethod
-    def _make(cls, iterable):  # so _replace checks the flag too
-        return cls(*iterable)
+    @property
+    def parker(self) -> bool:
+        return not self.msos_count
 
 
 class RecordBreakerTable(NamedTuple):
     """Orders whose count strictly exceeds every smaller scanned order."""
 
-    kind: str
     rows: tuple[tuple[int, int], ...]
 
 
@@ -77,12 +69,11 @@ def record_breakers(records) -> RecordBreakerTable:
     """Recompute the record-breaker table from a full record list."""
     rows = []
     best = -1
-    kind = records[0].kind if records else ""
     for rec in sorted(records, key=lambda r: r.order):
         if rec.msos_count > best:
             rows.append((rec.order, rec.msos_count))
             best = rec.msos_count
-    return RecordBreakerTable(kind, tuple(rows))
+    return RecordBreakerTable(tuple(rows))
 
 
 def non_standard_record_breakers(table: RecordBreakerTable) -> list[int]:
@@ -116,14 +107,14 @@ def scan_field_order(order: int) -> ScanRecord:
     t0 = _now_ms()
     check_order(order)
     if order > 1 and order & (order - 1) == 0:
-        return ScanRecord(order, "field", order, 0, 0, True,
-                          prefilter_field(order), round(_now_ms() - t0))
+        return ScanRecord(order, "field", order, 0, prefilter_field(order),
+                          round(_now_ms() - t0))
     carrier = make_carrier("field", order)
     square_count = carrier.square_set()[0].bit_count()
     count = count_field(carrier)
     reason = None if count else prefilter_field(carrier)
-    return ScanRecord(order, "field", square_count, count, count, not count,
-                      reason, round(_now_ms() - t0))
+    return ScanRecord(order, "field", square_count, count, reason,
+                      round(_now_ms() - t0))
 
 
 def scan_ring_order(order: int) -> ScanRecord:
@@ -140,8 +131,8 @@ def scan_ring_order(order: int) -> ScanRecord:
     factors = factorize(order)
     square_count = _ring_square_count(factors)
     count = _count_ring(order, factors)
-    return ScanRecord(order, "ring", square_count, count, count, not count,
-                      None, round(_now_ms() - t0))
+    return ScanRecord(order, "ring", square_count, count, None,
+                      round(_now_ms() - t0))
 
 # ---------------------------------------------------------------------------
 # Order selection.
@@ -321,7 +312,8 @@ def scan_rings(lo: int, hi: int, order_filter="all", jobs: int = 1,
 def record_to_json(rec: ScanRecord) -> str:
     import json
 
-    return json.dumps(rec._asdict(), sort_keys=True)
+    return json.dumps({key: getattr(rec, key) for key in CSV_COLUMNS},
+                      sort_keys=True)
 
 
 def _checked_record(obj) -> ScanRecord:
@@ -348,7 +340,7 @@ def _checked_record(obj) -> ScanRecord:
         raise ValueError("parker flag disagrees with msos_count")
     if obj["dihedral_class_count"] != obj["msos_count"]:
         raise ValueError("dihedral_class_count differs from msos_count")
-    return ScanRecord(**{k: obj[k] for k in CSV_COLUMNS})
+    return ScanRecord(**{k: obj[k] for k in ScanRecord._fields})
 
 
 def record_from_json(line: str) -> ScanRecord:

@@ -437,6 +437,19 @@ class TestRingCount:
             assert search.ring_square_count(n) == \
                 make_carrier("ring", n).square_set()[0].bit_count(), n
 
+    @pytest.mark.parametrize("n", [
+        0, 1, MAX_ORDER + 1,
+        pytest.param(make_carrier("field", 29), id="F_29"),
+        # two 60-bit primes, which Pollard rho would take far too long on
+        1152921504606846883 * 1152921504606846869])
+    def test_square_count_passes_the_ring_gate(self, monkeypatch, n):
+        def no_factoring(m):
+            raise AssertionError(f"factorize({m}) called")
+
+        monkeypatch.setattr(search, "factorize", no_factoring)
+        with pytest.raises(ValueError):
+            search.ring_square_count(n)
+
     def test_divisibility_checked_per_class(self, monkeypatch):
         # N_27({}) raised by 2 at the class 9 of Z/27Z moves T by 2 times
         # N_8({}) in each class of Z/216Z that takes it: 1 at the class 9,

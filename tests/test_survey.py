@@ -4,6 +4,7 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parker import algebra, search, survey
 from parker.algebra import (MAX_ORDER, factorize, make_carrier,
@@ -413,26 +414,32 @@ class TestRecordBreakers:
         rows = ((27, 3), (29, 7), (37, 9), (53, 13), (54, 36), (58, 56),
                 (74, 72), (101, 75), (106, 104), (122, 240), (162, 576),
                 (202, 604))
-        table = RecordBreakerTable("ring", rows)
+        table = RecordBreakerTable(rows)
         assert non_standard_record_breakers(table) == \
             [27, 29, 37, 53, 54, 101, 162]
 
 
 class TestScanRecord:
-    RECORD = ScanRecord(29, "field", 15, 2, 2, False, None, 1)
+    RECORD = ScanRecord(29, "field", 15, 2, None, 1)
 
-    @pytest.mark.parametrize("field", ScanRecord._fields)
+    @pytest.mark.parametrize("field", (*ScanRecord._fields, "parker",
+                                       "dihedral_class_count"))
     def test_fields_cannot_be_assigned(self, field):
         with pytest.raises(AttributeError):
             setattr(self.RECORD, field, 0)
-        assert self.RECORD == ScanRecord(29, "field", 15, 2, 2, False, None, 1)
+        assert self.RECORD == ScanRecord(29, "field", 15, 2, None, 1)
 
     @pytest.mark.parametrize("parker, msos", [(True, 2), (False, 0)])
     def test_parker_flag_must_agree_with_count(self, parker, msos):
-        with pytest.raises(AssertionError, match="parker flag"):
-            ScanRecord(29, "field", 15, msos, msos, parker, None, 1)
-        with pytest.raises(AssertionError, match="parker flag"):
-            self.RECORD._replace(parker=parker, msos_count=msos)
+        # the flag and the class count follow msos_count, so no record can
+        # be built or replaced with ones that disagree with it
+        rec = self.RECORD._replace(msos_count=msos)
+        assert (rec.parker, rec.dihedral_class_count) == (not parker, msos)
+        with pytest.raises(TypeError):
+            ScanRecord(29, "field", 15, msos, None, 1, parker=parker)
+        for derived in ({"parker": parker}, {"dihedral_class_count": 1}):
+            with pytest.raises(ValueError, match="unexpected field"):
+                rec._replace(**derived)
 
     def test_checkpoint_line_sorts_its_keys(self):
         assert survey.record_to_json(self.RECORD) == (
@@ -445,7 +452,22 @@ class TestScanRecord:
         assert type(rec) is ScanRecord and rec == self.RECORD
 
 
+_RECORDS = st.builds(
+    ScanRecord, st.integers(0, MAX_ORDER), st.sampled_from(["field", "ring"]),
+    st.integers(0, MAX_ORDER), st.integers(0, 10**7),
+    st.sampled_from([None, *search.PREFILTER_REASONS]),
+    st.integers(0, 10**6))
+
+
 class TestReports:
+    @given(st.lists(_RECORDS, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_every_record_round_trips(self, records):
+        for rec in records:
+            assert survey.record_from_json(survey.record_to_json(rec)) == rec
+        for fmt in ("csv", "jsonl"):
+            assert parse_report(render_report(records, fmt), fmt) == records
+
     def test_csv_columns_and_values(self):
         records, _ = scan_fields(2, 17)
         text = render_report(records, "csv")
@@ -491,7 +513,7 @@ class TestReports:
         header = ",".join(survey.CSV_COLUMNS)
         good = "29,field,15,2,2,false,,1"
         assert parse_report(f"{header}\n{good}\n", "csv") == \
-            [ScanRecord(29, "field", 15, 2, 2, False, None, 1)]
+            [ScanRecord(29, "field", 15, 2, None, 1)]
         with pytest.raises(ValueError):
             parse_report(f"{header}\n{row}\n", "csv")
 
@@ -522,9 +544,9 @@ class TestCheckpoint:
 
     def test_corrupt_lines_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "ckpt.jsonl"
-        rec = ScanRecord(2, "field", 2, 0, 0, True, "even-order", 1)
+        rec = ScanRecord(2, "field", 2, 0, "even-order", 1)
         good = json.loads(survey.record_to_json(
-            ScanRecord(29, "field", 15, 2, 2, False, None, 1)))
+            ScanRecord(29, "field", 15, 2, None, 1)))
         bad = ["{not json}", '{"order": 3}', "[1, 2]", '"x"', "7", "null",
                json.dumps({**good, "parker": True}),
                json.dumps({**good, "msos_count": 0}),
@@ -554,7 +576,7 @@ class TestCheckpoint:
     def test_retired_policy_lines_skipped(self, tmp_path, caplog):
         path = tmp_path / "old.jsonl"
         line = survey.record_to_json(
-            ScanRecord(29, "field", 15, 2, 2, False, None, 1))
+            ScanRecord(29, "field", 15, 2, None, 1))
         obj = json.loads(line)
         path.write_text(json.dumps({**obj, "policy": "canonical"}) + "\n"
                         + json.dumps({**obj, "order": 37, "msos_count": 6,
