@@ -324,8 +324,10 @@ class Carrier:
         """(S, N): bit s of S is set for each square s, and bit -s of N.
 
         Built on first use and kept on the carrier.  An odd field of order
-        q has (q + 1)/2 squares and an even one q, which is asserted as the
-        masks are built.
+        q has (q + 1)/2 squares and an even one q, which is asserted.  A
+        field's _squares gives S alone: -1 is a square when q = 1 (mod 4)
+        or q is even, and then -S = S, and otherwise -S is the nonsquares
+        and 0.  Z/nZ has no such rule, and its _squares gives (S, N).
         """
         try:
             return self._square_set
@@ -333,11 +335,12 @@ class Carrier:
             pass
         masks = self._squares()
         if self.kind in ("prime-field", "extension-field"):
-            q, count = self.order, masks[0].bit_count()
+            q, count = self.order, masks.bit_count()
             expected = q if q % 2 == 0 else (q + 1) // 2
             if count != expected:  # pragma: no cover
                 raise AssertionError(f"square count {count} != {expected} "
                                      f"for {self}")
+            masks = masks, masks if q % 4 != 3 else (masks ^ (1 << q) - 1) | 1
         self._square_set = masks
         return masks
 
@@ -431,10 +434,11 @@ class _ResidueCarrier(Carrier):
         return [u for u in range(1, n) if math.gcd(u, n) == 1]
 
     def _squares(self):
-        # x and n - x have the same square
+        # x and n - x have the same square; a field's N follows from S
         n = self.order
         seen = {x * x % n for x in range(n // 2 + 1)}
-        return _bitmask(seen, n), _bitmask([-s % n for s in seen], n)
+        return _bitmask(seen, n) if self.kind == "prime-field" else \
+            (_bitmask(seen, n), _bitmask([-s % n for s in seen], n))
 
 
 class PrimeField(_ResidueCarrier):
@@ -488,13 +492,23 @@ def _times_table(g, p: int, r: int, modulus_poly) -> list:
     Multiplication by g is F_p-linear: g * (c*x^i + y') = g*y' + c*(g*x^i).
     So the table is built a digit at a time, and the block of the
     encodings with digit i = c, the top one so far, is the block of c - 1
-    translated by g*x^i: one map over a digit-sum table.
+    translated by k = g*x^i.  The top digit's p - 1 blocks, most of the
+    table, read the full digit-sum table of k.  Digit i below it serves
+    only (p - 1)*p**i entries, which add k's low a = r//2 digits and its
+    high ones apart, from digit-sum tables of p**a and p**(r - a) entries.
     """
     table = [0]
     g_xi = g
-    for _ in range(r):
-        step = _digit_sum_table(
-            sum(c * p**j for j, c in enumerate(g_xi)), p, r).__getitem__
+    a = r // 2
+    m = p**a
+    for i in range(r):
+        k = sum(c * p**j for j, c in enumerate(g_xi))
+        if i < r - 1:
+            low = _digit_sum_table(k % m, p, a)
+            high = _digit_sum_table(k // m, p, r - a)
+            step = lambda y: low[y % m] + m * high[y // m]
+        else:
+            step = _digit_sum_table(k, p, r).__getitem__
         block = table
         for _ in range(p - 1):
             block = list(map(step, block))
@@ -503,18 +517,11 @@ def _times_table(g, p: int, r: int, modulus_poly) -> list:
     return table
 
 
-def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list]:
-    """(exp, log) of F_{p^r} = F_p[x] / modulus_poly, q = p**r.
-
-    g is the smallest encoding >= p with g^((q-1)/l) != 1 for every prime
-    l | q - 1, so g has order q - 1.  exp[k] = g^k is stored twice over so
-    that a sum of two logs indexes it directly; log inverts exp and holds
-    -1 at 0.  exp walks the cycle of _times_table from 1, one list index
-    per unit.  The Zech table, which only addition needs, is built from
-    these on first use (ExtensionField._zech).
-    """
-    q = p**r
-    n = q - 1
+def _primitive_element(p: int, r: int, modulus_poly):
+    """g, the smallest encoding >= p of F_{p^r} = F_p[x] / modulus_poly
+    with g^((q-1)/l) != 1 for every prime l | q - 1, as a coefficient
+    tuple: an element of order q - 1."""
+    n = p**r - 1
     one = (1,)
 
     def power(a, k):
@@ -527,11 +534,27 @@ def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list]:
         return out
 
     cofactors = [n // l for l in factorize(n)]
-    for enc in range(p, q):
+    for enc in range(p, n + 1):
         g = _poly_trim(_digits_of(enc, p, r))
         if all(power(g, c) != one for c in cofactors):
-            break
-    times_g = _times_table(g, p, r, modulus_poly)
+            return g
+
+
+def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list]:
+    """(exp, log) of F_{p^r} = F_p[x] / modulus_poly, q = p**r.
+
+    exp[k] = g^k for g = _primitive_element is stored twice over so that a
+    sum of two logs indexes it directly; log inverts exp and holds -1 at
+    0.  exp walks the cycle of _times_table from 1, one list index per
+    unit, and the walk is asserted to be one cycle of q - 1: it returns to
+    1 after step q - 2, and not before, as log[1] is still 0.  So every
+    unit gets a log and only 0 keeps -1.  The Zech table, which only
+    addition needs, is built from these on first use (ExtensionField._zech).
+    """
+    q = p**r
+    n = q - 1
+    times_g = _times_table(_primitive_element(p, r, modulus_poly), p, r,
+                           modulus_poly)
     exp = [1] * n
     log = [-1] * q
     log[1] = 0
@@ -540,6 +563,9 @@ def _log_tables(p: int, r: int, modulus_poly) -> tuple[list, list]:
         x = times_g[x]
         exp[k] = x
         log[x] = k
+    if times_g[x] != 1 or log[1]:
+        raise AssertionError(f"the exp walk of F_{q} is not one cycle of "
+                             f"{n} units")
     return exp * 2, log
 
 
@@ -587,12 +613,10 @@ class ExtensionField(Carrier):
                         map(operator.add, exp, bump))) * 2
 
     def _squares(self):
-        # 0 and the even powers of g, and 0 and the even powers times
-        # g^log(-1); exp holds two periods, so each slice meets every even
-        # power, and in characteristic 2, where q - 1 is odd, every unit
-        exp, q = self._exp, self.order
-        return (_bitmask(exp[::2], q) | 1,
-                _bitmask(exp[self._log_minus_one::2], q) | 1)
+        # 0 and the even powers of g; exp holds two periods, so the slice
+        # meets every even power, and in characteristic 2, where q - 1 is
+        # odd, every unit
+        return _bitmask(self._exp[::2], self.order) | 1
 
     @property
     def additive_layout(self):

@@ -120,7 +120,8 @@ def _add_scan_common(p):
     p.add_argument("--checkpoint", default=None,
                    help="JSONL checkpoint file for resume")
     p.add_argument("--out", default=None, help="report file")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.add_argument("--format", choices=("csv", "jsonl"), default=None,
+                   help="report format, with --out (default csv)")
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +181,8 @@ def _cmd_single(args):
 def _cmd_scan(args):
     from . import survey
 
+    if args.format is not None and args.out is None:
+        raise ValueError("--format needs --out")
     if args.kind == "field":
         order_filter = ("primes-only" if args.primes
                         else "prime-powers-only" if args.prime_powers
@@ -197,7 +200,7 @@ def _cmd_scan(args):
             args.lo, args.hi, order_filter, jobs=args.jobs,
             checkpoint=args.checkpoint)
     if args.out:
-        survey.write_report(records, args.format, args.out)
+        survey.write_report(records, args.format or "csv", args.out)
         print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
     # stdout stays timing-free so identical invocations print identical bytes
     for rec in records:

@@ -18,13 +18,13 @@ check that the normalized searches lose nothing.
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import cache
 from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .algebra import (Carrier, ModularRing, _bitmask, center_offsets,
-                      divisors, factorize, make_carrier, mask_bits, squares,
+from .algebra import (Carrier, ModularRing, center_offsets, divisors,
+                      factorize, is_prime, make_carrier, mask_bits, squares,
                       two_torsion)
 
 # core's dihedral group is imported by the two oracle checks that use it,
@@ -118,7 +118,8 @@ def _pair_hits(carrier, e2, d_mask):
     """
     sub = carrier.sub
     repeats = _repeat_mask(carrier)
-    translate = _translator(carrier, d_mask)[1]
+    # the kernel translates fewer than q times; q asks for the fullest table
+    translate = _translator(carrier, d_mask, carrier.order)[1]
     target = carrier.add(e2, e2)
     earlier = 0
     for u in mask_bits(carrier.translate(d_mask, e2)):
@@ -165,14 +166,14 @@ def _center_zero_hits(carrier, e2, d_mask):
 
 # The most bits _translator's table may hold, 2 MiB.  A full table, every
 # digit but the top one, makes each translation one shift with no call to
-# Carrier.translate: every odd field order up to 5000 has one, and so do
-# every F_{p^2} (1.5 MB at F_181^2), F_19^3 and F_23^3.  Past that a table
-# cut short adds the middle digits by Carrier.translate; 3**8 = 6561 is the
-# first order cut short, to 6 of its 7 low digits.
+# Carrier.translate: every odd field order up to 5000 may have one, and so
+# may every F_{p^2} (1.5 MB at F_181^2), F_19^3 and F_23^3.  Past that a
+# table cut short adds the middle digits by Carrier.translate; 3**8 = 6561
+# is the first order cut short, to at most 6 of its 7 low digits.
 TABLE_BITS = 2**24
 
 
-def _translator(carrier, mask):
+def _translator(carrier, mask, lookups):
     """(table, translate): translate(t) has carrier.translate(mask, t) below
     bit q, the order, and leftover bits above it.
 
@@ -183,14 +184,17 @@ def _translator(carrier, mask):
     >> (q - c * p**(r - 1)); Z/nZ and prime fields need only that one.
     The block of the p**i entries with digit i = c is the block of c - 1
     translated by p**i, one masked shift pair each.  h is the most low
-    digits, at most r - 1, whose p**h entries of 2q bits fit TABLE_BITS;
-    when that cuts the table short, Carrier.translate adds the middle
-    digits.
+    digits, at most r - 1, whose p**h entries of 2q bits fit TABLE_BITS
+    and number at most twice lookups, the translations the caller makes.
+    When that cuts the table short, Carrier.translate adds the middle
+    digits, one call per lookup.  Timed in process on every odd F_{p^r},
+    r >= 3, up to 32768, with the lookups of _center_counts, this height
+    was within 10% of the fastest one.
     """
     p, r = carrier.additive_layout
     q = carrier.order
     h = r - 1
-    while h and p**h * 2 * q > TABLE_BITS:
+    while h and (p**h * 2 * q > TABLE_BITS or p**h > 2 * lookups):
         h -= 1
     table = [mask | mask << q]
     weight = 1
@@ -541,15 +545,11 @@ def _component_counts(p, k):
 def _preimage(carrier, mask, k):
     """{t : k*t in mask} over the carrier, k an integer.
 
-    In F_{p^r}, r > 1, k acts as k mod p, which is all or nothing if p | k,
-    as 0 is in mask or not.  Otherwise k = g^l for l = log(k mod p), and
-    multiplying by k adds l to every log: read in log order, the preimage
-    is mask rotated by l.  So a mask of more than q/6 members is reordered
-    once, bit j taken from bit exp[j + l], and reordered back, bit t from
-    bit log[t]; exp holds two periods, so the rotation is where the slice
-    starts, and 0 stays in place.  A smaller mask is the image of its
-    members under the inverse of k mod p, one multiplication each, the
-    faster path up to about q/6 members from F_29^2 to F_181^2.
+    A mask of F_{p^r}, r > 1, and so its preimage, is in log order: bit 0
+    for the element 0 and bit j + 1 for g**j.  There k acts as k mod p,
+    which is all or nothing if p | k, as 0 is in mask or not.  Otherwise
+    k = g**l for l = log(k mod p), and multiplying by k adds l to every
+    log, so the units rotate by l and 0 stays in place.
 
     In Z/qZ and F_q a mask of at most 8 members takes the
     solutions of k*t = w for each member w: with g = gcd(k, q), none unless
@@ -561,16 +561,9 @@ def _preimage(carrier, mask, k):
     if r > 1:
         if k % p == 0:
             return (1 << q) - 1 if mask & 1 else 0
-        if mask.bit_count() > q // 6:
-            exp, log = carrier._exp, carrier._log
-            l = log[k % p]
-            # character x of bits is bit x
-            bits = format(mask, f"0{q}b")[::-1]
-            by_log = "".join(itemgetter(*exp[l:l + q - 1])(bits))
-            return int(("".join(itemgetter(*log[1:])(by_log))[::-1]
-                        + bits[0]), 2)
-        scale = partial(carrier.mul, carrier.encode_int(pow(k, -1, p)))
-        return _bitmask(map(scale, mask_bits(mask)), q)
+        n, units = q - 1, mask >> 1
+        rotated = (units | units << n) >> carrier._log[k % p]
+        return (rotated & (1 << n) - 1) << 1 | mask & 1
     if mask.bit_count() > 8:
         # character i of the string is bit q - 1 - i, and (k - 1) + k*i
         # in k copies is bit k*(q - 1 - i) % q
@@ -600,14 +593,20 @@ def _center_counts(carrier, c):
     N({}) is the mask kernel: alpha contributes the popcount of
     D' & (D' - alpha) & (D' + alpha), the same for -alpha, so the sum runs
     over one member of each +- pair, doubled, and the members of Z once.
-    The lower member of a pair has its top nonzero digit below p/2.  Z/qZ
-    and F_q shift D' held doubled inline, F_{p^r} goes through _translator.
+    Z/qZ and F_q take the member below q/2 and shift D' held doubled
+    inline, F_{p^r} goes through _translator.
+    At the center 0 of Z/q, q prime, every unit square fixes the center
+    and keeps D' and each summand.  D' is the squares when q = 1 (mod 4),
+    so its (q - 1)/4 members below q/2, one orbit, all have alpha = 1's
+    summand; otherwise it is {0}, with none, and the same formula gives 0.
     In F_{p^r} the kernel takes one pair per orbit under Frobenius,
     t -> t**p, weighted by the orbit's size: Frobenius is additive, fixes
     c, which is in F_p, and keeps the squares, so it permutes D' and keeps
     each summand.  With alpha = g**i and half = (q - 1)/2, -alpha =
     g**(i + half), so the pair of alpha is i mod half, and Frobenius maps
-    it to p*i mod half; an orbit has at most r pairs.
+    it to p*i mod half; an orbit has at most r pairs.  So the pairs in D'
+    are the g**j, j < half, with bit j + 1 set in D' read in log order
+    (see below).
     For S not empty, the first position of S is fixed to each z in zd,
     and then the others lie on lines in t:
 
@@ -619,13 +618,46 @@ def _center_counts(carrier, c):
     preimages under t -> 2t + z.  Both sets are symmetric and z = -z, so
     z +- t and t + z are the same condition.  O(S) and O5(S) are the
     popcounts of the preimages of x, 2x and 3x in D' or zd, and the latter
-    also in fives.
+    also in fives.  In F_{p^r}, r > 1 and p odd, Z = {0}, so z = 0 alone,
+    where every translation is the identity, and these masks may list the
+    elements in any one order: D' is read into log order once, where each
+    preimage is a rotation (see _preimage), and zd = {0} is bit 0 in either
+    order.
     """
     (p, r), q = carrier.additive_layout, carrier.order
     translate = carrier.translate
     s, negs = carrier.square_set()
     d = translate(s, carrier.neg(c)) & translate(negs, c)
     zd = d & two_torsion(carrier)
+    # the kernel; its alpha in Z are the ones N({alpha}) = n1 counts
+    if r == 1:
+        dd = d | d << q
+        lower = d & (1 << (p + 1) // 2) - 2
+        pairs = ((q - 1) // 4 * (d & dd >> 1 & dd >> q - 1).bit_count()
+                 if c == 0 and is_prime(q) else
+                 sum((d & dd >> alpha & dd >> q - alpha).bit_count()
+                     for alpha in mask_bits(lower)))
+    else:
+        # character x of bits is bit x; bit j + 1 of by_log is g**j
+        exp, half = carrier._exp, (q - 1) // 2
+        bits = format(d, f"0{q}b")[::-1]
+        by_log = int("".join(itemgetter(*exp[q - 2::-1])(bits)) + bits[0], 2)
+        # the first j of each orbit, and the orbit's size
+        seen, orbits = bytearray(half), []
+        for j in mask_bits(by_log >> 1 & (1 << half) - 1):
+            if seen[j]:
+                continue
+            i, size = j, 0
+            while not seen[i]:
+                seen[i] = 1
+                i = i * p % half
+                size += 1
+            orbits.append((j, size))
+        shifted = _translator(carrier, d, 2 * len(orbits))[1]
+        pairs = sum(size * (d & shifted(exp[j])
+                            & shifted(exp[j + half])).bit_count()
+                    for j, size in orbits)
+        d = by_log
     d2, d3 = _preimage(carrier, d, 2), _preimage(carrier, d, 3)
     zd2, zd3 = _preimage(carrier, zd, 2), _preimage(carrier, zd, 3)
     n1 = n3 = n4 = n5 = n7 = n12 = n13 = n15 = 0
@@ -649,30 +681,6 @@ def _center_counts(carrier, c):
         n15 += (zd & bz).bit_count()        # all four
         n4 += (db & h).bit_count()          # {alpha + gamma}
         n12 += (db & hz).bit_count()        # {alpha +- gamma}
-    # the kernel; its alpha in Z are the ones N({alpha}) = n1 counts
-    pairs = 0
-    lower = d & sum((1 << (p + 1) // 2 * p**i) - (1 << p**i)
-                    for i in range(r))
-    if r == 1:
-        dd = d | d << q
-        for alpha in mask_bits(lower):
-            pairs += (d & dd >> alpha & dd >> q - alpha).bit_count()
-    else:
-        # one lower member per orbit, the first met, times the orbit's size
-        shifted, neg = _translator(carrier, d)[1], carrier.neg
-        log, half = carrier._log, (q - 1) // 2
-        seen = bytearray(half)
-        for alpha in mask_bits(lower):
-            j = log[alpha] % half
-            if seen[j]:
-                continue
-            size = 0
-            while not seen[j]:
-                seen[j] = 1
-                j = j * p % half
-                size += 1
-            pairs += size * (d & shifted(alpha)
-                             & shifted(neg(alpha))).bit_count()
     triples = [x & y & w for w in (d3, zd3) for y in (d2, zd2)
                for x in (d, zd)]
     fives = _preimage(carrier, 1, 5)

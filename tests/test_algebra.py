@@ -304,6 +304,24 @@ def test_log_tables_match_polynomial_walk(order):
     assert (c._exp, c._log, c._zech) == _polynomial_log_tables(c)
 
 
+@pytest.mark.parametrize("order", [9, 49, 2187])
+@pytest.mark.parametrize("element", ["square", "zero"])
+def test_exp_walk_of_a_non_primitive_element_raises(order, element,
+                                                    monkeypatch):
+    # g**2 has order (q - 1)/2, so its walk meets 1 again halfway and
+    # leaves half the units without a log; 0 never returns to 1.  The
+    # assertion names the field
+    primitive = algebra._primitive_element
+
+    def non_primitive(p, r, modulus_poly):
+        g = primitive(p, r, modulus_poly) if element == "square" else ()
+        return algebra._poly_mod(algebra._poly_mul(g, g), modulus_poly, p)
+
+    monkeypatch.setattr(algebra, "_primitive_element", non_primitive)
+    with pytest.raises(AssertionError, match=f"F_{order} is not one cycle"):
+        make_carrier("field", order)
+
+
 class TestOrderGuard:
     @pytest.fixture
     def nothing_built(self, monkeypatch):
@@ -361,6 +379,15 @@ class TestSquares:
         s, neg = c.square_set()
         assert set(mask_bits(s)) == seen
         assert set(mask_bits(neg)) == {c.neg(x) for x in seen}
+
+    def test_negations_follow_from_squares(self):
+        # a field derives N from S: -S = S when -1 is a square, otherwise
+        # the nonsquares and 0; against the negation of every square
+        for order in (*field_orders(2, 3000), 32749, 32761):
+            c = make_carrier("field", order)
+            s, neg = c.square_set()
+            assert neg == algebra._bitmask(map(c.neg, mask_bits(s)), order), \
+                order
 
     def test_ring_squares_direct(self):
         c = make_carrier("ring", 27)

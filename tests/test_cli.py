@@ -149,6 +149,23 @@ class TestScans:
         assert out == ""
         assert "--res needs --mod" in err
 
+    @pytest.mark.parametrize("command", ["scan-fields", "scan-rings"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_format_without_out_exits_1(self, capsys, command, fmt):
+        code, out, err = run_cli(capsys, command, "--from", "2", "--to", "8",
+                                 "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert "--format needs --out" in err
+
+    @pytest.mark.parametrize("command", ["scan-fields", "scan-rings"])
+    def test_out_without_format_writes_csv(self, capsys, tmp_path, command):
+        path = tmp_path / "report"
+        code, out, _ = run_cli(capsys, command, "--from", "2", "--to", "8",
+                               "--out", str(path))
+        assert code == 0
+        assert path.read_text().startswith("order,kind,square_count,")
+
     def test_mod_without_res_means_residue_0(self, capsys):
         _, out, _ = run_cli(capsys, "scan-rings", "--from", "4", "--to",
                             "16", "--mod", "4")

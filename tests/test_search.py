@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parker import search, survey
+from parker import algebra, search, survey
 from parker.algebra import (MAX_ORDER, Integers, divisor_representatives,
                             is_prime, make_carrier, mask_bits,
                             prime_power_base)
@@ -263,26 +263,37 @@ class TestPairKernel:
         doubled = mask | mask << n
         assert (doubled >> (n - t)) & ((1 << n) - 1) == c.translate(mask, t)
 
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_table_lookup_is_translate(self, data):
-        # the extension-field path looks up as many low digits as fit
+    def test_table_lookup_is_translate(self):
+        # the extension-field path looks up as many low digits h as fit
         # 2**24 bits of 2q-bit entries, all of them for every F_{p^2} up
-        # to F_181^2 and for F_23^3; F_6561 keeps 6 of its 7 low digits
-        # there, F_19683 5 of 8, F_13^4 2 of 3, F_29^3 and F_31^3 1 of 2,
-        # and the other digits are added by Carrier.translate
-        order, low_digits = data.draw(st.sampled_from(
-            ((25, 1), (1331, 2), (2187, 6), (3125, 4), (6561, 6),
-             (19683, 5), (24389, 1), (12167, 2), (16129, 1), (17161, 1),
-             (32761, 1), (28561, 2), (29791, 1))))
-        c = _extension_field(order)
-        mask = data.draw(st.integers(0, (1 << order) - 1))
-        t = data.draw(st.integers(0, order - 1))
-        table, translate = search._translator(c, mask)
-        p, r = c.additive_layout
-        assert len(table) == p ** low_digits
-        assert len(table) * 2 * order <= 2**24
-        assert translate(t) & ((1 << order) - 1) == c.translate(mask, t)
+        # to F_181^2 and for F_23^3; F_6561 keeps at most 6 of its 7 low
+        # digits there, F_19683 5 of 8, F_13^4 2 of 3, F_29^3 and F_31^3 1
+        # of 2, and the other digits are added by Carrier.translate.  Below
+        # that cap p**h is at most twice the lookups: each height is taken
+        # with the fewest lookups that pick it, and one fewer picks h - 1
+        for order, low_digits in (
+                (25, 1), (1331, 2), (2187, 6), (3125, 4), (6561, 6),
+                (19683, 5), (24389, 1), (12167, 2), (16129, 1), (17161, 1),
+                (32761, 1), (28561, 2), (29791, 1)):
+            c = _extension_field(order)
+            p, r = c.additive_layout
+            rng = random.Random(order)
+            for height in range(low_digits + 1):
+                lookups = (p**height + 1) // 2
+                for _ in range(4):
+                    mask = rng.getrandbits(order)
+                    t = rng.randrange(order)
+                    table, translate = search._translator(c, mask, lookups)
+                    assert len(table) == p**height, (order, height)
+                    assert len(table) * 2 * order <= 2**24
+                    assert translate(t) & ((1 << order) - 1) == \
+                        c.translate(mask, t), (order, height, t)
+                if height:
+                    table = search._translator(c, mask, lookups - 1)[0]
+                    assert len(table) == p**(height - 1), (order, height)
+            # listing passes the order, and gets the capped table
+            assert len(search._translator(c, mask, order)[0]) == \
+                p**low_digits, order
 
     def test_matches_double_loop(self):
         carriers = [make_carrier("field", q) for q in field_orders(2, 500)]
@@ -408,6 +419,20 @@ class TestRingCount:
                 assert vectors[math.gcd(c, q)] == _distinct_counts(
                     _brute_component(make_carrier("ring", q), c)), (q, c)
             assert search.ring_square_count(q) == len(centers)
+
+    def test_prime_center_zero_is_one_orbit(self):
+        # at the center 0 of Z/p the kernel reads alpha = 1 alone, against
+        # the plain kernel over every lower member of D' = S & N
+        for p in (*filter(is_prime, range(2, 3001)), 10009, 32749):
+            c = make_carrier("ring", p)
+            s, negs = c.square_set()
+            d = s & negs
+            dd = d | d << p
+            plain = sum((d & dd >> a & dd >> p - a).bit_count()
+                        for a in mask_bits(d) if 0 < a < p - a)
+            vector = search._center_counts(c, 0)
+            assert vector[0] - vector[1] == 2 * plain == \
+                (p - 1) // 2 * (d & dd >> 1 & dd >> p - 1).bit_count(), p
 
     def test_count_depends_only_on_center_gcd_to_600(self):
         # the kernel's count at every center square of Z/nZ
@@ -557,25 +582,38 @@ def _scaled_members(carrier, mask, k):
     return sum(1 << carrier.mul(inverse, w) for w in mask_bits(mask))
 
 
+def _by_log(carrier, mask):
+    """mask in log order: bit 0 for the element 0, bit j + 1 for g**j."""
+    log = carrier._log
+    return mask & 1 | algebra._bitmask(
+        (log[x] + 1 for x in mask_bits(mask) if x), carrier.order)
+
+
+def _from_log(carrier, mask):
+    """The mask of the elements that bits of a log-order mask stand for."""
+    exp = carrier._exp
+    return mask & 1 | algebra._bitmask(
+        (exp[j - 1] for j in mask_bits(mask) if j), carrier.order)
+
+
 class TestExtensionPreimage:
-    # every extension field up to 3000, then F_3^8 and F_181^2
+    # every extension field up to 3000, then F_3^8 and F_181^2; the
+    # preimage of a mask in log order, read back, against the member by
+    # member image
     ORDERS = (*_EXTENSIONS_TO_3000, 6561, 32761)
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_center_one_offsets_and_small_masks(self, order):
-        # D' takes the log rotation, a mask of at most 8 members the
-        # per-member path, except in the smallest fields
         c = _extension_field(order)
         d = _center_one_offsets(c)
-        assert d.bit_count() > order // 6
         rng = random.Random(order)
         masks = [d, 0, 1, (1 << order) - 1]
         masks += [sum(1 << x for x in rng.sample(range(order), size))
                   for size in range(1, min(order, 8) + 1)]
         for k in (2, 3, 5):
             for mask in masks:
-                assert search._preimage(c, mask, k) == \
-                    _scaled_members(c, mask, k), (order, k, mask)
+                assert _from_log(c, search._preimage(c, _by_log(c, mask), k)) \
+                    == _scaled_members(c, mask, k), (order, k, mask)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -584,23 +622,45 @@ class TestExtensionPreimage:
         c = _extension_field(order)
         mask = data.draw(st.integers(0, (1 << order) - 1))
         k = data.draw(st.sampled_from((2, 3, 5)))
-        assert search._preimage(c, mask, k) == _scaled_members(c, mask, k)
+        assert _from_log(c, search._preimage(c, _by_log(c, mask), k)) == \
+            _scaled_members(c, mask, k)
 
 
 class TestFrobeniusOrbits:
-    @pytest.mark.parametrize("order", [
-        *(q for q in _EXTENSIONS_TO_3000 if q % 2),
-        6561, 16807, 19683, 28561, 32761])
+    ORDERS = (*(q for q in _EXTENSIONS_TO_3000 if q % 2),
+              6561, 16807, 19683, 28561, 32761)
+
+    @pytest.mark.parametrize("order", ORDERS)
     def test_orbit_sum_is_the_lower_member_sum(self, order):
         # N({}) at center 1 is twice the sum over the lower members alpha
         # of D' (alpha < -alpha) of |D' & (D' - alpha) & (D' + alpha)|,
         # plus |D'| for alpha = 0; _center_counts sums one alpha per orbit
         c = _extension_field(order)
         d = _center_one_offsets(c)
-        translate = search._translator(c, d)[1]
+        translate = search._translator(c, d, order)[1]
         plain = sum((d & translate(a) & translate(c.neg(a))).bit_count()
                     for a in mask_bits(d) if a < c.neg(a))
         assert search._center_counts(c, 1)[0] == 2 * plain + d.bit_count()
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_log_order_counts_match_scaled_members(self, order):
+        # the other 24 entries, counted in log order, against the same
+        # counts over the elements in their own order, with Z = {0}, so
+        # zd = D' & Z = {0}, and every preimage taken member by member
+        c = _extension_field(order)
+        d = _center_one_offsets(c)
+        zd = d & 1
+        assert zd == 1
+        d2, d3, zd2, zd3, fives = (_scaled_members(c, m, k) for m, k in (
+            (d, 2), (d, 3), (zd, 2), (zd, 3), (1, 5)))
+        triples = [x & y & w for w in (d3, zd3) for y in (d2, zd2)
+                   for x in (d, zd)]
+        # S = {alpha}, {alpha, gamma}, {alpha + gamma}, {alpha, alpha +
+        # gamma} and with gamma, {alpha +- gamma}, all but gamma, all four
+        expected = (d, zd & d, d & d2, d & zd, zd & d & zd, d & zd2,
+                    d & zd, zd, *triples, *(m & fives for m in triples))
+        assert search._center_counts(c, 1)[1:] == \
+            tuple(m.bit_count() for m in expected)
 
 
 class TestCountingBuildsNoZech:
