@@ -24,9 +24,9 @@ _EXPORTS = {
                       "hourglass_condition", "hourglass_generators",
                       "hourglass_guess", "pow4_parts", "search_hourglass",
                       "two_square_reps")),
-        ("search", ("SearchResult", "brute_force_oracle", "count_field",
-                    "count_ring", "msos_field", "msos_ring",
-                    "oracle_agreement", "prefilter_field")),
+        ("oracle", ("brute_force_oracle", "oracle_agreement")),
+        ("search", ("SearchResult", "count_field", "count_ring",
+                    "msos_field", "msos_ring", "prefilter_field")),
         ("survey", ("RecordBreakerTable", "ScanRecord", "record_breakers",
                     "scan_fields", "scan_rings")))
     for name in (module, *names)

@@ -90,23 +90,17 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = m
-        f = 17
-        while f * f <= d and f < 10_000:
-            if d % f == 0:
-                stack.append(f)
-                stack.append(d // f)
-                break
-            f += 2
-        else:
-            d2 = _pollard_rho(d)
-            stack.append(d2)
-            stack.append(d // d2)
+        # trial division alone settles every m below 183**2, and so every
+        # order up to MAX_ORDER; a larger m is tested before it is split
+        if m < 183**2 or not is_prime(m):
+            f = 17
+            while f * f <= m and m % f and f < 10_000:
+                f += 2
+            if f * f <= m:
+                d = f if m % f == 0 else _pollard_rho(m)
+                stack += (d, m // d)
+                continue
+        out[m] = out.get(m, 0) + 1
     return dict(sorted(out.items()))
 
 
@@ -434,11 +428,16 @@ class _ResidueCarrier(Carrier):
         return [u for u in range(1, n) if math.gcd(u, n) == 1]
 
     def _squares(self):
-        # x and n - x have the same square; a field's N follows from S
+        # x and n - x have the same square; character x of digits is bit x
+        # of S, so bit x of N, bit -x of S, reads S's string rotated; a
+        # field's N follows from S
         n = self.order
-        seen = {x * x % n for x in range(n // 2 + 1)}
-        return _bitmask(seen, n) if self.kind == "prime-field" else \
-            (_bitmask(seen, n), _bitmask([-s % n for s in seen], n))
+        digits = bytearray(b"0") * n
+        for x in range(n // 2 + 1):
+            digits[x * x % n] = 49  # "1"
+        s = int(digits[::-1], 2)
+        return s if self.kind == "prime-field" else \
+            (s, int(digits[1:] + digits[:1], 2))
 
 
 class PrimeField(_ResidueCarrier):

@@ -11,8 +11,7 @@ center alone with a mask kernel: a field's at center 1, and for Z/nZ
 those of the prime-power factors of n, computed once per process, with
 no mask over Z/nZ (see count_ring).  Range scans use the count_*, and
 only msos_* (and `parker field`/`ring` with --list) keep tuples.
-brute_force_oracle enumerates with no normalization at all and is used to
-check that the normalized searches lose nothing.
+parker.oracle checks them against an enumeration with no normalization.
 """
 
 from __future__ import annotations
@@ -23,12 +22,8 @@ from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .algebra import (Carrier, ModularRing, center_offsets, divisors,
-                      factorize, is_prime, make_carrier, mask_bits, squares,
-                      two_torsion)
-
-# core's dihedral group is imported by the two oracle checks that use it,
-# so a search or scan never loads core
+from .algebra import (Carrier, ModularRing, center_offsets, factorize,
+                      make_carrier, mask_bits, two_torsion)
 
 
 class SearchResult(NamedTuple):
@@ -61,8 +56,8 @@ class SearchResult(NamedTuple):
         ascending on the diagonal beside (1, -1), and an image exchanging
         the pairs would need {a, i} = {1, -1}, which repeats a cell.  Distinct
         centers are distinct classes, and msos_ring scans each distinct
-        center square once.  oracle_agreement checks this count against
-        dihedral_canonical.
+        center square once.  parker.oracle.oracle_agreement checks this
+        count against dihedral_canonical.
         """
         return len(self.tuples)
 
@@ -296,14 +291,19 @@ def _field_centers(q):
 
 
 def _center_squares(n, factors):
-    """The distinct squares e^2 of the divisor residues e of n, in order,
-    from factors, the factorization of n.
+    """The set of the squares e^2 of the divisor residues e of n, from
+    factors, the factorization of n.
 
     The ring search normalizes the center to a divisor residue of n (one
     unit orbit per divisor), and depends on the center only through its
-    square, so each of these, 0 included, is one center.
+    square, so each of these, 0 included, is one center.  They are the
+    products mod n of one p**(2i), i <= k, per prime power p**k of n.
     """
-    return dict.fromkeys(d * d % n for d in divisors(n, factors))
+    out = {1}
+    for p, k in factors.items():
+        powers = [p**i for i in range(0, 2 * k + 1, 2)]
+        out = {e * x % n for e in out for x in powers}
+    return out
 
 
 def _ring_centers(n):
@@ -371,9 +371,9 @@ def count_field(q) -> int:
         return 0
     t_mask = _center_zero_mask(carrier, center_offsets(carrier, 0))
     vector = _center_counts(carrier, carrier.encode_int(1))
-    # count_ring's product tree from _WEIGHTS, with this one factor
-    weighted = tuple(map(mul, _WEIGHTS, vector))
-    return t_mask.bit_count() // 2 + _center_class_count(weighted, 1, carrier)
+    # count_ring's last level, with this one factor
+    return t_mask.bit_count() // 2 + _class_total({1: _WEIGHTS}, {1: vector},
+                                                  {1: 1}, carrier)
 
 
 def count_ring(n) -> int:
@@ -393,7 +393,7 @@ def count_ring(n) -> int:
     as msos_ring, one count per gcd class, weighted by the class size.
 
     *The CRT factorization.*  The count at one center is
-    _center_class_count's T/8 - (2*(O - O5) + O5)/4.  By the CRT, Z/nZ is
+    _class_total's T/8 - (2*(O - O5) + O5)/4.  By the CRT, Z/nZ is
     the product of the Z/qZ over the prime powers q of n; so are its
     squares, and with them D' and Z, each the product of its sets mod q.
     D_e = D' minus Z is not, so by inclusion and exclusion over the set S
@@ -421,8 +421,10 @@ def count_ring(n) -> int:
     the classes of Z/nZ are the products of one class of each Z/qZ.  So
     the products run one prime power at a time, those with the fewest
     classes first, each partial product computed once for all the classes
-    that extend it, and after the last prime power each class reads its
-    own vector.  The divisibility of T and of 2*(O - O5) + O5 is still
+    that extend it, up to the last prime power, the one with the most
+    classes.  Its level builds no product: T and 2*(O - O5) + O5 of a
+    class are two dot products of that prime power's vector with the
+    partial product (see _class_total), whose divisibility is still
     asserted once per class, naming it.
     """
     n = _carrier("ring", n).order
@@ -435,8 +437,8 @@ def _count_ring(n, factors):
     for e2 in _center_squares(n, factors):
         g = math.gcd(e2, n)
         weights[g] = weights.get(g, 0) + 1
-    components = sorted((_component_counts(p, k) for p, k in factors.items()),
-                        key=len)
+    *components, last = sorted(
+        map(_component_counts, factors, factors.values()), key=len)
     # the product over the prime powers so far, keyed by the product of
     # the classes taken so far
     products = {1: _WEIGHTS}
@@ -444,15 +446,14 @@ def _count_ring(n, factors):
         products = {h * r: tuple(map(mul, vec, v))
                     for h, vec in products.items()
                     for r, v in vectors.items()}
-    total, label = 0, f"Z/{n}Z"
-    for g, weight in weights.items():
-        total += weight * _center_class_count(products[g], g, label)
-    return total
+    return _class_total(products, last, weights, f"Z/{n}Z")
 
 
-def _center_class_count(vector, g, label):
-    """The count at one center from its count vector times _WEIGHTS; g and
-    label name the center class and the carrier if a division fails.
+def _class_total(products, last, weights, label):
+    """The sum over the center classes g = h*r of weights[g] times the
+    count at g, from products, {h: _WEIGHTS times the count vectors of
+    every prime power but the last}, and last, {r: the count vector of the
+    last}; label names the carrier if a division fails.
 
     At a center c, write D' for the offsets delta with c +- delta both
     squares and Z for the delta with 2*delta = 0, so that D_e = D' minus
@@ -470,14 +471,24 @@ def _center_class_count(vector, g, label):
 
         count = T/8 - (2*(O - O5) + O5)/4,
 
-    and both divisions are asserted to be exact.
+    and both divisions are asserted to be exact, once per class.  T is
+    the sum of the first 9 entries of the full product and 2*(O - O5) + O5
+    the sum of the rest (see _WEIGHTS), so each is a dot product of those
+    entries of h's product and of r's vector; map stops at the shorter.
     """
-    pairs = sum(vector[:9])
-    repeats = 2 * sum(vector[9:17]) - sum(vector[17:])
-    if pairs % 8 or repeats % 4:
-        raise AssertionError(f"center class {g} of {label}: T = {pairs} "
-                             f"and 2(O - O5) + O5 = {repeats}")
-    return pairs // 8 - repeats // 4
+    total = 0
+    parts = [(r, v, v[9:]) for r, v in last.items()]
+    for h, prefix in products.items():
+        head, tail = prefix[:9], prefix[9:]
+        for r, v, v_tail in parts:
+            pairs = sum(map(mul, head, v))
+            repeats = sum(map(mul, tail, v_tail))
+            if pairs % 8 or repeats % 4:
+                raise AssertionError(f"center class {h * r} of {label}: "
+                                     f"T = {pairs} and 2(O - O5) + O5 = "
+                                     f"{repeats}")
+            total += weights[h * r] * (pairs // 8 - repeats // 4)
+    return total
 
 
 def ring_square_count(n) -> int:
@@ -495,6 +506,7 @@ def _ring_square_count(factors):
     return math.prod(_square_count(p, k) for p, k in factors.items())
 
 
+@cache
 def _square_count(p, k):
     """The number of squares mod p**k.
 
@@ -517,10 +529,12 @@ def _square_count(p, k):
 # {1, 2}, {3}, {4, 8}, {5, 6, 9, 10}, {7, 11}, {12}, {13, 14} and {15},
 # and so is an entrywise product of vectors.  The vector holds one N(S)
 # per orbit, 25 entries in all.  _WEIGHTS holds (-1)**|S| times the orbit
-# size for these and (-1)**|S| for O and O5; count_ring starts its product
-# over q from it, so that T, O and O5 are plain sums of the product.
+# size for these, 2*(-1)**|S| for O and -(-1)**|S| for O5; count_ring
+# starts its product over q from it, so that T is the sum of the product's
+# first 9 entries and 2*(O - O5) + O5 the sum of the rest.
 _WEIGHTS = (1, -2, 1, -2, 4, -2, 1, -2, 1,
-            *((-1) ** s.bit_count() for s in (*range(8), *range(8))))
+            *(2 * (-1) ** s.bit_count() for s in range(8)),
+            *(-(-1) ** s.bit_count() for s in range(8)))
 
 
 @cache
@@ -599,6 +613,9 @@ def _center_counts(carrier, c):
     and keeps D' and each summand.  D' is the squares when q = 1 (mod 4),
     so its (q - 1)/4 members below q/2, one orbit, all have alpha = 1's
     summand; otherwise it is {0}, with none, and the same formula gives 0.
+    A q with (q + 1)/2 squares is an odd prime: by _square_count an odd
+    p**k, k >= 2, has fewer, and by the CRT so has a product of two
+    coprime factors.
     In F_{p^r} the kernel takes one pair per orbit under Frobenius,
     t -> t**p, weighted by the orbit's size: Frobenius is additive, fixes
     c, which is in F_p, and keeps the squares, so it permutes D' and keeps
@@ -628,13 +645,16 @@ def _center_counts(carrier, c):
     translate = carrier.translate
     s, negs = carrier.square_set()
     d = translate(s, carrier.neg(c)) & translate(negs, c)
+    if d == 1:
+        # D' = {0}: only alpha = gamma = 0 and x = 0 count, at every S
+        return (1,) * 25
     zd = d & two_torsion(carrier)
     # the kernel; its alpha in Z are the ones N({alpha}) = n1 counts
     if r == 1:
         dd = d | d << q
         lower = d & (1 << (p + 1) // 2) - 2
         pairs = ((q - 1) // 4 * (d & dd >> 1 & dd >> q - 1).bit_count()
-                 if c == 0 and is_prime(q) else
+                 if c == 0 and 2 * s.bit_count() == q + 1 else
                  sum((d & dd >> alpha & dd >> q - alpha).bit_count()
                      for alpha in mask_bits(lower)))
     else:
@@ -667,11 +687,14 @@ def _center_counts(carrier, c):
     while rest:
         z = (rest & -rest).bit_length() - 1
         rest &= rest - 1
-        # {t : t + z in d or zd}, then {t : 2t + z in d or zd}
-        b, bz = translate(d, z), translate(zd, z)
-        h, hz = (_preimage(carrier, b, 2), _preimage(carrier, bz, 2)) \
-            if z % 2 else (translate(d2, -(z // 2) % q),
-                           translate(zd2, -(z // 2) % q))
+        # {t : t + z in d or zd}, then {t : 2t + z in d or zd}; at z = 0
+        # every translation is the identity
+        b, bz, h, hz = d, zd, d2, zd2
+        if z:
+            b, bz = translate(d, z), translate(zd, z)
+            h, hz = (_preimage(carrier, b, 2), _preimage(carrier, bz, 2)) \
+                if z % 2 else (translate(d2, -(z // 2) % q),
+                               translate(zd2, -(z // 2) % q))
         db = d & b
         n1 += db.bit_count()                # S = {alpha}
         n3 += (zd & b).bit_count()          # {alpha, gamma}
@@ -718,96 +741,3 @@ def prefilter_field(q) -> str | None:
     if e1_pairs < 4 and not _center_zero_mask(carrier, d0):
         return "no-consecutive-squares"
     return None
-
-
-def brute_force_oracle(carrier: Carrier, cap: int = 100) -> set[tuple[int, ...]]:
-    """Every magic tuple over the carrier, with no normalization.
-
-    Depth-first fill over the square set: the first row fixes the total, the
-    remaining cells are forced line by line, duplicates and wrong sums prune.
-    Guarded by cap because the cost grows with the fourth power of the square
-    count.
-    """
-    if carrier.order is None or carrier.order > cap:
-        raise ValueError(f"oracle refused: order of {carrier} exceeds cap {cap}")
-    sq = squares(carrier)
-    in_sq = set(sq)
-    add, sub = carrier.add, carrier.sub
-    found: set[tuple[int, ...]] = set()
-    for a in sq:
-        for b in sq:
-            if b == a:
-                continue
-            for c in sq:
-                if c == a or c == b:
-                    continue
-                total = add(add(a, b), c)
-                rest = sub(total, a)
-                for d in sq:
-                    g = sub(rest, d)
-                    if g not in in_sq:
-                        continue
-                    e = sub(sub(total, c), g)
-                    if e not in in_sq:
-                        continue
-                    f = sub(sub(total, d), e)
-                    if f not in in_sq:
-                        continue
-                    h = sub(sub(total, b), e)
-                    if h not in in_sq:
-                        continue
-                    i = sub(sub(total, c), f)
-                    if i not in in_sq:
-                        continue
-                    if add(add(g, h), i) != total:
-                        continue
-                    if add(add(a, e), i) != total:
-                        continue
-                    t = (a, b, c, d, e, f, g, h, i)
-                    if len(set(t)) == 9:
-                        found.add(t)
-    return found
-
-
-def _unit_squares(carrier):
-    return sorted({carrier.mul(u, u) for u in carrier.units()})
-
-
-def scaling_closure(carrier: Carrier,
-                    tuples) -> set[tuple[int, ...]]:
-    """All unit-square scalings of all dihedral images of the given tuples."""
-    from .core import dihedral_orbit
-
-    mul = carrier.mul
-    closure: set[tuple[int, ...]] = set()
-    for t in tuples:
-        for img in dihedral_orbit(tuple(t)):
-            for s in _unit_squares(carrier):
-                closure.add(tuple(mul(s, x) for x in img))
-    return closure
-
-
-def oracle_agreement(carrier: Carrier, cap: int = 100) -> bool:
-    """True when the normalized search and the oracle describe the same set.
-
-    Checks that the reported class count and the count of count_field or
-    count_ring are the number of distinct dihedral classes among the
-    normalized tuples, that every normalized tuple is itself magic
-    (membership in the oracle set) and that the oracle set equals the
-    closure of the normalized set under dihedral symmetry and unit-square
-    scaling.
-    """
-    from .core import dihedral_canonical
-
-    if isinstance(carrier, ModularRing):
-        result, count = msos_ring(carrier), count_ring(carrier)
-    else:
-        result, count = msos_field(carrier), count_field(carrier)
-    classes = {dihedral_canonical(t) for t in result.tuples}
-    if not len(classes) == result.dihedral_class_count == count:
-        return False
-    oracle = brute_force_oracle(carrier, cap)
-    normalized = set(result.tuples)
-    if not normalized <= oracle:
-        return False
-    return scaling_closure(carrier, normalized) == oracle

@@ -192,11 +192,12 @@ def ring_orders(lo: int, hi: int, order_filter="all") -> list[int]:
 # Scan driver.
 
 _BATCHES_PER_WORKER = 8
-# A pool costs about 20 ms to import concurrent.futures, 10 ms to start and
-# 50 ms of CPU in two idle workers (Python 3.11, 2 vCPUs), so a scan runs
-# serially until it has spent this long, and only the orders still pending
-# then go to a pool.  A long scan loses at most _SERIAL_MS * (1 - 1/workers)
-# of wall time, and its workers fork with the parent's caches warm.
+# A pool costs about 10 ms to import concurrent.futures, 4 ms to start two
+# workers and run a task on each, and 17 ms of CPU in all, the import
+# included (Python 3.11, 2 vCPUs), so a scan runs serially until it has
+# spent this long, and only the orders still pending then go to a pool.
+# A long scan loses at most _SERIAL_MS * (1 - 1/workers) of wall time, and
+# its workers fork with the parent's caches warm.
 _SERIAL_MS = 250.0
 
 

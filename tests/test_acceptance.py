@@ -14,7 +14,7 @@ from parker.core import magic_from_params, validate_square
 from parker.gaussian import (GaussianInt, chi, congruum_triple,
                              hourglass_condition, hourglass_generators,
                              hourglass_guess, pow4_parts, search_hourglass)
-from parker.search import oracle_agreement
+from parker.oracle import oracle_agreement
 from parker.survey import scan_fields, scan_ring_order, scan_rings
 
 from test_core import all_magic_grids

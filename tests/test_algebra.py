@@ -13,6 +13,19 @@ from parker.algebra import (MAX_ORDER, ExtensionField, NonInvertibleError,
 from parker.survey import field_orders
 
 
+def _trial_division(n):
+    """{prime: exponent} of n >= 1 by division by every d from 2 on."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 class TestIntegerUtilities:
     def test_is_prime_small(self):
         primes = [n for n in range(2, 60) if is_prime(n)]
@@ -28,6 +41,27 @@ class TestIntegerUtilities:
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+    @given(st.integers(1, 10**6))
+    @settings(max_examples=300)
+    def test_factorize_matches_trial_division(self, n):
+        assert factorize(n) == _trial_division(n)
+
+    @pytest.mark.parametrize("n", [
+        # prime squares and semiprimes below 183**2, where trial division
+        # alone decides, and above it, where Miller-Rabin runs first
+        179**2, 181**2, 191**2, 193**2, 179 * 181, 173 * 191, 181 * 191,
+        191 * 193, 32749, 33487, 33493, 2 * 3 * 5 * 32749, 10007 * 10009])
+    def test_factorize_around_the_trial_cutoff(self, n):
+        assert factorize(n) == _trial_division(n)
+
+    def test_factorize_past_trial_division(self):
+        # a Mersenne prime, alone and with 2**5, and a semiprime with no
+        # factor below 10**4, which Pollard rho splits
+        m = 2**61 - 1
+        assert factorize(m) == {m: 1}
+        assert factorize(2**5 * m) == {2: 5, m: 1}
+        assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
 
     def test_divisors(self):
         assert divisors(27) == [1, 3, 9, 27]
@@ -388,6 +422,17 @@ class TestSquares:
             s, neg = c.square_set()
             assert neg == algebra._bitmask(map(c.neg, mask_bits(s)), order), \
                 order
+
+    def test_residue_masks_match_brute_force(self):
+        # Z/nZ's S from x <= n/2 and its N read off S's digits rotated,
+        # against every x**2 mod n and its negation; a prime field's S too
+        for n in (*range(2, 3001), 32749, 32768):
+            brute = {x * x % n for x in range(n)}
+            s = sum(1 << x for x in brute)
+            assert make_carrier("ring", n).square_set() == \
+                (s, sum(1 << -x % n for x in brute)), n
+            if is_prime(n):
+                assert make_carrier("field", n).square_set()[0] == s, n
 
     def test_ring_squares_direct(self):
         c = make_carrier("ring", 27)

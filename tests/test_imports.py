@@ -83,6 +83,17 @@ def test_carrier_commands_load_no_gaussian_or_pool(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("scan-rings", "--from", "1001", "--to", "1100", "--mod", "4", "--res",
+     "0"),
+    ("scan-fields", "--from", "4", "--to", "30", "--prime-powers"),
+], ids=["scan-rings", "scan-fields"])
+def test_scans_load_no_oracle(argv):
+    # the oracle is the tests' ground truth; no command runs it
+    loaded = loaded_by_command(*argv)
+    assert "parker.search" in loaded and "parker.oracle" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
     ("hourglass", "--mode", "exhaustive", "--max-norm", "60"),
     ("hourglass", "--mode", "product-first", "--max-norm", "2000"),
     ("scan-fields", "--from", "4", "--to", "30", "--prime-powers"),

@@ -11,9 +11,10 @@ from parker.algebra import (MAX_ORDER, Integers, divisor_representatives,
                             is_prime, make_carrier, mask_bits,
                             prime_power_base)
 from parker.core import dihedral_canonical, dihedral_orbit, validate_square
-from parker.search import (brute_force_oracle, count_field, count_ring,
-                           msos_field, msos_ring, oracle_agreement,
-                           prefilter_field, scaling_closure)
+from parker.oracle import (brute_force_oracle, oracle_agreement,
+                           scaling_closure)
+from parker.search import (count_field, count_ring, msos_field, msos_ring,
+                           prefilter_field)
 from parker.survey import field_orders
 
 MOD29_SQUARE = tuple(x * x % 29 for x in (9, 11, 1, 6, 0, 14, 12, 16, 8))
@@ -348,7 +349,7 @@ class TestCount:
 def _brute_component(carrier, c):
     """N(S), O(S) and O5(S) at the center square c of a finite carrier, by
     a walk over every (alpha, gamma) and every x in its own arithmetic (see
-    search._center_class_count)."""
+    search._class_total)."""
     add, sub = carrier.add, carrier.sub
     sq = set(_square_walk(carrier))
     d = [t for t in carrier.elements() if add(c, t) in sq and sub(c, t) in sq]
@@ -490,6 +491,26 @@ class TestRingCount:
         monkeypatch.setattr(search, "_component_counts", off_by_two)
         with pytest.raises(AssertionError,
                            match=r"^center class 9 of Z/216Z: T = "):
+            count_ring(216)
+
+    def test_repeat_divisibility_checked_per_class(self, monkeypatch):
+        # O_27({}) raised by 1 at the class 9 of Z/27Z moves 2(O - O5) + O5
+        # by 2 times O_8({}) in each class of Z/216Z that takes it: 1 at the
+        # class 9, 2 at the classes 36 and 72, so only the class 9 breaks
+        # 2(O - O5) + O5 = 0 mod 4, and T stays as it is
+        real = search._component_counts
+
+        def off_by_one(p, k):
+            vectors = dict(real(p, k))
+            if p**k == 27:
+                v = vectors[9]
+                vectors[9] = (*v[:9], v[9] + 1, *v[10:])
+            return vectors
+
+        monkeypatch.setattr(search, "_component_counts", off_by_one)
+        with pytest.raises(AssertionError,
+                           match=r"^center class 9 of Z/216Z: T = \d+ and "
+                                 r"2\(O - O5\) \+ O5 = -?\d+$"):
             count_ring(216)
 
     def test_cache_holds_integer_vectors_per_prime_power(self):
@@ -717,7 +738,7 @@ class TestPrefilter:
             raise AssertionError("built a carrier")
 
         monkeypatch.setattr(search, "make_carrier", refuse)
-        monkeypatch.setattr(search, "squares", refuse)
+        monkeypatch.setattr(algebra.Carrier, "square_set", refuse)
         for q in (2, 16, 2**40):
             assert prefilter_field(q) == "even-order"
 
