@@ -282,17 +282,6 @@ class Carrier:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        out = self.encode_int(1)
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return out
-
     def encode_int(self, n: int) -> int:
         """Encoding of the image of the rational integer n."""
         raise NotImplementedError

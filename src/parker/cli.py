@@ -137,44 +137,43 @@ def _cmd_single(args):
     from .search import (count_field, count_ring, msos_field, msos_ring,
                          ring_square_count)
 
-    # only a listing needs the tuples; a count needs no tuple, and a ring
-    # count no square set of Z/nZ
+    # only a listing needs the tuples, and only --json the square count and
+    # the payload; a count needs no tuple, and a ring count no square set of
+    # Z/nZ
     kind = args.kind
     carrier = make_carrier(kind, args.order)
-    if args.list:
-        tuples = (msos_field if kind == "field" else msos_ring)(carrier).tuples
-        count = len(tuples)
-    else:
-        count = (count_field if kind == "field" else count_ring)(carrier)
-    payload = {
-        "kind": kind,
-        "order": args.order,
-        "square_count": ring_square_count(args.order) if kind == "ring"
-        else carrier.square_set()[0].bit_count(),
-        "tuple_count": count,
-        "dihedral_class_count": count,
-        "parker": not count,
-    }
-    if carrier.kind == "extension-field":
-        payload["modulus_poly"] = list(carrier.modulus_poly)
-    if args.list:
-        payload["tuples"] = [_tuple_json(carrier, t) for t in tuples]
+    tuples = ((msos_field if kind == "field" else msos_ring)(carrier).tuples
+              if args.list else ())
+    count = (len(tuples) if args.list
+             else (count_field if kind == "field" else count_ring)(carrier))
     if args.json:
         import json
 
+        payload = {
+            "kind": kind,
+            "order": args.order,
+            "square_count": ring_square_count(args.order) if kind == "ring"
+            else carrier.square_set()[0].bit_count(),
+            "tuple_count": count,
+            "dihedral_class_count": count,
+            "parker": not count,
+        }
+        if carrier.kind == "extension-field":
+            payload["modulus_poly"] = list(carrier.modulus_poly)
+        if args.list:
+            payload["tuples"] = [_tuple_json(carrier, t) for t in tuples]
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
     print(f"{carrier}: {count} magic squares of squares "
           f"({count} dihedral classes), "
           f"{'not Parker' if count else 'Parker'}")
-    if args.list:
-        for t in tuples:
-            # an extension-field element such as 6 + 6*x prints with
-            # spaces, so it is parenthesized to keep the cells apart
-            cells = [carrier.element_repr(x) for x in t]
-            cells = [f"({c})" if " " in c else c for c in cells]
-            rows = [" ".join(cells[i:i + 3]) for i in (0, 3, 6)]
-            print("  [" + " | ".join(rows) + "]")
+    for t in tuples:
+        # an extension-field element such as 6 + 6*x prints with
+        # spaces, so it is parenthesized to keep the cells apart
+        cells = [carrier.element_repr(x) for x in t]
+        cells = [f"({c})" if " " in c else c for c in cells]
+        rows = [" ".join(cells[i:i + 3]) for i in (0, 3, 6)]
+        print("  [" + " | ".join(rows) + "]")
     return EXIT_OK
 
 

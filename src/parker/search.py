@@ -109,12 +109,11 @@ def _pair_hits(carrier, e2, d_mask):
     the halves of alpha are only ever taken there.
 
     The lower members u < v are read off D_e + e^2 in ascending order, and
-    D_e is translated through _translator (one shift in Z/nZ and F_p).
+    D_e is translated by Carrier.translate; _translator's table of its
+    translations would save a listing under 1% of its time.
     """
-    sub = carrier.sub
+    sub, translate = carrier.sub, carrier.translate
     repeats = _repeat_mask(carrier)
-    # the kernel translates fewer than q times; q asks for the fullest table
-    translate = _translator(carrier, d_mask, carrier.order)[1]
     target = carrier.add(e2, e2)
     earlier = 0
     for u in mask_bits(carrier.translate(d_mask, e2)):
@@ -122,10 +121,10 @@ def _pair_hits(carrier, e2, d_mask):
         if u > v:
             continue
         alpha = sub(v, e2)
-        hits = translate(sub(u, e2)) & earlier
+        hits = translate(d_mask, sub(u, e2)) & earlier
         earlier |= 1 << alpha
         if hits:
-            hits &= translate(alpha)
+            hits &= translate(d_mask, alpha)
         if hits:
             hits ^= hits & repeats(alpha)
         if hits:
@@ -159,32 +158,32 @@ def _center_zero_hits(carrier, e2, d_mask):
             yield alpha, hit
 
 
-# The most bits _translator's table may hold, 2 MiB.  A full table, every
-# digit but the top one, makes each translation one shift with no call to
-# Carrier.translate: every odd field order up to 5000 may have one, and so
-# may every F_{p^2} (1.5 MB at F_181^2), F_19^3 and F_23^3.  Past that a
-# table cut short adds the middle digits by Carrier.translate; 3**8 = 6561
-# is the first order cut short, to at most 6 of its 7 low digits.
+# The most bits _translator's table, which only counting builds, may hold:
+# 2 MiB.  A full table, every digit but the top one, makes each translation
+# one shift: every odd F_{p^r} up to 5000 may have one, and so may
+# every F_{p^2} (1.5 MB at F_181^2), F_19^3 and F_23^3.  Past that a table
+# cut short adds the middle digits by Carrier.translate; 3**8 = 6561 is the
+# first order cut short, to at most 6 of its 7 low digits.
 TABLE_BITS = 2**24
 
 
 def _translator(carrier, mask, lookups):
     """(table, translate): translate(t) has carrier.translate(mask, t) below
-    bit q, the order, and leftover bits above it.
+    bit q, the order, and leftover bits above it, for its one caller, the
+    Frobenius-orbit kernel of _center_counts on F_{p^r}, r > 1.
 
     The additive layout (p, r) splits t into its low h digits, the middle
     digits h..r - 2 and its top digit c.  table holds mask translated by
     every value s of the low h digits, at index s, each held doubled as
     m | m << q, so that translating by c * p**(r - 1) is the one shift
-    >> (q - c * p**(r - 1)); Z/nZ and prime fields need only that one.
-    The block of the p**i entries with digit i = c is the block of c - 1
-    translated by p**i, one masked shift pair each.  h is the most low
-    digits, at most r - 1, whose p**h entries of 2q bits fit TABLE_BITS
-    and number at most twice lookups, the translations the caller makes.
-    When that cuts the table short, Carrier.translate adds the middle
-    digits, one call per lookup.  Timed in process on every odd F_{p^r},
-    r >= 3, up to 32768, with the lookups of _center_counts, this height
-    was within 10% of the fastest one.
+    >> (q - c * p**(r - 1)).  The block of the p**i entries with digit
+    i = c is the block of c - 1 translated by p**i, one masked shift pair
+    each.  h is the most low digits, at most r - 1, whose p**h entries of
+    2q bits fit TABLE_BITS and number at most twice lookups, the
+    translations the caller makes.  When that cuts the table short,
+    Carrier.translate adds the middle digits, one call per lookup.  Timed
+    in process on every odd F_{p^r}, r >= 3, up to 32768, this height was
+    within 10% of the fastest one.
     """
     p, r = carrier.additive_layout
     q = carrier.order
@@ -584,8 +583,11 @@ def _preimage(carrier, mask, k):
         return int((format(mask, f"0{q}b") * k)[k - 1::k], 2)
     g = math.gcd(k, q)
     period = q // g
-    inverse = pow(k // g, -1, period)
     solutions = sum(1 << j * period for j in range(g))
+    if mask == 1:
+        # {0}, the mask of most calls, takes the multiples of q/g
+        return solutions
+    inverse = pow(k // g, -1, period)
     out = 0
     while mask:
         w = (mask & -mask).bit_length() - 1
@@ -615,7 +617,9 @@ def _center_counts(carrier, c):
     summand; otherwise it is {0}, with none, and the same formula gives 0.
     A q with (q + 1)/2 squares is an odd prime: by _square_count an odd
     p**k, k >= 2, has fewer, and by the CRT so has a product of two
-    coprime factors.
+    coprime factors.  At its center 1, |D'| = (q - chi(-1))/4 + [chi(2) = 1]
+    is asserted: a^2 + b^2 = 2 has q - chi(-1) points, delta = a^2 - 1 =
+    1 - b^2, and each delta but +-1 takes four, +-1 two when 2 is a square.
     In F_{p^r} the kernel takes one pair per orbit under Frobenius,
     t -> t**p, weighted by the orbit's size: Frobenius is additive, fixes
     c, which is in F_p, and keeps the squares, so it permutes D' and keeps
@@ -645,6 +649,10 @@ def _center_counts(carrier, c):
     translate = carrier.translate
     s, negs = carrier.square_set()
     d = translate(s, carrier.neg(c)) & translate(negs, c)
+    prime = r == 1 and 2 * s.bit_count() == q + 1
+    if prime and c == 1 and d.bit_count() != (q + 1) // 4 + (q % 8 in (1, 7)):
+        raise AssertionError(f"|D'| = {d.bit_count()} at the center 1 of "
+                             f"{carrier}")
     if d == 1:
         # D' = {0}: only alpha = gamma = 0 and x = 0 count, at every S
         return (1,) * 25
@@ -654,7 +662,7 @@ def _center_counts(carrier, c):
         dd = d | d << q
         lower = d & (1 << (p + 1) // 2) - 2
         pairs = ((q - 1) // 4 * (d & dd >> 1 & dd >> q - 1).bit_count()
-                 if c == 0 and 2 * s.bit_count() == q + 1 else
+                 if c == 0 and prime else
                  sum((d & dd >> alpha & dd >> q - alpha).bit_count()
                      for alpha in mask_bits(lower)))
     else:

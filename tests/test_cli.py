@@ -1,9 +1,10 @@
+import hashlib
 import json
 import re
 
 import pytest
 
-from parker import survey
+from parker import cli, survey
 from parker.algebra import MAX_ORDER
 from parker.cli import build_parser, main
 from parker.gaussian import MAX_BOUND
@@ -75,6 +76,25 @@ class TestFieldAndRing:
         code, out, _ = run_cli(capsys, *argv, "--list")
         assert code == 0
         assert out == expected
+
+    @pytest.mark.parametrize("argv,sha256", [
+        (("field", "29"), "e37c9e2f024b4b7dcbc9fd79919d342c"
+                          "69ede6e19fd103ca1cd8c7e38121c2f2"),
+        (("field", "81"), "dfc7b481fffb8c2b22ea4a852f0b73f4"
+                          "a18fa9f4eb946485670e8ab0df324e8e"),
+        (("ring", "27"), "89bf83c1bafa359fe636ea9b7412f059"
+                         "74ecfd37f6cdd8ec780b97520d210d91"),
+    ])
+    def test_text_listing_builds_no_json(self, capsys, monkeypatch, argv,
+                                         sha256):
+        # only --json turns the tuples into JSON lists; the text listing
+        # prints the same bytes without them
+        def refuse(*_):
+            raise AssertionError("a text listing built a JSON tuple")
+        monkeypatch.setattr(cli, "_tuple_json", refuse)
+        code, out, _ = run_cli(capsys, *argv, "--list")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_plain_output(self, capsys):
         code, out, _ = run_cli(capsys, "field", "17")

@@ -2,6 +2,7 @@ import collections
 import functools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -254,8 +255,8 @@ class TestPairKernel:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_doubled_shift_is_translate(self, data):
-        # _translator of a single-digit layout translates D_e as
-        # doubled >> (n - t), read below bit n
+        # the counting kernel of a single-digit layout translates D' as
+        # doubled >> (n - t), read below bit n (see _center_counts)
         n = data.draw(st.integers(2, 700))
         kind = "field" if data.draw(st.booleans()) and is_prime(n) else "ring"
         c = make_carrier(kind, n)
@@ -292,7 +293,7 @@ class TestPairKernel:
                 if height:
                     table = search._translator(c, mask, lookups - 1)[0]
                     assert len(table) == p**(height - 1), (order, height)
-            # listing passes the order, and gets the capped table
+            # lookups of the order get the table capped by TABLE_BITS
             assert len(search._translator(c, mask, order)[0]) == \
                 p**low_digits, order
 
@@ -420,6 +421,29 @@ class TestRingCount:
                 assert vectors[math.gcd(c, q)] == _distinct_counts(
                     _brute_component(make_carrier("ring", q), c)), (q, c)
             assert search.ring_square_count(q) == len(centers)
+
+    @pytest.mark.parametrize("kind", ["field", "ring"])
+    def test_center_one_offsets_closed_form(self, kind):
+        # |D'| = (p - chi(-1))/4 + [chi(2) = 1] at the center 1 of F_p
+        # and Z/pZ, asserted by _center_counts, against D' itself
+        for p in filter(is_prime, range(3, 2000)):
+            c = make_carrier(kind, p)
+            d = _center_one_offsets(c)
+            chi = {x: 1 if c.is_square(x) else -1 for x in (p - 1, 2)}
+            assert d.bit_count() == \
+                (p - chi[p - 1]) // 4 + (chi[2] == 1), (kind, p)
+            search._center_counts(c, 1)
+
+    @pytest.mark.parametrize("kind", ["field", "ring"])
+    def test_center_one_offsets_closed_form_breaks(self, kind):
+        # flipping bit -1 of N takes 0 out of D' at the center 1
+        for p in (29, 31, 1021):
+            c = make_carrier(kind, p)
+            s, negs = c.square_set()
+            c._square_set = s, negs ^ 1 << p - 1
+            with pytest.raises(AssertionError,
+                               match=rf"at the center 1 of {re.escape(str(c))}"):
+                search._center_counts(c, 1)
 
     def test_prime_center_zero_is_one_orbit(self):
         # at the center 0 of Z/p the kernel reads alpha = 1 alone, against
