@@ -109,14 +109,13 @@ def _pair_hits(carrier, e2, d_mask):
     the halves of alpha are only ever taken there.
 
     The lower members u < v are read off D_e + e^2 in ascending order, and
-    D_e is translated by Carrier.translate; _translator's table of its
-    translations would save a listing under 1% of its time.
+    D_e is translated by Carrier.translate.
     """
     sub, translate = carrier.sub, carrier.translate
     repeats = _repeat_mask(carrier)
     target = carrier.add(e2, e2)
     earlier = 0
-    for u in mask_bits(carrier.translate(d_mask, e2)):
+    for u in mask_bits(translate(d_mask, e2)):
         v = sub(target, u)
         if u > v:
             continue
@@ -169,8 +168,8 @@ TABLE_BITS = 2**24
 
 def _translator(carrier, mask, lookups):
     """(table, translate): translate(t) has carrier.translate(mask, t) below
-    bit q, the order, and leftover bits above it, for its one caller, the
-    Frobenius-orbit kernel of _center_counts on F_{p^r}, r > 1.
+    bit q, the order, and leftover bits above it, for the Frobenius-orbit
+    kernel of _center_counts on F_{p^r}, r > 1.
 
     The additive layout (p, r) splits t into its low h digits, the middle
     digits h..r - 2 and its top digit c.  table holds mask translated by
@@ -583,11 +582,8 @@ def _preimage(carrier, mask, k):
         return int((format(mask, f"0{q}b") * k)[k - 1::k], 2)
     g = math.gcd(k, q)
     period = q // g
-    solutions = sum(1 << j * period for j in range(g))
-    if mask == 1:
-        # {0}, the mask of most calls, takes the multiples of q/g
-        return solutions
     inverse = pow(k // g, -1, period)
+    solutions = sum(1 << j * period for j in range(g))
     out = 0
     while mask:
         w = (mask & -mask).bit_length() - 1

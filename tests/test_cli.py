@@ -1,4 +1,3 @@
-import hashlib
 import json
 import re
 
@@ -71,30 +70,44 @@ class TestFieldAndRing:
         (("field", "49"), "F_49: 1 magic squares of squares "
          "(1 dihedral classes), not Parker\n"
          "  [x (6 + 6*x) 1 | (1 + 6*x) 0 (6 + x) | 6 (1 + x) 6*x]\n"),
+        (("field", "81"), "F_81: 9 magic squares of squares "
+         "(9 dihedral classes), not Parker\n"
+         "  [(2*x + x^2 + x^3) (x + 2*x^2 + 2*x^3) 0 | "
+         "(1 + x + 2*x^2 + 2*x^3) 1 (1 + 2*x + x^2 + x^3) | 2 "
+         "(2 + 2*x + x^2 + x^3) (2 + x + 2*x^2 + 2*x^3)]\n"
+         "  [(2*x + x^2 + x^3) (2 + x + 2*x^2 + 2*x^3) 1 | "
+         "(1 + x + 2*x^2 + 2*x^3) 0 (2 + 2*x + x^2 + x^3) | 2 "
+         "(1 + 2*x + x^2 + x^3) (x + 2*x^2 + 2*x^3)]\n"
+         "  [(1 + 2*x + x^2 + x^3) (2 + 2*x + x^2 + x^3) (2*x + x^2 + x^3) | "
+         "0 1 2 | (2 + x + 2*x^2 + 2*x^3) (x + 2*x^2 + 2*x^3) "
+         "(1 + x + 2*x^2 + 2*x^3)]\n"
+         "  [(1 + 2*x + x^2 + x^3) (1 + x + 2*x^2 + 2*x^3) 1 | "
+         "(x + 2*x^2 + 2*x^3) 0 (2*x + x^2 + x^3) | 2 (2 + 2*x + x^2 + x^3) "
+         "(2 + x + 2*x^2 + 2*x^3)]\n"
+         "  [(1 + 2*x + x^2 + x^3) (2 + x + 2*x^2 + 2*x^3) 0 | "
+         "(x + 2*x^2 + 2*x^3) 1 (2 + 2*x + x^2 + x^3) | 2 (2*x + x^2 + x^3) "
+         "(1 + x + 2*x^2 + 2*x^3)]\n"
+         "  [(2 + 2*x + x^2 + x^3) (2*x + x^2 + x^3) (1 + 2*x + x^2 + x^3) | "
+         "0 1 2 | (1 + x + 2*x^2 + 2*x^3) (2 + x + 2*x^2 + 2*x^3) "
+         "(x + 2*x^2 + 2*x^3)]\n"
+         "  [(2 + 2*x + x^2 + x^3) (1 + 2*x + x^2 + x^3) (2*x + x^2 + x^3) | "
+         "2 1 0 | (2 + x + 2*x^2 + 2*x^3) (1 + x + 2*x^2 + 2*x^3) "
+         "(x + 2*x^2 + 2*x^3)]\n"
+         "  [(2 + 2*x + x^2 + x^3) (x + 2*x^2 + 2*x^3) 1 | "
+         "(2 + x + 2*x^2 + 2*x^3) 0 (1 + 2*x + x^2 + x^3) | 2 "
+         "(2*x + x^2 + x^3) (1 + x + 2*x^2 + 2*x^3)]\n"
+         "  [(2 + 2*x + x^2 + x^3) (1 + x + 2*x^2 + 2*x^3) 0 | "
+         "(2 + x + 2*x^2 + 2*x^3) 1 (2*x + x^2 + x^3) | 2 "
+         "(1 + 2*x + x^2 + x^3) (x + 2*x^2 + 2*x^3)]\n"),
     ])
-    def test_text_listing(self, capsys, argv, expected):
-        code, out, _ = run_cli(capsys, *argv, "--list")
-        assert code == 0
-        assert out == expected
-
-    @pytest.mark.parametrize("argv,sha256", [
-        (("field", "29"), "e37c9e2f024b4b7dcbc9fd79919d342c"
-                          "69ede6e19fd103ca1cd8c7e38121c2f2"),
-        (("field", "81"), "dfc7b481fffb8c2b22ea4a852f0b73f4"
-                          "a18fa9f4eb946485670e8ab0df324e8e"),
-        (("ring", "27"), "89bf83c1bafa359fe636ea9b7412f059"
-                         "74ecfd37f6cdd8ec780b97520d210d91"),
-    ])
-    def test_text_listing_builds_no_json(self, capsys, monkeypatch, argv,
-                                         sha256):
-        # only --json turns the tuples into JSON lists; the text listing
-        # prints the same bytes without them
+    def test_text_listing(self, capsys, monkeypatch, argv, expected):
+        # only --json turns the tuples into JSON lists
         def refuse(*_):
             raise AssertionError("a text listing built a JSON tuple")
         monkeypatch.setattr(cli, "_tuple_json", refuse)
         code, out, _ = run_cli(capsys, *argv, "--list")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+        assert out == expected
 
     def test_plain_output(self, capsys):
         code, out, _ = run_cli(capsys, "field", "17")
