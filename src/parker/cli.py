@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from .limits import MAX_BOUND, MAX_ORDER
 
@@ -19,8 +20,9 @@ from .limits import MAX_BOUND, MAX_ORDER
 # Past the interpreter's own start-up, every command loads argparse (with
 # gettext and locale), and the records are typing.NamedTuples.  Then
 #   field, ring     json with --json
-#   scan-*          json with --checkpoint or a JSONL --out, csv with a CSV
-#                   --out, and concurrent.futures (with logging) only
+#   scan-*          json only to resume from a checkpoint that has records,
+#                   never csv (records and reports are written from
+#                   templates), and concurrent.futures (with logging) only
 #                   when orders are left for a pool after the serial pass
 #   hourglass       json only to print a hit
 #   verify          json
@@ -132,10 +134,21 @@ def _tuple_json(carrier, t):
     return [carrier.element_to_json(x) for x in t]
 
 
+# a command's output lines go to stdout this many at a time, so that a
+# listing is neither held whole nor written one system call per line
+_WRITE_BATCH = 1000
+
+
+def _write(pieces):
+    """Write the iterable pieces, nonempty strings, to stdout in batches."""
+    pieces = iter(pieces)
+    while batch := "".join(islice(pieces, _WRITE_BATCH)):
+        sys.stdout.write(batch)
+
+
 def _cmd_single(args):
     from .algebra import make_carrier
-    from .search import (count_field, count_ring, msos_field, msos_ring,
-                         ring_square_count)
+    from .search import count_field, count_ring, msos_field, msos_ring
 
     # only a listing needs the tuples, and only --json the square count and
     # the payload; a count needs no tuple, and a ring count no square set of
@@ -147,34 +160,51 @@ def _cmd_single(args):
     count = (len(tuples) if args.list
              else (count_field if kind == "field" else count_ring)(carrier))
     if args.json:
-        import json
+        _write(_json_lines(args, carrier, count, tuples))
+    else:
+        _write(_text_lines(carrier, count, tuples))
+    return EXIT_OK
 
-        payload = {
-            "kind": kind,
-            "order": args.order,
-            "square_count": ring_square_count(args.order) if kind == "ring"
-            else carrier.square_set()[0].bit_count(),
-            "tuple_count": count,
-            "dihedral_class_count": count,
-            "parker": not count,
-        }
-        if carrier.kind == "extension-field":
-            payload["modulus_poly"] = list(carrier.modulus_poly)
-        if args.list:
-            payload["tuples"] = [_tuple_json(carrier, t) for t in tuples]
-        print(json.dumps(payload, sort_keys=True))
-        return EXIT_OK
-    print(f"{carrier}: {count} magic squares of squares "
-          f"({count} dihedral classes), "
-          f"{'not Parker' if count else 'Parker'}")
+
+def _json_lines(args, carrier, count, tuples):
+    """json.dumps(payload, sort_keys=True) and a newline, in pieces: the
+    tuples, whose key sorts last, follow the rest one at a time."""
+    import json
+
+    from .search import ring_square_count
+
+    payload = {
+        "kind": args.kind,
+        "order": args.order,
+        "square_count": ring_square_count(args.order) if args.kind == "ring"
+        else carrier.square_set()[0].bit_count(),
+        "tuple_count": count,
+        "dihedral_class_count": count,
+        "parker": not count,
+    }
+    if carrier.kind == "extension-field":
+        payload["modulus_poly"] = list(carrier.modulus_poly)
+    head = json.dumps(payload, sort_keys=True)
+    if not args.list:
+        yield head + "\n"
+        return
+    yield head[:-1] + ', "tuples": ['
+    for i, t in enumerate(tuples):
+        yield (", " if i else "") + json.dumps(_tuple_json(carrier, t))
+    yield "]}\n"
+
+
+def _text_lines(carrier, count, tuples):
+    yield (f"{carrier}: {count} magic squares of squares "
+           f"({count} dihedral classes), "
+           f"{'not Parker' if count else 'Parker'}\n")
     for t in tuples:
         # an extension-field element such as 6 + 6*x prints with
         # spaces, so it is parenthesized to keep the cells apart
         cells = [carrier.element_repr(x) for x in t]
         cells = [f"({c})" if " " in c else c for c in cells]
         rows = [" ".join(cells[i:i + 3]) for i in (0, 3, 6)]
-        print("  [" + " | ".join(rows) + "]")
-    return EXIT_OK
+        yield "  [" + " | ".join(rows) + "]\n"
 
 
 def _cmd_scan(args):
@@ -202,12 +232,14 @@ def _cmd_scan(args):
         survey.write_report(records, args.format or "csv", args.out)
         print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
     # stdout stays timing-free so identical invocations print identical bytes
+    lines = []
     for rec in records:
         reason = f" ({rec.prefilter_reason})" if rec.prefilter_reason else ""
         status = "Parker" if rec.parker else f"{rec.msos_count} squares"
-        print(f"{rec.kind} {rec.order}: {status}{reason}")
-    print("record breakers: "
-          + ", ".join(f"{o}:{c}" for o, c in table.rows))
+        lines.append(f"{rec.kind} {rec.order}: {status}{reason}\n")
+    lines.append("record breakers: "
+                 + ", ".join(f"{o}:{c}" for o, c in table.rows) + "\n")
+    _write(lines)
     return EXIT_OK
 
 

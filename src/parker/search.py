@@ -370,8 +370,8 @@ def count_field(q) -> int:
     t_mask = _center_zero_mask(carrier, center_offsets(carrier, 0))
     vector = _center_counts(carrier, carrier.encode_int(1))
     # count_ring's last level, with this one factor
-    return t_mask.bit_count() // 2 + _class_total({1: _WEIGHTS}, {1: vector},
-                                                  {1: 1}, carrier)
+    return t_mask.bit_count() // 2 + _class_total(
+        _UNIT_PRODUCT, ((1, vector, vector[9:]),), {1: 1}, carrier)
 
 
 def count_ring(n) -> int:
@@ -435,23 +435,28 @@ def _count_ring(n, factors):
     for e2 in _center_squares(n, factors):
         g = math.gcd(e2, n)
         weights[g] = weights.get(g, 0) + 1
-    *components, last = sorted(
-        map(_component_counts, factors, factors.values()), key=len)
-    # the product over the prime powers so far, keyed by the product of
-    # the classes taken so far
-    products = {1: _WEIGHTS}
-    for vectors in components:
-        products = {h * r: tuple(map(mul, vec, v))
-                    for h, vec in products.items()
-                    for r, v in vectors.items()}
-    return _class_total(products, last, weights, f"Z/{n}Z")
+    # p**k has (k + 1)//2 + 1 center classes, and the fewest go first
+    *components, last = sorted(factors.items(),
+                               key=lambda f: (f[1] + 1) // 2)
+    # the product over the prime powers so far, as (h, its first 9 entries,
+    # the rest) with h the product of the classes taken so far
+    products = (_weighted_counts(*components[0]) if components
+                else _UNIT_PRODUCT)
+    for p, k in components[1:]:
+        products = [(h * r, tuple(map(mul, head, v)),
+                     tuple(map(mul, tail, v_tail)))
+                    for h, head, tail in products
+                    for r, v, v_tail in _split_counts(p, k)]
+    return _class_total(products, _split_counts(*last), weights, f"Z/{n}Z")
 
 
 def _class_total(products, last, weights, label):
     """The sum over the center classes g = h*r of weights[g] times the
-    count at g, from products, {h: _WEIGHTS times the count vectors of
-    every prime power but the last}, and last, {r: the count vector of the
-    last}; label names the carrier if a division fails.
+    count at g, from products, (h, head, tail) with head and tail the
+    first 9 entries and the rest of _WEIGHTS times the count vectors of
+    every prime power but the last, and last, (r, v, v[9:]) with v the
+    count vector of the last; label names the carrier if a division
+    fails.
 
     At a center c, write D' for the offsets delta with c +- delta both
     squares and Z for the delta with 2*delta = 0, so that D_e = D' minus
@@ -475,10 +480,8 @@ def _class_total(products, last, weights, label):
     entries of h's product and of r's vector; map stops at the shorter.
     """
     total = 0
-    parts = [(r, v, v[9:]) for r, v in last.items()]
-    for h, prefix in products.items():
-        head, tail = prefix[:9], prefix[9:]
-        for r, v, v_tail in parts:
+    for h, head, tail in products:
+        for r, v, v_tail in last:
             pairs = sum(map(mul, head, v))
             repeats = sum(map(mul, tail, v_tail))
             if pairs % 8 or repeats % 4:
@@ -552,6 +555,30 @@ def _component_counts(p, k):
         raise AssertionError(f"square count of Z/{q}Z")
     return MappingProxyType({p**m: _center_counts(carrier, p**m % q)
                              for m in (*range(0, k, 2), k)})
+
+
+# The prime-power data of _count_ring, each cached per prime power like
+# _component_counts, so that a modulus reuses what its factors' earlier
+# multiples computed: the empty product, the count vectors split as
+# _class_total reads them, and the first factor's vectors times _WEIGHTS.
+_UNIT_PRODUCT = ((1, _WEIGHTS[:9], _WEIGHTS[9:]),)
+
+
+@cache
+def _split_counts(p, k):
+    """((r, v, v[9:]) for the classes r and vectors v of _component_counts)."""
+    return tuple((r, v, v[9:]) for r, v in _component_counts(p, k).items())
+
+
+@cache
+def _weighted_counts(p, k):
+    """((r, head, tail)): head and tail are the first 9 entries and the
+    rest of _WEIGHTS times the vector of r in _component_counts."""
+    out = []
+    for r, v in _component_counts(p, k).items():
+        weighted = tuple(map(mul, _WEIGHTS, v))
+        out.append((r, weighted[:9], weighted[9:]))
+    return tuple(out)
 
 
 def _preimage(carrier, mask, k):

@@ -29,8 +29,10 @@ from .algebra import check_order, factorize, is_prime, make_carrier
 from .search import (PREFILTER_REASONS, _count_ring, _ring_square_count,
                      count_field, prefilter_field)
 
-# json, csv and io load only where a record or report is written or read,
-# and logging only for the corrupt-checkpoint warning (see _info_logger)
+# records and reports are written from templates, so json loads only to
+# read a checkpoint or JSONL report and csv (with io) only to parse a CSV
+# report; logging loads only for the corrupt-checkpoint warning (see
+# _info_logger)
 
 CSV_COLUMNS = ("order", "kind", "square_count", "msos_count",
                "dihedral_class_count", "parker", "prefilter_reason",
@@ -310,11 +312,23 @@ def scan_rings(lo: int, hi: int, order_filter="all", jobs: int = 1,
 # Persistence.
 
 
-def record_to_json(rec: ScanRecord) -> str:
-    import json
+# A record's JSON line, keys sorted, and its CSV row.  For a record a scan
+# makes, with integer counts and a kind and reason of plain ASCII letters and
+# hyphens, they are byte for byte json.dumps(..., sort_keys=True) of its
+# CSV_COLUMNS and csv.writer(lineterminator="\n") of its row.
+_JSON_LINE = ('{"dihedral_class_count": %s, "elapsed_ms": %s, "kind": "%s", '
+              '"msos_count": %s, "order": %s, "parker": %s, '
+              '"prefilter_reason": %s, "square_count": %s}')
+_CSV_ROW = "%s,%s,%s,%s,%s,%s,%s,%s\n"
 
-    return json.dumps({key: getattr(rec, key) for key in CSV_COLUMNS},
-                      sort_keys=True)
+
+def record_to_json(rec: ScanRecord) -> str:
+    """rec's checkpoint and JSONL line, without its newline."""
+    order, kind, square_count, msos_count, reason, elapsed_ms = rec
+    return _JSON_LINE % (msos_count, elapsed_ms, kind, msos_count, order,
+                         "false" if msos_count else "true",
+                         "null" if reason is None else f'"{reason}"',
+                         square_count)
 
 
 def _checked_record(obj) -> ScanRecord:
@@ -368,18 +382,12 @@ def write_report(records, fmt: str, path) -> None:
 
 def render_report(records, fmt: str) -> str:
     if fmt == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                rec.order, rec.kind, rec.square_count, rec.msos_count,
-                rec.dihedral_class_count, "true" if rec.parker else "false",
-                rec.prefilter_reason or "", rec.elapsed_ms])
-        return buf.getvalue()
+        return ",".join(CSV_COLUMNS) + "\n" + "".join(
+            _CSV_ROW % (order, kind, square_count, msos_count, msos_count,
+                        "false" if msos_count else "true", reason or "",
+                        elapsed_ms)
+            for order, kind, square_count, msos_count, reason, elapsed_ms
+            in records)
     if fmt == "jsonl":
         return "".join(record_to_json(rec) + "\n" for rec in records)
     raise ValueError(f"unknown report format {fmt!r}")

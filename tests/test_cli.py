@@ -4,9 +4,10 @@ import re
 import pytest
 
 from parker import cli, survey
-from parker.algebra import MAX_ORDER
+from parker.algebra import MAX_ORDER, make_carrier
 from parker.cli import build_parser, main
 from parker.gaussian import MAX_BOUND
+from parker.search import msos_field, msos_ring
 
 
 def run_cli(capsys, *argv):
@@ -105,9 +106,34 @@ class TestFieldAndRing:
         def refuse(*_):
             raise AssertionError("a text listing built a JSON tuple")
         monkeypatch.setattr(cli, "_tuple_json", refuse)
+        # the lines go out in batches, here of two, so that every listing
+        # but F_49's takes more than one
+        monkeypatch.setattr(cli, "_WRITE_BATCH", 2)
         code, out, _ = run_cli(capsys, *argv, "--list")
         assert code == 0
         assert out == expected
+
+    @pytest.mark.parametrize("kind, order", [
+        ("ring", 27), ("field", 29), ("field", 49), ("field", 81),
+        ("field", 17)])
+    def test_json_listing(self, capsys, monkeypatch, kind, order):
+        # the tuples are written one at a time, in batches of two here, and
+        # the bytes are json.dumps of the whole payload
+        monkeypatch.setattr(cli, "_WRITE_BATCH", 2)
+        carrier = make_carrier(kind, order)
+        tuples = (msos_field if kind == "field" else msos_ring)(carrier).tuples
+        payload = {"kind": kind, "order": order,
+                   "square_count": carrier.square_set()[0].bit_count(),
+                   "tuple_count": len(tuples),
+                   "dihedral_class_count": len(tuples),
+                   "parker": not tuples,
+                   "tuples": [[carrier.element_to_json(x) for x in t]
+                              for t in tuples]}
+        if carrier.kind == "extension-field":
+            payload["modulus_poly"] = list(carrier.modulus_poly)
+        code, out, _ = run_cli(capsys, kind, str(order), "--list", "--json")
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
 
     def test_plain_output(self, capsys):
         code, out, _ = run_cli(capsys, "field", "17")

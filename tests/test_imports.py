@@ -17,7 +17,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 # standard-library modules no command loads unless its path uses them:
 # dataclasses (with inspect) nowhere, logging only for -v, json only to
-# read or write JSON, and csv only for a CSV report
+# read a checkpoint or JSONL report or for --json, verify and an hourglass
+# hit, and csv only to parse a CSV report; scans write their records from
+# templates
 UNUSED = {"dataclasses", "inspect", "logging", "json", "csv"}
 
 
@@ -101,6 +103,46 @@ def test_scans_load_no_oracle(argv):
 ], ids=["exhaustive", "product-first", "scan-fields", "ring"])
 def test_commands_load_no_unused_stdlib_module(argv):
     assert loaded_by_command(*argv).isdisjoint(UNUSED)
+
+
+def test_scans_writing_records_load_no_json_or_csv(tmp_path):
+    ckpt, csv_out, jsonl_out = (str(tmp_path / name) for name in
+                                ("ckpt.jsonl", "out.csv", "out.jsonl"))
+    for argv in (("scan-rings", "--from", "1001", "--to", "1100", "--mod",
+                  "4", "--res", "0", "--jobs", "2", "--checkpoint", ckpt,
+                  "--out", csv_out),
+                 ("scan-fields", "--from", "4", "--to", "30",
+                  "--format", "jsonl", "--out", jsonl_out)):
+        assert loaded_by_command(*argv).isdisjoint({"json", "csv"}), argv
+    with open(ckpt, encoding="utf-8") as fh:
+        assert len(fh.readlines()) == 25
+    # resuming reads the checkpoint, which takes json
+    assert "json" in loaded_by_command("scan-rings", "--from", "1001",
+                                       "--to", "1100", "--mod", "4", "--res",
+                                       "0", "--checkpoint", ckpt)
+
+
+def test_ring_scan_caches_once_per_prime_power():
+    # each cache _count_ring reads computes a prime power once and then
+    # reuses it: in this range 2**2 comes first in 13 of the 25 moduli
+    out = _run(["-c", "from parker import search, survey\n"
+                      "from parker.algebra import factorize\n"
+                      "survey.scan_rings(1001, 1100, (4, 0))\n"
+                      "powers = {f for n in range(1004, 1101, 4)\n"
+                      "          for f in factorize(n).items()}\n"
+                      "print(len(powers), search._component_counts\n"
+                      "      .cache_info().currsize)\n"
+                      "for c in (search._split_counts, "
+                      "search._weighted_counts):\n"
+                      "    info = c.cache_info()\n"
+                      "    print(info.currsize, info.misses, info.hits)\n"])
+    assert out.returncode == 0, out.stderr
+    (powers, vectors), split, weighted = (
+        tuple(map(int, line.split())) for line in out.stdout.splitlines())
+    assert vectors == powers
+    for currsize, misses, hits in (split, weighted):
+        assert currsize == misses <= powers and hits
+    assert split[0] + weighted[0] >= powers
 
 
 def test_verbose_hourglass_loads_logging_and_logs():

@@ -500,7 +500,20 @@ class TestRingCount:
         with pytest.raises(ValueError):
             search.ring_square_count(n)
 
-    def test_divisibility_checked_per_class(self, monkeypatch):
+    @pytest.fixture
+    def fresh_vector_caches(self):
+        """The caches _count_ring reads, emptied before the test so they
+        take the vectors of a patched _component_counts, and after it so
+        they keep none of them."""
+        caches = (search._split_counts, search._weighted_counts)
+        for c in caches:
+            c.cache_clear()
+        yield
+        for c in caches:
+            c.cache_clear()
+
+    def test_divisibility_checked_per_class(self, monkeypatch,
+                                            fresh_vector_caches):
         # N_27({}) raised by 2 at the class 9 of Z/27Z moves T by 2 times
         # N_8({}) in each class of Z/216Z that takes it: 1 at the class 9,
         # 4 at the classes 36 and 72, so only the class 9 breaks T = 0 mod 8
@@ -517,7 +530,8 @@ class TestRingCount:
                            match=r"^center class 9 of Z/216Z: T = "):
             count_ring(216)
 
-    def test_repeat_divisibility_checked_per_class(self, monkeypatch):
+    def test_repeat_divisibility_checked_per_class(self, monkeypatch,
+                                                   fresh_vector_caches):
         # O_27({}) raised by 1 at the class 9 of Z/27Z moves 2(O - O5) + O5
         # by 2 times O_8({}) in each class of Z/216Z that takes it: 1 at the
         # class 9, 2 at the classes 36 and 72, so only the class 9 breaks
@@ -537,12 +551,17 @@ class TestRingCount:
                                  r"2\(O - O5\) \+ O5 = -?\d+$"):
             count_ring(216)
 
-    def test_cache_holds_integer_vectors_per_prime_power(self):
+    def test_cache_holds_integer_vectors_per_prime_power(
+            self, fresh_vector_caches):
         search._component_counts.cache_clear()
         for n in (27720, 32764, 4096):
             count_ring(n)
         # 2**3, 3**2, 5, 7, 11, 2**2, 8191, 2**12
         assert search._component_counts.cache_info().currsize == 8
+        # the first factors by class count, 3**2 of 27720 and 2**2 of
+        # 32764, come weighted; the other six split
+        assert search._weighted_counts.cache_info().currsize == 2
+        assert search._split_counts.cache_info().currsize == 6
         for q in (8, 9, 5, 7, 11, 4, 8191, 4096):
             vectors = search._component_counts(*prime_power_base(q))
             assert all(isinstance(v, tuple) and len(v) == 25

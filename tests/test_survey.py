@@ -1,4 +1,6 @@
 import concurrent.futures
+import csv
+import io
 import itertools
 import json
 import pickle
@@ -468,6 +470,24 @@ class TestReports:
         for fmt in ("csv", "jsonl"):
             assert parse_report(render_report(records, fmt), fmt) == records
 
+    @given(st.lists(_RECORDS, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_templates_match_json_and_csv_writers(self, records):
+        # the records are written from templates, not by json or csv
+        for rec in records:
+            assert survey.record_to_json(rec) == json.dumps(
+                {k: getattr(rec, k) for k in survey.CSV_COLUMNS},
+                sort_keys=True)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(survey.CSV_COLUMNS)
+        for rec in records:
+            writer.writerow([
+                rec.order, rec.kind, rec.square_count, rec.msos_count,
+                rec.dihedral_class_count, "true" if rec.parker else "false",
+                rec.prefilter_reason or "", rec.elapsed_ms])
+        assert render_report(records, "csv") == buf.getvalue()
+
     def test_csv_columns_and_values(self):
         records, _ = scan_fields(2, 17)
         text = render_report(records, "csv")
@@ -541,6 +561,21 @@ class TestCheckpoint:
             part.write_text("".join(line + "\n" for line in lines[:cut]))
             resumed, _ = scan_fields(2, 29, checkpoint=str(part))
             assert render_report(resumed, "csv") == baseline
+
+    def test_each_record_is_on_disk_before_the_next_order(self, tmp_path,
+                                                          monkeypatch):
+        # a kill between two orders loses neither: each record is flushed
+        # as its order completes
+        ckpt = tmp_path / "ckpt.jsonl"
+        real, seen = survey.scan_ring_order, []
+
+        def spy(n):
+            seen.append(len(ckpt.read_text().splitlines()))
+            return real(n)
+
+        monkeypatch.setattr(survey, "scan_ring_order", spy)
+        survey.scan_rings(4, 40, (4, 0), checkpoint=str(ckpt))
+        assert seen == list(range(10))
 
     def test_corrupt_lines_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "ckpt.jsonl"
