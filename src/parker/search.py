@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from functools import cache
 from operator import itemgetter, mul
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .algebra import (Carrier, ModularRing, center_offsets, factorize,
@@ -368,10 +367,10 @@ def count_field(q) -> int:
     if carrier is None:
         return 0
     t_mask = _center_zero_mask(carrier, center_offsets(carrier, 0))
-    vector = _center_counts(carrier, carrier.encode_int(1))
+    row = _count_row(1, _center_counts(carrier, carrier.encode_int(1)))
     # count_ring's last level, with this one factor
     return t_mask.bit_count() // 2 + _class_total(
-        _UNIT_PRODUCT, ((1, vector, vector[9:]),), {1: 1}, carrier)
+        _ONES, (row,), {1: 1}, carrier)
 
 
 def count_ring(n) -> int:
@@ -420,10 +419,13 @@ def count_ring(n) -> int:
     the products run one prime power at a time, those with the fewest
     classes first, each partial product computed once for all the classes
     that extend it, up to the last prime power, the one with the most
-    classes.  Its level builds no product: T and 2*(O - O5) + O5 of a
-    class are two dot products of that prime power's vector with the
-    partial product (see _class_total), whose divisibility is still
-    asserted once per class, naming it.
+    classes.  Every level reads the one cached row per class of its prime
+    power (see _count_row): the first takes the row's raw vector as it
+    is, each middle one multiplies by it, and the last builds no product:
+    T and 2*(O - O5) + O5 of a class are two dot products of the partial
+    product with that prime power's vector times _WEIGHTS, so the weights
+    enter once, at the last level (see _class_total), and the
+    divisibility is still asserted once per class, naming it.
     """
     n = _carrier("ring", n).order
     return _count_ring(n, factorize(n))
@@ -440,23 +442,23 @@ def _count_ring(n, factors):
                                key=lambda f: (f[1] + 1) // 2)
     # the product over the prime powers so far, as (h, its first 9 entries,
     # the rest) with h the product of the classes taken so far
-    products = (_weighted_counts(*components[0]) if components
-                else _UNIT_PRODUCT)
+    products = ([row[:3] for row in _component_counts(*components[0])]
+                if components else _ONES)
     for p, k in components[1:]:
-        products = [(h * r, tuple(map(mul, head, v)),
+        products = [(h * r, tuple(map(mul, head, v_head)),
                      tuple(map(mul, tail, v_tail)))
                     for h, head, tail in products
-                    for r, v, v_tail in _split_counts(p, k)]
-    return _class_total(products, _split_counts(*last), weights, f"Z/{n}Z")
+                    for r, v_head, v_tail, _, _ in _component_counts(p, k)]
+    return _class_total(products, _component_counts(*last), weights,
+                        f"Z/{n}Z")
 
 
 def _class_total(products, last, weights, label):
     """The sum over the center classes g = h*r of weights[g] times the
     count at g, from products, (h, head, tail) with head and tail the
-    first 9 entries and the rest of _WEIGHTS times the count vectors of
-    every prime power but the last, and last, (r, v, v[9:]) with v the
-    count vector of the last; label names the carrier if a division
-    fails.
+    first 9 entries and the rest of the product of the count vectors of
+    every prime power but the last, and last, the rows of _count_row of
+    the last; label names the carrier if a division fails.
 
     At a center c, write D' for the offsets delta with c +- delta both
     squares and Z for the delta with 2*delta = 0, so that D_e = D' minus
@@ -475,15 +477,15 @@ def _class_total(products, last, weights, label):
         count = T/8 - (2*(O - O5) + O5)/4,
 
     and both divisions are asserted to be exact, once per class.  T is
-    the sum of the first 9 entries of the full product and 2*(O - O5) + O5
-    the sum of the rest (see _WEIGHTS), so each is a dot product of those
-    entries of h's product and of r's vector; map stops at the shorter.
+    the sum of the first 9 entries of _WEIGHTS times the full product and
+    2*(O - O5) + O5 the sum of the rest (see _WEIGHTS), so each is a dot
+    product of those entries of h's product and of r's weighted vector.
     """
     total = 0
     for h, head, tail in products:
-        for r, v, v_tail in last:
-            pairs = sum(map(mul, head, v))
-            repeats = sum(map(mul, tail, v_tail))
+        for r, _, _, w_head, w_tail in last:
+            pairs = sum(map(mul, head, w_head))
+            repeats = sum(map(mul, tail, w_tail))
             if pairs % 8 or repeats % 4:
                 raise AssertionError(f"center class {h * r} of {label}: "
                                      f"T = {pairs} and 2(O - O5) + O5 = "
@@ -530,55 +532,41 @@ def _square_count(p, k):
 # {1, 2}, {3}, {4, 8}, {5, 6, 9, 10}, {7, 11}, {12}, {13, 14} and {15},
 # and so is an entrywise product of vectors.  The vector holds one N(S)
 # per orbit, 25 entries in all.  _WEIGHTS holds (-1)**|S| times the orbit
-# size for these, 2*(-1)**|S| for O and -(-1)**|S| for O5; count_ring
-# starts its product over q from it, so that T is the sum of the product's
-# first 9 entries and 2*(O - O5) + O5 the sum of the rest.
+# size for these, 2*(-1)**|S| for O and -(-1)**|S| for O5, so that T is
+# the sum of the first 9 entries of _WEIGHTS times the product over q and
+# 2*(O - O5) + O5 the sum of the rest.
 _WEIGHTS = (1, -2, 1, -2, 4, -2, 1, -2, 1,
             *(2 * (-1) ** s.bit_count() for s in range(8)),
             *(-(-1) ** s.bit_count() for s in range(8)))
+# the empty product, of a modulus with one prime power or of a field
+_ONES = ((1, (1,) * 9, (1,) * 16),)
+
+
+def _count_row(r, v):
+    """(r, v[:9], v[9:], w[:9], w[9:]) with w = _WEIGHTS times v: the
+    count vector v of the center class r, split where _class_total reads
+    it, raw for a product and weighted for the last factor."""
+    w = tuple(map(mul, _WEIGHTS, v))
+    return r, v[:9], v[9:], w[:9], w[9:]
 
 
 @cache
 def _component_counts(p, k):
-    """{p**m: the count vector of Z/qZ at center p**m}, q = p**k, read-only.
+    """The _count_row of each center class of Z/qZ, q = p**k.
 
     The center classes of Z/qZ are the gcds p**m of its squares with q:
     m even below k, and m = k for the center 0.  The vector holds the 9
     distinct N_q(S), then O_q(S) and O5_q(S) (see count_ring and
     _center_counts).  The cache holds one entry of integers per prime
     power up to MAX_ORDER at most; the carrier and its masks are dropped
-    once the vectors are counted.
+    once the vectors are counted.  It is the one cache of count data.
     """
     q = p**k
     carrier = ModularRing(q)
     if carrier.square_set()[0].bit_count() != _square_count(p, k):
         raise AssertionError(f"square count of Z/{q}Z")
-    return MappingProxyType({p**m: _center_counts(carrier, p**m % q)
-                             for m in (*range(0, k, 2), k)})
-
-
-# The prime-power data of _count_ring, each cached per prime power like
-# _component_counts, so that a modulus reuses what its factors' earlier
-# multiples computed: the empty product, the count vectors split as
-# _class_total reads them, and the first factor's vectors times _WEIGHTS.
-_UNIT_PRODUCT = ((1, _WEIGHTS[:9], _WEIGHTS[9:]),)
-
-
-@cache
-def _split_counts(p, k):
-    """((r, v, v[9:]) for the classes r and vectors v of _component_counts)."""
-    return tuple((r, v, v[9:]) for r, v in _component_counts(p, k).items())
-
-
-@cache
-def _weighted_counts(p, k):
-    """((r, head, tail)): head and tail are the first 9 entries and the
-    rest of _WEIGHTS times the vector of r in _component_counts."""
-    out = []
-    for r, v in _component_counts(p, k).items():
-        weighted = tuple(map(mul, _WEIGHTS, v))
-        out.append((r, weighted[:9], weighted[9:]))
-    return tuple(out)
+    return tuple(_count_row(p**m, _center_counts(carrier, p**m % q))
+                 for m in (*range(0, k, 2), k))
 
 
 def _preimage(carrier, mask, k):

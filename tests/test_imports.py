@@ -123,26 +123,23 @@ def test_scans_writing_records_load_no_json_or_csv(tmp_path):
 
 
 def test_ring_scan_caches_once_per_prime_power():
-    # each cache _count_ring reads computes a prime power once and then
-    # reuses it: in this range 2**2 comes first in 13 of the 25 moduli
+    # the one cache of count data computes a prime power once and then
+    # reuses it, and keeps integers only, no carrier
     out = _run(["-c", "from parker import search, survey\n"
                       "from parker.algebra import factorize\n"
                       "survey.scan_rings(1001, 1100, (4, 0))\n"
                       "powers = {f for n in range(1004, 1101, 4)\n"
                       "          for f in factorize(n).items()}\n"
-                      "print(len(powers), search._component_counts\n"
-                      "      .cache_info().currsize)\n"
-                      "for c in (search._split_counts, "
-                      "search._weighted_counts):\n"
-                      "    info = c.cache_info()\n"
-                      "    print(info.currsize, info.misses, info.hits)\n"])
+                      "info = search._component_counts.cache_info()\n"
+                      "rows = [row for f in powers\n"
+                      "        for row in search._component_counts(*f)]\n"
+                      "ints = all(type(r) is int and all(\n"
+                      "    type(x) is int for h in halves for x in h)\n"
+                      "    for r, *halves in rows)\n"
+                      "print(len(powers), info.currsize, info.hits, ints)\n"])
     assert out.returncode == 0, out.stderr
-    (powers, vectors), split, weighted = (
-        tuple(map(int, line.split())) for line in out.stdout.splitlines())
-    assert vectors == powers
-    for currsize, misses, hits in (split, weighted):
-        assert currsize == misses <= powers and hits
-    assert split[0] + weighted[0] >= powers
+    powers, currsize, hits, ints = out.stdout.split()
+    assert int(currsize) == int(powers) and int(hits) and ints == "True"
 
 
 def test_verbose_hourglass_loads_logging_and_logs():

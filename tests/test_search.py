@@ -414,7 +414,8 @@ class TestRingCount:
         powers = [q for q in range(2, 65) if prime_power_base(q)]
         assert len(powers) == 27
         for q in powers:
-            vectors = search._component_counts(*prime_power_base(q))
+            vectors = {r: head + tail for r, head, tail, _, _
+                       in search._component_counts(*prime_power_base(q))}
             centers = {x * x % q for x in range(q)}
             assert set(vectors) == {math.gcd(c, q) for c in centers}, q
             for c in centers:
@@ -500,73 +501,68 @@ class TestRingCount:
         with pytest.raises(ValueError):
             search.ring_square_count(n)
 
-    @pytest.fixture
-    def fresh_vector_caches(self):
-        """The caches _count_ring reads, emptied before the test so they
-        take the vectors of a patched _component_counts, and after it so
-        they keep none of them."""
-        caches = (search._split_counts, search._weighted_counts)
-        for c in caches:
-            c.cache_clear()
-        yield
-        for c in caches:
-            c.cache_clear()
+    @staticmethod
+    def _faulty(monkeypatch, q, r, fault):
+        """Patch _component_counts so that the row of the class r of Z/qZ
+        takes the vector fault(v) in place of its own."""
+        real = search._component_counts
 
-    def test_divisibility_checked_per_class(self, monkeypatch,
-                                            fresh_vector_caches):
+        def faulty(p, k):
+            return tuple(search._count_row(r, fault(row[1] + row[2]))
+                         if p**k == q and row[0] == r else row
+                         for row in real(p, k))
+
+        monkeypatch.setattr(search, "_component_counts", faulty)
+
+    def test_divisibility_checked_per_class(self, monkeypatch):
         # N_27({}) raised by 2 at the class 9 of Z/27Z moves T by 2 times
         # N_8({}) in each class of Z/216Z that takes it: 1 at the class 9,
         # 4 at the classes 36 and 72, so only the class 9 breaks T = 0 mod 8
-        real = search._component_counts
-
-        def off_by_two(p, k):
-            vectors = dict(real(p, k))
-            if p**k == 27:
-                vectors[9] = (vectors[9][0] + 2, *vectors[9][1:])
-            return vectors
-
-        monkeypatch.setattr(search, "_component_counts", off_by_two)
+        self._faulty(monkeypatch, 27, 9, lambda v: (v[0] + 2, *v[1:]))
         with pytest.raises(AssertionError,
                            match=r"^center class 9 of Z/216Z: T = "):
             count_ring(216)
 
-    def test_repeat_divisibility_checked_per_class(self, monkeypatch,
-                                                   fresh_vector_caches):
+    def test_repeat_divisibility_checked_per_class(self, monkeypatch):
         # O_27({}) raised by 1 at the class 9 of Z/27Z moves 2(O - O5) + O5
         # by 2 times O_8({}) in each class of Z/216Z that takes it: 1 at the
         # class 9, 2 at the classes 36 and 72, so only the class 9 breaks
         # 2(O - O5) + O5 = 0 mod 4, and T stays as it is
-        real = search._component_counts
-
-        def off_by_one(p, k):
-            vectors = dict(real(p, k))
-            if p**k == 27:
-                v = vectors[9]
-                vectors[9] = (*v[:9], v[9] + 1, *v[10:])
-            return vectors
-
-        monkeypatch.setattr(search, "_component_counts", off_by_one)
+        self._faulty(monkeypatch, 27, 9,
+                     lambda v: (*v[:9], v[9] + 1, *v[10:]))
         with pytest.raises(AssertionError,
                            match=r"^center class 9 of Z/216Z: T = \d+ and "
                                  r"2\(O - O5\) \+ O5 = -?\d+$"):
             count_ring(216)
 
-    def test_cache_holds_integer_vectors_per_prime_power(
-            self, fresh_vector_caches):
+    def test_divisibility_checked_past_a_middle_factor(self, monkeypatch):
+        # Z/1080Z runs its factors 5, 8, 27, so Z/8Z is the middle level.
+        # N_8({}) raised by 2 and N_8({alpha}) by 1 at the class 4 of Z/8Z
+        # move T by 2*N_5({})*N_27({}) - 2*N_5({alpha})*N_27({alpha}) in
+        # each class that takes it.  Both N_27 are 1 mod 8 at every class,
+        # and the two N_5 are 1, 1 at the class 1 of Z/5Z and 5, 3 at the
+        # class 5, so T moves by 0 mod 8 at 4, 36 and 108 and by 4 at 20,
+        # 180 and 540; the first of these in the product's order is 20
+        self._faulty(monkeypatch, 8, 4,
+                     lambda v: (v[0] + 2, v[1] + 1, *v[2:]))
+        with pytest.raises(AssertionError,
+                           match=r"^center class 20 of Z/1080Z: T = "):
+            count_ring(1080)
+
+    def test_cache_holds_integer_vectors_per_prime_power(self):
         search._component_counts.cache_clear()
         for n in (27720, 32764, 4096):
             count_ring(n)
         # 2**3, 3**2, 5, 7, 11, 2**2, 8191, 2**12
-        assert search._component_counts.cache_info().currsize == 8
-        # the first factors by class count, 3**2 of 27720 and 2**2 of
-        # 32764, come weighted; the other six split
-        assert search._weighted_counts.cache_info().currsize == 2
-        assert search._split_counts.cache_info().currsize == 6
+        info = search._component_counts.cache_info()
+        assert info.currsize == 8 and info.hits
         for q in (8, 9, 5, 7, 11, 4, 8191, 4096):
-            vectors = search._component_counts(*prime_power_base(q))
-            assert all(isinstance(v, tuple) and len(v) == 25
-                       and all(type(x) is int for x in v)
-                       for v in vectors.values())
+            for r, *halves in search._component_counts(*prime_power_base(q)):
+                assert type(r) is int
+                assert [len(h) for h in halves] == [9, 16, 9, 16]
+                assert all(isinstance(h, tuple)
+                           and all(type(x) is int for x in h)
+                           for h in halves)
         assert search._component_counts.cache_info().currsize == 8
 
 
@@ -590,6 +586,24 @@ class TestFieldCount:
             count_field(carrier)
             assert vectors == [_distinct_counts(
                 _brute_component(carrier, 1))], q
+
+    @pytest.mark.parametrize("orders", [
+        [q for q in field_orders(3, 3000) if q % 2],
+        (19683, 28561, 29791, 32749, 32761)])
+    def test_center_zero_vector_counts_the_mask(self, orders):
+        # count_field takes center 0 from the mask T of tuples with
+        # (c, g) = (1, -1), while the vector at center 0 counts every
+        # unordered pair of center pairs.  The (q - 1)/2 unit squares fix
+        # the center 0, and +-1 act trivially, so each orbit has (q - 1)/4
+        # pairs of pairs and 2 of them normalized; for q = 3 (mod 4) both
+        # sides are 0
+        for q in orders:
+            carrier = make_carrier("field", q)
+            t_mask = search._center_zero_mask(
+                carrier, search.center_offsets(carrier, 0))
+            row = search._count_row(1, search._center_counts(carrier, 0))
+            n0 = search._class_total(search._ONES, (row,), {1: 1}, carrier)
+            assert 8 * n0 == (q - 1) * (t_mask.bit_count() // 2), q
 
     @pytest.mark.parametrize("orders", [
         field_orders(2, 3000),
