@@ -2,7 +2,10 @@
 
 The public names below load their module on first access (PEP 562), so
 `import parker` imports no submodule and each command pays only for the
-modules it runs.
+modules it runs: the scans need algebra, search and survey, never
+compile listing (the tuples of msos_field and msos_ring) or oracle, and
+compile extension only for a field of order p**r, r >= 2, which
+make_carrier builds on demand.
 """
 
 import sys
@@ -14,19 +17,21 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("algebra", ("MAX_ORDER", "Carrier", "ExtensionField", "Integers",
-                     "ModularRing", "NonInvertibleError", "PrimeField",
-                     "divisor_representatives", "make_carrier", "squares")),
+        ("algebra", ("MAX_ORDER", "Carrier", "Integers", "ModularRing",
+                     "NonInvertibleError", "PrimeField", "make_carrier",
+                     "squares")),
         ("core", ("ValidationReport", "dihedral_orbit", "magic_from_params",
                   "validate_hourglass", "validate_square")),
+        ("extension", ("ExtensionField",)),
         ("gaussian", ("CongruumTriple", "GaussianInt", "HourglassCandidate",
                       "HourglassConditionReport", "chi", "congruum_triple",
                       "hourglass_condition", "hourglass_generators",
                       "hourglass_guess", "pow4_parts", "search_hourglass",
                       "two_square_reps")),
-        ("oracle", ("brute_force_oracle", "oracle_agreement")),
-        ("search", ("SearchResult", "count_field", "count_ring",
-                    "msos_field", "msos_ring", "prefilter_field")),
+        ("listing", ("SearchResult", "msos_field", "msos_ring")),
+        ("oracle", ("brute_force_oracle", "divisor_representatives",
+                    "oracle_agreement")),
+        ("search", ("count_field", "count_ring", "prefilter_field")),
         ("survey", ("RecordBreakerTable", "ScanRecord", "record_breakers",
                     "scan_fields", "scan_rings")))
     for name in (module, *names)

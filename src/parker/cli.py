@@ -15,8 +15,10 @@ from itertools import islice
 from .limits import MAX_BOUND, MAX_ORDER
 
 # Each subcommand imports the modules it runs inside its handler, so a
-# command loads only what it uses: no scan loads gaussian and no hourglass
-# search loads survey or search.  The same goes for the standard library.
+# command loads only what it uses: no scan loads gaussian, no hourglass
+# search loads survey or search, only field and ring with --list load
+# listing, and only a field of order p**r, r >= 2, loads extension.  The
+# same goes for the standard library.
 # Past the interpreter's own start-up, every command loads argparse (with
 # gettext and locale), and the records are typing.NamedTuples.  Then
 #   field, ring     json with --json
@@ -130,10 +132,6 @@ def _add_scan_common(p):
 # Subcommands.
 
 
-def _tuple_json(carrier, t):
-    return [carrier.element_to_json(x) for x in t]
-
-
 # a command's output lines go to stdout this many at a time, so that a
 # listing is neither held whole nor written one system call per line
 _WRITE_BATCH = 1000
@@ -148,27 +146,33 @@ def _write(pieces):
 
 def _cmd_single(args):
     from .algebra import make_carrier
-    from .search import count_field, count_ring, msos_field, msos_ring
 
-    # only a listing needs the tuples, and only --json the square count and
-    # the payload; a count needs no tuple, and a ring count no square set of
-    # Z/nZ
+    # only a listing needs the tuples, and with them parker.listing, and
+    # only --json the square count and the payload; a count needs no
+    # tuple, and a ring count no square set of Z/nZ
     kind = args.kind
     carrier = make_carrier(kind, args.order)
-    tuples = ((msos_field if kind == "field" else msos_ring)(carrier).tuples
-              if args.list else ())
-    count = (len(tuples) if args.list
-             else (count_field if kind == "field" else count_ring)(carrier))
-    if args.json:
-        _write(_json_lines(args, carrier, count, tuples))
+    if args.list:
+        from .listing import json_rows, msos_field, msos_ring, text_rows
+
+        tuples = (msos_field if kind == "field" else msos_ring)(carrier).tuples
+        count = len(tuples)
+        rows = (json_rows if args.json else text_rows)(carrier, tuples)
     else:
-        _write(_text_lines(carrier, count, tuples))
+        from .search import count_field, count_ring
+
+        count = (count_field if kind == "field" else count_ring)(carrier)
+        rows = ()
+    if args.json:
+        _write(_json_lines(args, carrier, count, rows))
+    else:
+        _write(_text_lines(carrier, count, rows))
     return EXIT_OK
 
 
-def _json_lines(args, carrier, count, tuples):
+def _json_lines(args, carrier, count, rows):
     """json.dumps(payload, sort_keys=True) and a newline, in pieces: the
-    tuples, whose key sorts last, follow the rest one at a time."""
+    tuples, whose key sorts last, follow the rest one row at a time."""
     import json
 
     from .search import ring_square_count
@@ -189,22 +193,16 @@ def _json_lines(args, carrier, count, tuples):
         yield head + "\n"
         return
     yield head[:-1] + ', "tuples": ['
-    for i, t in enumerate(tuples):
-        yield (", " if i else "") + json.dumps(_tuple_json(carrier, t))
+    for i, row in enumerate(rows):
+        yield (", " if i else "") + row
     yield "]}\n"
 
 
-def _text_lines(carrier, count, tuples):
+def _text_lines(carrier, count, rows):
     yield (f"{carrier}: {count} magic squares of squares "
            f"({count} dihedral classes), "
            f"{'not Parker' if count else 'Parker'}\n")
-    for t in tuples:
-        # an extension-field element such as 6 + 6*x prints with
-        # spaces, so it is parenthesized to keep the cells apart
-        cells = [carrier.element_repr(x) for x in t]
-        cells = [f"({c})" if " " in c else c for c in cells]
-        rows = [" ".join(cells[i:i + 3]) for i in (0, 3, 6)]
-        yield "  [" + " | ".join(rows) + "]\n"
+    yield from rows
 
 
 def _cmd_scan(args):

@@ -1,6 +1,8 @@
 """The brute-force oracle: every magic tuple over a small carrier, found with
 no normalization at all, and the check that the normalized searches of
-parker.search lose nothing against it.
+parker.listing and the counts of parker.search lose nothing against it;
+and the divisors of n, the reference the tests check the ring search's
+centers against.
 
 No command runs this module; it is the ground truth of the tests, and of
 library callers that want it.
@@ -8,9 +10,10 @@ library callers that want it.
 
 from __future__ import annotations
 
-from .algebra import Carrier, ModularRing, squares
+from .algebra import Carrier, ModularRing, factorize, squares
 from .core import dihedral_canonical, dihedral_orbit
-from .search import count_field, count_ring, msos_field, msos_ring
+from .listing import msos_field, msos_ring
+from .search import count_field, count_ring
 
 
 def brute_force_oracle(carrier: Carrier, cap: int = 100) -> set[tuple[int, ...]]:
@@ -100,3 +103,22 @@ def oracle_agreement(carrier: Carrier, cap: int = 100) -> bool:
     if not normalized <= oracle:
         return False
     return scaling_closure(carrier, normalized) == oracle
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def divisor_representatives(n: int) -> list[int]:
+    """Residues of the divisors of n in Z/nZ, ascending by divisor.
+
+    These are orbit representatives for the multiplicative action of the unit
+    group: every residue is a unit multiple of exactly one divisor.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return [d % n for d in divisors(n)]

@@ -1,17 +1,16 @@
-"""Magic-square-of-squares enumeration over fields and rings Z/nZ.
+"""Counting magic squares of squares over fields and rings Z/nZ.
 
 A carrier is Parker when it admits no 3x3 magic square of nine distinct
-squared elements.  msos_field and msos_ring enumerate the full set of magic
-tuples up to scaling: fields normalize the center to 0 (with the corner pair
-fixed to 1 and -1) or to 1, rings normalize the center to a divisor residue.
-The pair kernel serves only these listings.  count_field and count_ring
-give their counts by one formula on count vectors of 25 entries, each
-distinct count once, that _center_counts builds from a carrier and a
-center alone with a mask kernel: a field's at center 1, and for Z/nZ
-those of the prime-power factors of n, computed once per process, with
-no mask over Z/nZ (see count_ring).  Range scans use the count_*, and
-only msos_* (and `parker field`/`ring` with --list) keep tuples.
-parker.oracle checks them against an enumeration with no normalization.
+squared elements.  count_field and count_ring count the magic tuples up
+to scaling that parker.listing's msos_field and msos_ring list, with no
+tuple built: one formula on count vectors of 25 entries, each distinct
+count once, that _center_counts builds from a carrier and a center alone
+with a mask kernel: a field's at center 1, and for Z/nZ those of the
+prime-power factors of n, computed once per process, with no mask over
+Z/nZ (see count_ring).  Range scans run the count_* and prefilter_field
+and never load parker.listing, which holds the pair kernel and the
+tuples; only `parker field`/`ring` with --list loads it.  parker.oracle
+checks both against an enumeration with no normalization.
 """
 
 from __future__ import annotations
@@ -19,114 +18,9 @@ from __future__ import annotations
 import math
 from functools import cache
 from operator import itemgetter, mul
-from typing import NamedTuple
 
 from .algebra import (Carrier, ModularRing, center_offsets, factorize,
                       make_carrier, mask_bits, two_torsion)
-
-
-class SearchResult(NamedTuple):
-    """Outcome of one enumeration: the magic tuples, sorted."""
-
-    carrier: Carrier
-    tuples: tuple[tuple[int, ...], ...]
-
-    @property
-    def tuple_count(self) -> int:
-        return len(self.tuples)
-
-    @property
-    def dihedral_class_count(self) -> int:
-        """The number of dihedral classes, which is the tuple count.
-
-        Cells are (a, b, c, d, e, f, g, h, i) in row order, and the edge
-        cells follow from the corners and the center, so an image of a
-        magic tuple is fixed by where its corners go.  The dihedral group
-        D4 fixes the center and permutes the corners, keeping the diagonal
-        pair {a, i} and the anti-diagonal pair {c, g} as pairs.  The two
-        diagonal reflections and the half-turn reverse one pair or both in
-        place; the quarter-turns and the two axis reflections exchange the
-        pairs.  The eight images thus realize each choice of which pair
-        lies on the diagonal and of each pair's orientation once.  The
-        kernel emits only the image with the later of its two center pairs
-        on the diagonal and both pairs in ascending order, so no two
-        emitted tuples with the same center share a class.  In the
-        center-0 field case each pair of the center-0 mask is emitted once,
-        ascending on the diagonal beside (1, -1), and an image exchanging
-        the pairs would need {a, i} = {1, -1}, which repeats a cell.  Distinct
-        centers are distinct classes, and msos_ring scans each distinct
-        center square once.  parker.oracle.oracle_agreement checks this
-        count against dihedral_canonical.
-        """
-        return len(self.tuples)
-
-    @property
-    def parker(self) -> bool:
-        return not self.tuples
-
-
-def _pair_hits(carrier, e2, d_mask):
-    """Every magic tuple with center e2 = e^2, as one bitmask per center pair.
-
-    Write each center pair (u, v), u < v, as (e^2 - delta, e^2 + delta);
-    d_mask is D_e, the set of these offsets (see center_offsets).
-    With the diagonal pair (a, i) at offset alpha and the anti-diagonal pair
-    (c, g) at offset gamma, the lines through the center sum to 3e^2, and
-    the four derived cells are
-
-        b = e^2 + (alpha + gamma)    h = e^2 - (alpha + gamma)
-        d = e^2 + (alpha - gamma)    f = e^2 - (alpha - gamma).
-
-    So the tuple is magic exactly when alpha + gamma and alpha - gamma both
-    lie in D_e.  D_e is symmetric, so the condition reads
-    gamma in (D_e - alpha) & (D_e + alpha), two translations of one
-    bitmask.  Pairs run in ascending order of u and
-    each is tested against the running mask of the offsets of all earlier
-    pairs, so every unordered combination of two distinct pairs is tested
-    once, with the later pair on the diagonal.
-
-    Yields (alpha, hits) for each pair (u, v) = (e^2 - alpha,
-    e^2 + alpha) with a hit, where bit gamma of hits marks the magic tuple
-    with (c, g) = (e^2 - gamma, e^2 + gamma).  The offsets whose tuple
-    repeats a cell are already cleared, and these are exactly gamma = +-2*alpha
-    and the solutions of 2*gamma = +-alpha.  Proof: the nine cells lie at
-    the offsets 0, +-x from e^2 for x in alpha, gamma, alpha + gamma and
-    alpha - gamma, and a hit puts all four x in D_e.  Every offset in D_e
-    has 2*delta != 0, since u != v, so no x is 0 or its own negation.  Two
-    of the x, say x and y, give a repeated cell when x = +-y:
-
-        alpha = +-gamma              puts 0 = alpha -+ gamma in D_e
-        alpha + gamma = +-(alpha - gamma)   needs 2*gamma = 0 or 2*alpha = 0
-        alpha = alpha +- gamma       needs gamma = 0
-        gamma = +-(alpha + gamma)    needs alpha = 0 or 2*gamma = -alpha
-        gamma = +-(alpha - gamma)    needs 2*gamma = alpha or alpha = 0
-        alpha = -(alpha +- gamma)    is gamma = -+2*alpha.
-
-    Of these, only 2*gamma = +-alpha and gamma = +-2*alpha can hold, and
-    they are the offsets cleared.  The carrier is a field of odd order or a
-    Z/nZ, as a field of even order has no center (see _field_centers), so
-    the halves of alpha are only ever taken there.
-
-    The lower members u < v are read off D_e + e^2 in ascending order, and
-    D_e is translated by Carrier.translate.
-    """
-    sub, translate = carrier.sub, carrier.translate
-    repeats = _repeat_mask(carrier)
-    target = carrier.add(e2, e2)
-    earlier = 0
-    for u in mask_bits(translate(d_mask, e2)):
-        v = sub(target, u)
-        if u > v:
-            continue
-        alpha = sub(v, e2)
-        hits = translate(d_mask, sub(u, e2)) & earlier
-        earlier |= 1 << alpha
-        if hits:
-            hits &= translate(d_mask, alpha)
-        if hits:
-            hits ^= hits & repeats(alpha)
-        if hits:
-            yield alpha, hits
 
 
 def _center_zero_mask(carrier, d0):
@@ -134,26 +28,17 @@ def _center_zero_mask(carrier, d0):
 
     Center 0 fixes the anti-diagonal to (c, g) = (1, -1), gamma = -1, which
     is in D_0 whenever D_0 is not empty: a pair (u, -u) of nonzero squares
-    makes -1 a square.  By _pair_hits alpha hits exactly when alpha - 1 and
-    alpha + 1 are in D_0 and alpha is not +-2 or +-1/2, the alphas that
-    repeat a cell with gamma = -1; the relation is symmetric, so they are
-    _repeat_mask's mask at -1.  So T = D_0 & (D_0 + 1) & (D_0 - 1) without
-    them, a symmetric mask, empty exactly when center 0 has no square.
+    makes -1 a square.  By listing._pair_hits alpha hits exactly when
+    alpha - 1 and alpha + 1 are in D_0 and alpha is not +-2 or +-1/2, the
+    alphas that repeat a cell with gamma = -1; the relation is symmetric,
+    so they are _repeat_mask's mask at -1.  So T = D_0 & (D_0 + 1) &
+    (D_0 - 1) without them, a symmetric mask, empty exactly when center 0
+    has no square.
     """
     one = carrier.encode_int(1)
     minus_one = carrier.neg(one)
     mask = d0 & carrier.translate(d0, one) & carrier.translate(d0, minus_one)
     return mask & ~_repeat_mask(carrier)(minus_one)
-
-
-def _center_zero_hits(carrier, e2, d_mask):
-    # the center-0 run, e2 = 0: one bit, gamma = -1, for each alpha of
-    # T that is the upper member of its pair, as _pair_hits would yield
-    neg = carrier.neg
-    hit = 1 << neg(carrier.encode_int(1))
-    for alpha in mask_bits(_center_zero_mask(carrier, d_mask)):
-        if neg(alpha) < alpha:
-            yield alpha, hit
 
 
 # The most bits _translator's table, which only counting builds, may hold:
@@ -219,9 +104,10 @@ def _repeat_mask(carrier):
     Those are +-2*alpha and the solutions of 2*gamma = +-alpha.  With an odd
     additive period p, 2 has the inverse (p + 1)/2 and each sign has the
     one solution +-alpha * (p + 1)/2.  Otherwise the carrier is Z/nZ with
-    n even (a field of even order has no center, see _field_centers), where
-    2*gamma = alpha has the two solutions alpha/2 and alpha/2 + n/2 when
-    alpha is even and none when it is odd, and so has 2*gamma = -alpha.
+    n even (a field of even order has no center, see
+    listing._field_centers), where 2*gamma = alpha has the two solutions
+    alpha/2 and alpha/2 + n/2 when alpha is even and none when it is odd,
+    and so has 2*gamma = -alpha.
     alpha is an offset of D_e, so neither 2*alpha nor alpha/2 is 0.
     """
     p = carrier.additive_layout[0]
@@ -249,8 +135,8 @@ def _carrier(kind, x):
     """x once checked to be a carrier of kind "field" or "ring", or else
     the carrier of that kind and order x; ValueError otherwise.
 
-    Every search entry goes through it, so the kernels below may assume a
-    field or a Z/nZ.
+    Every search entry goes through it, so the kernels here and in
+    parker.listing may assume a field or a Z/nZ.
     """
     if not isinstance(x, Carrier):
         return make_carrier(kind, x)
@@ -271,22 +157,6 @@ def _odd_field(q):
     return (carrier or make_carrier("field", order)) if order % 2 else None
 
 
-def _field_centers(q):
-    """(carrier, centers) of the field search: a list of (e^2, run).
-
-    Center 0 fixes the anti-diagonal corners to 1 and -1 and scans corner
-    pairs summing to 0 (_center_zero_hits); center 1 scans unordered
-    combinations of two distinct pairs summing to 2 (_pair_hits).  A field
-    of even order has no center at all, since u + v = 2e^2 = 0 forces
-    u = v, so only fields of odd order reach the kernels.
-    """
-    carrier = _carrier("field", q)
-    if carrier.order % 2 == 0:
-        return carrier, []
-    return carrier, [(0, _center_zero_hits),
-                     (carrier.encode_int(1), _pair_hits)]
-
-
 def _center_squares(n, factors):
     """The set of the squares e^2 of the divisor residues e of n, from
     factors, the factorization of n.
@@ -303,65 +173,12 @@ def _center_squares(n, factors):
     return out
 
 
-def _ring_centers(n):
-    """(carrier, centers) of the ring search: a list of (e^2, _pair_hits),
-    one per distinct divisor square (see _center_squares)."""
-    carrier = _carrier("ring", n)
-    n = carrier.order
-    return carrier, [(e2, _pair_hits)
-                     for e2 in _center_squares(n, factorize(n))]
-
-
-def _search(carrier, centers) -> SearchResult:
-    # decode every hit into its tuple; the cells are the pair members,
-    # shared by every tuple that uses them
-    add, sub = carrier.add, carrier.sub
-    out = []
-    for e2, run in centers:
-        d_mask = center_offsets(carrier, e2)
-        member = {delta: (add(e2, delta), sub(e2, delta))
-                  for delta in mask_bits(d_mask)}
-        for alpha, hits in run(carrier, e2, d_mask):
-            i2, a2 = member[alpha]
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                gamma = low.bit_length() - 1
-                b, h = member[add(alpha, gamma)]
-                d, f = member[sub(alpha, gamma)]
-                g2, c2 = member[gamma]
-                t = (a2, b, c2, d, e2, f, g2, h, i2)
-                if len(set(t)) != 9:
-                    raise AssertionError(f"kernel hit {t} repeats a cell")
-                out.append(t)
-    out.sort()
-    return SearchResult(carrier, tuple(out))
-
-
-def msos_field(q) -> SearchResult:
-    """All magic squares of squares over F_q, up to scaling.
-
-    Two cases by center entry: 0 from one offset mask, 1 by the pair
-    kernel (see _field_centers).  The tuples come back sorted.
-    """
-    return _search(*_field_centers(q))
-
-
-def msos_ring(n) -> SearchResult:
-    """All magic squares of squares over Z/nZ, up to unit scaling.
-
-    One pair-kernel scan per distinct divisor square (see _ring_centers).
-    The tuples come back sorted.
-    """
-    return _search(*_ring_centers(n))
-
-
 def count_field(q) -> int:
-    """msos_field(q).tuple_count, with no tuple built and no pair kernel:
-    a tuple per +- pair of the center-0 mask T, symmetric and without 0
-    (see _center_zero_mask), plus count_ring's formula on the center-1
-    vector of _center_counts.  An even order counts 0 with nothing built,
-    as u + v = 2e^2 = 0 forces u = v.
+    """listing.msos_field(q).tuple_count, with no tuple built and no pair
+    kernel: a tuple per +- pair of the center-0 mask T, symmetric and
+    without 0 (see _center_zero_mask), plus count_ring's formula on the
+    center-1 vector of _center_counts.  An even order counts 0 with
+    nothing built, as u + v = 2e^2 = 0 forces u = v.
     """
     carrier = _odd_field(q)
     if carrier is None:
@@ -374,20 +191,21 @@ def count_field(q) -> int:
 
 
 def count_ring(n) -> int:
-    """msos_ring(n).tuple_count, from the prime-power factors of n, with no
-    tuple, no square set of Z/nZ and no pair kernel over it.
+    """listing.msos_ring(n).tuple_count, from the prime-power factors of
+    n, with no tuple, no square set of Z/nZ and no pair kernel over it.
 
     *Only the center's gcd matters.*  The count at center c = e^2 counts
     the unordered pairs of distinct center pairs, at offsets alpha and
     gamma, with alpha + gamma and alpha - gamma in D_e and no repeated
-    cell (see _pair_hits).  For a unit square s, delta -> s*delta maps the
-    center pairs of c onto those of s*c and keeps every linear relation,
-    so c and s*c have equal counts.  Two squares c, c' with gcd(c, n) =
-    gcd(c', n) differ by a unit square: mod each prime power p**k of n
-    both are p**m times a unit square for the same m (or both are 0, when
-    m = k), so their quotient there is a unit square, and by the CRT it is
-    one mod n.  So count_ring sums over the same distinct center squares
-    as msos_ring, one count per gcd class, weighted by the class size.
+    cell (see listing._pair_hits).  For a unit square s, delta -> s*delta
+    maps the center pairs of c onto those of s*c and keeps every linear
+    relation, so c and s*c have equal counts.  Two squares c, c' with
+    gcd(c, n) = gcd(c', n) differ by a unit square: mod each prime power
+    p**k of n both are p**m times a unit square for the same m (or both
+    are 0, when m = k), so their quotient there is a unit square, and by
+    the CRT it is one mod n.  So count_ring sums over the same distinct
+    center squares as listing.msos_ring, one count per gcd class, weighted
+    by the class size.
 
     *The CRT factorization.*  The count at one center is
     _class_total's T/8 - (2*(O - O5) + O5)/4.  By the CRT, Z/nZ is
@@ -466,9 +284,9 @@ def _class_total(products, last, weights, label):
     alpha + gamma and alpha - gamma all in D_e.  A pair of distinct center
     pairs gives 8 of them (which pair is alpha, and a sign for each), and
     alpha = +-gamma would put 0 in D_e, so T/8 counts the unordered pairs
-    of pairs that meet the line condition.  By _pair_hits the ones among
-    them that repeat a cell are {[x], [2x]}, the pairs of x and 2x, for
-    the x with x, 2x and 3x in D_e; let O count these x, and O5 those
+    of pairs that meet the line condition.  By listing._pair_hits the ones
+    among them that repeat a cell are {[x], [2x]}, the pairs of x and 2x,
+    for the x with x, 2x and 3x in D_e; let O count these x, and O5 those
     with 5x = 0.  x and -x give the same {[x], [2x]}, and so does y = +-2x
     exactly when 5x = 0 (y = +-2x with 2y = +-x needs 3x = 0, which 3x in
     D_e excludes, or 5x = 0), and then x, 2x, 3x in D_e puts y, 2y, 3y in

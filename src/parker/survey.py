@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from itertools import compress
 from typing import NamedTuple
 
 from . import _info_logger
@@ -147,21 +148,37 @@ def _order_range(lo: int, hi: int) -> range:
     return range(max(lo, 2), hi + 1)
 
 
+def _prime_flags(n: int) -> bytearray:
+    """Byte i is 1 when i is prime and 0 otherwise, for i from 0 to
+    max(n, 1): the sieve of Eratosthenes."""
+    n = max(n, 1)
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return flags
+
+
 def field_orders(lo: int, hi: int, order_filter: str = "all") -> list[int]:
     """Field orders in [lo, hi]: every prime power, primes only, or strict powers.
 
     The strict powers p**k, k >= 2, are the powers of the primes up to
-    sqrt(hi), so only the primes take a primality test per order.  An
+    sqrt(hi), so one sieve, to hi when primes are wanted and to sqrt(hi)
+    otherwise, gives both the prime orders and the bases.  It holds a byte
+    per integer; scan_fields bounds hi by MAX_ORDER before it asks.  An
     unknown filter or lo above hi raises ValueError; hi below 2 gives [].
     """
     if order_filter not in ("all", "primes-only", "prime-powers-only"):
         raise ValueError(f"unknown field filter {order_filter!r}")
     orders = _order_range(lo, hi)
+    root = math.isqrt(max(hi, 0))
+    flags = _prime_flags(root if order_filter == "prime-powers-only" else hi)
     out = []
     if order_filter != "prime-powers-only":
-        out = [n for n in orders if is_prime(n)]
+        out = list(compress(orders, flags[orders.start:]))
     if order_filter != "primes-only":
-        for p in filter(is_prime, range(2, math.isqrt(max(hi, 0)) + 1)):
+        for p in compress(range(root + 1), flags):
             power = p * p
             while power <= hi:
                 if power >= lo:

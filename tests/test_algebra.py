@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parker.algebra as algebra
-from parker.algebra import (MAX_ORDER, ExtensionField, NonInvertibleError,
-                            PrimeField, center_offsets,
-                            divisor_representatives, divisors, factorize,
-                            find_irreducible, is_prime, make_carrier,
-                            mask_bits, prime_power_base, squares,
-                            two_torsion)
+import parker.extension as extension
+from parker.algebra import (MAX_ORDER, NonInvertibleError, PrimeField,
+                            center_offsets, factorize, is_prime,
+                            make_carrier, mask_bits, prime_power_base,
+                            squares, two_torsion)
+from parker.extension import ExtensionField, find_irreducible
+from parker.oracle import divisor_representatives, divisors
 from parker.survey import field_orders
 
 
@@ -119,10 +120,10 @@ class TestMakeCarrier:
             return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
 
         expected = sum(mobius(d) * p ** (r // d) for d in divisors(r)) // r
-        found = [enc for enc in range(p**r) if algebra._is_irreducible(
-            algebra._digits_of(enc, p, r) + (1,), p)]
+        found = [enc for enc in range(p**r) if extension._is_irreducible(
+            extension._digits_of(enc, p, r) + (1,), p)]
         assert len(found) == expected
-        assert find_irreducible(p, r) == algebra._digits_of(found[0], p, r) \
+        assert find_irreducible(p, r) == extension._digits_of(found[0], p, r) \
             + (1,)
 
     @pytest.mark.parametrize("kind, order, modulus", [
@@ -247,7 +248,7 @@ class TestExtensionArithmetic:
         p, r, m = c.characteristic, c.degree, c.modulus_poly
 
         def digits(a):
-            return algebra._digits_of(a, p, r)
+            return extension._digits_of(a, p, r)
 
         def encode(ds):
             return sum(d % p * p**i for i, d in enumerate(ds))
@@ -259,8 +260,8 @@ class TestExtensionArithmetic:
             return encode(-x for x in digits(a))
 
         def mul(a, b):
-            return encode(algebra._poly_mod(
-                algebra._poly_mul(digits(a), digits(b)), m, p))
+            return encode(extension._poly_mod(
+                extension._poly_mul(digits(a), digits(b)), m, p))
 
         return add, neg, mul
 
@@ -324,17 +325,17 @@ def _polynomial_log_tables(c):
     p, r, m = c.characteristic, c.degree, c.modulus_poly
     n = c.order - 1
     for enc in range(p, c.order):
-        g = algebra._poly_trim(algebra._digits_of(enc, p, r))
+        g = extension._poly_trim(extension._digits_of(enc, p, r))
         x, exp = (1,), []
         while not exp or x != (1,):
             exp.append(sum(d * p**i for i, d in enumerate(x)))
-            x = algebra._poly_mod(algebra._poly_mul(x, g), m, p)
+            x = extension._poly_mod(extension._poly_mul(x, g), m, p)
         if len(exp) == n:
             break
     log = [-1] * c.order
     for k, x in enumerate(exp):
         log[x] = k
-    digits = [algebra._digits_of(x, p, r) for x in exp]
+    digits = [extension._digits_of(x, p, r) for x in exp]
     zech = [log[sum((d + (i == 0)) % p * p**i for i, d in enumerate(ds))]
             for ds in digits]
     return exp * 2, log, zech * 2
@@ -353,13 +354,13 @@ def test_exp_walk_of_a_non_primitive_element_raises(order, element,
     # g**2 has order (q - 1)/2, so its walk meets 1 again halfway and
     # leaves half the units without a log; 0 never returns to 1.  The
     # assertion names the field
-    primitive = algebra._primitive_element
+    primitive = extension._primitive_element
 
     def non_primitive(p, r, modulus_poly):
         g = primitive(p, r, modulus_poly) if element == "square" else ()
-        return algebra._poly_mod(algebra._poly_mul(g, g), modulus_poly, p)
+        return extension._poly_mod(extension._poly_mul(g, g), modulus_poly, p)
 
-    monkeypatch.setattr(algebra, "_primitive_element", non_primitive)
+    monkeypatch.setattr(extension, "_primitive_element", non_primitive)
     with pytest.raises(AssertionError, match=f"F_{order} is not one cycle"):
         make_carrier("field", order)
 
@@ -372,9 +373,9 @@ class TestOrderGuard:
         # tables
         def refuse(*args, **kwargs):
             raise AssertionError("built past the order guard")
-        for name in ("prime_power_base", "find_irreducible", "_digits_of",
-                     "_log_tables"):
-            monkeypatch.setattr(algebra, name, refuse)
+        monkeypatch.setattr(algebra, "prime_power_base", refuse)
+        for name in ("find_irreducible", "_digits_of", "_log_tables"):
+            monkeypatch.setattr(extension, name, refuse)
 
     @pytest.mark.parametrize("kind", ["field", "ring"])
     def test_make_carrier_just_above_limit(self, nothing_built, kind):

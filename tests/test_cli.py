@@ -3,11 +3,11 @@ import re
 
 import pytest
 
-from parker import cli, survey
+from parker import cli, listing, survey
 from parker.algebra import MAX_ORDER, make_carrier
 from parker.cli import build_parser, main
 from parker.gaussian import MAX_BOUND
-from parker.search import msos_field, msos_ring
+from parker.listing import msos_field, msos_ring
 
 
 def run_cli(capsys, *argv):
@@ -105,7 +105,7 @@ class TestFieldAndRing:
         # only --json turns the tuples into JSON lists
         def refuse(*_):
             raise AssertionError("a text listing built a JSON tuple")
-        monkeypatch.setattr(cli, "_tuple_json", refuse)
+        monkeypatch.setattr(listing, "json_rows", refuse)
         # the lines go out in batches, here of two, so that every listing
         # but F_49's takes more than one
         monkeypatch.setattr(cli, "_WRITE_BATCH", 2)

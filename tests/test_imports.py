@@ -70,6 +70,37 @@ def test_hourglass_loads_no_scan_module():
                               "parker.algebra", "concurrent.futures"})
 
 
+# the parker modules every scan and carrier command loads; the extension
+# fields F_{p^r}, r >= 2, come only with a carrier that needs them, and the
+# tuple listing only with --list
+SCAN = {"parker", "parker.cli", "parker.limits", "parker.algebra",
+        "parker.search", "parker.survey"}
+SINGLE = SCAN - {"parker.survey"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("scan-rings", "--from", "1001", "--to", "1100", "--mod", "4", "--res",
+      "0", "--jobs", "2"), SCAN),
+    # the benchmark's set-up commands, whose one order builds no extension
+    # field: Z/4Z, and F_4, settled as an even order with no carrier
+    (("scan-rings", "--from", "4", "--to", "4", "--mod", "4", "--res", "0",
+      "--jobs", "2"), SCAN),
+    (("scan-fields", "--from", "4", "--to", "4", "--prime-powers"), SCAN),
+    (("scan-fields", "--from", "4", "--to", "30", "--prime-powers"),
+     SCAN | {"parker.extension"}),
+    (("ring", "27"), SINGLE),
+    (("ring", "27", "--list"), SINGLE | {"parker.listing"}),
+    (("field", "49", "--list"), SINGLE | {"parker.extension",
+                                          "parker.listing"}),
+    (("hourglass", "--mode", "exhaustive", "--max-norm", "60"),
+     {"parker", "parker.cli", "parker.limits", "parker.gaussian"}),
+], ids=["scan-rings", "scan-rings-setup", "scan-fields-setup", "scan-fields",
+        "ring", "ring-list", "field-list", "hourglass"])
+def test_commands_load_exactly_their_parker_modules(argv, expected):
+    assert {m for m in loaded_by_command(*argv)
+            if m.split(".")[0] == "parker"} == expected
+
+
 @pytest.mark.parametrize("argv", [
     ("ring", "27"),
     ("scan-fields", "--from", "4", "--to", "30", "--prime-powers"),
@@ -173,10 +204,17 @@ class TestPackageExports:
             assert getattr(parker, name) is not None
 
     def test_public_names_keep_their_objects(self):
-        from parker import gaussian, survey
+        from parker import extension, gaussian, listing, oracle, survey
         assert parker.search_hourglass is gaussian.search_hourglass
         assert parker.scan_rings is survey.scan_rings
         assert parker.survey is survey
+        assert parker.ExtensionField is extension.ExtensionField
+        assert parker.extension is extension
+        assert (parker.SearchResult, parker.msos_field, parker.msos_ring) \
+            == (listing.SearchResult, listing.msos_field, listing.msos_ring)
+        assert parker.listing is listing
+        assert parker.divisor_representatives is \
+            oracle.divisor_representatives
 
     def test_dir_lists_every_public_name(self):
         assert set(parker.__all__) <= set(dir(parker))

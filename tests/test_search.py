@@ -7,15 +7,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parker import algebra, search, survey
-from parker.algebra import (MAX_ORDER, Integers, divisor_representatives,
-                            is_prime, make_carrier, mask_bits,
-                            prime_power_base)
+from parker import algebra, listing, search, survey
+from parker.algebra import (MAX_ORDER, Integers, is_prime, make_carrier,
+                            mask_bits, prime_power_base)
 from parker.core import dihedral_canonical, dihedral_orbit, validate_square
-from parker.oracle import (brute_force_oracle, oracle_agreement,
-                           scaling_closure)
-from parker.search import (count_field, count_ring, msos_field, msos_ring,
-                           prefilter_field)
+from parker.listing import msos_field, msos_ring
+from parker.oracle import (brute_force_oracle, divisor_representatives,
+                           oracle_agreement, scaling_closure)
+from parker.search import count_field, count_ring, prefilter_field
 from parker.survey import field_orders
 
 MOD29_SQUARE = tuple(x * x % 29 for x in (9, 11, 1, 6, 0, 14, 12, 16, 8))
@@ -75,13 +74,13 @@ class TestMsosRing:
     def test_one_scan_per_divisor_square(self, n, monkeypatch):
         # divisors with equal squares would scan the same center twice
         scanned = []
-        kernel = search._pair_hits
+        kernel = listing._pair_hits
 
         def counting(carrier, e2, d_mask):
             scanned.append(e2)
             return kernel(carrier, e2, d_mask)
 
-        monkeypatch.setattr(search, "_pair_hits", counting)
+        monkeypatch.setattr(listing, "_pair_hits", counting)
         result = msos_ring(n)
         divisor_squares = {e * e % n for e in divisor_representatives(n)}
         assert sorted(scanned) == sorted(divisor_squares)
@@ -231,8 +230,8 @@ class TestPairKernel:
         carriers += [make_carrier("field", q) for q in (32749, 32761)]
         hit_centers = 0
         for c in carriers:
-            centers = search._ring_centers(c) if c.kind == "modular-ring" \
-                else search._field_centers(c)
+            centers = listing._ring_centers(c) if c.kind == "modular-ring" \
+                else listing._field_centers(c)
             for e2, run in centers[1]:
                 if c.order > 5000 and e2:
                     continue
@@ -241,7 +240,7 @@ class TestPairKernel:
                 assert d_mask == sum((1 << c.sub(u, e2)) | (1 << c.sub(v, e2))
                                      for u, v in pairs), (c, e2)
                 got = list(run(c, e2, d_mask))
-                if run is search._pair_hits:
+                if run is listing._pair_hits:
                     assert got == list(_legacy_pair_hits(c, e2, pairs)), \
                         (c, e2)
                 else:
@@ -329,11 +328,15 @@ class TestCount:
     @pytest.mark.parametrize("kind,order", [("ring", 25), ("field", 25)])
     def test_decode_catches_an_uncleared_repeat(self, monkeypatch, kind,
                                                 order):
-        # with no offset cleared the kernel hands repeated cells on
-        monkeypatch.setattr(search, "_repeat_mask",
-                            lambda carrier: lambda alpha: 0)
+        # with no offset cleared the kernel hands repeated cells on; the
+        # center-0 run reads search's mask and the center-1 runs listing's
+        for module in (search, listing):
+            monkeypatch.setattr(module, "_repeat_mask",
+                                lambda carrier: lambda alpha: 0)
         search_fn = msos_field if kind == "field" else msos_ring
-        with pytest.raises(AssertionError, match="repeats a cell"):
+        # the field's center-0 run comes first: alpha = -2, gamma = -1
+        center = r"\((\d+, ){4}0, " if kind == "field" else ""
+        with pytest.raises(AssertionError, match=center + ".* repeats a cell"):
             search_fn(order)
 
     def test_bad_input(self):
@@ -395,7 +398,7 @@ def _distinct_counts(vector):
     return (*(vector[orbit[0]] for orbit in _N_ORBITS), *vector[16:])
 
 
-def _kernel_count(carrier, e2, run=search._pair_hits):
+def _kernel_count(carrier, e2, run=listing._pair_hits):
     """The popcount of the hit masks of one center of a search."""
     return sum(hits.bit_count() for _, hits in run(
         carrier, e2, search.center_offsets(carrier, e2)))
@@ -476,12 +479,12 @@ class TestRingCount:
     def test_equals_kernel_count(self, orders):
         for n in orders:
             assert count_ring(n) == _search_kernel_count(
-                *search._ring_centers(n)), n
+                *listing._ring_centers(n)), n
 
     @given(st.integers(2, 6000))
     @settings(max_examples=60, deadline=None)
     def test_equals_kernel_count_property(self, n):
-        assert count_ring(n) == _search_kernel_count(*search._ring_centers(n))
+        assert count_ring(n) == _search_kernel_count(*listing._ring_centers(n))
 
     def test_square_count_is_the_square_set(self):
         for n in (*range(2, 1001), 3216, 27720, 32768):
@@ -614,7 +617,7 @@ class TestFieldCount:
     def test_equals_kernel_count(self, orders):
         for q in orders:
             assert count_field(q) == _search_kernel_count(
-                *search._field_centers(q)), q
+                *listing._field_centers(q)), q
 
     def test_even_orders_list_nothing_with_no_kernel(self, monkeypatch):
         # u + v = 2e^2 = 0 forces u = v, so the field search gives a field
@@ -623,7 +626,7 @@ class TestFieldCount:
             raise AssertionError("ran a kernel")
 
         for name in ("_pair_hits", "_center_zero_hits", "center_offsets"):
-            monkeypatch.setattr(search, name, refuse)
+            monkeypatch.setattr(listing, name, refuse)
         for k in range(1, 16):
             result = msos_field(2**k)
             assert result.tuples == () and result.carrier.order == 2**k

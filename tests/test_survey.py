@@ -53,7 +53,9 @@ class TestScanFields:
         assert [r.order for r in records] == [4, 8, 9, 16, 25, 27]
 
     @pytest.mark.parametrize("lo,hi", [(2, 5000), (730, 5000), (3000, 3500),
-                                       (15625, 19683), (0, 1)])
+                                       (15625, 19683), (0, 1), (2, 32768),
+                                       (28000, 32768), (4, 4), (5, 5), (1, 2),
+                                       (-10, 100), (-10, -3)])
     def test_orders_match_prime_power_base(self, lo, hi):
         # each order classified on its own by its factorization
         for order_filter, keep in (("all", {1, 2}), ("primes-only", {1}),
@@ -166,6 +168,14 @@ class TestOrderGuard:
             orders(5, 2)
         assert orders(5, 5) == [5]
         assert orders(0, 1) == []  # not inverted, only below the least order
+
+    @pytest.mark.parametrize("order_filter", ["all", "primes-only",
+                                              "prime-powers-only"])
+    def test_inverted_field_range_rejected_by_every_filter(self,
+                                                           order_filter):
+        for lo, hi in ((5, 2), (40, 3)):
+            with pytest.raises(ValueError, match="inverted range"):
+                survey.field_orders(lo, hi, order_filter)
 
     @pytest.mark.parametrize("hi", [-5, 0, 1])
     @pytest.mark.parametrize("order_filter", ["all", "primes-only",
