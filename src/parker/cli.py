@@ -3,16 +3,19 @@
 All data goes to stdout (machine-readable with --json); diagnostics and
 progress stay on stderr.  Exit codes: 0 success (including empty search
 results), 1 usage or input error, 2 verification failure, 3 internal
-invariant violation.
+invariant violation.  main() runs a command in this process and returns its
+status; entry(), the process entry of `python -m parker.cli` and of the
+`parker` script, ends the process once main's output is flushed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import islice
 
-from .limits import MAX_BOUND, MAX_ORDER
+from .limits import MAX_BOUND, MAX_ORDER, SERIAL_MS
 
 # Each subcommand imports the modules it runs inside its handler, so a
 # command loads only what it uses: no scan loads gaussian, no hourglass
@@ -29,7 +32,9 @@ from .limits import MAX_BOUND, MAX_ORDER
 #   hourglass       json only to print a hit
 #   verify          json
 # Any command loads logging with -v, and a scan loads it for the warning
-# on a corrupt checkpoint line.  None loads dataclasses or inspect.
+# on a corrupt checkpoint line.  None loads dataclasses or inspect.  Run as
+# a process, a command then ends as soon as its output is flushed (entry),
+# so what it loaded is never torn down.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,9 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_scan_common(p):
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at least 1 (default 1); a pool "
-                        "starts only for the orders left after 250 ms of "
-                        "serial work, capped by their count and the usable "
-                        "CPUs")
+                        "starts only for the orders left after "
+                        f"{SERIAL_MS} ms of serial work, capped by their "
+                        "count and the usable CPUs")
     p.add_argument("--checkpoint", default=None,
                    help="JSONL checkpoint file for resume")
     p.add_argument("--out", default=None, help="report file")
@@ -381,5 +386,51 @@ def _run(args) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def entry():
+    """Run main() on sys.argv and end the process with its status.
+
+    Once main returns, its stdout and stderr are flushed and the process
+    ends at once (os._exit), without tearing the interpreter down: no
+    module teardown, final garbage collection or atexit callback, which
+    took about a tenth of a short command's time.  Nothing a command leaves
+    needs them.  Its files are closed by their with blocks, and a
+    checkpoint is also flushed after each record; the process pool's with
+    block joins its workers and threads; main's finally removes the -v
+    handler.  After a -v pool scan, atexit holds logging's shutdown and
+    multiprocessing's exit function, and threading holds the pool's exit
+    hook, but no thread or child process is left for them to act on.
+
+    Every other ending is the interpreter's own, as for a plain
+    SystemExit(main()): a usage error or --help (argparse's SystemExit),
+    an interrupt or an uncaught exception raised by main; a flush that
+    fails (a closed pipe, a full disk), where the interpreter then reports
+    the error and exits 120; and any run under a tracer or profiler
+    (cProfile, coverage), whose report an atexit callback or the code after
+    this call writes.
+    """
+    status = main()
+    if not _observed():
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except (OSError, ValueError):  # ValueError: a closed stream
+            pass
+        else:
+            os._exit(status)
+    raise SystemExit(status)
+
+
+def _observed() -> bool:
+    """Whether a tracer or profiler watches this process: sys.settrace or
+    sys.setprofile, or from Python 3.12 a sys.monitoring tool, which is
+    what cProfile registers there."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(i) is not None for i in range(6))  # ids 0-5
+
+
+if __name__ == "__main__":
+    entry()

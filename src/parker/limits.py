@@ -1,7 +1,9 @@
-"""The input limits: the largest carrier order and hourglass norm bounds.
+"""The input limits: the largest carrier order and hourglass norm bounds,
+and the serial pass of a scan before its process pool may start.
 
-algebra and gaussian enforce them; the CLI's help text names them, and
-importing this module alone lets the parser do so without loading either.
+algebra, gaussian and survey apply them; the CLI's help text names them,
+and importing this module alone lets the parser do so without loading any
+of those.
 """
 
 # Largest field order or ring modulus a carrier may have.  Scans only count
@@ -32,3 +34,11 @@ MAX_ORDER = 2**15
 # 1.7 s); both grow about linearly, and the table's memory keeps the limit
 # here.
 MAX_BOUND = {"exhaustive": 80_000, "product-first": 100_000_000}
+
+# A pool costs about 10 ms to import concurrent.futures, 4 ms to start two
+# workers and run a task on each, and 17 ms of CPU in all, the import
+# included (Python 3.11, 2 vCPUs), so a scan runs serially until it has
+# spent this many milliseconds, and only the orders still pending then go to
+# a pool.  A long scan loses at most SERIAL_MS * (1 - 1/workers) of wall
+# time, and its workers fork with the parent's caches warm.
+SERIAL_MS = 250

@@ -10,7 +10,7 @@ Scans are deterministic: records come back ascending by order no matter how
 many worker processes run, and a checkpoint file replays completed orders so
 an interrupted scan resumes to identical output.  Every scan runs its orders
 serially in this process first; a process pool starts only for the orders
-still pending once the scan has run _SERIAL_MS, so a short scan never pays
+still pending once the scan has run SERIAL_MS, so a short scan never pays
 for one.  A scan opens its checkpoint once, in append mode, before any
 order runs, so an unwritable path fails before any work; each record is
 written and flushed as its order completes.  A ring modulus is factored
@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from . import _info_logger
 from .algebra import check_order, factorize, is_prime, make_carrier
+from .limits import SERIAL_MS
 from .search import (PREFILTER_REASONS, _count_ring, _ring_square_count,
                      count_field, prefilter_field)
 
@@ -211,13 +212,6 @@ def ring_orders(lo: int, hi: int, order_filter="all") -> list[int]:
 # Scan driver.
 
 _BATCHES_PER_WORKER = 8
-# A pool costs about 10 ms to import concurrent.futures, 4 ms to start two
-# workers and run a task on each, and 17 ms of CPU in all, the import
-# included (Python 3.11, 2 vCPUs), so a scan runs serially until it has
-# spent this long, and only the orders still pending then go to a pool.
-# A long scan loses at most _SERIAL_MS * (1 - 1/workers) of wall time, and
-# its workers fork with the parent's caches warm.
-_SERIAL_MS = 250.0
 
 
 def _usable_cpus() -> int:
@@ -247,7 +241,7 @@ def _compute(kind, orders, done, worker, jobs, fh):
     """{order: record} of the orders not done, each appended to the open
     checkpoint fh, if any, as it completes.
 
-    The orders run serially, ascending, until _SERIAL_MS have passed; with
+    The orders run serially, ascending, until SERIAL_MS have passed; with
     jobs > 1 the rest then go to a pool of at most jobs workers.
     """
     pending = [n for n in orders if (kind, n) not in done]
@@ -277,7 +271,7 @@ def _compute(kind, orders, done, worker, jobs, fh):
     for n in pending:
         workers = min(cpus, len(pending) - len(computed))
         # the clock is read only where a pool of two or more could take over
-        if workers > 1 and _now_ms() - start >= _SERIAL_MS:
+        if workers > 1 and _now_ms() - start >= SERIAL_MS:
             break
         complete(worker(n))
     else:
@@ -306,7 +300,7 @@ def scan_fields(lo: int, hi: int, order_filter: str = "all", jobs: int = 1,
 
     Returns (records ascending by order, record-breaker table).  The orders
     run serially, ascending, in this process.  With jobs > 1, the orders
-    still pending once the scan has run _SERIAL_MS (250 ms) go to a process
+    still pending once the scan has run SERIAL_MS (250 ms) go to a process
     pool of at most jobs workers, capped by those orders and by the CPUs
     this process may run on; a scan that ends sooner starts no pool.
     Output order and content do not depend on jobs.  jobs below 1, or hi

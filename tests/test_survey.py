@@ -219,7 +219,7 @@ def _clock_past_budget_after(monkeypatch, done, k):
     """A clock that stands at 0 until the list done holds k items, then
     reads the serial budget, so the pool takes over after k orders."""
     monkeypatch.setattr(survey, "_now_ms",
-                        lambda: survey._SERIAL_MS * (len(done) >= k))
+                        lambda: survey.SERIAL_MS * (len(done) >= k))
 
 
 class TestPoolSize:
@@ -239,7 +239,7 @@ class TestPoolSize:
     def past_budget(self, monkeypatch):
         # each reading is a full serial budget after the last, so a scan
         # hands every pending order to the pool before computing one
-        clock = itertools.count(0.0, survey._SERIAL_MS)
+        clock = itertools.count(0.0, survey.SERIAL_MS)
         monkeypatch.setattr(survey, "_now_ms", lambda: next(clock))
 
     @pytest.mark.parametrize("cpus,jobs,expected", [
@@ -312,7 +312,7 @@ class TestPoolSize:
         assert starts == [k]
         assert caplog.messages[k] == (f"ring scan: pool of 2 workers for "
                                       f"{rest} orders, {k} done serially "
-                                      f"in {survey._SERIAL_MS:.0f} ms")
+                                      f"in {survey.SERIAL_MS:.0f} ms")
 
     def test_last_order_never_gets_a_pool(self, pool, monkeypatch):
         monkeypatch.setattr(survey, "_usable_cpus", lambda: 2)
