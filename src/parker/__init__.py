@@ -5,7 +5,8 @@ The public names below load their module on first access (PEP 562), so
 modules it runs: the scans need algebra, search and survey, never
 compile listing (the tuples of msos_field and msos_ring) or oracle, and
 compile extension only for a field of order p**r, r >= 2, which
-make_carrier builds on demand.
+make_carrier builds on demand; the hourglass search needs hourglass alone,
+and gaussian, the arithmetic of Z[i], only to verify a hit.
 """
 
 import sys
@@ -26,8 +27,8 @@ _EXPORTS = {
         ("gaussian", ("CongruumTriple", "GaussianInt", "HourglassCandidate",
                       "HourglassConditionReport", "chi", "congruum_triple",
                       "hourglass_condition", "hourglass_generators",
-                      "hourglass_guess", "pow4_parts", "search_hourglass",
-                      "two_square_reps")),
+                      "hourglass_guess", "pow4_parts", "two_square_reps")),
+        ("hourglass", ("search_hourglass",)),
         ("listing", ("SearchResult", "msos_field", "msos_ring")),
         ("oracle", ("brute_force_oracle", "divisor_representatives",
                     "oracle_agreement")),

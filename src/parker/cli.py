@@ -10,20 +10,24 @@ status; entry(), the process entry of `python -m parker.cli` and of the
 
 from __future__ import annotations
 
-import argparse
+import errno
 import os
 import sys
 from itertools import islice
+from types import SimpleNamespace
 
 from .limits import MAX_BOUND, MAX_ORDER, SERIAL_MS
 
 # Each subcommand imports the modules it runs inside its handler, so a
-# command loads only what it uses: no scan loads gaussian, no hourglass
-# search loads survey or search, only field and ring with --list load
-# listing, and only a field of order p**r, r >= 2, loads extension.  The
-# same goes for the standard library.
-# Past the interpreter's own start-up, every command loads argparse (with
-# gettext and locale), and the records are typing.NamedTuples.  Then
+# command loads only what it uses: no scan loads hourglass or gaussian, an
+# hourglass search loads hourglass, never survey or search, and gaussian
+# only to verify a hit, only field and ring with --list load listing, and
+# only a field of order p**r, r >= 2, loads extension.  The same goes for
+# the standard library.
+# main reads a canonical command line (see _canonical) without argparse;
+# argparse, with gettext and locale, loads only for --help, a usage error
+# and every other line.  Past the interpreter's own start-up the records
+# are typing.NamedTuples.  Then
 #   field, ring     json with --json
 #   scan-*          json only to resume from a checkpoint that has records,
 #                   never csv (records and reports are written from
@@ -42,97 +46,6 @@ EXIT_VERIFY_FAILED = 2
 EXIT_INTERNAL = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the CLI contract wants 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="parker",
-                     description="Magic squares of squares over finite fields "
-                                 "and rings, and magic-hourglass search over "
-                                 "the Gaussian integers.")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="log the progress of scans and hourglass "
-                             "searches on stderr")
-    # each subcommand sets run, its handler, and kind where two share one
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (("field", "search one finite field F_q"),
-                            ("ring", "search one ring Z/nZ")):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=_cmd_single, kind=name)
-        p.add_argument("order", type=int, help=f"at most {MAX_ORDER}")
-        p.add_argument("--list", action="store_true",
-                       help="include the tuples themselves")
-        p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("scan-fields", help="classify a range of field orders")
-    p.set_defaults(run=_cmd_scan, kind="field")
-    p.add_argument("--from", dest="lo", type=int, required=True)
-    p.add_argument("--to", dest="hi", type=int, required=True,
-                   help=f"at most {MAX_ORDER}")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--primes", action="store_true",
-                   help="prime orders only")
-    g.add_argument("--prime-powers", action="store_true",
-                   help="strict prime powers only")
-    _add_scan_common(p)
-
-    p = sub.add_parser("scan-rings", help="classify a range of ring moduli")
-    p.set_defaults(run=_cmd_scan, kind="ring")
-    p.add_argument("--from", dest="lo", type=int, required=True)
-    p.add_argument("--to", dest="hi", type=int, required=True,
-                   help=f"at most {MAX_ORDER}")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--odd", action="store_true", help="odd moduli only")
-    g.add_argument("--mod", type=int, help="restrict to n = RES (mod MOD)")
-    p.add_argument("--res", type=int, default=None,
-                   help="residue for --mod (default 0)")
-    _add_scan_common(p)
-
-    p = sub.add_parser("hourglass", help="search for magic hourglass triples")
-    p.set_defaults(run=_cmd_hourglass)
-    p.add_argument("--mode", choices=tuple(MAX_BOUND), required=True)
-    p.add_argument("--max-norm", type=int, required=True,
-                   help="norm bound, at most "
-                        + " / ".join(f"{n} ({m})" for m, n
-                                     in MAX_BOUND.items()))
-
-    p = sub.add_parser("verify", help="validate a square file")
-    p.set_defaults(run=_cmd_verify)
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("congruum", help="three-square progression parameters")
-    p.set_defaults(run=_cmd_congruum)
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-
-    p = sub.add_parser("chi", help="square progression of a Gaussian integer")
-    p.set_defaults(run=_cmd_chi)
-    p.add_argument("re", type=int)
-    p.add_argument("im", type=int)
-    return parser
-
-
-def _add_scan_common(p):
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at least 1 (default 1); a pool "
-                        "starts only for the orders left after "
-                        f"{SERIAL_MS} ms of serial work, capped by their "
-                        "count and the usable CPUs")
-    p.add_argument("--checkpoint", default=None,
-                   help="JSONL checkpoint file for resume")
-    p.add_argument("--out", default=None, help="report file")
-    p.add_argument("--format", choices=("csv", "jsonl"), default=None,
-                   help="report format, with --out (default csv)")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -143,7 +56,13 @@ _WRITE_BATCH = 1000
 
 
 def _write(pieces):
-    """Write the iterable pieces, nonempty strings, to stdout in batches."""
+    """Write the iterable pieces, nonempty strings, to stdout in batches.
+
+    A process started with fd 1 closed has no sys.stdout; that is an
+    OSError, which _run reports like a write to a closed pipe.
+    """
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
     pieces = iter(pieces)
     while batch := "".join(islice(pieces, _WRITE_BATCH)):
         sys.stdout.write(batch)
@@ -247,9 +166,9 @@ def _cmd_scan(args):
 
 
 def search_hourglass(mode, bound):
-    """The hourglass command's one call into gaussian, loaded on first use;
-    bench/tracing.py times the search by wrapping this name."""
-    from .gaussian import search_hourglass
+    """The hourglass command's one call into parker.hourglass, loaded on
+    first use; bench/tracing.py times the search by wrapping this name."""
+    from .hourglass import search_hourglass
 
     return search_hourglass(mode, bound)
 
@@ -354,8 +273,175 @@ def _cmd_chi(args):
     return EXIT_OK
 
 
+# ---------------------------------------------------------------------------
+# The command line.
+
+# The top-level option, and each subcommand by name: its help, its
+# set_defaults (run, its handler, and kind where two share one) and its
+# arguments.  An argument is its one name and the keywords of add_argument;
+# a tuple of arguments is a mutually exclusive group.  build_parser builds
+# argparse's parser from these, and _canonical reads them alone.
+_VERBOSE = (("-v", "--verbose"),
+            dict(action="store_true", help="log the progress of scans and "
+                                           "hourglass searches on stderr"))
+
+
+def _single(help_text, kind):
+    return (help_text, dict(run=_cmd_single, kind=kind), (
+        ("order", dict(type=int, help=f"at most {MAX_ORDER}")),
+        ("--list", dict(action="store_true",
+                        help="include the tuples themselves")),
+        ("--json", dict(action="store_true"))))
+
+
+_RANGE = (("--from", dict(dest="lo", type=int, required=True)),
+          ("--to", dict(dest="hi", type=int, required=True,
+                        help=f"at most {MAX_ORDER}")))
+_SCAN_COMMON = (
+    ("--jobs", dict(type=int, default=1,
+                    help="worker processes, at least 1 (default 1); a pool "
+                         "starts only for the orders left after "
+                         f"{SERIAL_MS} ms of serial work, capped by their "
+                         "count and the usable CPUs")),
+    ("--checkpoint", dict(default=None,
+                          help="JSONL checkpoint file for resume")),
+    ("--out", dict(default=None, help="report file")),
+    ("--format", dict(choices=("csv", "jsonl"), default=None,
+                      help="report format, with --out (default csv)")))
+
+_COMMANDS = {
+    "field": _single("search one finite field F_q", "field"),
+    "ring": _single("search one ring Z/nZ", "ring"),
+    "scan-fields": ("classify a range of field orders",
+                    dict(run=_cmd_scan, kind="field"), (
+        *_RANGE,
+        (("--primes", dict(action="store_true", help="prime orders only")),
+         ("--prime-powers", dict(action="store_true",
+                                 help="strict prime powers only"))),
+        *_SCAN_COMMON)),
+    "scan-rings": ("classify a range of ring moduli",
+                   dict(run=_cmd_scan, kind="ring"), (
+        *_RANGE,
+        (("--odd", dict(action="store_true", help="odd moduli only")),
+         ("--mod", dict(type=int, help="restrict to n = RES (mod MOD)"))),
+        ("--res", dict(type=int, default=None,
+                       help="residue for --mod (default 0)")),
+        *_SCAN_COMMON)),
+    "hourglass": ("search for magic hourglass triples",
+                  dict(run=_cmd_hourglass), (
+        ("--mode", dict(choices=tuple(MAX_BOUND), required=True)),
+        ("--max-norm", dict(
+            type=int, required=True,
+            help="norm bound, at most " + " / ".join(
+                f"{n} ({m})" for m, n in MAX_BOUND.items()))))),
+    "verify": ("validate a square file", dict(run=_cmd_verify), (
+        ("file", {}),
+        ("--json", dict(action="store_true")))),
+    "congruum": ("three-square progression parameters",
+                 dict(run=_cmd_congruum),
+                 tuple((name, dict(type=int)) for name in ("m", "n", "k"))),
+    "chi": ("square progression of a Gaussian integer", dict(run=_cmd_chi),
+            tuple((name, dict(type=int)) for name in ("re", "im"))),
+}
+
+
+def build_parser():
+    """argparse's parser for the table above; main needs it only for a line
+    that is not canonical."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # argparse exits 2 on usage errors; the CLI contract wants 1
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
+    parser = Parser(prog="parker",
+                    description="Magic squares of squares over finite fields "
+                                "and rings, and magic-hourglass search over "
+                                "the Gaussian integers.")
+    parser.add_argument(*_VERBOSE[0], **_VERBOSE[1])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, defaults, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(**defaults)
+        for entry in arguments:
+            if isinstance(entry[0], str):
+                p.add_argument(entry[0], **entry[1])
+                continue
+            group = p.add_mutually_exclusive_group()
+            for flag, keywords in entry:
+                group.add_argument(flag, **keywords)
+    return parser
+
+
+def _canonical(argv):
+    """The namespace build_parser().parse_args(argv) gives, read without
+    argparse, if argv is canonical; else None.
+
+    Canonical is at most one leading -v or --verbose, then a subcommand by
+    its exact name and its arguments: each option by its exact string, at
+    most once, and no --opt=value; each value a token that does not start
+    with "-" and that the argument's type and choices accept; every
+    positional and required option given, and no two options of one
+    exclusive group.  Any other line (--help, an abbreviation, a negative
+    number, a usage error) is argparse's alone.
+    """
+    verbose = bool(argv) and argv[0] in _VERBOSE[0]
+    name, *tokens = argv[verbose:] or ("",)
+    if name not in _COMMANDS:
+        return None
+    _, defaults, arguments = _COMMANDS[name]
+    values = {"command": name, "verbose": verbose, **defaults}
+    positionals, options = [], {}
+    for group, entry in enumerate(arguments):
+        single = isinstance(entry[0], str)
+        for flag, keywords in (entry,) if single else entry:
+            switch = keywords.get("action") == "store_true"
+            dest = keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+            values[dest] = keywords.get("default", False if switch else None)
+            spec = dest, keywords, switch, None if single else group
+            if flag[0] == "-":
+                options[flag] = spec
+            else:
+                positionals.append(spec)
+    seen = {}  # option string -> its exclusive group, or None
+    tokens = iter(tokens)
+    for token in tokens:
+        if token[:1] == "-":
+            if token not in options or token in seen:
+                return None
+            dest, keywords, switch, group = options[token]
+            seen[token] = group
+            if switch:
+                values[dest] = True
+                continue
+            token = next(tokens, "-")
+            if token[:1] == "-":
+                return None
+        elif positionals:
+            dest, keywords, _, _ = positionals.pop(0)
+        else:
+            return None
+        try:
+            value = keywords.get("type", str)(token)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    groups = [g for g in seen.values() if g is not None]
+    if positionals or len(set(groups)) < len(groups) or any(
+            keywords.get("required") and flag not in seen
+            for flag, (_, keywords, _, _) in options.items()):
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _canonical(argv) or build_parser().parse_args(argv)
     if not args.verbose:
         return _run(args)
     # scans and hourglass searches log their progress; only here does a

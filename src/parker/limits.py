@@ -1,7 +1,7 @@
 """The input limits: the largest carrier order and hourglass norm bounds,
 and the serial pass of a scan before its process pool may start.
 
-algebra, gaussian and survey apply them; the CLI's help text names them,
+algebra, hourglass and survey apply them; the CLI's help text names them,
 and importing this module alone lets the parser do so without loading any
 of those.
 """

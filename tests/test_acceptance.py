@@ -13,7 +13,8 @@ from parker.algebra import make_carrier
 from parker.core import magic_from_params, validate_square
 from parker.gaussian import (GaussianInt, chi, congruum_triple,
                              hourglass_condition, hourglass_generators,
-                             hourglass_guess, pow4_parts, search_hourglass)
+                             hourglass_guess, pow4_parts)
+from parker.hourglass import search_hourglass
 from parker.oracle import oracle_agreement
 from parker.survey import scan_fields, scan_ring_order, scan_rings
 

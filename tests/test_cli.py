@@ -1,12 +1,19 @@
+import contextlib
+import importlib.util
+import io
 import json
+import os
 import re
+import shlex
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parker import cli, listing, survey
 from parker.algebra import MAX_ORDER, make_carrier
 from parker.cli import build_parser, main
-from parker.gaussian import MAX_BOUND
+from parker.limits import MAX_BOUND
 from parker.listing import msos_field, msos_ring
 
 
@@ -338,13 +345,13 @@ class TestHourglassCommand:
 
     def test_hit_wire_format(self, capsys, monkeypatch):
         # no qualifying triple is known, so pin the output format on a stub
-        from parker import gaussian
-        from parker.gaussian import (GaussianInt, HourglassHit,
-                                     HourglassSearchResult)
+        from parker import hourglass
+        from parker.gaussian import GaussianInt
+        from parker.hourglass import HourglassHit, HourglassSearchResult
         hit = HourglassHit(GaussianInt(2, 1), GaussianInt(3, 2),
                            GaussianInt(4, 1), (1, 2, 3, 4, 5, 6, 7))
         monkeypatch.setattr(
-            gaussian, "search_hourglass",
+            hourglass, "search_hourglass",
             lambda mode, bound: HourglassSearchResult(mode, bound, (hit,), 1,
                                                       1))
         code, out, _ = run_cli(capsys, "hourglass", "--mode", "exhaustive",
@@ -459,3 +466,153 @@ class TestSmallCommands:
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# main reads a canonical command line without argparse: whatever it reads
+# so, argparse reads the same.
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _parsed(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# tokens an argument's value is drawn from: canonical ones, and ones that
+# int() or argparse reads otherwise, or not at all
+PLAIN_INTS = ("1", "4", "27", "1001")
+ODD_INTS = ("-3", "+4", "4_0", " 4", "x", "")
+PLAIN_STRINGS = ("sq.json", "run/ckpt.jsonl", "")
+
+
+def _value(draw, keywords):
+    """(token, plain) for an argument that takes a value."""
+    if "choices" in keywords:
+        choices = tuple(keywords["choices"])
+        token = draw(st.sampled_from(choices + ("bogus",)))
+        return token, token in choices
+    if keywords.get("type") is int:
+        token = draw(st.sampled_from(PLAIN_INTS + ODD_INTS))
+        return token, token in PLAIN_INTS
+    return draw(st.sampled_from(PLAIN_STRINGS)), True
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, plain): a command line drawn from the CLI's command table,
+    and whether it was drawn canonical.  The lines that are not put in
+    abbreviations, --opt=value, repeats, odd ints, values outside the
+    choices, a missing positional or required option, both options of an
+    exclusive group, -h, -vv or a late -v."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    plain = True
+    chunks, positionals = [], []
+    for entry in cli._COMMANDS[name][2]:
+        if isinstance(entry[0], str):
+            members = [entry]
+            if entry[0][0] == "-" and not entry[1].get("required"):
+                members = draw(st.sampled_from([[], members]))
+        else:
+            members = draw(st.sampled_from(
+                [[], *([m] for m in entry), list(entry)]))
+            plain &= len(members) < 2
+        for flag, keywords in members:
+            takes = keywords.get("action") != "store_true"
+            value, ok = _value(draw, keywords) if takes else (None, True)
+            plain &= ok
+            if flag[0] != "-":
+                positionals.append(value)
+            else:
+                chunks.append([flag] + [value] * takes)
+    flaws = draw(st.sets(st.sampled_from(
+        ("abbreviation", "equals", "repeat", "drop", "help", "-vv",
+         "late -v")), max_size=2))
+    plain &= not flaws
+    if "repeat" in flaws and chunks:
+        chunks.append(list(draw(st.sampled_from(chunks))))
+    if "abbreviation" in flaws and chunks:
+        chunk = draw(st.sampled_from(chunks))
+        chunk[0] = chunk[0][:draw(st.integers(2, len(chunk[0]) - 1))]
+    if "equals" in flaws and any(len(c) == 2 for c in chunks):
+        chunk = draw(st.sampled_from([c for c in chunks if len(c) == 2]))
+        chunk[:] = ["=".join(chunk)]
+    chunks = draw(st.permutations(chunks))
+    if "drop" in flaws and chunks + positionals:
+        i = draw(st.integers(0, len(chunks) + len(positionals) - 1))
+        if i < len(chunks):
+            chunks = chunks[:i] + chunks[i + 1:]
+        else:
+            del positionals[i - len(chunks)]
+    # the positionals keep their order among the options
+    at = 0
+    for value in positionals:
+        at = draw(st.integers(at, len(chunks)))
+        chunks.insert(at, [value])
+        at += 1
+    argv = [name] + [token for chunk in chunks for token in chunk]
+    if "late -v" in flaws:
+        argv.insert(draw(st.integers(1, len(argv))), "-v")
+    if "help" in flaws:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(("-h", "--help"))))
+    lead = draw(st.sampled_from(((), ("-v",), ("--verbose",))))
+    if "-vv" in flaws:
+        lead = ("-vv",)
+    return [*lead, *argv], plain
+
+
+class TestCanonicalReader:
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_reads_as_argparse_does(self, line):
+        argv, plain = line
+        read = cli._canonical(argv)
+        assert read is not None or not plain
+        if read is not None:
+            assert vars(read) == _parsed(argv)
+
+    @staticmethod
+    def bench_lines(monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", os.path.join(ROOT, "bench", "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclass looks its module up
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        files = {"ckpt": "scan.ckpt", "out": "scan.csv"}
+        return [argv for w in workloads.WORKLOADS
+                for scale in ("full", "tiny", "setup")
+                for argv in w.commands(scale, files)]
+
+    @staticmethod
+    def ci_lines():
+        """The arguments of each parker command and forbid call in the CI
+        workflow, up to the first shell operator."""
+        path = os.path.join(ROOT, ".github", "workflows", "tests.yml")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().replace("\\\n", " ")
+        command = re.compile(r"(?:^\s*|\$\(|;\s*)(?:parker|forbid '[^']*')"
+                             r"\s+([^|>;)]*)")
+        return [shlex.split(m[1]) for line in text.splitlines()
+                if not line.lstrip().startswith("#")
+                for m in command.finditer(line)]
+
+    def test_reads_every_benchmark_and_ci_line(self, monkeypatch):
+        bench, ci = self.bench_lines(monkeypatch), self.ci_lines()
+        assert len(bench) == 12 and len(ci) > 30
+        for argv in bench + ci:
+            read = cli._canonical(argv)
+            assert read is not None, argv
+            assert vars(read) == _parsed(argv)
+
+    def test_declines_a_repeated_verbose_flag(self):
+        # argparse reads -vv as -v twice; the reader leaves it to argparse
+        assert cli._canonical(["-vv", "hourglass", "--mode", "exhaustive",
+                               "--max-norm", "2000"]) is None

@@ -114,6 +114,20 @@ def test_missing_stdout_ends_with_mains_status(capsys):
     assert (proc.returncode, "", proc.stderr) == run_in_process(capsys, *argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ("ring", "27"),
+    ("scan-rings", "--from", "2", "--to", "10"),
+], ids=["ring", "scan-rings"])
+def test_missing_stdout_is_an_error_line(argv):
+    # a command that has output for a missing stdout reports it as it
+    # reports a failed write: one error line and status 1, no traceback
+    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable,
+                           "-m", "parker.cli", *argv], env=_env(), text=True,
+                          stderr=subprocess.PIPE, timeout=120)
+    assert (proc.returncode, proc.stderr) \
+        == (1, "parker: error: [Errno 9] stdout is closed\n")
+
+
 @pytest.mark.skipif(survey._usable_cpus() < 2, reason="needs two CPUs")
 def test_pool_scan_leaves_no_process(capsys):
     argv = ("scan-rings", "--from", "2", "--to", "6000")

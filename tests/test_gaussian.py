@@ -8,12 +8,14 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parker import algebra, gaussian
+from parker import algebra, gaussian, hourglass
 from parker.algebra import is_prime
-from parker.gaussian import (MAX_BOUND, GaussianInt, chi, congruum_triple,
+from parker.gaussian import (GaussianInt, chi, congruum_triple,
                              hourglass_condition, hourglass_generators,
-                             hourglass_guess, pow4_parts, search_hourglass,
+                             hourglass_guess, pow4_parts,
                              square_sum_generators, two_square_reps)
+from parker.hourglass import search_hourglass
+from parker.limits import MAX_BOUND
 
 gaussians = st.builds(GaussianInt, st.integers(-10**6, 10**6),
                       st.integers(-10**6, 10**6))
@@ -291,14 +293,14 @@ class TestVerifyHit:
     def test_condition_failure_raises(self):
         with pytest.raises(AssertionError,
                            match="fails the hourglass condition"):
-            gaussian._verify_hit(*self.triple)
+            hourglass._verify_hit(*self.triple)
 
     def test_validation_failure_raises(self, monkeypatch):
         monkeypatch.setattr(gaussian, "hourglass_condition",
                             lambda x, y, z: types.SimpleNamespace(holds=True))
         with pytest.raises(AssertionError,
                            match="passed the condition but fails validation"):
-            gaussian._verify_hit(*self.triple)
+            hourglass._verify_hit(*self.triple)
 
 
 class TestSearchHourglass:
@@ -328,7 +330,7 @@ class TestSearchHourglass:
         ("exhaustive", 1), ("exhaustive", 5), ("exhaustive", 800),
         ("product-first", 1), ("product-first", 10**4)])
     def test_progress_logged_at_whole_percents(self, caplog, mode, bound):
-        with caplog.at_level("INFO", logger="parker.gaussian"):
+        with caplog.at_level("INFO", logger="parker.hourglass"):
             search_hourglass(mode, bound)
         rows = re.compile(rf"{mode}: (\d+)/(\d+) rows, (\d+) positive "
                           r"slopes; \d+ rows/s, ETA \d+\.\d s")
@@ -365,13 +367,13 @@ class TestSearchHourglass:
         total = 199 + 3 + 3
         logged = []
 
-        class Recording(gaussian._Progress):
+        class Recording(hourglass._Progress):
             def line(self, pos, counters):
                 logged.append((pos, self.due))
                 super().line(pos, counters)
 
-        with caplog.at_level("INFO", logger="parker.gaussian"):
-            gaussian._slope_triples(slopes, set(slopes), ends,
+        with caplog.at_level("INFO", logger="parker.hourglass"):
+            hourglass._slope_triples(slopes, set(slopes), ends,
                                     Recording("test", total, "pairs"))
         assert all(pos == due for pos, due in logged)
         assert [pos for pos, _ in logged] \
@@ -382,9 +384,9 @@ class TestSearchHourglass:
         def no_clock():
             raise AssertionError("clock read")
 
-        monkeypatch.setattr(gaussian, "time",
+        monkeypatch.setattr(hourglass, "time",
                             types.SimpleNamespace(perf_counter=no_clock))
-        with caplog.at_level("WARNING", logger="parker.gaussian"):
+        with caplog.at_level("WARNING", logger="parker.hourglass"):
             search_hourglass(mode, 500)
         assert caplog.messages == []
 
@@ -398,9 +400,9 @@ class TestSearchHourglass:
             ticks[0] += 1
             return math.gcd(a, b)
 
-        monkeypatch.setattr(gaussian, "math", types.SimpleNamespace(
+        monkeypatch.setattr(hourglass, "math", types.SimpleNamespace(
             gcd=gcd, isqrt=math.isqrt))
-        monkeypatch.setattr(gaussian, "time", types.SimpleNamespace(
+        monkeypatch.setattr(hourglass, "time", types.SimpleNamespace(
             perf_counter=lambda: ticks[0] * 1e-6))
         lines = []
 
@@ -408,11 +410,11 @@ class TestSearchHourglass:
             def emit(self, record):
                 lines.append((record.getMessage(), ticks[0]))
 
-        log = logging.getLogger("parker.gaussian")
+        log = logging.getLogger("parker.hourglass")
         handler = Recorder()
         log.addHandler(handler)
         try:
-            with caplog.at_level("INFO", logger="parker.gaussian"):
+            with caplog.at_level("INFO", logger="parker.hourglass"):
                 search_hourglass("exhaustive", 5000)
         finally:
             log.removeHandler(handler)
@@ -442,7 +444,7 @@ class TestSearchHourglass:
         assert result.candidates_enumerated == len(pts)
         assert result.triples_tested \
             == len(pts) * (len(pts) + 1) * (len(pts) + 2) // 6
-        assert len(list(gaussian._candidate_points(bound))) \
+        assert len(list(hourglass._candidate_points(bound))) \
             == len({(re, im) for re in range(1, 45) for im in range(45)
                     if re * re + im * im <= bound})
 
@@ -452,7 +454,7 @@ class TestSearchHourglass:
         def no_points(bound):
             raise AssertionError("points enumerated")
 
-        monkeypatch.setattr(gaussian, "_candidate_points", no_points)
+        monkeypatch.setattr(hourglass, "_candidate_points", no_points)
         for bound in (MAX_BOUND[mode] + 1, 10**30):
             with pytest.raises(ValueError, match="limit"):
                 search_hourglass(mode, bound)
@@ -548,7 +550,7 @@ def _product_triples(bound, pow4):
     point of such a triple has norm <= bound/25.
     """
     pts = sorted((GaussianInt(*w)
-                  for w in gaussian._candidate_points(bound // 25)
+                  for w in hourglass._candidate_points(bound // 25)
                   if pow4(*w)[1]), key=lambda v: (v.norm(), v.re))
     p4 = {v: GaussianInt(*pow4(v.re, v.im)) for v in pts}
     out = []
@@ -593,7 +595,7 @@ def fourth_power_lists(draw):
     return dict(zip(points, pairs))
 
 
-def _planted_pow4(planted, real=gaussian._pow4):
+def _planted_pow4(planted, real=hourglass._pow4):
     """_pow4 with the fourth powers in planted on its points, and the
     mirrored (re, -im) on their mirror points (im, re); real gives the
     fourth powers of the other points."""
@@ -641,8 +643,8 @@ def _search_hits(mode, bound, pow4):
     """search_hourglass's hits as point triples, with fourth powers from
     pow4 and no verification (planted hits are no real hourglasses)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gaussian, "_pow4", pow4)
-        mp.setattr(gaussian, "_verify_hit", lambda x, y, z: ())
+        mp.setattr(hourglass, "_pow4", pow4)
+        mp.setattr(hourglass, "_verify_hit", lambda x, y, z: ())
         return [(h.x, h.y, h.z) for h in search_hourglass(mode, bound).hits]
 
 
@@ -674,7 +676,7 @@ class TestSlopeKernel:
         # whose fourth power is conj(y^4): with a real x^4 the identity
         # holds on (x, y, mirror of y), and the condition fails all the same
         z = {"z": z, "x": x, "mirror of y": GaussianInt(y.im, y.re)}[third]
-        p4 = [gaussian._pow4(v.re, v.im) for v in (x, y, z)]
+        p4 = [hourglass._pow4(v.re, v.im) for v in (x, y, z)]
         assert ((0, 1, 2) in _cubic_triples(p4)) \
             == hourglass_condition(x, y, z).holds
 
@@ -685,7 +687,7 @@ class TestSlopeKernel:
         # fourth power, so the search sees exactly the planted pairs
         bound = 50
         pow4 = _planted_pow4(planted, real=lambda re, im: (1, 0))
-        pts = [w for w in gaussian._candidate_points(bound) if pow4(*w)[1]]
+        pts = [w for w in hourglass._candidate_points(bound) if pow4(*w)[1]]
         pts.sort(key=lambda w: (w[0] ** 2 + w[1] ** 2, w[0]))
         cubic = _cubic_triples([pow4(*w) for w in pts])
         assert _search_hits("exhaustive", bound, pow4) \
@@ -695,7 +697,7 @@ class TestSlopeKernel:
     @settings(max_examples=40, deadline=None)
     def test_exhaustive_planted_slopes_match_cubic_reference(self, planted):
         bound, pow4 = 200, _planted_pow4(planted)
-        pts = sorted((w for w in gaussian._candidate_points(bound)
+        pts = sorted((w for w in hourglass._candidate_points(bound)
                       if pow4(*w)[1]),
                      key=lambda w: (w[0] ** 2 + w[1] ** 2, w[0]))
         expected = [tuple(GaussianInt(*pts[t]) for t in idx)

@@ -47,14 +47,19 @@ def at_start():
     return frozenset(loaded_after(""))
 
 
+def _command(argv):
+    """Code that runs main(argv) with its output captured, and checks that
+    it returns 0."""
+    return ("import contextlib, io\n"
+            "from parker.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert main({list(argv)!r}) == 0\n")
+
+
 def loaded_by_command(*argv):
     """The modules the command adds to a fresh interpreter."""
-    return loaded_after(
-        "import contextlib, io\n"
-        "from parker.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    assert main({list(argv)!r}) == 0\n") - at_start()
+    return loaded_after(_command(argv)) - at_start()
 
 
 def test_import_parker_loads_no_submodule():
@@ -63,11 +68,13 @@ def test_import_parker_loads_no_submodule():
 
 
 def test_hourglass_loads_no_scan_module():
+    # nor gaussian, which only a hit loads
     loaded = loaded_by_command("hourglass", "--mode", "exhaustive",
                                "--max-norm", "60")
-    assert "parker.gaussian" in loaded
+    assert "parker.hourglass" in loaded
     assert loaded.isdisjoint({"parker.survey", "parker.search",
-                              "parker.algebra", "concurrent.futures"})
+                              "parker.algebra", "parker.gaussian",
+                              "concurrent.futures"})
 
 
 # the parker modules every scan and carrier command loads; the extension
@@ -93,12 +100,82 @@ SINGLE = SCAN - {"parker.survey"}
     (("field", "49", "--list"), SINGLE | {"parker.extension",
                                           "parker.listing"}),
     (("hourglass", "--mode", "exhaustive", "--max-norm", "60"),
-     {"parker", "parker.cli", "parker.limits", "parker.gaussian"}),
+     {"parker", "parker.cli", "parker.limits", "parker.hourglass"}),
 ], ids=["scan-rings", "scan-rings-setup", "scan-fields-setup", "scan-fields",
         "ring", "ring-list", "field-list", "hourglass"])
 def test_commands_load_exactly_their_parker_modules(argv, expected):
     assert {m for m in loaded_by_command(*argv)
             if m.split(".")[0] == "parker"} == expected
+
+
+# the benchmark's set-up commands, read from a canonical command line
+SETUP_LINES = [
+    ("hourglass", "--mode", "exhaustive", "--max-norm", "1"),
+    ("hourglass", "--mode", "product-first", "--max-norm", "1"),
+    ("scan-rings", "--from", "4", "--to", "4", "--mod", "4", "--res", "0",
+     "--jobs", "2", "--checkpoint", "{ckpt}", "--out", "{out}"),
+    ("scan-fields", "--from", "4", "--to", "4", "--prime-powers"),
+]
+
+
+@pytest.mark.parametrize("argv", SETUP_LINES,
+                         ids=["exhaustive", "product-first", "scan-rings",
+                              "scan-fields"])
+def test_setup_lines_load_no_argparse(tmp_path, argv):
+    # argparse, and gettext and locale, which it loads to translate its
+    # help, come only with help, a usage error or another line; checked on
+    # all of sys.modules, so that none may be loaded at start either
+    files = {"ckpt": tmp_path / "ckpt.jsonl", "out": tmp_path / "out.csv"}
+    argv = [a.format(**files) for a in argv]
+    assert loaded_after(_command(argv)).isdisjoint(
+        {"argparse", "gettext", "locale"})
+
+
+# argparse's help and usage bytes, which build_parser must keep whatever
+# table it builds them from (Python 3.11: 3.10 heads the options
+# "optional arguments:")
+HELP = """\
+usage: parker [-h] [-v]
+              {field,ring,scan-fields,scan-rings,hourglass,verify,congruum,chi}
+              ...
+
+Magic squares of squares over finite fields and rings, and magic-hourglass
+search over the Gaussian integers.
+
+positional arguments:
+  {field,ring,scan-fields,scan-rings,hourglass,verify,congruum,chi}
+    field               search one finite field F_q
+    ring                search one ring Z/nZ
+    scan-fields         classify a range of field orders
+    scan-rings          classify a range of ring moduli
+    hourglass           search for magic hourglass triples
+    verify              validate a square file
+    congruum            three-square progression parameters
+    chi                 square progression of a Gaussian integer
+
+options:
+  -h, --help            show this help message and exit
+  -v, --verbose         log the progress of scans and hourglass searches on
+                        stderr
+"""
+MISSING_TO = """\
+usage: parker scan-rings [-h] --from LO --to HI [--odd | --mod MOD]
+                         [--res RES] [--jobs JOBS] [--checkpoint CHECKPOINT]
+                         [--out OUT] [--format {csv,jsonl}]
+parker scan-rings: error: the following arguments are required: --to
+"""
+
+
+@pytest.mark.parametrize("argv, status, out, err", [
+    (("--help",), 0, HELP, ""),
+    (("scan-rings", "--from", "2"), 1, "", MISSING_TO),
+], ids=["help", "usage-error"])
+def test_help_and_usage_errors_keep_their_bytes(monkeypatch, argv, status,
+                                                out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = _run(["-m", "parker.cli", *argv])
+    got = proc.stdout.replace("optional arguments:", "options:")
+    assert (proc.returncode, got, proc.stderr) == (status, out, err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -204,8 +281,8 @@ class TestPackageExports:
             assert getattr(parker, name) is not None
 
     def test_public_names_keep_their_objects(self):
-        from parker import extension, gaussian, listing, oracle, survey
-        assert parker.search_hourglass is gaussian.search_hourglass
+        from parker import extension, hourglass, listing, oracle, survey
+        assert parker.search_hourglass is hourglass.search_hourglass
         assert parker.scan_rings is survey.scan_rings
         assert parker.survey is survey
         assert parker.ExtensionField is extension.ExtensionField
