@@ -19,8 +19,7 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("algebra", ("MAX_ORDER", "Carrier", "Integers", "ModularRing",
-                     "NonInvertibleError", "PrimeField", "make_carrier",
-                     "squares")),
+                     "PrimeField", "make_carrier", "squares")),
         ("core", ("ValidationReport", "dihedral_orbit", "magic_from_params",
                   "validate_hourglass", "validate_square")),
         ("extension", ("ExtensionField",)),
@@ -33,8 +32,8 @@ _EXPORTS = {
         ("oracle", ("brute_force_oracle", "divisor_representatives",
                     "oracle_agreement")),
         ("search", ("count_field", "count_ring", "prefilter_field")),
-        ("survey", ("RecordBreakerTable", "ScanRecord", "record_breakers",
-                    "scan_fields", "scan_rings")))
+        ("survey", ("ScanRecord", "record_breakers", "scan_fields",
+                    "scan_rings")))
     for name in (module, *names)
 }
 

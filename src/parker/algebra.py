@@ -16,15 +16,6 @@ from functools import cached_property
 from .limits import MAX_ORDER
 
 
-class NonInvertibleError(ArithmeticError):
-    """Inversion was requested for an element that is not a unit."""
-
-    def __init__(self, element, structure):
-        self.element = element
-        self.structure = structure
-        super().__init__(f"{element} is not invertible in {structure}")
-
-
 # ---------------------------------------------------------------------------
 # Integer utilities shared across the package.
 
@@ -178,9 +169,6 @@ class Carrier:
     def neg(self, a: int) -> int:
         raise NotImplementedError
 
-    def inv(self, a: int) -> int:
-        raise NotImplementedError
-
     def encode_int(self, n: int) -> int:
         """Encoding of the image of the rational integer n."""
         raise NotImplementedError
@@ -189,11 +177,6 @@ class Carrier:
     def additive_layout(self) -> tuple[int, int]:
         """(p, r) such that encodings add as r independent base-p digits."""
         raise ValueError(f"{self} has no finite additive layout")
-
-    def elements(self) -> range:
-        if self.order is None:
-            raise ValueError(f"{self} has no finite element enumeration")
-        return range(self.order)
 
     def check_element(self, a) -> int:
         if not isinstance(a, int) or isinstance(a, bool):
@@ -298,12 +281,6 @@ class _ResidueCarrier(Carrier):
     def neg(self, a):
         return -a % self.order
 
-    def inv(self, a):
-        try:
-            return pow(a, -1, self.order)
-        except ValueError:
-            raise NonInvertibleError(a % self.order, str(self)) from None
-
     @property
     def additive_layout(self):
         return self.order, 1
@@ -335,8 +312,6 @@ class PrimeField(_ResidueCarrier):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         super().__init__(p)
-        self.characteristic = p
-        self.degree = 1
 
     def __str__(self):
         return f"F_{self.order}"
@@ -371,11 +346,6 @@ class Integers(Carrier):
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise NonInvertibleError(a, "Z")
 
     def encode_int(self, n):
         return n

@@ -29,10 +29,10 @@ from .limits import MAX_BOUND, MAX_ORDER, SERIAL_MS
 # and every other line.  Past the interpreter's own start-up the records
 # are typing.NamedTuples.  Then
 #   field, ring     json with --json
-#   scan-*          json only to resume from a checkpoint that has records,
-#                   never csv (records and reports are written from
-#                   templates), and concurrent.futures (with logging) only
-#                   when orders are left for a pool after the serial pass
+#   scan-*          json only to resume from a checkpoint that has records
+#                   (records and reports are written from templates), and
+#                   concurrent.futures (with logging) only when orders are
+#                   left for a pool after the serial pass
 #   hourglass       json only to print a hit
 #   verify          json
 # Any command loads logging with -v, and a scan loads it for the warning
@@ -138,7 +138,7 @@ def _cmd_scan(args):
         order_filter = ("primes-only" if args.primes
                         else "prime-powers-only" if args.prime_powers
                         else "all")
-        records, table = survey.scan_fields(
+        records, breakers = survey.scan_fields(
             args.lo, args.hi, order_filter, jobs=args.jobs,
             checkpoint=args.checkpoint)
     else:
@@ -147,7 +147,7 @@ def _cmd_scan(args):
         order_filter = ("odd" if args.odd
                         else (args.mod, args.res or 0) if args.mod is not None
                         else "all")
-        records, table = survey.scan_rings(
+        records, breakers = survey.scan_rings(
             args.lo, args.hi, order_filter, jobs=args.jobs,
             checkpoint=args.checkpoint)
     if args.out:
@@ -160,7 +160,7 @@ def _cmd_scan(args):
         status = "Parker" if rec.parker else f"{rec.msos_count} squares"
         lines.append(f"{rec.kind} {rec.order}: {status}{reason}\n")
     lines.append("record breakers: "
-                 + ", ".join(f"{o}:{c}" for o, c in table.rows) + "\n")
+                 + ", ".join(f"{o}:{c}" for o, c in breakers) + "\n")
     _write(lines)
     return EXIT_OK
 
@@ -486,25 +486,35 @@ def entry():
     multiprocessing's exit function, and threading holds the pool's exit
     hook, but no thread or child process is left for them to act on.
 
+    A final flush of stdout that fails (its pipe's reader has gone, a full
+    disk, a closed stream) ends as a write that fails in main does: one
+    "parker: error:" line on stderr, if stderr takes it, and status 1.
+
     Every other ending is the interpreter's own, as for a plain
     SystemExit(main()): a usage error or --help (argparse's SystemExit),
-    an interrupt or an uncaught exception raised by main; a flush that
-    fails (a closed pipe, a full disk), where the interpreter then reports
-    the error and exits 120; and any run under a tracer or profiler
-    (cProfile, coverage), whose report an atexit callback or the code after
-    this call writes.
+    an interrupt or an uncaught exception raised by main; a flush of
+    stderr that fails; and any run under a tracer or profiler (cProfile,
+    coverage), whose report an atexit callback or the code after this call
+    writes.
     """
     status = main()
-    if not _observed():
+    if _observed():
+        raise SystemExit(status)
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:  # as _run reports a failed write
+        status = EXIT_USAGE
         try:
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:
-                    stream.flush()
-        except (OSError, ValueError):  # ValueError: a closed stream
+            print(f"parker: error: {exc}", file=sys.stderr)
+        except (OSError, ValueError):
             pass
-        else:
-            os._exit(status)
-    raise SystemExit(status)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except (OSError, ValueError):
+        raise SystemExit(status)
+    os._exit(status)
 
 
 def _observed() -> bool:

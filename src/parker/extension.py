@@ -18,8 +18,7 @@ from __future__ import annotations
 import operator
 from functools import cached_property
 
-from .algebra import (Carrier, NonInvertibleError, _bitmask, check_order,
-                      factorize, is_prime)
+from .algebra import Carrier, _bitmask, check_order, factorize, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +286,6 @@ class ExtensionField(Carrier):
         if not a or not b:
             return 0
         return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a):
-        if not a:
-            raise NonInvertibleError(a, str(self))
-        return self._exp[self.order - 1 - self._log[a]]
 
     def encode_int(self, n):
         return n % self.characteristic

@@ -32,9 +32,8 @@ from .search import (PREFILTER_REASONS, _count_ring, _ring_square_count,
                      count_field, prefilter_field)
 
 # records and reports are written from templates, so json loads only to
-# read a checkpoint or JSONL report and csv (with io) only to parse a CSV
-# report; logging loads only for the corrupt-checkpoint warning (see
-# _info_logger)
+# read a checkpoint; logging loads only for the corrupt-checkpoint warning
+# (see _info_logger)
 
 CSV_COLUMNS = ("order", "kind", "square_count", "msos_count",
                "dihedral_class_count", "parker", "prefilter_reason",
@@ -63,27 +62,23 @@ class ScanRecord(NamedTuple):
         return not self.msos_count
 
 
-class RecordBreakerTable(NamedTuple):
-    """Orders whose count strictly exceeds every smaller scanned order."""
-
-    rows: tuple[tuple[int, int], ...]
-
-
-def record_breakers(records) -> RecordBreakerTable:
-    """Recompute the record-breaker table from a full record list."""
+def record_breakers(records) -> tuple[tuple[int, int], ...]:
+    """The record-breaker rows (order, count), ascending: the orders whose
+    count strictly exceeds every smaller order's among records."""
     rows = []
     best = -1
     for rec in sorted(records, key=lambda r: r.order):
         if rec.msos_count > best:
             rows.append((rec.order, rec.msos_count))
             best = rec.msos_count
-    return RecordBreakerTable(tuple(rows))
+    return tuple(rows)
 
 
-def non_standard_record_breakers(table: RecordBreakerTable) -> list[int]:
-    """Record-breaking orders not of the form 2*p with p prime, p = 1 mod 4."""
+def non_standard_record_breakers(rows) -> list[int]:
+    """Record-breaking orders not of the form 2*p with p prime, p = 1 mod 4,
+    among the rows of record_breakers."""
     out = []
-    for order, _ in table.rows:
+    for order, _ in rows:
         half = order // 2
         if order % 2 or not is_prime(half) or half % 4 != 1:
             out.append(order)
@@ -298,7 +293,7 @@ def scan_fields(lo: int, hi: int, order_filter: str = "all", jobs: int = 1,
                 checkpoint: str | None = None):
     """Classify every qualifying field order in [lo, hi].
 
-    Returns (records ascending by order, record-breaker table).  The orders
+    Returns (records ascending by order, record-breaker rows).  The orders
     run serially, ascending, in this process.  With jobs > 1, the orders
     still pending once the scan has run SERIAL_MS (250 ms) go to a process
     pool of at most jobs workers, capped by those orders and by the CPUs
@@ -342,13 +337,21 @@ def record_to_json(rec: ScanRecord) -> str:
                          square_count)
 
 
-def _checked_record(obj) -> ScanRecord:
-    """The ScanRecord of obj, a dict of its fields, if a scan could have
-    computed it: nonnegative integer counts, order and time, a kind of
-    "field" or "ring", a boolean Parker flag and a dihedral class count
-    that agree with the msos count, and a prefilter reason that is None or
-    one the prefilter gives.  ValueError or KeyError otherwise.
-    """
+def record_from_json(line: str) -> ScanRecord:
+    """Parse one JSONL record, a JSON object of a record a scan could have
+    computed: nonnegative integer counts, order and time, a kind of "field"
+    or "ring", a boolean Parker flag and a dihedral class count that agree
+    with the msos count, and a prefilter reason that is None or one the
+    prefilter gives.  ValueError, KeyError or TypeError if malformed."""
+    import json
+
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    # records from before the assignment policy was retired carry it; only
+    # the canonical policy counted what the search counts now
+    if obj.get("policy", "canonical") != "canonical":
+        raise ValueError(f"record from policy {obj['policy']!r}")
     for key in _INTEGER_COLUMNS:
         value = obj[key]
         if not isinstance(value, int) or isinstance(value, bool) \
@@ -369,21 +372,6 @@ def _checked_record(obj) -> ScanRecord:
     return ScanRecord(**{k: obj[k] for k in ScanRecord._fields})
 
 
-def record_from_json(line: str) -> ScanRecord:
-    """Parse one JSONL record, a JSON object checked by _checked_record;
-    ValueError, KeyError or TypeError if malformed."""
-    import json
-
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    # records from before the assignment policy was retired carry it; only
-    # the canonical policy counted what the search counts now
-    if obj.get("policy", "canonical") != "canonical":
-        raise ValueError(f"record from policy {obj['policy']!r}")
-    return _checked_record(obj)
-
-
 def write_report(records, fmt: str, path) -> None:
     """Write records as CSV (fixed column order) or JSONL."""
     text = render_report(records, fmt)
@@ -401,33 +389,6 @@ def render_report(records, fmt: str) -> str:
             in records)
     if fmt == "jsonl":
         return "".join(record_to_json(rec) + "\n" for rec in records)
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_report(text: str, fmt: str) -> list[ScanRecord]:
-    """Inverse of render_report, for round-trip checks.
-
-    Both formats pass the same record checks (see _checked_record), so a
-    malformed record raises ValueError, KeyError or TypeError in either.
-    Resumption reads checkpoints with load_checkpoint instead.
-    """
-    if fmt == "jsonl":
-        return [record_from_json(line) for line in text.splitlines() if line]
-    if fmt == "csv":
-        import csv
-        import io
-
-        # integers parse as int, the Parker flag as "true" or "false" and an
-        # empty reason as None; _checked_record rejects the rest
-        flags = {"true": True, "false": False}
-        out = []
-        for row in list(csv.reader(io.StringIO(text)))[1:]:
-            obj = dict(zip(CSV_COLUMNS, row, strict=True))
-            obj.update({key: int(obj[key]) for key in _INTEGER_COLUMNS},
-                       parker=flags.get(row[5], row[5]),
-                       prefilter_reason=row[6] or None)
-            out.append(_checked_record(obj))
-        return out
     raise ValueError(f"unknown report format {fmt!r}")
 
 

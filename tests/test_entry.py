@@ -18,21 +18,24 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def _env():
+def _env(unbuffered=False):
     # the streams' encoding and buffering are those of a plain run whatever
     # the environment of the tests sets
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONIOENCODING"] = "utf-8"
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     return env
 
 
-def run_process(*args, stdout=subprocess.PIPE):
+def run_process(*args, stdout=subprocess.PIPE, unbuffered=False):
     """A fresh interpreter run with args: (status, stdout, stderr)."""
-    proc = subprocess.run([sys.executable, *args], env=_env(), text=True,
-                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+    proc = subprocess.run([sys.executable, *args], env=_env(unbuffered),
+                          text=True, stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -83,25 +86,30 @@ def test_status_and_output_match_main(capsys, monkeypatch, argv, status):
     assert run_in_process(capsys, *argv) == as_process
 
 
-def _to_closed_pipe(*args):
+def _to_closed_pipe(*args, unbuffered=False):
     """(status, stderr) of a run whose stdout is a pipe with no reader."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        status, _, err = run_process(*args, stdout=write_end)
+        status, _, err = run_process(*args, stdout=write_end,
+                                     unbuffered=unbuffered)
     finally:
         os.close(write_end)
     return status, err
 
 
-def test_closed_stdout_exits_as_any_script():
-    # the output is still buffered when main returns; flushing it fails,
-    # and the interpreter reports that and exits 120 as it does for any
-    # script that printed
-    status, err = _to_closed_pipe("-m", "parker.cli", "ring", "27")
-    assert (status, err) == _to_closed_pipe("-c", "print('Z/27Z')")
-    assert status == 120
-    assert err.endswith("\nBrokenPipeError: [Errno 32] Broken pipe\n")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("ring", "27"),
+    ("scan-rings", "--from", "2", "--to", "3000"),
+], ids=["short", "long"])
+def test_closed_pipe_is_an_error_line(argv, unbuffered):
+    # a short output waits in the buffer until the entry's flush, a long
+    # one fails its write in main, and unbuffered both fail in main: each
+    # is one error line and status 1, as any failed write
+    assert _to_closed_pipe("-m", "parker.cli", *argv, unbuffered=unbuffered) \
+        == (1, "parker: error: [Errno 32] Broken pipe\n")
 
 
 def test_missing_stdout_ends_with_mains_status(capsys):

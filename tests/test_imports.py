@@ -16,10 +16,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 
 # standard-library modules no command loads unless its path uses them:
-# dataclasses (with inspect) nowhere, logging only for -v, json only to
-# read a checkpoint or JSONL report or for --json, verify and an hourglass
-# hit, and csv only to parse a CSV report; scans write their records from
-# templates
+# dataclasses (with inspect) and csv nowhere, logging only for -v, and
+# json only to read a checkpoint or for --json, verify and an hourglass
+# hit; scans write their records and reports from templates
 UNUSED = {"dataclasses", "inspect", "logging", "json", "csv"}
 
 

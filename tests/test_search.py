@@ -147,7 +147,7 @@ def _reference_msos(carrier):
 
 def _square_walk(carrier):
     """Every square, ascending, from squaring every element."""
-    return sorted({carrier.mul(x, x) for x in carrier.elements()})
+    return sorted({carrier.mul(x, x) for x in range(carrier.order)})
 
 
 def _legacy_center_pairs(carrier, e2):
@@ -356,7 +356,8 @@ def _brute_component(carrier, c):
     search._class_total)."""
     add, sub = carrier.add, carrier.sub
     sq = set(_square_walk(carrier))
-    d = [t for t in carrier.elements() if add(c, t) in sq and sub(c, t) in sq]
+    d = [t for t in range(carrier.order)
+         if add(c, t) in sq and sub(c, t) in sq]
     in_d = set(d)
     zero = {t for t in d if add(t, t) == 0}
 
