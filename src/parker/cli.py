@@ -3,9 +3,12 @@
 All data goes to stdout (machine-readable with --json); diagnostics and
 progress stay on stderr.  Exit codes: 0 success (including empty search
 results), 1 usage or input error, 2 verification failure, 3 internal
-invariant violation.  main() runs a command in this process and returns its
-status; entry(), the process entry of `python -m parker.cli` and of the
-`parker` script, ends the process once main's output is flushed.
+invariant violation.  Every command writes stdout only through _write,
+which flushes it, so any failed write (a closed stdout, a pipe with no
+reader, a full disk) is one "parker: error:" line on stderr and status 1.
+main() runs a command in this process and returns its status; entry(), the
+process entry of `python -m parker.cli` and of the `parker` script, ends
+the process once main returns.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .limits import MAX_BOUND, MAX_ORDER, SERIAL_MS
 #   verify          json
 # Any command loads logging with -v, and a scan loads it for the warning
 # on a corrupt checkpoint line.  None loads dataclasses or inspect.  Run as
-# a process, a command then ends as soon as its output is flushed (entry),
-# so what it loaded is never torn down.
+# a process, a command then ends as soon as main returns (entry), so what
+# it loaded is never torn down.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,16 +59,17 @@ _WRITE_BATCH = 1000
 
 
 def _write(pieces):
-    """Write the iterable pieces, nonempty strings, to stdout in batches.
-
-    A process started with fd 1 closed has no sys.stdout; that is an
-    OSError, which _run reports like a write to a closed pipe.
-    """
+    """Write the iterable pieces, nonempty strings, to stdout in batches
+    and flush it: the one way a command writes stdout.  Any failure (no
+    sys.stdout, as when fd 1 was closed at start, a pipe with no reader, a
+    full disk, a closed stream) is an OSError or ValueError that _run
+    reports."""
     if sys.stdout is None:
         raise OSError(errno.EBADF, "stdout is closed")
     pieces = iter(pieces)
     while batch := "".join(islice(pieces, _WRITE_BATCH)):
         sys.stdout.write(batch)
+    sys.stdout.flush()
 
 
 def _cmd_single(args):
@@ -134,6 +138,9 @@ def _cmd_scan(args):
 
     if args.format is not None and args.out is None:
         raise ValueError("--format needs --out")
+    if args.out and args.checkpoint and \
+            os.path.realpath(args.out) == os.path.realpath(args.checkpoint):
+        raise ValueError(f"--out would overwrite the checkpoint {args.out}")
     if args.kind == "field":
         order_filter = ("primes-only" if args.primes
                         else "prime-powers-only" if args.prime_powers
@@ -177,11 +184,12 @@ def _cmd_hourglass(args):
     result = search_hourglass(args.mode, args.max_norm)
     if result.hits:
         import json
-    for hit in result.hits:
-        print(json.dumps({"x": [hit.x.re, hit.x.im],
-                          "y": [hit.y.re, hit.y.im],
-                          "z": [hit.z.re, hit.z.im],
-                          "cells": list(hit.cells)}, sort_keys=True))
+
+        _write(json.dumps({"x": [hit.x.re, hit.x.im],
+                           "y": [hit.y.re, hit.y.im],
+                           "z": [hit.z.re, hit.z.im],
+                           "cells": list(hit.cells)}, sort_keys=True) + "\n"
+               for hit in result.hits)
     print(f"{result.mode}: {len(result.hits)} hits, "
           f"{result.triples_tested} triples tested, "
           f"{result.candidates_enumerated} candidates enumerated "
@@ -198,15 +206,16 @@ def _load_square_file(path):
 
     from .algebra import make_carrier
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
         info = doc["carrier"]
         kind = info["kind"]
         order = info.get("order")
         modulus = info.get("modulus_poly")
         cells = doc["cells"]
-    except (KeyError, TypeError) as exc:
+    # a document nested past the recursion limit is malformed too
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed square file {path}: {exc}") from None
     if not (order is None or _is_int(order)):
         raise ValueError(f"malformed square file {path}: order {order!r} "
@@ -240,20 +249,21 @@ def _cmd_verify(args):
     if args.json:
         import json
 
-        print(json.dumps(payload, sort_keys=True))
+        _write((json.dumps(payload, sort_keys=True) + "\n",))
     else:
-        print(f"carrier: {payload['carrier']}")
-        for lbl, s in zip(report.line_labels, report.line_sums):
-            print(f"  {lbl:5s} sum = {carrier.element_repr(s)}")
-        print(f"sums agreeing: {report.sums_equal_count}/8, "
-              f"distinct entries: {report.distinct_entries}/9, "
-              f"all squares: {report.all_entries_square}")
+        lines = [f"carrier: {payload['carrier']}\n"]
+        lines += (f"  {lbl:5s} sum = {carrier.element_repr(s)}\n"
+                  for lbl, s in zip(report.line_labels, report.line_sums))
+        lines.append(f"sums agreeing: {report.sums_equal_count}/8, "
+                     f"distinct entries: {report.distinct_entries}/9, "
+                     f"all squares: {report.all_entries_square}\n")
         if report.mismatched_lines():
             mism = ", ".join(f"{lbl}={carrier.element_repr(s)}"
                              for lbl, s in report.mismatched_lines())
-            print(f"disagreeing lines: {mism}")
-        print("verdict: " + ("magic square of squares"
-                             if report.is_magic else "NOT magic"))
+            lines.append(f"disagreeing lines: {mism}\n")
+        verdict = "magic square of squares" if report.is_magic else "NOT magic"
+        lines.append(f"verdict: {verdict}\n")
+        _write(lines)
     return EXIT_OK if report.is_magic else EXIT_VERIFY_FAILED
 
 
@@ -261,7 +271,7 @@ def _cmd_congruum(args):
     from .gaussian import congruum_triple
 
     t = congruum_triple(args.m, args.n, args.k)
-    print(f"r={t.r} s={t.s} t={t.t} congruum={t.congruum}")
+    _write((f"r={t.r} s={t.s} t={t.t} congruum={t.congruum}\n",))
     return EXIT_OK
 
 
@@ -269,7 +279,7 @@ def _cmd_chi(args):
     from .gaussian import GaussianInt, chi
 
     r, s, t = chi(GaussianInt(args.re, args.im))
-    print(f"r={r} s={s} t={t}")
+    _write((f"r={r} s={s} t={t}\n",))
     return EXIT_OK
 
 
@@ -475,20 +485,17 @@ def _run(args) -> int:
 def entry():
     """Run main() on sys.argv and end the process with its status.
 
-    Once main returns, its stdout and stderr are flushed and the process
-    ends at once (os._exit), without tearing the interpreter down: no
-    module teardown, final garbage collection or atexit callback, which
-    took about a tenth of a short command's time.  Nothing a command leaves
-    needs them.  Its files are closed by their with blocks, and a
+    Once main returns, stderr is flushed and the process ends at once
+    (os._exit), without tearing the interpreter down: no module teardown,
+    final garbage collection or atexit callback, which took about a tenth
+    of a short command's time.  Nothing a command leaves needs them.  Its
+    stdout was flushed by _write, and a failed write there was reported by
+    main like any other; its files are closed by their with blocks, and a
     checkpoint is also flushed after each record; the process pool's with
     block joins its workers and threads; main's finally removes the -v
     handler.  After a -v pool scan, atexit holds logging's shutdown and
     multiprocessing's exit function, and threading holds the pool's exit
     hook, but no thread or child process is left for them to act on.
-
-    A final flush of stdout that fails (its pipe's reader has gone, a full
-    disk, a closed stream) ends as a write that fails in main does: one
-    "parker: error:" line on stderr, if stderr takes it, and status 1.
 
     Every other ending is the interpreter's own, as for a plain
     SystemExit(main()): a usage error or --help (argparse's SystemExit),
@@ -500,15 +507,6 @@ def entry():
     status = main()
     if _observed():
         raise SystemExit(status)
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except (OSError, ValueError) as exc:  # as _run reports a failed write
-        status = EXIT_USAGE
-        try:
-            print(f"parker: error: {exc}", file=sys.stderr)
-        except (OSError, ValueError):
-            pass
     try:
         if sys.stderr is not None:
             sys.stderr.flush()

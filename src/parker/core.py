@@ -70,7 +70,7 @@ class ValidationReport(NamedTuple):
                 if s != mode]
 
 
-def _validate(cells, carrier, lines, labels, need_distinct):
+def _validate(cells, carrier, lines, labels):
     cells = tuple(carrier.check_element(x) for x in cells)
     add = carrier.add
     sums = tuple(add(add(cells[i], cells[j]), cells[k]) for i, j, k in lines)
@@ -80,7 +80,7 @@ def _validate(cells, carrier, lines, labels, need_distinct):
     equal = max(counts.values())
     distinct = len(set(cells))
     all_square = all(carrier.is_square(x) for x in cells)
-    magic = equal == len(lines) and distinct == need_distinct and all_square
+    magic = equal == len(lines) and distinct == len(cells) and all_square
     total = sums[0] if equal == len(lines) else None
     return ValidationReport(sums, labels, total, equal, distinct, all_square, magic)
 
@@ -92,13 +92,13 @@ def validate_square(grid, carrier: Carrier) -> ValidationReport:
     values, not their roots), row-major.
     """
     cells = _cells_of(grid, 9)
-    return _validate(cells, carrier, _SQUARE_LINES, SQUARE_LINE_LABELS, 9)
+    return _validate(cells, carrier, _SQUARE_LINES, SQUARE_LINE_LABELS)
 
 
 def validate_hourglass(cells, carrier: Carrier) -> ValidationReport:
     """Check the 5 hourglass sums over cells given as (a, b, c, e, g, h, i)."""
     cells = _cells_of(cells, 7)
-    return _validate(cells, carrier, _HOURGLASS_LINES, HOURGLASS_LINE_LABELS, 7)
+    return _validate(cells, carrier, _HOURGLASS_LINES, HOURGLASS_LINE_LABELS)
 
 
 def _cells_of(obj, n):

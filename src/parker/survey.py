@@ -342,7 +342,8 @@ def record_from_json(line: str) -> ScanRecord:
     computed: nonnegative integer counts, order and time, a kind of "field"
     or "ring", a boolean Parker flag and a dihedral class count that agree
     with the msos count, and a prefilter reason that is None or one the
-    prefilter gives.  ValueError, KeyError or TypeError if malformed."""
+    prefilter gives.  ValueError, KeyError, TypeError or (nested too deep)
+    RecursionError if malformed."""
     import json
 
     obj = json.loads(line)
@@ -414,7 +415,7 @@ def load_checkpoint(path) -> dict[tuple[str, int], ScanRecord]:
                 try:
                     rec = record_from_json(line)
                 # json.JSONDecodeError is a ValueError
-                except (KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, ValueError, RecursionError):
                     import logging
 
                     logging.getLogger("parker.survey").warning(

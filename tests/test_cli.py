@@ -248,12 +248,28 @@ class TestScans:
         obj = json.loads(lines[-1])
         ckpt.write_text("\n".join(lines[:5] + [
             "[1, 2]", '"x"',
+            "[" * 200000,  # nested past the recursion limit
             json.dumps({**obj, "parker": not obj["parker"]}),
             json.dumps({**obj, "dihedral_class_count":
                         obj["msos_count"] + 1})]) + "\n")
         code, out, _ = run_cli(capsys, *args, "--checkpoint", str(ckpt))
         assert code == 0
         assert out == fresh
+
+    def test_out_naming_the_checkpoint_exits_1(self, capsys, monkeypatch,
+                                               tmp_path):
+        ckpt = tmp_path / "ckpt.jsonl"
+        args = ("scan-rings", "--from", "2", "--to", "6",
+                "--checkpoint", str(ckpt))
+        assert run_cli(capsys, *args)[0] == 0
+        kept = ckpt.read_bytes()
+        # the two resolve to one file however they are spelt
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *args, "--out", "./ckpt.jsonl")
+        assert (code, out) == (1, "")
+        assert err == ("parker: error: --out would overwrite the checkpoint "
+                       "./ckpt.jsonl\n")
+        assert ckpt.read_bytes() == kept
 
     @pytest.mark.parametrize("env", ["junk", "0", "-3", "two"])
     def test_jobs_env_ignored(self, capsys, monkeypatch, env):
@@ -343,8 +359,9 @@ class TestHourglassCommand:
         assert out == ""
         assert "error" in err
 
-    def test_hit_wire_format(self, capsys, monkeypatch):
-        # no qualifying triple is known, so pin the output format on a stub
+    @staticmethod
+    def stub_hit(monkeypatch):
+        # no qualifying triple is known, so a hit's output is pinned on a stub
         from parker import hourglass
         from parker.gaussian import GaussianInt
         from parker.hourglass import HourglassHit, HourglassSearchResult
@@ -354,11 +371,23 @@ class TestHourglassCommand:
             hourglass, "search_hourglass",
             lambda mode, bound: HourglassSearchResult(mode, bound, (hit,), 1,
                                                       1))
+
+    def test_hit_wire_format(self, capsys, monkeypatch):
+        self.stub_hit(monkeypatch)
         code, out, _ = run_cli(capsys, "hourglass", "--mode", "exhaustive",
                                "--max-norm", "5")
         assert code == 0
         assert json.loads(out) == {"x": [2, 1], "y": [3, 2], "z": [4, 1],
                                    "cells": [1, 2, 3, 4, 5, 6, 7]}
+
+    def test_hit_to_missing_stdout_exits_1(self, capsys, monkeypatch):
+        # a hit goes through _write, so a missing stdout is an error line
+        self.stub_hit(monkeypatch)
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(["hourglass", "--mode", "exhaustive", "--max-norm", "5"])
+        assert code == 1
+        assert capsys.readouterr().err \
+            == "parker: error: [Errno 9] stdout is closed\n"
 
 
 class TestVerify:
@@ -415,6 +444,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", path)
         assert code == 1
         assert "error" in err
+
+    def test_deeply_nested_file_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "square.json"
+        path.write_text("[" * 200000)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"parker: error: malformed square file {path}: ")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("carrier", [
         {"kind": "field", "order": 29, "modulus_poly": [1, 1, 1]},

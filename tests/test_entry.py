@@ -98,41 +98,63 @@ def _to_closed_pipe(*args, unbuffered=False):
     return status, err
 
 
+@pytest.fixture
+def square(tmp_path):
+    """A square file, of the Parker square over Z, which is not magic."""
+    path = tmp_path / "square.json"
+    path.write_text('{"carrier": {"kind": "int"}, "cells": '
+                    '[841, 1, 2209, 1681, 1369, 1, 529, 1681, 841]}')
+    return str(path)
+
+
+def _argv(argv, square):
+    return [square if arg == "SQUARE" else arg for arg in argv]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True],
                          ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ("ring", "27"),
     ("scan-rings", "--from", "2", "--to", "3000"),
-], ids=["short", "long"])
-def test_closed_pipe_is_an_error_line(argv, unbuffered):
-    # a short output waits in the buffer until the entry's flush, a long
-    # one fails its write in main, and unbuffered both fail in main: each
-    # is one error line and status 1, as any failed write
-    assert _to_closed_pipe("-m", "parker.cli", *argv, unbuffered=unbuffered) \
+    ("verify", "SQUARE"),
+], ids=["short", "long", "verify"])
+def test_closed_pipe_is_an_error_line(argv, unbuffered, square):
+    # every command flushes what it writes before main returns, so a
+    # short output fails in main as a long one does, buffered or not: one
+    # error line and status 1, as any failed write
+    assert _to_closed_pipe("-m", "parker.cli", *_argv(argv, square),
+                           unbuffered=unbuffered) \
         == (1, "parker: error: [Errno 32] Broken pipe\n")
 
 
-def test_missing_stdout_ends_with_mains_status(capsys):
-    # started with fd 1 closed, the interpreter sets sys.stdout to None; a
-    # command that prints nothing there ends as in process
-    argv = ("hourglass", "--mode", "exhaustive", "--max-norm", "10")
+def _without_stdout(*argv):
+    """(status, stderr) of a run started with fd 1 closed, for which the
+    interpreter sets sys.stdout to None."""
     proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable,
                            "-m", "parker.cli", *argv], env=_env(), text=True,
                           stderr=subprocess.PIPE, timeout=120)
-    assert (proc.returncode, "", proc.stderr) == run_in_process(capsys, *argv)
+    return proc.returncode, proc.stderr
+
+
+def test_missing_stdout_ends_with_mains_status(capsys):
+    # a command that prints nothing there ends as in process
+    argv = ("hourglass", "--mode", "exhaustive", "--max-norm", "10")
+    status, err = _without_stdout(*argv)
+    assert (status, "", err) == run_in_process(capsys, *argv)
 
 
 @pytest.mark.parametrize("argv", [
     ("ring", "27"),
     ("scan-rings", "--from", "2", "--to", "10"),
-], ids=["ring", "scan-rings"])
-def test_missing_stdout_is_an_error_line(argv):
+    ("verify", "SQUARE"),
+    ("verify", "SQUARE", "--json"),
+    ("congruum", "1", "2", "3"),
+    ("chi", "3", "4"),
+], ids=["ring", "scan-rings", "verify", "verify-json", "congruum", "chi"])
+def test_missing_stdout_is_an_error_line(argv, square):
     # a command that has output for a missing stdout reports it as it
     # reports a failed write: one error line and status 1, no traceback
-    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable,
-                           "-m", "parker.cli", *argv], env=_env(), text=True,
-                          stderr=subprocess.PIPE, timeout=120)
-    assert (proc.returncode, proc.stderr) \
+    assert _without_stdout(*_argv(argv, square)) \
         == (1, "parker: error: [Errno 9] stdout is closed\n")
 
 

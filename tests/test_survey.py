@@ -588,7 +588,9 @@ class TestCheckpoint:
                json.dumps({**good, "kind": "cube"}),
                json.dumps({**good, "parker": 0}),
                json.dumps({**good, "prefilter_reason": 5}),
-               json.dumps({**good, "prefilter_reason": "made-up"})]
+               json.dumps({**good, "prefilter_reason": "made-up"}),
+               # nested past the recursion limit
+               "[" * 200000]
         path.write_text(survey.record_to_json(rec) + "\n"
                         + "".join(line + "\n" for line in bad))
         with caplog.at_level("WARNING", logger="parker.survey"):
