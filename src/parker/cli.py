@@ -3,12 +3,14 @@
 All data goes to stdout (machine-readable with --json); diagnostics and
 progress stay on stderr.  Exit codes: 0 success (including empty search
 results), 1 usage or input error, 2 verification failure, 3 internal
-invariant violation.  Every command writes stdout only through _write,
-which flushes it, so any failed write (a closed stdout, a pipe with no
-reader, a full disk) is one "parker: error:" line on stderr and status 1.
-main() runs a command in this process and returns its status; entry(), the
-process entry of `python -m parker.cli` and of the `parker` script, ends
-the process once main returns.
+invariant violation.  Stdout, --help too, is written only by _write, which
+flushes it, so a failed write (a closed stdout, a pipe with no reader, a
+full disk) is one "parker: error:" line and status 1; stderr only by _note,
+which drops what stderr cannot take, so a diagnostic never reaches stdout
+and never changes the status.  main() runs any command line in this
+process and returns its status, --help and usage errors included; entry(),
+the process entry of `python -m parker.cli` and of the `parker` script,
+ends the process once main returns.
 """
 
 from __future__ import annotations
@@ -21,27 +23,11 @@ from types import SimpleNamespace
 
 from .limits import MAX_BOUND, MAX_ORDER, SERIAL_MS
 
-# Each subcommand imports the modules it runs inside its handler, so a
-# command loads only what it uses: no scan loads hourglass or gaussian, an
-# hourglass search loads hourglass, never survey or search, and gaussian
-# only to verify a hit, only field and ring with --list load listing, and
-# only a field of order p**r, r >= 2, loads extension.  The same goes for
-# the standard library.
-# main reads a canonical command line (see _canonical) without argparse;
-# argparse, with gettext and locale, loads only for --help, a usage error
-# and every other line.  Past the interpreter's own start-up the records
-# are typing.NamedTuples.  Then
-#   field, ring     json with --json
-#   scan-*          json only to resume from a checkpoint that has records
-#                   (records and reports are written from templates), and
-#                   concurrent.futures (with logging) only when orders are
-#                   left for a pool after the serial pass
-#   hourglass       json only to print a hit
-#   verify          json
-# Any command loads logging with -v, and a scan loads it for the warning
-# on a corrupt checkpoint line.  None loads dataclasses or inspect.  Run as
-# a process, a command then ends as soon as main returns (entry), so what
-# it loaded is never torn down.
+# Each subcommand imports the modules it runs inside its handler, and main
+# reads a canonical command line (see _canonical) without argparse, so a
+# command loads only what it uses: the README lists what each one loads,
+# and tests/test_imports.py checks it.  Run as a process, a command ends as
+# soon as main returns (entry), so what it loaded is never torn down.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,16 +46,28 @@ _WRITE_BATCH = 1000
 
 def _write(pieces):
     """Write the iterable pieces, nonempty strings, to stdout in batches
-    and flush it: the one way a command writes stdout.  Any failure (no
-    sys.stdout, as when fd 1 was closed at start, a pipe with no reader, a
-    full disk, a closed stream) is an OSError or ValueError that _run
-    reports."""
+    and flush it: the one way a command, or --help, writes stdout.  Any
+    failure (no sys.stdout, as when fd 1 was closed at start, a pipe with
+    no reader, a full disk, a closed stream) is an OSError or ValueError,
+    reported as one error line by _run, or for --help by the parser."""
     if sys.stdout is None:
         raise OSError(errno.EBADF, "stdout is closed")
     pieces = iter(pieces)
     while batch := "".join(islice(pieces, _WRITE_BATCH)):
         sys.stdout.write(batch)
     sys.stdout.flush()
+
+
+def _note(line=""):
+    """Write line to stderr and flush it: the one way a diagnostic is
+    written.  Where stderr cannot take it (no sys.stderr, a failed write),
+    it is dropped, so it never reaches stdout or changes the status."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(line)
+            sys.stderr.flush()
+    except (OSError, ValueError):
+        pass
 
 
 def _cmd_single(args):
@@ -142,24 +140,22 @@ def _cmd_scan(args):
             os.path.realpath(args.out) == os.path.realpath(args.checkpoint):
         raise ValueError(f"--out would overwrite the checkpoint {args.out}")
     if args.kind == "field":
+        scan = survey.scan_fields
         order_filter = ("primes-only" if args.primes
                         else "prime-powers-only" if args.prime_powers
                         else "all")
-        records, breakers = survey.scan_fields(
-            args.lo, args.hi, order_filter, jobs=args.jobs,
-            checkpoint=args.checkpoint)
     else:
         if args.res is not None and args.mod is None:
             raise ValueError("--res needs --mod")
+        scan = survey.scan_rings
         order_filter = ("odd" if args.odd
                         else (args.mod, args.res or 0) if args.mod is not None
                         else "all")
-        records, breakers = survey.scan_rings(
-            args.lo, args.hi, order_filter, jobs=args.jobs,
-            checkpoint=args.checkpoint)
+    records, breakers = scan(args.lo, args.hi, order_filter, jobs=args.jobs,
+                             checkpoint=args.checkpoint, out=args.out,
+                             fmt=args.format or "csv")
     if args.out:
-        survey.write_report(records, args.format or "csv", args.out)
-        print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+        _note(f"wrote {len(records)} records to {args.out}\n")
     # stdout stays timing-free so identical invocations print identical bytes
     lines = []
     for rec in records:
@@ -190,10 +186,10 @@ def _cmd_hourglass(args):
                            "z": [hit.z.re, hit.z.im],
                            "cells": list(hit.cells)}, sort_keys=True) + "\n"
                for hit in result.hits)
-    print(f"{result.mode}: {len(result.hits)} hits, "
+    _note(f"{result.mode}: {len(result.hits)} hits, "
           f"{result.triples_tested} triples tested, "
           f"{result.candidates_enumerated} candidates enumerated "
-          f"(max norm {result.bound})", file=sys.stderr)
+          f"(max norm {result.bound})\n")
     return EXIT_OK
 
 
@@ -361,10 +357,15 @@ def build_parser():
     import argparse
 
     class Parser(argparse.ArgumentParser):
-        # argparse exits 2 on usage errors; the CLI contract wants 1
+        # help goes to stdout whatever the file; usage errors exit 1, not 2
+        def print_help(self, file=None):
+            try:
+                _write((self.format_help(),))
+            except (OSError, ValueError) as exc:
+                raise SystemExit(_error(exc)) from None
+
         def error(self, message):
-            self.print_usage(sys.stderr)
-            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            _note(f"{self.format_usage()}{self.prog}: error: {message}\n")
             raise SystemExit(EXIT_USAGE)
 
     parser = Parser(prog="parker",
@@ -451,16 +452,21 @@ def _canonical(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _canonical(argv) or build_parser().parse_args(argv)
+    try:
+        args = _canonical(argv) or build_parser().parse_args(argv)
+    except SystemExit as exc:  # how argparse ends --help and usage errors
+        return exc.code
     if not args.verbose:
         return _run(args)
-    # scans and hourglass searches log their progress; only here does a
-    # command load logging
+    # scans and hourglass searches log progress, and load logging, for -v
     import logging
 
+    class Handler(logging.Handler):
+        def emit(self, record):
+            _note(f"parker: {record.getMessage()}\n")
+
     logger = logging.getLogger("parker")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("parker: %(message)s"))
+    handler = Handler()
     logger.addHandler(handler)
     level = logger.level
     logger.setLevel(logging.INFO)
@@ -475,43 +481,41 @@ def _run(args) -> int:
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
-        print(f"parker: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc)
     except AssertionError as exc:  # pragma: no cover
-        print(f"parker: internal invariant violation: {exc}", file=sys.stderr)
+        _note(f"parker: internal invariant violation: {exc}\n")
         return EXIT_INTERNAL
+
+
+def _error(exc) -> int:
+    _note(f"parker: error: {exc}\n")
+    return EXIT_USAGE
 
 
 def entry():
     """Run main() on sys.argv and end the process with its status.
 
-    Once main returns, stderr is flushed and the process ends at once
-    (os._exit), without tearing the interpreter down: no module teardown,
-    final garbage collection or atexit callback, which took about a tenth
-    of a short command's time.  Nothing a command leaves needs them.  Its
-    stdout was flushed by _write, and a failed write there was reported by
-    main like any other; its files are closed by their with blocks, and a
-    checkpoint is also flushed after each record; the process pool's with
-    block joins its workers and threads; main's finally removes the -v
-    handler.  After a -v pool scan, atexit holds logging's shutdown and
-    multiprocessing's exit function, and threading holds the pool's exit
-    hook, but no thread or child process is left for them to act on.
+    Once main returns, for any command line, --help and usage errors too,
+    stderr is flushed by _note and the process ends at once (os._exit),
+    without tearing the interpreter down: no module teardown, final garbage
+    collection or atexit callback, which took about a tenth of a short
+    command's time.  Nothing a command leaves needs them.  Its stdout was
+    flushed by _write, and a failed write there was reported by main like
+    any other; its files are closed by their with blocks, and a checkpoint
+    is also flushed after each record; the process pool's with block joins
+    its workers and threads; main's finally removes the -v handler.  After a
+    -v pool scan, atexit holds logging's shutdown and multiprocessing's exit
+    function, and threading holds the pool's exit hook, but no thread or
+    child process is left for them to act on.
 
-    Every other ending is the interpreter's own, as for a plain
-    SystemExit(main()): a usage error or --help (argparse's SystemExit),
-    an interrupt or an uncaught exception raised by main; a flush of
-    stderr that fails; and any run under a tracer or profiler (cProfile,
-    coverage), whose report an atexit callback or the code after this call
-    writes.
+    Only an interrupt or an exception raised by main, and a run under a
+    tracer or profiler (cProfile, coverage), whose report an atexit callback
+    or the code after this call writes, end by the interpreter's teardown.
     """
     status = main()
     if _observed():
         raise SystemExit(status)
-    try:
-        if sys.stderr is not None:
-            sys.stderr.flush()
-    except (OSError, ValueError):
-        raise SystemExit(status)
+    _note()
     os._exit(status)
 
 

@@ -11,10 +11,10 @@ many worker processes run, and a checkpoint file replays completed orders so
 an interrupted scan resumes to identical output.  Every scan runs its orders
 serially in this process first; a process pool starts only for the orders
 still pending once the scan has run SERIAL_MS, so a short scan never pays
-for one.  A scan opens its checkpoint once, in append mode, before any
-order runs, so an unwritable path fails before any work; each record is
-written and flushed as its order completes.  A ring modulus is factored
-once, for both its counts.
+for one.  A scan opens its checkpoint, in append mode, and its report
+before any order runs, so an unwritable path fails before any work; each
+checkpoint record is written and flushed as its order completes, the report
+once all are done.  A ring modulus is factored once, for both its counts.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextlib import nullcontext
 from itertools import compress
 from typing import NamedTuple
 
 from . import _info_logger
-from .algebra import check_order, factorize, is_prime, make_carrier
+from .algebra import check_order, factorize, make_carrier
 from .limits import SERIAL_MS
 from .search import (PREFILTER_REASONS, _count_ring, _ring_square_count,
                      count_field, prefilter_field)
@@ -72,17 +73,6 @@ def record_breakers(records) -> tuple[tuple[int, int], ...]:
             rows.append((rec.order, rec.msos_count))
             best = rec.msos_count
     return tuple(rows)
-
-
-def non_standard_record_breakers(rows) -> list[int]:
-    """Record-breaking orders not of the form 2*p with p prime, p = 1 mod 4,
-    among the rows of record_breakers."""
-    out = []
-    for order, _ in rows:
-        half = order // 2
-        if order % 2 or not is_prime(half) or half % 4 != 1:
-            out.append(order)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +208,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_scan(kind, orders, worker, jobs, checkpoint):
+def _run_scan(kind, orders, worker, jobs, checkpoint, out, fmt):
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if out and fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown report format {fmt!r}")
     done = load_checkpoint(checkpoint) if checkpoint else {}
-    if checkpoint:
-        # opened before any order runs, so an unwritable path fails first
-        with open(checkpoint, "a", encoding="utf-8") as fh:
-            computed = _compute(kind, orders, done, worker, jobs, fh)
-    else:
-        computed = _compute(kind, orders, done, worker, jobs, None)
-    records = [done.get((kind, n)) or computed[n] for n in orders]
+    # opened before any order runs, so an unwritable path fails first
+    with _opened(checkpoint, "a") as fh, _opened(out, "w") as report:
+        computed = _compute(kind, orders, done, worker, jobs, fh)
+        records = [done.get((kind, n)) or computed[n] for n in orders]
+        if report is not None:
+            report.write(render_report(records, fmt))
     return records, record_breakers(records)
+
+
+def _opened(path, mode):
+    """The file at path opened in mode, or no file (None) for no path."""
+    return open(path, mode, encoding="utf-8") if path else nullcontext()
 
 
 def _compute(kind, orders, done, worker, jobs, fh):
@@ -290,28 +286,34 @@ def _compute(kind, orders, done, worker, jobs, fh):
 
 
 def scan_fields(lo: int, hi: int, order_filter: str = "all", jobs: int = 1,
-                checkpoint: str | None = None):
+                checkpoint: str | None = None, out: str | None = None,
+                fmt: str = "csv"):
     """Classify every qualifying field order in [lo, hi].
 
-    Returns (records ascending by order, record-breaker rows).  The orders
+    Returns (records ascending by order, record-breaker rows), and writes
+    them to out, if given, as a "csv" or "jsonl" report (fmt).  The orders
     run serially, ascending, in this process.  With jobs > 1, the orders
     still pending once the scan has run SERIAL_MS (250 ms) go to a process
     pool of at most jobs workers, capped by those orders and by the CPUs
     this process may run on; a scan that ends sooner starts no pool.
-    Output order and content do not depend on jobs.  jobs below 1, or hi
-    above MAX_ORDER, raises ValueError before any order is scanned.
+    Output order and content do not depend on jobs.  jobs below 1, hi above
+    MAX_ORDER, an inverted range or an unknown fmt raises ValueError before
+    any order is scanned or any file opened.
     """
     check_order(hi)
     orders = field_orders(lo, hi, order_filter)
-    return _run_scan("field", orders, scan_field_order, jobs, checkpoint)
+    return _run_scan("field", orders, scan_field_order, jobs, checkpoint,
+                     out, fmt)
 
 
 def scan_rings(lo: int, hi: int, order_filter="all", jobs: int = 1,
-               checkpoint: str | None = None):
+               checkpoint: str | None = None, out: str | None = None,
+               fmt: str = "csv"):
     """Classify every qualifying ring modulus in [lo, hi]; see scan_fields."""
     check_order(hi)
     orders = ring_orders(lo, hi, order_filter)
-    return _run_scan("ring", orders, scan_ring_order, jobs, checkpoint)
+    return _run_scan("ring", orders, scan_ring_order, jobs, checkpoint,
+                     out, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +375,8 @@ def record_from_json(line: str) -> ScanRecord:
     return ScanRecord(**{k: obj[k] for k in ScanRecord._fields})
 
 
-def write_report(records, fmt: str, path) -> None:
-    """Write records as CSV (fixed column order) or JSONL."""
-    text = render_report(records, fmt)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def render_report(records, fmt: str) -> str:
+    """records as a CSV (fixed column order) or JSONL report."""
     if fmt == "csv":
         return ",".join(CSV_COLUMNS) + "\n" + "".join(
             _CSV_ROW % (order, kind, square_count, msos_count, msos_count,

@@ -18,10 +18,7 @@ from parker.listing import msos_field, msos_ring
 
 
 def run_cli(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage failures
-        code = exc.code
+    code = main(list(argv))  # argparse's ending too: no SystemExit leaves
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -299,6 +296,53 @@ class TestScans:
         assert out == "record breakers: \n"
         assert err == ""
 
+    def test_unwritable_out_fails_before_any_order(self, capsys, monkeypatch,
+                                                   tmp_path):
+        # the report is opened before the first order, as the checkpoint is
+        def refuse(order):
+            raise AssertionError(f"order {order} ran")
+        monkeypatch.setattr(survey, "scan_ring_order", refuse)
+        out = tmp_path / "missing" / "r.csv"
+        code, stdout, err = run_cli(capsys, "scan-rings", "--from", "2",
+                                    "--to", "6000", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == (f"parker: error: [Errno 2] No such file or directory: "
+                       f"'{out}'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("scan-rings", "--from", "30", "--to", "2"),
+        ("scan-fields", "--from", "30", "--to", "2"),
+        ("scan-rings", "--from", "2", "--to", "30", "--jobs", "0"),
+        ("scan-rings", "--from", "2", "--to", "30", "--mod", "0"),
+        ("scan-rings", "--from", "2", "--to", str(MAX_ORDER + 1)),
+        ("scan-rings", "--from", "2", "--to", "30", "--checkpoint", "OUT"),
+    ], ids=["inverted-rings", "inverted-fields", "jobs", "mod",
+            "order-limit", "checkpoint"])
+    @pytest.mark.parametrize("existing", [None, "kept\n"],
+                             ids=["absent", "existing"])
+    def test_failed_argument_check_leaves_out_alone(self, capsys, tmp_path,
+                                                   argv, existing):
+        out = tmp_path / "r.csv"
+        if existing is not None:
+            out.write_text(existing)
+        argv = [str(out) if arg == "OUT" else arg for arg in argv]
+        code, stdout, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert (out.read_text() if out.exists() else None) == existing
+
+    def test_report_to_closed_stderr(self, capsys, monkeypatch, tmp_path):
+        # the "wrote" line is a diagnostic: dropped where stderr cannot take
+        # it, with the status and stdout of a run where it can
+        argv = ("scan-rings", "--from", "2", "--to", "30",
+                "--out", str(tmp_path / "r.csv"))
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, f"wrote 29 records to {argv[-1]}\n")
+        closed = open(tmp_path / "stderr", "w", encoding="utf-8")
+        closed.close()
+        monkeypatch.setattr(sys, "stderr", closed)
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == stdout
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_1(self, capsys, jobs):
         code, out, err = run_cli(capsys, "scan-rings", "--from", "2", "--to",
@@ -379,6 +423,14 @@ class TestHourglassCommand:
         assert code == 0
         assert json.loads(out) == {"x": [2, 1], "y": [3, 2], "z": [4, 1],
                                    "cells": [1, 2, 3, 4, 5, 6, 7]}
+
+    def test_summary_without_stderr_leaves_stdout_empty(self, capsys,
+                                                        monkeypatch):
+        # with no sys.stderr (fd 2 closed at start) the summary is dropped
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(["hourglass", "--mode", "exhaustive",
+                     "--max-norm", "10"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_hit_to_missing_stdout_exits_1(self, capsys, monkeypatch):
         # a hit goes through _write, so a missing stdout is an error line
@@ -503,6 +555,17 @@ class TestSmallCommands:
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+    def test_help_and_usage_error_return_their_status(self, capsys):
+        # main returns what argparse would exit with, and raises nothing
+        code, out, err = run_cli(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: parker [-h] [-v]")
+        code, out, err = run_cli(capsys, "ring")
+        assert (code, out) == (1, "")
+        assert err == ("usage: parker ring [-h] [--list] [--json] order\n"
+                       "parker ring: error: the following arguments are "
+                       "required: order\n")
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +709,9 @@ class TestCanonicalReader:
         assert len(bench) == 12 and len(ci) > 30
         for argv in bench + ci:
             read = cli._canonical(argv)
+            if argv == ["--help"]:  # CI's help check is argparse's alone
+                assert read is None
+                continue
             assert read is not None, argv
             assert vars(read) == _parsed(argv)
 

@@ -41,10 +41,7 @@ def run_process(*args, stdout=subprocess.PIPE, unbuffered=False):
 
 def run_in_process(capsys, *argv):
     """main(argv) in this process: (status, stdout, stderr)."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse: usage errors and --help
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -73,8 +70,8 @@ def test_scan_with_files_matches_main(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv, status", [
-    (("ring", "1"), 1),      # an input error: main returns 1
-    (("--bogus",), 1),       # a usage error: argparse exits
+    (("ring", "1"), 1),      # an input error
+    (("--bogus",), 1),       # a usage error, argparse's
     (("--help",), 0),
     (("scan-rings", "--help"), 0),
 ])
@@ -117,7 +114,8 @@ def _argv(argv, square):
     ("ring", "27"),
     ("scan-rings", "--from", "2", "--to", "3000"),
     ("verify", "SQUARE"),
-], ids=["short", "long", "verify"])
+    ("--help",),
+], ids=["short", "long", "verify", "help"])
 def test_closed_pipe_is_an_error_line(argv, unbuffered, square):
     # every command flushes what it writes before main returns, so a
     # short output fails in main as a long one does, buffered or not: one
@@ -150,12 +148,59 @@ def test_missing_stdout_ends_with_mains_status(capsys):
     ("verify", "SQUARE", "--json"),
     ("congruum", "1", "2", "3"),
     ("chi", "3", "4"),
-], ids=["ring", "scan-rings", "verify", "verify-json", "congruum", "chi"])
+    ("--help",),
+    ("scan-rings", "--help"),
+], ids=["ring", "scan-rings", "verify", "verify-json", "congruum", "chi",
+        "help", "scan-rings-help"])
 def test_missing_stdout_is_an_error_line(argv, square):
     # a command that has output for a missing stdout reports it as it
     # reports a failed write: one error line and status 1, no traceback
     assert _without_stdout(*_argv(argv, square)) \
         == (1, "parker: error: [Errno 9] stdout is closed\n")
+
+
+# a command run by the entry in a process whose fd 2 was closed after start,
+# so that sys.stderr is a stream whose every write fails
+_STDERR_CLOSED = ("import os, sys; os.close(2); sys.argv[0] = 'parker'; "
+                  "from parker.cli import entry; entry()")
+
+
+def _without_stderr(way, *argv):
+    """(status, stdout) of a run with fd 2 closed at start, for which the
+    interpreter sets sys.stderr to None, or after start.  The first runs
+    unbuffered, so that whatever reaches stdout shows even where the
+    process ends without flushing it; the second buffered, as a plain run,
+    where a failed write to stderr can leave bytes for a later flush."""
+    if way == "at start":
+        cmd = ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable,
+               "-m", "parker.cli"]
+    else:
+        cmd = [sys.executable, "-c", _STDERR_CLOSED]
+    proc = subprocess.run([*cmd, *argv], env=_env(way == "at start"),
+                          text=True, stdout=subprocess.PIPE, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("way", ["at start", "after start"])
+@pytest.mark.parametrize("argv, status", [
+    (("hourglass", "--mode", "exhaustive", "--max-norm", "10"), 0),
+    (("scan-rings", "--from", "2", "--to", "30", "--out", "OUT"), 0),
+    (("-v", "scan-rings", "--from", "2", "--to", "30"), 0),
+    (("ring", "0"), 1),
+    (("ring",), 1),
+], ids=["hourglass", "scan-out", "scan-verbose", "input-error",
+        "usage-error"])
+def test_closed_stderr_keeps_stdout_and_status(tmp_path, way, argv, status):
+    # a diagnostic that stderr cannot take is dropped: it never reaches
+    # stdout and never changes the status
+    out = str(tmp_path / "report.csv")
+    argv = [out if arg == "OUT" else arg for arg in argv]
+    status_open, stdout_open, _ = run_process("-m", "parker.cli", *argv)
+    assert status_open == status
+    report = _masked(out) if out in argv else None
+    assert _without_stderr(way, *argv) == (status, stdout_open)
+    if report is not None:  # and the same report
+        assert _masked(out) == report
 
 
 @pytest.mark.skipif(survey._usable_cpus() < 2, reason="needs two CPUs")

@@ -11,10 +11,8 @@ from hypothesis import given, settings, strategies as st
 from parker import algebra, search, survey
 from parker.algebra import (MAX_ORDER, factorize, make_carrier,
                             prime_power_base, squares)
-from parker.survey import (ScanRecord, load_checkpoint,
-                           non_standard_record_breakers, record_breakers,
-                           render_report, scan_fields, scan_rings,
-                           write_report)
+from parker.survey import (ScanRecord, load_checkpoint, record_breakers,
+                           render_report, scan_fields, scan_rings)
 
 
 def _zero_elapsed(records):
@@ -422,13 +420,6 @@ class TestRecordBreakers:
         assert [row for row in breakers if row[1] > 0] == \
             [(27, 3), (29, 7), (37, 9), (53, 13), (54, 36), (58, 56)]
 
-    def test_conjectured_form_exceptions(self):
-        rows = ((27, 3), (29, 7), (37, 9), (53, 13), (54, 36), (58, 56),
-                (74, 72), (101, 75), (106, 104), (122, 240), (162, 576),
-                (202, 604))
-        assert non_standard_record_breakers(rows) == \
-            [27, 29, 37, 53, 54, 101, 162]
-
 
 class TestScanRecord:
     RECORD = ScanRecord(29, "field", 15, 2, None, 1)
@@ -509,21 +500,25 @@ class TestReports:
 
     def test_empty_records_give_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_report([], "csv", path)
+        assert scan_fields(0, 1, out=path) == ([], ())
         assert path.read_text() == ("order,kind,square_count,msos_count,"
                                     "dihedral_class_count,parker,"
                                     "prefilter_reason,elapsed_ms\n")
 
     def test_jsonl_round_trip(self, tmp_path):
-        records, _ = scan_rings(2, 20)
         path = tmp_path / "r.jsonl"
-        write_report(records, "jsonl", path)
+        records, _ = scan_rings(2, 20, out=path, fmt="jsonl")
         assert [survey.record_from_json(line)
                 for line in path.read_text().splitlines()] == records
 
-    def test_unknown_format(self):
+    def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             render_report([], "tsv")
+        # a scan refuses it before it opens the report
+        path = tmp_path / "r.tsv"
+        with pytest.raises(ValueError, match="unknown report format 'tsv'"):
+            scan_rings(2, 20, out=path, fmt="tsv")
+        assert not path.exists()
 
     @pytest.mark.parametrize("scan_order, order", [
         (survey.scan_ring_order, 27), (survey.scan_field_order, 29),
